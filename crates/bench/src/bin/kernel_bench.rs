@@ -1,13 +1,14 @@
-//! Kernel event-queue microbenchmark: ladder vs. binary-heap backend across
-//! the three event-time densities the kernel actually sees (same-instant
-//! marker storms, near-time chunked flows, wide-spread timers), plus one
-//! end-to-end anchor: a cold `fig5_servers --fast` wall measurement proving
-//! the O(1) queue shows up in figure time, not just in queue ops.
+//! Kernel event-queue microbenchmark: the binary-heap queue across the
+//! three event-time densities the kernel actually sees (same-instant
+//! marker storms, near-time chunked flows, wide-spread timers) at two
+//! pending-event populations — a paper-sized figure run's and a 10⁵-rank
+//! ring's — plus one end-to-end anchor: a cold `fig5_servers --fast` wall
+//! measurement.
 //!
 //! The deterministic op driver lives in [`ftmpi_sim::microbench`] (the sim
-//! crates forbid wall-clock reads, so the timing lives here); both backends
-//! run the identical op sequence and must produce the identical pop-order
-//! checksum, so the speedup is measured on provably equivalent work.
+//! crates forbid wall-clock reads, so the timing lives here). Each run's
+//! pop-order checksum is reported next to its rate, so a change to the
+//! queue that moves the pop order shows up as a changed checksum.
 //!
 //! Writes `BENCH_kernel.json` at the repository root.
 //!
@@ -22,24 +23,25 @@ use ftmpi_bench::json::{to_string_pretty, JsonObject, JsonValue};
 use ftmpi_bench::{figures, HarnessArgs, MemoCache};
 use ftmpi_sim::microbench::{drive, Density};
 
-/// Pending-event population held by the driver — the order of magnitude a
-/// paper-sized figure run keeps in flight.
-const STEADY: usize = 16_384;
+/// Pending-event populations held by the driver: the order of magnitude a
+/// paper-sized figure run keeps in flight, and a 10⁵-rank ring's timers.
+const STEADY: [usize; 2] = [16_384, 100_000];
 
 /// Tombstone compaction threshold: the queue's default.
 const COMPACT: usize = 64;
 
-/// Best-of-`reps` wall seconds for one backend/density, plus the pop-order
-/// checksum (cross-checked between backends).
-fn time_backend(ladder: bool, density: Density, ops: u64, reps: usize) -> (f64, u64) {
-    let mut best = f64::INFINITY;
+/// Median-of-`reps` wall seconds for one density and population, plus the
+/// pop-order checksum.
+fn time_queue(density: Density, steady: usize, ops: u64, reps: usize) -> (f64, u64) {
+    let mut secs = Vec::with_capacity(reps);
     let mut checksum = 0u64;
     for _ in 0..reps {
         let start = Instant::now();
-        checksum = drive(ladder, density, STEADY, ops, COMPACT);
-        best = best.min(start.elapsed().as_secs_f64());
+        checksum = drive(false, density, steady, ops, COMPACT);
+        secs.push(start.elapsed().as_secs_f64());
     }
-    (best, checksum)
+    secs.sort_by(f64::total_cmp);
+    (secs[reps / 2], checksum)
 }
 
 /// Cold `fig5_servers --fast` wall seconds: fresh memory-only cache, so
@@ -70,38 +72,33 @@ fn main() {
     };
 
     println!(
-        "kernel queue microbench: {ops} ops/run, steady {STEADY}, best of {reps}{}",
+        "kernel queue microbench: {ops} ops/run, median of {reps}{}",
         if quick { " (--quick)" } else { "" }
     );
     let mut records: Vec<JsonObject> = Vec::new();
-    for density in Density::ALL {
-        let (heap_s, heap_sum) = time_backend(false, density, ops, reps);
-        let (ladder_s, ladder_sum) = time_backend(true, density, ops, reps);
-        assert_eq!(
-            heap_sum,
-            ladder_sum,
-            "backends diverged on {} — benchmark invalid",
-            density.name()
-        );
-        let heap_mops = ops as f64 / heap_s / 1e6;
-        let ladder_mops = ops as f64 / ladder_s / 1e6;
-        let speedup = heap_s / ladder_s;
-        println!(
-            "  {:11}  heap {heap_mops:7.2} Mops/s   ladder {ladder_mops:7.2} Mops/s   speedup {speedup:.2}x",
-            density.name()
-        );
-        records.push(vec![
-            ("bench", JsonValue::Str("event_queue".into())),
-            ("density", JsonValue::Str(density.name().into())),
-            ("ops", JsonValue::UInt(ops)),
-            ("steady_events", JsonValue::UInt(STEADY as u64)),
-            ("heap_mops_per_s", JsonValue::Float(heap_mops)),
-            ("ladder_mops_per_s", JsonValue::Float(ladder_mops)),
-            ("speedup", JsonValue::Float(speedup)),
-        ]);
+    for steady in STEADY {
+        for density in Density::ALL {
+            let (secs, checksum) = time_queue(density, steady, ops, reps);
+            let mops = ops as f64 / secs / 1e6;
+            let ns_per_op = secs * 1e9 / ops as f64;
+            println!(
+                "  {:11}  steady {steady:>7}  {mops:7.2} Mops/s  {ns_per_op:6.1} ns/op  \
+                 checksum {checksum:016x}",
+                density.name()
+            );
+            records.push(vec![
+                ("bench", JsonValue::Str("event_queue".into())),
+                ("density", JsonValue::Str(density.name().into())),
+                ("ops", JsonValue::UInt(ops)),
+                ("steady_events", JsonValue::UInt(steady as u64)),
+                ("mops_per_s", JsonValue::Float(mops)),
+                ("ns_per_op", JsonValue::Float(ns_per_op)),
+                ("checksum", JsonValue::Str(format!("{checksum:016x}"))),
+            ]);
+        }
     }
 
-    println!("\ncold fig5_servers --fast (fresh cache, ladder backend):");
+    println!("\ncold fig5_servers --fast (fresh cache):");
     let wall = fig5_cold_wall();
     println!("\n  fig5 cold wall: {wall:.2} s");
     records.push(vec![

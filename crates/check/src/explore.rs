@@ -37,12 +37,6 @@
 //! *abstraction*: exploration is exhaustive relative to this reduction
 //! (memoized states are not re-expanded), which is exactly the
 //! partial-order-reduction bargain.
-//!
-//! The explorer doubles as a backend-equivalence proof: exploration pops
-//! every same-instant candidate out of the queue and pushes the losers
-//! back ([`EventQueue::unpop`](ftmpi_sim::EventQueue)), exercising the
-//! ladder's push-below-drained-minimum path on every decision. Running
-//! the same config under both backends must visit the same states.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -85,9 +79,6 @@ impl ExploreConfig {
 
 /// Exploration budget and mode.
 pub struct ExploreOptions {
-    /// Force the queue backend (`Some(true)` = ladder); `None` keeps the
-    /// environment default.
-    pub ladder: Option<bool>,
     /// Force the process backend (`Some(true)` = legacy OS threads);
     /// `None` keeps the environment default (coroutines).
     pub threaded: Option<bool>,
@@ -102,7 +93,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> ExploreOptions {
         ExploreOptions {
-            ladder: None,
             threaded: None,
             max_runs: 4000,
             shrink: true,
@@ -171,7 +161,6 @@ fn run_one(
         trace: true,
         tiebreak_seed: None,
         schedule: Some(prescription.clone()),
-        ladder: opts.ladder,
         threaded: opts.threaded,
         race_fixture: cfg.fixture,
     };
@@ -287,7 +276,7 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             let artifact = opts
                 .artifact_dir
                 .as_ref()
-                .map(|dir| write_artifact(dir, cfg, opts, &minimized, &kind, canonical, run.fp));
+                .map(|dir| write_artifact(dir, cfg, &minimized, &kind, canonical, run.fp));
             outcome.violation = Some(ViolationReport {
                 schedule: prescription,
                 minimized,
@@ -397,21 +386,15 @@ fn shrink(
 }
 
 /// Serialize a reproducer (see [`parse_artifact`] for the format) into
-/// `dir/<config>.<backend>.repro`, creating the directory as needed.
+/// `dir/<config>.repro`, creating the directory as needed.
 fn write_artifact(
     dir: &Path,
     cfg: &ExploreConfig,
-    opts: &ExploreOptions,
     minimized: &[usize],
     kind: &str,
     canonical_fp: u64,
     observed_fp: u64,
 ) -> PathBuf {
-    let backend = match opts.ladder {
-        None => "default",
-        Some(true) => "ladder",
-        Some(false) => "heap",
-    };
     let schedule = minimized
         .iter()
         .map(|c| c.to_string())
@@ -420,7 +403,6 @@ fn write_artifact(
     let text = format!(
         "# ftmpi-check explore reproducer\n\
          config={}\n\
-         backend={backend}\n\
          schedule={schedule}\n\
          kind={kind}\n\
          canonical_fp={canonical_fp:016x}\n\
@@ -428,7 +410,7 @@ fn write_artifact(
         cfg.name
     );
     let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{}.{backend}.repro", cfg.name));
+    let path = dir.join(format!("{}.repro", cfg.name));
     if let Err(e) = std::fs::write(&path, text) {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
@@ -440,19 +422,17 @@ fn write_artifact(
 pub struct Repro {
     /// Config name (must match an [`explore_configs`] entry).
     pub config: String,
-    /// Queue backend the violation was found under.
-    pub ladder: Option<bool>,
     /// The minimized prescription.
     pub schedule: Vec<usize>,
     /// Violation kind at dump time.
     pub kind: String,
 }
 
-/// Parse a reproducer written by the explorer. Unknown keys and comment
-/// lines are ignored; missing mandatory keys are an error.
+/// Parse a reproducer written by the explorer. Unknown keys (including the
+/// `backend=` line older reproducers carry) and comment lines are ignored;
+/// missing mandatory keys are an error.
 pub fn parse_artifact(text: &str) -> Result<Repro, String> {
     let mut config = None;
-    let mut ladder = None;
     let mut schedule = None;
     let mut kind = None;
     for line in text.lines() {
@@ -465,13 +445,6 @@ pub fn parse_artifact(text: &str) -> Result<Repro, String> {
         };
         match k {
             "config" => config = Some(v.to_string()),
-            "backend" => {
-                ladder = Some(match v {
-                    "ladder" => Some(true),
-                    "heap" => Some(false),
-                    _ => None,
-                })
-            }
             "schedule" => {
                 let parsed: Result<Vec<usize>, _> = if v.is_empty() {
                     Ok(Vec::new())
@@ -486,7 +459,6 @@ pub fn parse_artifact(text: &str) -> Result<Repro, String> {
     }
     Ok(Repro {
         config: config.ok_or("missing config=")?,
-        ladder: ladder.ok_or("missing backend=")?,
         schedule: schedule.ok_or("missing schedule=")?,
         kind: kind.ok_or("missing kind=")?,
     })
@@ -498,10 +470,7 @@ pub fn replay(repro: &Repro) -> Result<Option<String>, String> {
         .into_iter()
         .find(|c| c.name == repro.config)
         .ok_or_else(|| format!("unknown explore config `{}`", repro.config))?;
-    let opts = ExploreOptions {
-        ladder: repro.ladder,
-        ..ExploreOptions::default()
-    };
+    let opts = ExploreOptions::default();
     let spec = cfg.spec().map_err(|e| e.to_string())?;
     let canonical = run_one(&cfg, &spec, &opts, Vec::new()).map_err(|e| e.to_string())?;
     if let Some(kind) = canonical.broken {
@@ -622,7 +591,7 @@ fn tuned_laneless_spec() -> Result<JobSpec, JobError> {
 }
 
 /// Every explorable config: the two clean 3-rank jobs (expected to
-/// exhaust without violations, under both backends) and the two
+/// exhaust without violations) and the two
 /// historical-race fixtures (expected to violate, minimally).
 pub fn explore_configs() -> Vec<ExploreConfig> {
     vec![
@@ -661,42 +630,14 @@ pub fn explore_configs() -> Vec<ExploreConfig> {
     ]
 }
 
-/// Explore a clean config under both queue backends and check they agree
-/// state-for-state: same run count, same prune/memo counts, same
-/// fingerprint set. Returns the two outcomes (heap, ladder).
-pub fn differential(
-    cfg: &ExploreConfig,
-    base: &ExploreOptions,
-) -> Result<(ExploreOutcome, ExploreOutcome), JobError> {
-    let heap = explore(
-        cfg,
-        &ExploreOptions {
-            ladder: Some(false),
-            threaded: base.threaded,
-            max_runs: base.max_runs,
-            shrink: base.shrink,
-            artifact_dir: base.artifact_dir.clone(),
-        },
-    )?;
-    let ladder = explore(
-        cfg,
-        &ExploreOptions {
-            ladder: Some(true),
-            threaded: base.threaded,
-            max_runs: base.max_runs,
-            shrink: base.shrink,
-            artifact_dir: base.artifact_dir.clone(),
-        },
-    )?;
-    Ok((heap, ladder))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn artifact_round_trips() {
+        // Older reproducers carry a `backend=` line; it parses as an
+        // ignored key.
         let text = "# ftmpi-check explore reproducer\n\
                     config=pcl3.ring\n\
                     backend=ladder\n\
@@ -709,19 +650,18 @@ mod tests {
             r,
             Repro {
                 config: "pcl3.ring".into(),
-                ladder: Some(true),
                 schedule: vec![2, 0, 1],
                 kind: "divergence".into(),
             }
         );
         assert_eq!(
-            parse_artifact("config=x\nbackend=default\nschedule=\nkind=k\n")
+            parse_artifact("config=x\nschedule=\nkind=k\n")
                 .expect("empty schedule")
                 .schedule,
             Vec::<usize>::new()
         );
         assert!(parse_artifact("config=x\n").is_err());
-        assert!(parse_artifact("schedule=1,x\nconfig=c\nbackend=heap\nkind=k").is_err());
+        assert!(parse_artifact("schedule=1,x\nconfig=c\nkind=k").is_err());
     }
 
     #[test]

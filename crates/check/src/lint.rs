@@ -19,23 +19,21 @@
 //!   whose lane argument is not `None`), so no event class can silently
 //!   reorder under the race detector's perturbation seeds. The same rule
 //!   pins tiekey *derivation* to `event.rs`: no other sim-crate source may
-//!   mention `splitmix64`, so the queue backends (ladder rungs, heap) can
-//!   only order keys they were handed, never re-derive lane→tiekey
-//!   mappings of their own. A second cross-file half confines the event
+//!   mention `splitmix64`, so no other module can re-derive lane→tiekey
+//!   mappings of its own. A second cross-file half confines the event
 //!   *push path*: `Key { .. }` construction, `arena.insert(`, and
-//!   `backend.push(` may appear only in `event.rs` (plus the defining
-//!   modules' own files), so neither the ladder nor any caller can mint
-//!   keys or slots that bypass the lane bookkeeping the schedule
-//!   explorer replays against.
+//!   `heap.push(` may appear only in `event.rs` (plus the slab's own
+//!   file), so no caller can mint keys or slots that bypass the lane
+//!   bookkeeping the schedule explorer replays against.
 //! * `env-registry` — every `std::env::var`/`var_os` read in the
 //!   workspace must name a toggle from the declared [`ENV_TOGGLES`]
 //!   registry, and every registered toggle must be documented in the
 //!   README's environment-toggle table. Ad-hoc env reads are invisible
 //!   determinism knobs; the registry makes the full set auditable.
 //! * `sim-audit` — the event-kernel memory machinery
-//!   (`crates/sim/src/arena.rs`, `ladder.rs`) must contain no `unsafe`
+//!   (`crates/sim/src/arena.rs`, `event.rs`) must contain no `unsafe`
 //!   and no `.unwrap()` outside its test module: the slab recycles slots
-//!   and the ladder re-buckets keys, and both must fail loudly with
+//!   and the queue hands them out by key, and both must fail loudly with
 //!   `expect` invariant messages, never via unchecked access.
 //!
 //! Escape hatch: a `lint:allow(<rule>)` comment on the offending line or
@@ -66,7 +64,6 @@ const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
 /// variables the workspace may read. Every entry must also appear in the
 /// README's toggle table (checked by [`env_registry_hits`]).
 pub const ENV_TOGGLES: &[&str] = &[
-    "FTMPI_NO_LADDER",
     "FTMPI_THREADED",
     "FTMPI_NO_POOL",
     "FTMPI_NO_BATCH",
@@ -83,7 +80,7 @@ pub const ENV_TOGGLES: &[&str] = &[
 /// typed `StoreError`s, never panic on a missing or damaged slot.
 const SIM_AUDIT_FILES: &[&str] = &[
     "crates/sim/src/arena.rs",
-    "crates/sim/src/ladder.rs",
+    "crates/sim/src/event.rs",
     "crates/sim/src/process.rs",
     "crates/core/src/server.rs",
 ];
@@ -263,7 +260,7 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
                     line: lineno,
                     rule: RULE_SIM_AUDIT,
                     msg: "`unsafe` in the kernel memory machinery: the slab and \
-                          ladder stay entirely in safe Rust"
+                          event queue stay entirely in safe Rust"
                         .to_string(),
                 });
             }
@@ -553,9 +550,8 @@ pub fn lane_audit_sources(sources: &[(String, String)]) -> Vec<LintHit> {
 
 /// Third half of the lane audit: the event *push path* is confined.
 /// `Key { .. }` construction, `arena.insert(` (slot allocation), and
-/// `backend.push(` (queue entry) may appear only in `event.rs` — plus the
-/// defining module's own file (`ladder.rs` owns `Key`, `arena.rs` owns the
-/// slab), whose internals and tests legitimately touch their own type.
+/// `heap.push(` (queue entry) may appear only in `event.rs` — plus
+/// `arena.rs`, whose internals and tests legitimately touch the slab.
 /// Everything else must go through `EventQueue::push`, which records the
 /// lane the schedule explorer replays against; a rogue push site would
 /// create events invisible to the exploration candidate sets.
@@ -563,7 +559,7 @@ fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
     const CONFINED: &[(&str, &[&str], &str)] = &[
         (
             "Key {",
-            &["src/event.rs", "src/ladder.rs"],
+            &["src/event.rs"],
             "`Key` construction outside the queue: events must enter through \
              `EventQueue::push` so their lane is recorded",
         ),
@@ -574,9 +570,9 @@ fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
              leaks and is invisible to exploration",
         ),
         (
-            "backend.push(",
+            "heap.push(",
             &["src/event.rs"],
-            "raw backend push outside the queue: bypasses lane bookkeeping \
+            "raw heap push outside the queue: bypasses lane bookkeeping \
              (use `EventQueue::push` / `unpop`)",
         ),
         (
@@ -644,9 +640,8 @@ fn contains_word_prefix(line: &str, word: &str, needle: &str) -> bool {
 
 /// Second half of the lane audit: the lane→tiekey derivation (the
 /// `splitmix64` mixer) must live in `event.rs` and nowhere else in the sim
-/// crate. The queue backends order the keys they are handed; a backend (or
-/// any other module) deriving its own tiekey would silently fork the
-/// ordering contract between the ladder and heap push paths.
+/// crate. The queue orders the keys it is handed; any other module
+/// deriving its own tiekey would silently fork the ordering contract.
 fn tiekey_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
     let mut hits = Vec::new();
     for (path, text) in sources {
@@ -671,7 +666,7 @@ fn tiekey_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
                     line: i + 1,
                     rule: RULE_LANE_AUDIT,
                     msg: "tiekey derivation (`splitmix64`) outside event.rs: \
-                          queue backends must order keys, not derive them"
+                          the queue must order keys, not derive them"
                         .to_string(),
                 });
             }
@@ -867,13 +862,13 @@ pub(crate) enum EventKind {
         assert!(lane_audit_sources(&srcs).is_empty());
         // Any other sim source deriving one is flagged...
         srcs.push((
-            "crates/sim/src/ladder.rs".into(),
+            "crates/sim/src/kernel.rs".into(),
             "let t = splitmix64(seed ^ lane);\n".into(),
         ));
         let hits = lane_audit_sources(&srcs);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, RULE_LANE_AUDIT);
-        assert_eq!(hits[0].file, "crates/sim/src/ladder.rs");
+        assert_eq!(hits[0].file, "crates/sim/src/kernel.rs");
         // ...unless escaped, mentioned in a comment, or a longer identifier.
         srcs.last_mut().unwrap().1 =
             "// splitmix64 is documented here only\nlet x = splitmix64_variant(y);\n".into();
@@ -891,12 +886,8 @@ pub(crate) enum EventKind {
         );
         // The owning files may construct keys, insert slots, and push raw.
         srcs[0].1.push_str(
-            "let k = Key { time, tiekey, slot };\nself.arena.insert(ev);\nself.backend.push(k);\n",
+            "let k = Key { time, tiekey, slot };\nself.arena.insert(ev);\nself.heap.push(k);\n",
         );
-        srcs.push((
-            "crates/sim/src/ladder.rs".into(),
-            "let probe = Key { time: t, tiekey: 0, slot };\n".into(),
-        ));
         srcs.push((
             "crates/sim/src/arena.rs".into(),
             "let slot = self.arena.insert(ev);\n".into(),
@@ -911,8 +902,8 @@ pub(crate) enum EventKind {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, RULE_LANE_AUDIT);
         assert_eq!(hits[0].file, "crates/sim/src/kernel2.rs");
-        // ...as are raw arena inserts and backend pushes elsewhere.
-        srcs.last_mut().unwrap().1 = "self.arena.insert(ev);\nbackend.push(k);\n".into();
+        // ...as are raw arena inserts and heap pushes elsewhere.
+        srcs.last_mut().unwrap().1 = "self.arena.insert(ev);\nheap.push(k);\n".into();
         let hits = lane_audit_sources(&srcs);
         assert_eq!(hits.len(), 2, "{hits:?}");
         // Longer identifiers, comments, and the escape hatch don't trip it.
@@ -983,10 +974,10 @@ pub(crate) enum EventKind {
         // Unwraps inside the test module are fine; `unsafe` never is.
         let tested = "fn get(&self) {}\n#[cfg(test)]\nmod tests {\n    \
              fn t() { x.unwrap(); }\n}\n";
-        assert!(lint_source("crates/sim/src/ladder.rs", tested).is_empty());
+        assert!(lint_source("crates/sim/src/event.rs", tested).is_empty());
         let unsafe_in_tests =
             "#[cfg(test)]\nmod tests {\n    fn t() { unsafe { ptr.read() } }\n}\n";
-        let hits = lint_source("crates/sim/src/ladder.rs", unsafe_in_tests);
+        let hits = lint_source("crates/sim/src/event.rs", unsafe_in_tests);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].msg.contains("unsafe"));
 

@@ -26,10 +26,9 @@
 //!   checker with churn variants. `--full` uses the paper-sized classes.
 //! * `explore [--smoke] [--replay FILE]` — exhaustively enumerate the
 //!   schedule space of the small explore configs (DPOR over the kernel's
-//!   schedule-policy hook). Clean configs must exhaust without violations
-//!   under **both** queue backends with identical state counts; the two
-//!   historical-race fixtures must be rediscovered with minimized
-//!   reproducers (dumped under `results/explore/`). Emits
+//!   schedule-policy hook). Clean configs must exhaust without
+//!   violations; the two historical-race fixtures must be rediscovered
+//!   with minimized reproducers (dumped under `results/explore/`). Emits
 //!   `BENCH_explore.json`. `--replay FILE` re-runs one reproducer.
 
 use std::path::PathBuf;
@@ -37,9 +36,9 @@ use std::process::ExitCode;
 
 use ftmpi_bench::json::{to_string_pretty, JsonObject, JsonValue};
 use ftmpi_check::{
-    differential, encode_artifact, explore, explore_configs, figure_smoke_probes, figures_suite,
-    mine, parse_artifact, perturbation_check, replay, run_checked_with_churn, run_lint,
-    smoke_probes, storm_campaign, ExploreOptions, ExploreOutcome, MineOptions, ProbeOutcome,
+    encode_artifact, explore, explore_configs, figure_smoke_probes, figures_suite, mine,
+    parse_artifact, perturbation_check, replay, run_checked_with_churn, run_lint, smoke_probes,
+    storm_campaign, ExploreOptions, ExploreOutcome, MineOptions, ProbeOutcome,
 };
 
 fn workspace_root() -> PathBuf {
@@ -358,7 +357,7 @@ fn cmd_figures(full: bool) -> ExitCode {
     }
 }
 
-fn explore_record(o: &ExploreOutcome, backend: &str) -> JsonObject {
+fn explore_record(o: &ExploreOutcome) -> JsonObject {
     let (kind, minimized) = match &o.violation {
         Some(v) => (
             v.kind.clone(),
@@ -372,7 +371,6 @@ fn explore_record(o: &ExploreOutcome, backend: &str) -> JsonObject {
     };
     vec![
         ("config", JsonValue::Str(o.name.clone())),
-        ("backend", JsonValue::Str(backend.to_string())),
         ("runs", JsonValue::UInt(o.runs)),
         (
             "distinct_outcomes",
@@ -392,10 +390,10 @@ fn explore_record(o: &ExploreOutcome, backend: &str) -> JsonObject {
     ]
 }
 
-fn print_explore(o: &ExploreOutcome, backend: &str) {
+fn print_explore(o: &ExploreOutcome) {
     println!(
         "{:36} runs={:<5} outcomes={:<2} decisions<={:<3} pruned={:<5} memo={:<5} {}",
-        format!("explore.{}.{backend}", o.name),
+        format!("explore.{}", o.name),
         o.runs,
         o.distinct_outcomes,
         o.max_decisions,
@@ -427,12 +425,12 @@ fn cmd_explore(smoke: bool) -> ExitCode {
             artifact_dir: Some(artifact_dir.clone()),
             ..ExploreOptions::default()
         };
-        if cfg.expect_violation {
-            // Fixture configs: the historical race must be rediscovered,
-            // minimized, under the default backend.
-            match explore(&cfg, &opts) {
-                Ok(o) => {
-                    print_explore(&o, "default");
+        match explore(&cfg, &opts) {
+            Ok(o) => {
+                print_explore(&o);
+                if cfg.expect_violation {
+                    // Fixture configs: the historical race must be
+                    // rediscovered, minimized.
                     match &o.violation {
                         Some(v) => {
                             if let Some(p) = &v.artifact {
@@ -444,44 +442,22 @@ fn cmd_explore(smoke: bool) -> ExitCode {
                             failed = true;
                         }
                     }
-                    records.push(explore_record(&o, "default"));
-                }
-                Err(e) => {
-                    println!("explore.{:26} error: {e}", cfg.name);
-                    failed = true;
-                }
-            }
-        } else {
-            // Clean configs: exhaust without violation, and the two queue
-            // backends must agree state-for-state.
-            match differential(&cfg, &opts) {
-                Ok((heap, ladder)) => {
-                    print_explore(&heap, "heap");
-                    print_explore(&ladder, "ladder");
-                    if heap.violation.is_some() || ladder.violation.is_some() {
+                } else {
+                    // Clean configs: exhaust without violation.
+                    if o.violation.is_some() {
                         println!("    FAIL: clean config violated");
                         failed = true;
                     }
-                    if !heap.exhausted || !ladder.exhausted {
+                    if !o.exhausted {
                         println!("    FAIL: clean config not exhausted within {max_runs} runs");
                         failed = true;
                     }
-                    if heap.runs != ladder.runs
-                        || heap.canonical_fp != ladder.canonical_fp
-                        || heap.distinct_outcomes != ladder.distinct_outcomes
-                        || heap.pruned != ladder.pruned
-                        || heap.deduped != ladder.deduped
-                    {
-                        println!("    FAIL: backends disagree (heap vs ladder)");
-                        failed = true;
-                    }
-                    records.push(explore_record(&heap, "heap"));
-                    records.push(explore_record(&ladder, "ladder"));
                 }
-                Err(e) => {
-                    println!("explore.{:26} error: {e}", cfg.name);
-                    failed = true;
-                }
+                records.push(explore_record(&o));
+            }
+            Err(e) => {
+                println!("explore.{:26} error: {e}", cfg.name);
+                failed = true;
             }
         }
     }

@@ -24,8 +24,7 @@
 //! Determinism: the mutation stream is a seeded `StdRng`, the coverage map
 //! is a `BTreeSet`, gene timestamps are virtual nanoseconds, and the
 //! report carries no wall-clock fields — two invocations with the same
-//! seed and budget produce byte-identical corpora and reports, under
-//! either queue backend.
+//! seed and budget produce byte-identical corpora and reports.
 
 use std::collections::BTreeSet;
 use std::path::Path;

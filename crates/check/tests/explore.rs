@@ -4,10 +4,9 @@
 //! protocol fixes closed) are resurrected here behind [`RaceFixture`]s,
 //! and the DPOR explorer must rediscover both from scratch — minimized to
 //! a short reproducer — while clean configs exhaust their schedule space
-//! with a single terminal fingerprint, identically under the heap and
-//! ladder queue backends.
+//! with a single terminal fingerprint.
 
-use ftmpi_check::{differential, explore, explore_configs, parse_artifact, replay, ExploreOptions};
+use ftmpi_check::{explore, explore_configs, parse_artifact, replay, ExploreOptions};
 
 fn config(name: &str) -> ftmpi_check::ExploreConfig {
     explore_configs()
@@ -78,18 +77,21 @@ fn unstaggered_flow_race_rediscovered_and_minimized() {
     );
 }
 
+/// The vcl3 ring's schedule space, pinned to the counts the explorer
+/// recorded when two queue implementations still cross-checked each other
+/// state for state: the one queue must visit exactly that space.
 #[test]
-fn heap_and_ladder_explorations_agree_state_for_state() {
+fn clean_vcl_ring_explores_the_recorded_state_space() {
     let cfg = config("vcl3.ring");
-    let (heap, ladder) = differential(&cfg, &ExploreOptions::default()).expect("both backends run");
-    assert!(heap.exhausted && ladder.exhausted);
-    assert!(heap.violation.is_none() && ladder.violation.is_none());
-    assert_eq!(heap.runs, ladder.runs, "backends explored different spaces");
-    assert_eq!(heap.canonical_fp, ladder.canonical_fp);
-    assert_eq!(heap.distinct_outcomes, ladder.distinct_outcomes);
-    assert_eq!(heap.pruned, ladder.pruned, "commutation pruning diverged");
-    assert_eq!(heap.deduped, ladder.deduped, "state memoization diverged");
-    assert_eq!(heap.max_decisions, ladder.max_decisions);
+    let out = explore(&cfg, &ExploreOptions::default()).expect("exploration runs");
+    assert!(out.exhausted && out.violation.is_none(), "{out:?}");
+    assert_eq!(out.distinct_outcomes, 1);
+    assert_eq!(out.canonical_fp, 0x863a_37b6_9085_4cb7);
+    assert_eq!(
+        (out.runs, out.pruned, out.deduped, out.max_decisions),
+        (143, 29, 9304, 80),
+        "runs / pruned / memo hits / decisions moved"
+    );
 }
 
 #[test]

@@ -379,10 +379,6 @@ pub struct RunOptions {
     /// this list, falling back to 0 (the canonical order) beyond its end.
     /// `None` leaves the kernel policy-free — the ordinary fast path.
     pub schedule: Option<Vec<usize>>,
-    /// Force the event-queue backend (`true` = ladder), overriding the
-    /// `FTMPI_NO_LADDER` environment default (the explorer's differential-
-    /// backend mode). `None` keeps the default.
-    pub ladder: Option<bool>,
     /// Force the process backend (`true` = legacy OS threads), overriding
     /// the `FTMPI_THREADED` environment default (differential-backend
     /// testing). `None` keeps the default (stackless coroutines).
@@ -459,11 +455,6 @@ pub fn run_job_explored(
     let world: WorldRef = World::new_ref(rt, proto);
 
     let mut sim = Sim::new();
-    // Backend override first (it replaces the still-empty queue), then the
-    // policy (it starts lane recording on whichever queue survives).
-    if let Some(ladder) = opts.ladder {
-        sim.force_queue_backend(ladder);
-    }
     if let Some(threaded) = opts.threaded {
         sim.force_threaded(threaded);
     }

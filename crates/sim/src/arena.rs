@@ -1,9 +1,8 @@
 //! Slab arena for event payloads.
 //!
-//! The scheduling structures ([`crate::ladder::LadderQueue`] and the heap
-//! fallback) order events by a small `Copy` key; the fat part of an event —
-//! the boxed model closure in [`EventKind`] — lives here, addressed by slot.
-//! Sorting and sifting therefore move 32-byte keys instead of whole events,
+//! The event heap orders events by a small `Copy` key; the fat part of an
+//! event — the boxed model closure in [`EventKind`] — lives here, addressed
+//! by slot. Sifting therefore moves 32-byte keys instead of whole events,
 //! and a cancelled event's payload is reclaimed the moment its tombstone is
 //! discovered instead of riding along in the queue. The layout follows the
 //! `QueuedEvent` / side-table idiom of trainspotting's scheduler.

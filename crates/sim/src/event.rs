@@ -5,25 +5,18 @@
 //! sequential and cooperative, scheduling order — and therefore tie-breaking
 //! among same-time events — is deterministic.
 //!
-//! Two interchangeable backends implement the order:
-//!
-//! * the **ladder queue** ([`crate::ladder`]) — bucketed time wheels with a
-//!   sorted bottom rung, O(1) for the dense same/near-time traffic the
-//!   checkpoint protocols generate (the default), and
-//! * a **binary heap** of the same keys, kept behind the `FTMPI_NO_LADDER`
-//!   environment toggle so CI can prove the two produce byte-identical
-//!   figures.
-//!
-//! Both backends order 32-byte [`Key`](crate::ladder::Key)s; event payloads
-//! (boxed model closures) live in an [`EventArena`](crate::arena::EventArena)
-//! addressed by slot, so no closure is ever moved by a sort or a sift.
+//! The order is kept by a binary min-heap of 32-byte [`Key`]s: O(log n)
+//! per operation whatever the spread of event times, from a same-instant
+//! marker storm at 64 ranks to 10⁵ far-future checkpoint timers. Event
+//! payloads (boxed model closures) live in an
+//! [`EventArena`](crate::arena::EventArena) addressed by slot, so no closure
+//! is ever moved by a sift.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::arena::EventArena;
 use crate::kernel::SimCtx;
-use crate::ladder::{Key, LadderQueue};
 use crate::process::Pid;
 use crate::time::SimTime;
 
@@ -54,10 +47,20 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
+/// Scheduling key: the total event order `(time, tiekey, seq)` plus the
+/// arena slot of the payload. Sifting moves only this 32-byte `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Key {
+    pub time_ns: u64,
+    pub tiekey: u64,
+    pub seq: u64,
+    pub slot: u32,
+}
+
 /// SplitMix64 finalizer: a cheap, well-mixed bijection on `u64` used to
 /// derive perturbed tiebreak keys from (seed, seq). Tiekey derivation is
 /// confined to [`EventQueue::push`] — the lane audit enforces that no other
-/// sim-crate code (in particular the queue backends) re-derives one.
+/// sim-crate code re-derives one.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -71,71 +74,9 @@ fn splitmix64(mut x: u64) -> u64 {
 /// the kernel microbenchmark ([`EventQueue::set_compact_min_tombstones`]).
 const COMPACT_MIN_TOMBSTONES: usize = 64;
 
-/// The scheduling structure: either rung-based or heap-based, same total
-/// order. Chosen once per queue (`FTMPI_NO_LADDER` keeps the heap).
-enum Backend {
-    Ladder(LadderQueue),
-    Heap(BinaryHeap<Reverse<Key>>),
-}
-
-impl Backend {
-    fn push(&mut self, k: Key) {
-        match self {
-            Backend::Ladder(q) => q.push(k),
-            Backend::Heap(h) => h.push(Reverse(k)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        match self {
-            Backend::Ladder(q) => q.pop(),
-            Backend::Heap(h) => h.pop().map(|Reverse(k)| k),
-        }
-    }
-
-    /// Peek needs `&mut`: the ladder may have to spill a bucket to know its
-    /// minimum.
-    fn peek(&mut self) -> Option<Key> {
-        match self {
-            Backend::Ladder(q) => q.peek(),
-            Backend::Heap(h) => h.peek().map(|Reverse(k)| *k),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Backend::Ladder(q) => q.len(),
-            Backend::Heap(h) => h.len(),
-        }
-    }
-
-    fn drain_into(&mut self, out: &mut Vec<Key>) {
-        match self {
-            Backend::Ladder(q) => q.drain_into(out),
-            Backend::Heap(h) => out.extend(std::mem::take(h).into_vec().into_iter().map(|r| r.0)),
-        }
-    }
-
-    fn rebuild(&mut self, keys: Vec<Key>) {
-        match self {
-            Backend::Ladder(q) => q.rebuild(keys),
-            Backend::Heap(h) => *h = keys.into_iter().map(Reverse).collect(),
-        }
-    }
-}
-
-/// `false` when `FTMPI_NO_LADDER` is set: the queue keeps the binary-heap
-/// backend. Both backends realize the same total order, so results are
-/// byte-identical either way; the toggle exists for CI to prove exactly
-/// that across the full figure grid.
-fn ladder_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FTMPI_NO_LADDER").is_none())
-}
-
 /// Min-queue of pending events plus a tombstone set for cancellation.
 pub(crate) struct EventQueue {
-    backend: Backend,
+    heap: BinaryHeap<Reverse<Key>>,
     arena: EventArena,
     next_seq: u64,
     cancelled: std::collections::HashSet<u64>,
@@ -157,20 +98,8 @@ pub(crate) struct EventQueue {
 
 impl Default for EventQueue {
     fn default() -> Self {
-        EventQueue::with_ladder(ladder_enabled())
-    }
-}
-
-impl EventQueue {
-    /// Construct with an explicit backend choice (tests, microbenchmark;
-    /// ordinary kernels go through `default()` and the env toggle).
-    pub fn with_ladder(ladder: bool) -> EventQueue {
         EventQueue {
-            backend: if ladder {
-                Backend::Ladder(LadderQueue::new())
-            } else {
-                Backend::Heap(BinaryHeap::new())
-            },
+            heap: BinaryHeap::new(),
             arena: EventArena::default(),
             next_seq: 0,
             cancelled: std::collections::HashSet::new(),
@@ -180,7 +109,9 @@ impl EventQueue {
             lanes: None,
         }
     }
+}
 
+impl EventQueue {
     /// Start recording each event's tiebreak lane (exploration mode). Must
     /// be enabled before the first push so every pending event is covered.
     pub fn record_lanes(&mut self) {
@@ -224,12 +155,12 @@ impl EventQueue {
             m.insert(seq, lane);
         }
         let slot = self.arena.insert(kind);
-        self.backend.push(Key {
+        self.heap.push(Reverse(Key {
             time_ns: time.as_nanos(),
             tiekey,
             seq,
             slot,
-        });
+        }));
         EventId(seq)
     }
 
@@ -243,26 +174,25 @@ impl EventQueue {
         // takes as many fresh cancellations as there are live events before
         // it can trigger again.
         if self.cancelled.len() >= self.compact_min_tombstones
-            && self.cancelled.len() * 2 >= self.backend.len()
+            && self.cancelled.len() * 2 >= self.heap.len()
         {
             self.compact();
         }
     }
 
-    /// Drop every cancelled event from the backend and clear the tombstone
+    /// Drop every cancelled event from the heap and clear the tombstone
     /// set, reclaiming the corpses' arena slots.
     ///
-    /// Tombstones that match nothing in the backend belong to events that
+    /// Tombstones that match nothing in the heap belong to events that
     /// were already executed; discarding them restores exact
     /// `len`/`is_empty` accounting.
     fn compact(&mut self) {
         let cancelled = std::mem::take(&mut self.cancelled);
-        let mut keys = Vec::with_capacity(self.backend.len());
-        self.backend.drain_into(&mut keys);
-        keys.retain(|k| {
+        let (arena, lanes) = (&mut self.arena, &mut self.lanes);
+        self.heap.retain(|Reverse(k)| {
             if cancelled.contains(&k.seq) {
-                self.arena.discard(k.slot);
-                if let Some(m) = self.lanes.as_mut() {
+                arena.discard(k.slot);
+                if let Some(m) = lanes.as_mut() {
                     m.remove(&k.seq);
                 }
                 false
@@ -270,7 +200,21 @@ impl EventQueue {
                 true
             }
         });
-        self.backend.rebuild(keys);
+    }
+
+    /// Consume the tombstone of `seq`, if any: `true` means the event was
+    /// cancelled. The emptiness test spares the common tombstone-free pop
+    /// a hash computation.
+    fn take_tombstone(&mut self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
+    }
+
+    fn peek_key(&self) -> Option<Key> {
+        self.heap.peek().map(|Reverse(k)| *k)
+    }
+
+    fn pop_key(&mut self) -> Option<Key> {
+        self.heap.pop().map(|Reverse(k)| k)
     }
 
     /// Forget a key's lane record (the event left the queue).
@@ -291,26 +235,23 @@ impl EventQueue {
         }
     }
 
-    /// Pop and reclaim the cancelled corpse at the queue head iff `k` is
-    /// one. `true` means the caller must re-examine the new head.
-    fn discard_if_corpse(&mut self, k: Key) -> bool {
-        // A single hash probe: `remove` both tests and clears the tombstone.
-        if self.cancelled.remove(&k.seq) {
-            self.backend.pop();
-            self.arena.discard(k.slot);
-            self.forget_lane(k.seq);
-            true
-        } else {
-            false
+    /// The live head key, reclaiming cancelled corpses on the way.
+    fn live_head(&mut self) -> Option<Key> {
+        loop {
+            let k = self.peek_key()?;
+            if !self.take_tombstone(k.seq) {
+                return Some(k);
+            }
+            self.heap.pop();
+            self.discard_key(k);
         }
     }
 
     pub fn pop(&mut self) -> Option<Event> {
         loop {
-            let k = self.backend.pop()?;
-            if self.cancelled.remove(&k.seq) {
-                self.arena.discard(k.slot);
-                self.forget_lane(k.seq);
+            let k = self.pop_key()?;
+            if self.take_tombstone(k.seq) {
+                self.discard_key(k);
                 continue;
             }
             return Some(self.assemble(k));
@@ -323,52 +264,39 @@ impl EventQueue {
     /// match. Used by the kernel to coalesce consecutive same-time wakes for
     /// one process into a single token handoff.
     pub fn pop_if(&mut self, want: impl Fn(SimTime, &EventKind) -> bool) -> Option<Event> {
-        loop {
-            let k = self.backend.peek()?;
-            if self.discard_if_corpse(k) {
-                continue;
-            }
-            if !want(SimTime::from_nanos(k.time_ns), self.arena.get(k.slot)) {
-                return None;
-            }
-            let k = self.backend.pop().expect("peeked event vanished");
-            return Some(self.assemble(k));
+        let k = self.live_head()?;
+        if !want(SimTime::from_nanos(k.time_ns), self.arena.get(k.slot)) {
+            return None;
         }
+        self.heap.pop();
+        Some(self.assemble(k))
     }
 
     /// The time of the next live (non-cancelled) event, without consuming
     /// it. Corpses discovered at the head are reclaimed on the way.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let k = self.backend.peek()?;
-            if self.discard_if_corpse(k) {
-                continue;
-            }
-            return Some(SimTime::from_nanos(k.time_ns));
-        }
+        self.live_head().map(|k| SimTime::from_nanos(k.time_ns))
     }
 
     /// Pop every live key at the earliest pending instant, in canonical
     /// pop order (exploration mode). The caller inspects them through
     /// [`EventQueue::peek_kind`], executes exactly one via
     /// [`EventQueue::take_key`], and pushes the rest back with
-    /// [`EventQueue::unpop`] — which exercises the backends' push-below-
-    /// current-minimum paths, so exploration doubles as a backend-order
-    /// proof. Cancelled corpses encountered on the way are reclaimed.
+    /// [`EventQueue::unpop`]. Cancelled corpses encountered on the way are
+    /// reclaimed.
     pub fn pop_ready_keys(&mut self) -> Vec<Key> {
         let mut out = Vec::new();
         let Some(t) = self.peek_time() else {
             return out;
         };
         let t = t.as_nanos();
-        while let Some(k) = self.backend.peek() {
+        while let Some(k) = self.peek_key() {
             if k.time_ns != t {
                 break;
             }
-            self.backend.pop();
-            if self.cancelled.remove(&k.seq) {
-                self.arena.discard(k.slot);
-                self.forget_lane(k.seq);
+            self.heap.pop();
+            if self.take_tombstone(k.seq) {
+                self.discard_key(k);
                 continue;
             }
             out.push(k);
@@ -393,22 +321,20 @@ impl EventQueue {
         self.forget_lane(k.seq);
     }
 
-    /// Return unconsumed ready keys to the backend.
+    /// Return unconsumed ready keys to the heap.
     pub fn unpop(&mut self, keys: impl IntoIterator<Item = Key>) {
-        for k in keys {
-            self.backend.push(k);
-        }
+        self.heap.extend(keys.into_iter().map(Reverse));
     }
 
     #[allow(dead_code)] // used by tests and future schedulers
     pub fn is_empty(&self) -> bool {
         // Cancelled-but-unpopped events don't count as pending work.
-        self.backend.len() <= self.cancelled.len()
+        self.heap.len() <= self.cancelled.len()
     }
 
     #[allow(dead_code)]
     pub fn len(&self) -> usize {
-        self.backend.len().saturating_sub(self.cancelled.len())
+        self.heap.len().saturating_sub(self.cancelled.len())
     }
 }
 
@@ -501,7 +427,7 @@ mod tests {
             q.cancel(*id);
         }
         assert!(q.cancelled.is_empty(), "compaction should clear tombstones");
-        assert_eq!(q.backend.len(), 100, "cancelled events physically removed");
+        assert_eq!(q.heap.len(), 100, "cancelled events physically removed");
         assert_eq!(q.arena.len(), 100, "corpse payloads reclaimed");
         // Below-threshold cancels stay lazy but len() remains exact.
         for id in &ids[100..150] {
@@ -530,7 +456,7 @@ mod tests {
         assert_eq!(q.cancelled.len(), 1, "below the lowered threshold");
         q.cancel(b);
         assert!(q.cancelled.is_empty(), "2 tombstones vs 4 events compacts");
-        assert_eq!(q.backend.len(), 2);
+        assert_eq!(q.heap.len(), 2);
     }
 
     #[test]
@@ -607,33 +533,31 @@ mod tests {
 
     #[test]
     fn ready_keys_collect_the_tied_instant_and_unpop_restores_order() {
-        for ladder in [false, true] {
-            let mut q = EventQueue::with_ladder(ladder);
-            q.record_lanes();
-            let a = q.push(SimTime::from_nanos(10), Some(1), call());
-            let b = q.push(SimTime::from_nanos(10), None, call());
-            let c = q.push(SimTime::from_nanos(10), Some(1), call());
-            let d = q.push(SimTime::from_nanos(20), Some(2), call());
-            let corpse = q.push(SimTime::from_nanos(10), None, call());
-            q.cancel(corpse);
-            let ready = q.pop_ready_keys();
-            assert_eq!(
-                ready.iter().map(|k| k.seq).collect::<Vec<_>>(),
-                [a.0, b.0, c.0],
-                "ladder={ladder}: ready set is the live t=10 bucket in pop order"
-            );
-            assert_eq!(q.lane_of(a.0), Some(1));
-            assert_eq!(q.lane_of(b.0), None);
-            assert!(matches!(q.peek_kind(ready[0]), EventKind::Call(_)));
-            // Execute the *middle* candidate, push the rest back: the
-            // backend must accept keys at (or below) its drained minimum.
-            let ev = q.take_key(ready[1]);
-            assert_eq!(ev.seq, b.0);
-            q.unpop([ready[0], ready[2]]);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-            assert_eq!(order, [a.0, c.0, d.0], "unpopped keys keep their order");
-            assert_eq!(q.lane_of(d.0), None, "consumed events forget lanes");
-        }
+        let mut q = EventQueue::default();
+        q.record_lanes();
+        let a = q.push(SimTime::from_nanos(10), Some(1), call());
+        let b = q.push(SimTime::from_nanos(10), None, call());
+        let c = q.push(SimTime::from_nanos(10), Some(1), call());
+        let d = q.push(SimTime::from_nanos(20), Some(2), call());
+        let corpse = q.push(SimTime::from_nanos(10), None, call());
+        q.cancel(corpse);
+        let ready = q.pop_ready_keys();
+        assert_eq!(
+            ready.iter().map(|k| k.seq).collect::<Vec<_>>(),
+            [a.0, b.0, c.0],
+            "ready set is the live t=10 instant in pop order"
+        );
+        assert_eq!(q.lane_of(a.0), Some(1));
+        assert_eq!(q.lane_of(b.0), None);
+        assert!(matches!(q.peek_kind(ready[0]), EventKind::Call(_)));
+        // Execute the *middle* candidate, push the rest back: the queue
+        // must accept keys at (or below) the instant it just drained.
+        let ev = q.take_key(ready[1]);
+        assert_eq!(ev.seq, b.0);
+        q.unpop([ready[0], ready[2]]);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, [a.0, c.0, d.0], "unpopped keys keep their order");
+        assert_eq!(q.lane_of(d.0), None, "consumed events forget lanes");
     }
 
     #[test]
@@ -661,8 +585,8 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    /// Deterministic xorshift64* generator for the differential test (no
-    /// external RNG crates in the offline build).
+    /// Deterministic xorshift64* generator for the model test (no external
+    /// RNG crates in the offline build).
     struct XorShift(u64);
 
     impl XorShift {
@@ -674,19 +598,46 @@ mod tests {
         }
     }
 
-    /// Drive both backends through one pseudo-random op and assert their
-    /// answers match. Returns the advanced "now" floor after pops.
-    fn differential_step(
+    /// The queue's contract, stated as brute force: the live events as an
+    /// ordered set of `(time, tiekey, seq)`, with tiekeys derived exactly
+    /// as [`EventQueue::push`] documents.
+    struct Model {
+        live: std::collections::BTreeSet<(u64, u64, u64)>,
+        next_seq: u64,
+        seed: Option<u64>,
+    }
+
+    impl Model {
+        fn push(&mut self, t: u64, lane: Option<u64>) -> (u64, u64, u64) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let tiekey = self
+                .seed
+                .map_or(seq, |s| splitmix64(s ^ lane.unwrap_or(seq)));
+            let k = (t, tiekey, seq);
+            self.live.insert(k);
+            k
+        }
+    }
+
+    /// One pseudo-random op against both the queue and the model.
+    fn model_step(
         rng: &mut XorShift,
         now: &mut u64,
-        live: &mut Vec<EventId>,
-        heap: &mut EventQueue,
-        ladder: &mut EventQueue,
+        pushed: &mut Vec<(EventId, (u64, u64, u64))>,
+        q: &mut EventQueue,
+        m: &mut Model,
     ) {
-        let digest = |ev: &Event| (ev.time.as_nanos(), ev.seq, ev.tiekey);
+        let digest = |ev: &Event| (ev.time.as_nanos(), ev.tiekey, ev.seq);
+        let mut push = |t: u64, lane: Option<u64>, q: &mut EventQueue, m: &mut Model| {
+            let id = q.push(SimTime::from_nanos(t), lane, call());
+            let k = m.push(t, lane);
+            assert_eq!(id.0, k.2, "event ids are scheduling sequence numbers");
+            pushed.push((id, k));
+        };
         match rng.next() % 10 {
             // Pushes dominate, with a gap spectrum from exact ties to
-            // far-future: the mix that exercises bottom, wheel and overflow.
+            // seconds ahead.
             0..=4 => {
                 let r = rng.next();
                 let gap = match r % 16 {
@@ -699,86 +650,71 @@ mod tests {
                     0 => None,
                     l => Some(l),
                 };
-                let t = SimTime::from_nanos(*now + gap);
-                let a = heap.push(t, lane, call());
-                let b = ladder.push(t, lane, call());
-                assert_eq!(a, b, "backends must assign identical event ids");
-                live.push(a);
+                push(*now + gap, lane, q, m);
             }
             // A same-instant burst across lanes: the marker-storm shape.
             5 => {
-                let t = SimTime::from_nanos(*now + rng.next() % 50);
+                let t = *now + rng.next() % 50;
                 for lane in 0..8u64 {
-                    let a = heap.push(t, Some(lane), call());
-                    let b = ladder.push(t, Some(lane), call());
-                    assert_eq!(a, b);
-                    live.push(a);
+                    push(t, Some(lane), q, m);
                 }
             }
             6 | 7 => {
-                let a = heap.pop();
-                let b = ladder.pop();
-                assert_eq!(
-                    a.as_ref().map(&digest),
-                    b.as_ref().map(&digest),
-                    "pop sequences diverged"
-                );
-                if let Some(ev) = a {
-                    *now = ev.time.as_nanos();
+                let got = q.pop().map(|ev| digest(&ev));
+                assert_eq!(got, m.live.pop_first(), "pop order left the model");
+                if let Some((t, _, _)) = got {
+                    *now = t;
                 }
             }
             8 => {
-                // pop_if against the actual head time: taken on both or
-                // refused on both.
-                let t = heap.peek_time();
-                assert_eq!(t, ladder.peek_time());
-                let Some(t) = t else { return };
-                let cut = t.as_nanos() + rng.next() % 2;
-                let a = heap.pop_if(|et, _| et.as_nanos() <= cut);
-                let b = ladder.pop_if(|et, _| et.as_nanos() <= cut);
-                assert_eq!(a.as_ref().map(&digest), b.as_ref().map(&digest));
-                if let Some(ev) = a {
-                    *now = ev.time.as_nanos();
-                }
+                // pop_if against the head time: taken iff the model's head
+                // is within the cut.
+                let head = m.live.first().copied();
+                assert_eq!(q.peek_time().map(|t| t.as_nanos()), head.map(|k| k.0));
+                let Some((t, _, _)) = head else { return };
+                let cut = t + rng.next() % 2;
+                let got = q.pop_if(|et, _| et.as_nanos() <= cut).map(|ev| digest(&ev));
+                assert_eq!(got, m.live.pop_first());
+                *now = t;
             }
             _ => {
-                if !live.is_empty() {
-                    let id = live.swap_remove((rng.next() % live.len() as u64) as usize);
-                    heap.cancel(id);
-                    ladder.cancel(id);
+                // Cancel a pending event (stale cancellations are covered
+                // by the compaction tests; here `len` must stay exact).
+                if !pushed.is_empty() {
+                    let (id, k) = pushed.swap_remove((rng.next() % pushed.len() as u64) as usize);
+                    if m.live.remove(&k) {
+                        q.cancel(id);
+                    }
                 }
             }
         }
-        assert_eq!(heap.len(), ladder.len(), "len accounting diverged");
+        assert_eq!(q.len(), m.live.len(), "len accounting left the model");
     }
 
     #[test]
-    fn ladder_and_heap_backends_pop_identically_over_1e5_mixed_ops() {
+    fn queue_matches_a_brute_force_model_over_1e5_mixed_ops() {
         for (seed, tiebreak) in [(0x5EED_0001u64, None), (0x5EED_0002, Some(42))] {
-            let mut heap = EventQueue::with_ladder(false);
-            let mut ladder = EventQueue::with_ladder(true);
+            let mut q = EventQueue::default();
+            let mut m = Model {
+                live: std::collections::BTreeSet::new(),
+                next_seq: 0,
+                seed: tiebreak,
+            };
             if let Some(s) = tiebreak {
-                heap.set_tiebreak_seed(s);
-                ladder.set_tiebreak_seed(s);
+                q.set_tiebreak_seed(s);
             }
             let mut rng = XorShift(seed);
             let mut now = 0u64;
-            let mut live: Vec<EventId> = Vec::new();
+            let mut pushed = Vec::new();
             for _ in 0..100_000 {
-                differential_step(&mut rng, &mut now, &mut live, &mut heap, &mut ladder);
+                model_step(&mut rng, &mut now, &mut pushed, &mut q, &mut m);
             }
             // Drain the survivors: the tails must agree too.
-            loop {
-                let a = heap.pop();
-                let b = ladder.pop();
-                assert_eq!(
-                    a.as_ref().map(|e| (e.time, e.seq, e.tiekey)),
-                    b.as_ref().map(|e| (e.time, e.seq, e.tiekey))
-                );
-                if a.is_none() {
-                    break;
-                }
-            }
+            let tail: Vec<_> = std::iter::from_fn(|| q.pop())
+                .map(|e| (e.time.as_nanos(), e.tiekey, e.seq))
+                .collect();
+            assert_eq!(tail, m.live.into_iter().collect::<Vec<_>>());
+            assert_eq!(q.arena.len(), 0, "every payload taken or reclaimed");
         }
     }
 }

@@ -806,22 +806,6 @@ impl Sim {
         st.policy = Some(policy);
     }
 
-    /// Replace the (still empty) event queue with one on the requested
-    /// backend, overriding the `FTMPI_NO_LADDER` default. Exploration's
-    /// differential-backend mode drives the same schedule space through both
-    /// backends and compares state-for-state.
-    pub fn force_queue_backend(&mut self, ladder: bool) {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(
-            st.queue.scheduled_total, 0,
-            "switch backends before scheduling"
-        );
-        st.queue = EventQueue::with_ladder(ladder);
-        if st.policy.is_some() {
-            st.queue.record_lanes();
-        }
-    }
-
     /// Override the `FTMPI_THREADED` backend choice for this simulation:
     /// `true` runs processes on the legacy OS-thread backend, `false` on the
     /// coroutine backend. Differential tests drive the same workload through

@@ -52,7 +52,6 @@
 mod arena;
 mod event;
 mod kernel;
-mod ladder;
 pub mod microbench;
 mod pool;
 mod process;

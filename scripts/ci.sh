@@ -64,8 +64,8 @@ cp results/storm/corpus.txt "$DIFF_TMP/mine-1-corpus.txt"
 grep -q "corrupt@" "$DIFF_TMP/mine-1-corpus.txt"
 grep -q "rot@" "$DIFF_TMP/mine-1-corpus.txt"
 
-echo "==> storm --mine --smoke under the heap backend (must be byte-identical)"
-FTMPI_NO_LADDER=1 cargo run -q --release -p ftmpi-check -- storm --mine --smoke \
+echo "==> storm --mine --smoke again (must be byte-identical)"
+cargo run -q --release -p ftmpi-check -- storm --mine --smoke \
     > "$DIFF_TMP/mine-2.log"
 cmp "$DIFF_TMP/mine-1.log" "$DIFF_TMP/mine-2.log"
 cmp "$DIFF_TMP/mine-1.json" BENCH_storm.json
@@ -100,11 +100,10 @@ cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
 grep -q "/ 0 misses" "$CACHE_TMP/warm.log"
 grep -q "rank-thread pool: 0 checkouts" "$CACHE_TMP/warm.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
-# Ladder, pool, batching, and cache off: the figure must still be
-# byte-identical — the heap backend and unbatched flows are the reference
-# semantics, not a degraded mode.
+# Pool, batching, and cache off: the figure must still be byte-identical
+# — unbatched flows are the reference semantics, not a degraded mode.
 rm "$CACHE_TMP/results/fig5.json"
-FTMPI_NO_LADDER=1 FTMPI_NO_POOL=1 FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
+FTMPI_NO_POOL=1 FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
     cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/plain.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
@@ -126,7 +125,7 @@ cargo run -q --release -p ftmpi-bench --bin calibrate -- \
 grep -q "6 hits (6 from disk) / 0 misses" "$SEED_TMP.log"
 rm -rf "$SEED_TMP" "$SEED_TMP.log"
 
-echo "==> kernel microbench (ladder vs heap, BENCH_kernel.json)"
+echo "==> kernel microbench (event queue, BENCH_kernel.json)"
 cargo run -q --release -p ftmpi-bench --bin kernel_bench -- --quick
 
 echo "==> rank-scale bench (coroutines vs threads, 10^5-rank runs, BENCH_scale.json)"
