@@ -1,18 +1,14 @@
-//! Rank-execution scale benchmark: stackless coroutines vs. the legacy
-//! threaded backend, and the head-room the coroutine kernel buys.
+//! Rank-execution scale benchmark: the head-room the coroutine kernel buys.
 //!
 //! Two campaigns, both under the uncoordinated message-logging protocol
 //! (per-rank staggered checkpoints keep the wave machinery O(n)):
 //!
-//! 1. **Differential ladder** — the same ring job at moderate rank counts
-//!    under both backends. Asserts the results are identical (events,
-//!    virtual completion, committed waves) and records wall time, OS
-//!    threads created, and peak RSS for each backend.
+//! 1. **Ladder** — the ring job at moderate rank counts: wall time, event
+//!    throughput and peak RSS, the per-rank baseline for the runs below.
 //! 2. **Scale runs** — ring and 2-D halo topologies at ≥10⁵ ranks, which
-//!    no thread-per-rank pool can host (10⁵ OS threads). Only the
-//!    coroutine backend runs these; the bench asserts the rank-thread
-//!    pool granted **zero** leases and that every rank committed at least
-//!    two checkpoint cycles.
+//!    no thread-per-rank design could host (10⁵ OS threads). The bench
+//!    asserts that every ring rank committed at least two checkpoint
+//!    cycles.
 //!
 //! Writes `BENCH_scale.json` at the repository root.
 //!
@@ -24,9 +20,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ftmpi_bench::json::{to_string_pretty, JsonObject, JsonValue};
-use ftmpi_core::{run_job_with, FtConfig, JobSpec, ProtocolChoice, RunOptions};
+use ftmpi_core::{run_job, FtConfig, JobSpec, ProtocolChoice};
 use ftmpi_mpi::{app_fn, AppFn};
-use ftmpi_sim::{pool_stats, SimDuration};
+use ftmpi_sim::SimDuration;
 
 /// Ring: every iteration each rank shifts `bytes` to its right neighbour.
 fn ring_app(iters: usize, bytes: u64, compute: SimDuration) -> AppFn {
@@ -95,23 +91,15 @@ struct Measured {
     events: u64,
     completion_ns: u64,
     waves: u64,
-    threads_created: u64,
-    checkouts: u64,
     peak_rss_kb: Option<u64>,
 }
 
-/// Run one job under the given backend and collect the scale counters.
-fn measure(spec: JobSpec, threaded: bool) -> Measured {
+/// Run one job and collect the scale counters.
+fn measure(spec: JobSpec) -> Measured {
     reset_peak_rss();
-    let before = pool_stats();
-    let opts = RunOptions {
-        threaded: Some(threaded),
-        ..RunOptions::default()
-    };
     let start = Instant::now();
-    let (res, _) = run_job_with(spec, opts).expect("scale run");
+    let res = run_job(spec).expect("scale run");
     let wall_s = start.elapsed().as_secs_f64();
-    let after = pool_stats();
     assert_eq!(res.leftover_unexpected, 0);
     assert_eq!(res.leftover_posted, 0);
     Measured {
@@ -119,17 +107,14 @@ fn measure(spec: JobSpec, threaded: bool) -> Measured {
         events: res.events,
         completion_ns: res.completion.as_nanos(),
         waves: res.ft.waves_committed,
-        threads_created: after.threads_created - before.threads_created,
-        checkouts: after.checkouts - before.checkouts,
         peak_rss_kb: peak_rss_kb(),
     }
 }
 
-fn record(topology: &str, backend: &str, nranks: usize, m: &Measured) -> JsonObject {
+fn record(topology: &str, nranks: usize, m: &Measured) -> JsonObject {
     let mut rec: JsonObject = vec![
         ("bench", JsonValue::Str("rank_scale".into())),
         ("topology", JsonValue::Str(topology.into())),
-        ("backend", JsonValue::Str(backend.into())),
         ("nranks", JsonValue::UInt(nranks as u64)),
         ("events", JsonValue::UInt(m.events)),
         (
@@ -139,8 +124,6 @@ fn record(topology: &str, backend: &str, nranks: usize, m: &Measured) -> JsonObj
         ("wall_s", JsonValue::Float(m.wall_s)),
         ("completion_ns", JsonValue::UInt(m.completion_ns)),
         ("waves_committed", JsonValue::UInt(m.waves)),
-        ("threads_created", JsonValue::UInt(m.threads_created)),
-        ("pool_checkouts", JsonValue::UInt(m.checkouts)),
     ];
     if let Some(kb) = m.peak_rss_kb {
         rec.push(("peak_rss_kb", JsonValue::UInt(kb)));
@@ -150,13 +133,12 @@ fn record(topology: &str, backend: &str, nranks: usize, m: &Measured) -> JsonObj
 
 fn print_row(label: &str, m: &Measured) {
     println!(
-        "  {label:26} {:9.2}s wall  {:>11} events ({:6.2} M/s)  {:>4} waves  \
-         {:>6} threads  peak {} MiB",
+        "  {label:26} {:9.2}s wall  {:>11} events ({:6.2} M/s)  {:>6} waves  \
+         peak {} MiB",
         m.wall_s,
         m.events,
         m.events as f64 / m.wall_s / 1e6,
         m.waves,
-        m.threads_created,
         m.peak_rss_kb
             .map_or_else(|| "?".into(), |kb| (kb / 1024).to_string()),
     );
@@ -166,56 +148,38 @@ fn main() {
     let quick = std::env::args().skip(1).any(|a| a == "--quick");
     let mut records: Vec<JsonObject> = Vec::new();
 
-    // Campaign 1: both backends on the same moderate-scale ring jobs.
+    // Campaign 1: moderate-scale ring jobs.
     let ladder: &[usize] = if quick { &[512] } else { &[512, 2_048] };
     let iters = if quick { 8 } else { 16 };
-    println!("differential ladder (ring, Mlog, both backends):");
+    println!("ladder (ring, Mlog):");
     for &n in ladder {
         let spec = scale_spec(n, ring_app(iters, 1_024, SimDuration::from_millis(400)));
-        let coro = measure(spec.clone(), false);
-        let thr = measure(spec, true);
-        assert_eq!(coro.events, thr.events, "backends diverged at n={n}");
-        assert_eq!(
-            coro.completion_ns, thr.completion_ns,
-            "time diverged at n={n}"
-        );
-        assert_eq!(coro.waves, thr.waves, "waves diverged at n={n}");
-        println!("n = {n}:");
-        print_row("coroutines", &coro);
-        print_row("threads (FTMPI_THREADED)", &thr);
-        records.push(record("ring", "coroutine", n, &coro));
-        records.push(record("ring", "threaded", n, &thr));
+        let m = measure(spec);
+        print_row(&format!("ring n={n}"), &m);
+        records.push(record("ring", n, &m));
     }
 
-    // Campaign 2: coroutine-only scale runs a thread pool cannot host.
+    // Campaign 2: scale runs no thread-per-rank design could host.
     let scale_iters = if quick { 4 } else { 8 };
     let compute = SimDuration::from_millis(1_500);
-    println!("\nscale runs (coroutine backend only):");
+    println!("\nscale runs:");
     let ring_n = 100_000;
-    let ring = measure(
-        scale_spec(ring_n, ring_app(scale_iters, 1_024, compute)),
-        false,
-    );
+    let ring = measure(scale_spec(ring_n, ring_app(scale_iters, 1_024, compute)));
     print_row(&format!("ring n={ring_n}"), &ring);
-    assert_eq!(ring.checkouts, 0, "coroutine backend leased pool threads");
     assert!(
         ring.waves >= 2 * ring_n as u64,
         "expected two checkpoint cycles per rank, saw {} waves",
         ring.waves
     );
-    records.push(record("ring", "coroutine", ring_n, &ring));
+    records.push(record("ring", ring_n, &ring));
 
     let side = 320; // 320 × 320 = 102 400 ranks
-    let halo = measure(
-        scale_spec(
-            side * side,
-            halo_app(side, scale_iters.min(4), 1_024, compute),
-        ),
-        false,
-    );
+    let halo = measure(scale_spec(
+        side * side,
+        halo_app(side, scale_iters.min(4), 1_024, compute),
+    ));
     print_row(&format!("halo {side}x{side}"), &halo);
-    assert_eq!(halo.checkouts, 0, "coroutine backend leased pool threads");
-    records.push(record("halo2d", "coroutine", side * side, &halo));
+    records.push(record("halo2d", side * side, &halo));
 
     let path = PathBuf::from(concat!(
         env!("CARGO_MANIFEST_DIR"),

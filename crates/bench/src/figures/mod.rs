@@ -34,13 +34,12 @@ pub type FigureFn = fn(&HarnessArgs, &Arc<MemoCache>);
 
 /// Shared `main()` body for the thin per-figure binaries: parse the CLI,
 /// open the persistent cache under `<out>/.cache/`, run the figure, then
-/// report cache effectiveness and rank-thread pool occupancy.
+/// report cache effectiveness.
 pub fn run_standalone(run: FigureFn) {
     let args = HarnessArgs::parse();
     let cache = args.cache();
     run(&args, &cache);
     println!("\n{}", cache.summary());
-    println!("{}", ftmpi_sim::pool_stats().summary());
 }
 
 /// Every harness, in the order `all_figures` runs them.

@@ -3,13 +3,12 @@
 //! cluster than between two nodes of two distinct clusters. Moreover, the
 //! latency is up to two orders of magnitude greater between clusters."
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ftmpi_core::{JobSpec, Platform, ProtocolChoice};
 use ftmpi_mpi::AppFn;
 use ftmpi_nas::synth::{netpipe_app, PingPongResults, PingPongSample};
 use ftmpi_net::NodeId;
-use parking_lot::Mutex;
 
 use crate::{print_table, spec_fingerprint, HarnessArgs, MemoCache};
 
@@ -98,8 +97,9 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
             for result in runner.run() {
                 result.expect("netpipe run");
             }
-            let intra = intra_results.lock().clone();
-            let inter = inter_results.lock().clone();
+            let poisoned = "ping-pong sink poisoned by a panicking rank";
+            let intra = intra_results.lock().expect(poisoned).clone();
+            let inter = inter_results.lock().expect(poisoned).clone();
             cache.put_blob(intra_key, encode_samples(&intra));
             cache.put_blob(inter_key, encode_samples(&inter));
             (intra, inter)

@@ -79,9 +79,6 @@ impl ExploreConfig {
 
 /// Exploration budget and mode.
 pub struct ExploreOptions {
-    /// Force the process backend (`Some(true)` = legacy OS threads);
-    /// `None` keeps the environment default (coroutines).
-    pub threaded: Option<bool>,
     /// Abort (non-exhausted) after this many complete runs.
     pub max_runs: u64,
     /// Minimize violating schedules before reporting.
@@ -93,7 +90,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> ExploreOptions {
         ExploreOptions {
-            threaded: None,
             max_runs: 4000,
             shrink: true,
             artifact_dir: None,
@@ -154,14 +150,12 @@ struct RunOutcome {
 fn run_one(
     cfg: &ExploreConfig,
     spec: &JobSpec,
-    opts: &ExploreOptions,
     prescription: Vec<usize>,
 ) -> Result<RunOutcome, JobError> {
     let run_opts = RunOptions {
         trace: true,
         tiebreak_seed: None,
         schedule: Some(prescription.clone()),
-        threaded: opts.threaded,
         race_fixture: cfg.fixture,
     };
     match run_job_explored(spec.clone(), run_opts) {
@@ -249,7 +243,7 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             frontier.clear();
             break;
         }
-        let run = run_one(cfg, &spec, opts, prescription.clone())?;
+        let run = run_one(cfg, &spec, prescription.clone())?;
         outcome.runs += 1;
         outcome.max_decisions = outcome.max_decisions.max(run.log.decisions.len());
         let canonical = *canonical_fp.get_or_insert(run.fp);
@@ -262,14 +256,7 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             .or_else(|| (run.fp != canonical).then(|| "divergence".to_string()));
         if let Some(kind) = kind {
             let minimized = if opts.shrink {
-                shrink(
-                    cfg,
-                    &spec,
-                    opts,
-                    canonical,
-                    &mut outcome.runs,
-                    &prescription,
-                )
+                shrink(cfg, &spec, canonical, &mut outcome.runs, &prescription)
             } else {
                 prescription.clone()
             };
@@ -338,13 +325,12 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
 fn violates(
     cfg: &ExploreConfig,
     spec: &JobSpec,
-    opts: &ExploreOptions,
     canonical: u64,
     runs: &mut u64,
     prescription: &[usize],
 ) -> bool {
     *runs += 1;
-    match run_one(cfg, spec, opts, prescription.to_vec()) {
+    match run_one(cfg, spec, prescription.to_vec()) {
         Ok(r) => r.broken.is_some() || r.fp != canonical,
         Err(_) => false,
     }
@@ -356,7 +342,6 @@ fn violates(
 fn shrink(
     cfg: &ExploreConfig,
     spec: &JobSpec,
-    opts: &ExploreOptions,
     canonical: u64,
     runs: &mut u64,
     schedule: &[usize],
@@ -370,7 +355,7 @@ fn shrink(
             }
             let mut cand = best.clone();
             cand[i] = 0;
-            if violates(cfg, spec, opts, canonical, runs, &cand) {
+            if violates(cfg, spec, canonical, runs, &cand) {
                 best = cand;
                 improved = true;
             }
@@ -470,13 +455,12 @@ pub fn replay(repro: &Repro) -> Result<Option<String>, String> {
         .into_iter()
         .find(|c| c.name == repro.config)
         .ok_or_else(|| format!("unknown explore config `{}`", repro.config))?;
-    let opts = ExploreOptions::default();
     let spec = cfg.spec().map_err(|e| e.to_string())?;
-    let canonical = run_one(&cfg, &spec, &opts, Vec::new()).map_err(|e| e.to_string())?;
+    let canonical = run_one(&cfg, &spec, Vec::new()).map_err(|e| e.to_string())?;
     if let Some(kind) = canonical.broken {
         return Ok(Some(format!("canonical run itself violates: {kind}")));
     }
-    let run = run_one(&cfg, &spec, &opts, repro.schedule.clone()).map_err(|e| e.to_string())?;
+    let run = run_one(&cfg, &spec, repro.schedule.clone()).map_err(|e| e.to_string())?;
     Ok(run
         .broken
         .or_else(|| (run.fp != canonical.fp).then(|| "divergence".to_string())))

@@ -1,6 +1,6 @@
 //! Hand-rolled workspace lint (no external dependencies, no syn).
 //!
-//! Six rules guard the determinism contract of the simulation:
+//! Seven rules guard the determinism contract of the simulation:
 //!
 //! * `wallclock-in-sim` — no `std::time::Instant` / `SystemTime` in the
 //!   simulation and protocol crates (`sim`, `net`, `mpi`, `core`, `nas`).
@@ -35,6 +35,11 @@
 //!   and no `.unwrap()` outside its test module: the slab recycles slots
 //!   and the queue hands them out by key, and both must fail loudly with
 //!   `expect` invariant messages, never via unchecked access.
+//! * `single-threaded-sim` — no `Mutex`, `RwLock`, `Condvar`, `Atomic*`,
+//!   `Arc` or `std::thread` in `crates/sim/src` outside its test modules.
+//!   A `Sim` runs on one thread from spawn to teardown; its handles are
+//!   `Rc`/`RefCell`/`Cell`, and a lock or atomic on the event path is pure
+//!   overhead. Parallel sweeps run one whole `Sim` per worker thread.
 //!
 //! Escape hatch: a `lint:allow(<rule>)` comment on the offending line or
 //! the line above suppresses the finding.
@@ -56,6 +61,8 @@ pub const RULE_LANE_AUDIT: &str = "lane-audit";
 pub const RULE_ENV_REGISTRY: &str = "env-registry";
 /// Rule id: `unsafe` / bare `unwrap` in the kernel memory machinery.
 pub const RULE_SIM_AUDIT: &str = "sim-audit";
+/// Rule id: thread-safe synchronization in the single-threaded kernel.
+pub const RULE_SINGLE_THREADED: &str = "single-threaded-sim";
 
 /// Crates whose `src/` must not read the wall clock.
 const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
@@ -64,11 +71,8 @@ const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
 /// variables the workspace may read. Every entry must also appear in the
 /// README's toggle table (checked by [`env_registry_hits`]).
 pub const ENV_TOGGLES: &[&str] = &[
-    "FTMPI_THREADED",
-    "FTMPI_NO_POOL",
     "FTMPI_NO_BATCH",
     "FTMPI_NO_CACHE",
-    "FTMPI_THREAD_CAP",
     "FTMPI_DEBUG",
     "FTMPI_MINE_BUDGET",
     "FTMPI_NO_MINE",
@@ -84,6 +88,37 @@ const SIM_AUDIT_FILES: &[&str] = &[
     "crates/sim/src/process.rs",
     "crates/core/src/server.rs",
 ];
+
+/// Thread-safe primitives banned from `crates/sim/src` by the
+/// `single-threaded-sim` rule, matched as whole identifiers. `Atomic` also
+/// matches as a prefix (`AtomicBool`, `AtomicU64`, …).
+const THREADED_PRIMITIVES: &[&str] = &["Mutex", "RwLock", "Condvar", "Arc"];
+
+/// The first `single-threaded-sim` needle on a scrubbed line, if any.
+fn threaded_primitive(scrubbed: &str) -> Option<&'static str> {
+    if let Some(word) = THREADED_PRIMITIVES
+        .iter()
+        .find(|w| contains_word(scrubbed, w))
+    {
+        return Some(word);
+    }
+    if scrubbed.contains("std::thread") {
+        return Some("std::thread");
+    }
+    let mut from = 0;
+    while let Some(at) = scrubbed[from..].find("Atomic") {
+        let abs = from + at;
+        if !scrubbed[..abs]
+            .chars()
+            .next_back()
+            .is_some_and(is_ident_char)
+        {
+            return Some("Atomic*");
+        }
+        from = abs + "Atomic".len();
+    }
+    None
+}
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,9 +237,11 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
         .iter()
         .any(|c| norm.starts_with(&format!("crates/{c}/src/")));
     let in_core_src = norm.starts_with("crates/core/src/");
+    let in_sim_src = norm.starts_with("crates/sim/src/");
     let in_sim_audit = SIM_AUDIT_FILES.contains(&norm.as_str());
-    // The sim-audit unwrap ban covers production code only; `#[cfg(test)]`
-    // starts the file's test module and ends the audited region.
+    // The sim-audit unwrap ban and the single-threaded rule cover
+    // production code only; `#[cfg(test)]` starts the file's test module
+    // and ends the audited region.
     let test_start = scrubbed
         .iter()
         .position(|s| s.contains("#[cfg(test)]"))
@@ -273,6 +310,19 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
                           and re-bucketed keys must fail with an `expect` \
                           invariant message"
                         .to_string(),
+                });
+            }
+        }
+        if in_sim_src && i < test_start && !allowed(&lines, i, RULE_SINGLE_THREADED) {
+            if let Some(needle) = threaded_primitive(s) {
+                hits.push(LintHit {
+                    file: norm.clone(),
+                    line: lineno,
+                    rule: RULE_SINGLE_THREADED,
+                    msg: format!(
+                        "`{needle}` in the simulation kernel: a `Sim` is \
+                         single-threaded (use `Rc`, `RefCell` or `Cell`)"
+                    ),
                 });
             }
         }
@@ -581,13 +631,6 @@ fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
             "coroutine stepping outside the kernel drive loop: a process \
              state machine may only be polled by `drive_coro`, where the \
              dispatched wake and its lane are recorded",
-        ),
-        (
-            "resume_batch(",
-            &["src/kernel.rs", "src/process.rs"],
-            "threaded wake delivery outside the kernel drive loop: handoff \
-             resumes must come from the dispatcher so both process backends \
-             see the same wake order",
         ),
     ];
     let mut hits = Vec::new();
@@ -917,8 +960,8 @@ pub(crate) enum EventKind {
     #[test]
     fn env_registry_rules() {
         let ok = vec![(
-            "crates/sim/src/pool.rs".to_string(),
-            "let off = std::env::var(\"FTMPI_NO_POOL\").is_ok();\n".to_string(),
+            "crates/sim/src/kernel.rs".to_string(),
+            "let off = std::env::var(\"FTMPI_NO_BATCH\").is_ok();\n".to_string(),
         )];
         let readme: String = ENV_TOGGLES
             .iter()
@@ -928,7 +971,7 @@ pub(crate) enum EventKind {
 
         // Unregistered name on an env read.
         let rogue = vec![(
-            "crates/sim/src/pool.rs".to_string(),
+            "crates/sim/src/kernel.rs".to_string(),
             "let x = std::env::var(\"FTMPI_SECRET\");\n".to_string(),
         )];
         let hits = env_registry_hits(&rogue, &readme);
@@ -987,6 +1030,35 @@ pub(crate) enum EventKind {
         assert!(lint_source("crates/sim/src/arena.rs", benign).is_empty());
         let escaped = "// lint:allow(sim-audit)\nlet x = y.unwrap();\n";
         assert!(lint_source("crates/sim/src/arena.rs", escaped).is_empty());
+    }
+
+    #[test]
+    fn single_threaded_sim_rejects_thread_safe_primitives() {
+        for src in [
+            "use std::sync::Arc;\n",
+            "let m: Mutex<u8> = Mutex::new(0);\n",
+            "lock: RwLock<Vec<u8>>,\n",
+            "cv: Condvar,\n",
+            "static N: AtomicU64 = AtomicU64::new(0);\n",
+            "let h = std::thread::spawn(f);\n",
+        ] {
+            let hits = lint_source("crates/sim/src/kernel.rs", src);
+            assert_eq!(hits.len(), 1, "{src}: {hits:?}");
+            assert_eq!(hits[0].rule, RULE_SINGLE_THREADED);
+        }
+        // Only the kernel crate's sources are in scope.
+        let arc = "use std::sync::Arc;\n";
+        assert!(lint_source("crates/bench/src/sweep.rs", arc).is_empty());
+        assert!(lint_source("crates/sim/tests/kernel.rs", arc).is_empty());
+        // Test modules, comments, strings, longer identifiers, single-
+        // threaded cells and the escape hatch pass.
+        let tested = "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::Arc;\n}\n";
+        assert!(lint_source("crates/sim/src/kernel.rs", tested).is_empty());
+        let benign = "// an Arc<Mutex<_>> would lock here\nlet s = \"Arc\";\n\
+             let w = Rc::new(RefCell::new(ArcLength(1)));\nlet f = NonAtomicFlag;\n";
+        assert!(lint_source("crates/sim/src/kernel.rs", benign).is_empty());
+        let escaped = "// lint:allow(single-threaded-sim)\nuse std::sync::Arc;\n";
+        assert!(lint_source("crates/sim/src/kernel.rs", escaped).is_empty());
     }
 
     #[test]

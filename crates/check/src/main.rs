@@ -221,7 +221,7 @@ fn cmd_storm(smoke: bool) -> ExitCode {
 
 fn mine_record(report: &ftmpi_check::MineReport) -> Vec<JsonObject> {
     // No wall-clock fields: two invocations with the same seed and budget
-    // must produce a byte-identical file (CI diffs it across backends).
+    // must produce a byte-identical file (CI diffs two runs).
     vec![vec![
         ("runs", JsonValue::UInt(report.runs)),
         ("discarded", JsonValue::UInt(report.discarded)),

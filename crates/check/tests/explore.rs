@@ -94,6 +94,31 @@ fn clean_vcl_ring_explores_the_recorded_state_space() {
     );
 }
 
+/// Exploring the same config twice on one thread, with a violating
+/// exploration in between, must visit the same space: nothing one
+/// exploration leaves behind may leak into the next one's schedule space.
+#[test]
+fn explorations_agree_across_repeated_runs() {
+    let cfg = config("vcl3.ring");
+    let run = || explore(&cfg, &ExploreOptions::default()).expect("exploration runs");
+    let first = run();
+    let between = explore(&config("vcl2.laneless-markers"), &ExploreOptions::default())
+        .expect("exploration runs");
+    assert!(
+        between.violation.is_some(),
+        "seeded marker race must be found"
+    );
+    let second = run();
+    assert!(first.exhausted && second.exhausted);
+    assert!(first.violation.is_none() && second.violation.is_none());
+    assert_eq!(first.runs, second.runs, "repeats explored different spaces");
+    assert_eq!(first.canonical_fp, second.canonical_fp);
+    assert_eq!(first.distinct_outcomes, second.distinct_outcomes);
+    assert_eq!(first.pruned, second.pruned, "commutation pruning diverged");
+    assert_eq!(first.deduped, second.deduped, "state memoization diverged");
+    assert_eq!(first.max_decisions, second.max_decisions);
+}
+
 #[test]
 fn reproducer_artifact_survives_a_dump_parse_replay_cycle() {
     let cfg = config("vcl2.laneless-markers");

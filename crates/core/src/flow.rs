@@ -10,8 +10,8 @@
 //! at the slower of the two.
 //!
 //! All entry points take `&mut World`: the caller already holds the world
-//! lock (the lock is not reentrant); only *later* chunks re-acquire it from
-//! their scheduled events.
+//! borrow (a second `borrow_mut` would panic); only *later* chunks borrow it
+//! again from their scheduled events.
 //!
 //! ## Network faults
 //!
@@ -29,7 +29,7 @@
 
 use ftmpi_mpi::World;
 use ftmpi_net::NodeId;
-use ftmpi_sim::{batching_enabled, SimCtx, SimDuration, SimTime};
+use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 
@@ -48,9 +48,21 @@ pub struct FlowSpec {
     pub also_disk: bool,
 }
 
-type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime) + Send>;
-type FailFn = Box<dyn FnOnce(&mut World, &SimCtx) + Send>;
-type ArrivalFn = Box<dyn FnOnce(&mut World, &SimCtx) + Send>;
+/// `false` when `FTMPI_NO_BATCH` is set: every flow chunk is scheduled as
+/// its own event instead of coalescing contention-free chunk runs in
+/// `advance_chunk`. Batching only swallows completions no other event
+/// could observe and credits them back through
+/// [`SimCtx::credit_virtual_events`], so results and event counts are
+/// byte-identical either way; the toggle exists for CI to prove exactly
+/// that.
+fn batching_enabled() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("FTMPI_NO_BATCH").is_none())
+}
+
+type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime)>;
+type FailFn = Box<dyn FnOnce(&mut World, &SimCtx)>;
+type ArrivalFn = Box<dyn FnOnce(&mut World, &SimCtx)>;
 
 /// Tiebreak-lane namespace for flow-chunk events, disjoint from process
 /// lanes by the high bit (a collision would only merge lanes, which is
@@ -133,7 +145,7 @@ pub fn start_flow(
     w: &mut World,
     sc: &SimCtx,
     spec: FlowSpec,
-    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + Send + 'static,
+    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + 'static,
 ) {
     start_flow_inner(w, sc, spec, FlowRetry::PAUSE, None, Box::new(on_done));
 }
@@ -147,8 +159,8 @@ pub fn start_flow_guarded(
     sc: &SimCtx,
     spec: FlowSpec,
     retry: FlowRetry,
-    on_fail: impl FnOnce(&mut World, &SimCtx) + Send + 'static,
-    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + Send + 'static,
+    on_fail: impl FnOnce(&mut World, &SimCtx) + 'static,
+    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + 'static,
 ) {
     start_flow_inner(
         w,
@@ -189,7 +201,7 @@ fn start_flow_inner(
         let Some(strong) = handle.upgrade() else {
             return;
         };
-        let mut w = strong.lock();
+        let mut w = strong.borrow_mut();
         if w.rt.epoch != epoch {
             return; // the failure beat the stream's first byte
         }
@@ -239,7 +251,7 @@ fn advance_chunk(
             let Some(strong) = handle.upgrade() else {
                 return;
             };
-            let mut w = strong.lock();
+            let mut w = strong.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }
@@ -327,7 +339,7 @@ fn advance_chunk(
         let Some(strong) = handle.upgrade() else {
             return;
         };
-        let mut w = strong.lock();
+        let mut w = strong.borrow_mut();
         if w.rt.epoch != epoch {
             return; // stream died with the failure
         }
@@ -350,7 +362,7 @@ pub fn send_control(
     dst: NodeId,
     bytes: u64,
     lane: Option<u64>,
-    on_arrival: impl FnOnce(&mut World, &SimCtx) + Send + 'static,
+    on_arrival: impl FnOnce(&mut World, &SimCtx) + 'static,
 ) {
     send_control_attempt(w, sc, src, dst, bytes, lane, 0, Box::new(on_arrival));
 }
@@ -381,7 +393,7 @@ fn send_control_attempt(
             let Some(strong) = handle.upgrade() else {
                 return;
             };
-            let mut w = strong.lock();
+            let mut w = strong.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }
@@ -394,7 +406,7 @@ fn send_control_attempt(
         let Some(strong) = handle.upgrade() else {
             return;
         };
-        let mut w = strong.lock();
+        let mut w = strong.borrow_mut();
         if w.rt.epoch != epoch {
             return;
         }

@@ -20,6 +20,8 @@
 //!   delivery precedes its log record.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Weak;
 
 use ftmpi_mpi::{
     AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World, WorldRef,
@@ -101,7 +103,7 @@ impl Mlog {
     /// Enable the runtime semantics single-rank restart needs and arm the
     /// staggered per-rank checkpoint timers.
     pub fn start(world: &WorldRef, sc: &SimCtx) {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         w.rt.suppress_duplicate_seq = true;
         let n = w.rt.size();
         let (first, period) = Mlog::with(&mut w, |m, _| (m.cfg.first_wave_delay, m.cfg.period));
@@ -119,7 +121,7 @@ impl Mlog {
     /// Public re-arm hook used by the single-rank recovery path.
     pub(crate) fn schedule_rank_ckpt_pub(
         sc: &SimCtx,
-        handle: std::sync::Weak<parking_lot::Mutex<World>>,
+        handle: Weak<RefCell<World>>,
         r: Rank,
         at: SimTime,
         incarnation: u64,
@@ -130,7 +132,7 @@ impl Mlog {
     /// Arm rank `r`'s next checkpoint at `at` (incarnation-guarded).
     fn schedule_rank_ckpt(
         sc: &SimCtx,
-        handle: std::sync::Weak<parking_lot::Mutex<World>>,
+        handle: Weak<RefCell<World>>,
         r: Rank,
         at: SimTime,
         incarnation: u64,
@@ -139,7 +141,7 @@ impl Mlog {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.job_complete() || w.rt.ranks[r].incarnation != incarnation {
                 return;
             }
@@ -320,7 +322,7 @@ impl Protocol for Mlog {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }

@@ -26,6 +26,8 @@
 //! blocking protocol expensive at high checkpoint frequencies.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Weak;
 
 use ftmpi_mpi::{
     AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World, WorldRef,
@@ -248,7 +250,7 @@ impl Pcl {
     /// Arm the first wave timer.
     pub fn start(world: &WorldRef, sc: &SimCtx) {
         let (at, handle, epoch, gen) = {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             let (delay, gen) = Pcl::with(&mut w, |pcl, _| {
                 pcl.timer_gen += 1;
                 (pcl.cfg.first_wave_delay, pcl.timer_gen)
@@ -262,7 +264,7 @@ impl Pcl {
     /// paper's conclusion). No-op if a wave is already in flight;
     /// supersedes the pending periodic timer.
     pub fn trigger_wave_now(world: &WorldRef, sc: &SimCtx) {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.job_complete() {
             return;
         }
@@ -278,7 +280,7 @@ impl Pcl {
     /// Schedule a wave initiation at `at` (epoch- and generation-guarded).
     pub fn schedule_wave_at(
         sc: &SimCtx,
-        handle: std::sync::Weak<parking_lot::Mutex<World>>,
+        handle: Weak<RefCell<World>>,
         at: SimTime,
         epoch: u64,
         gen: u64,
@@ -287,7 +289,7 @@ impl Pcl {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch || w.rt.job_complete() {
                 return;
             }
@@ -432,7 +434,7 @@ impl Pcl {
             // in the channel relative to data arrivals is protocol state.
             sc.schedule_keyed(delivered, lane, move |sc| {
                 let Some(world) = h.upgrade() else { return };
-                let mut w = world.lock();
+                let mut w = world.borrow_mut();
                 if w.rt.epoch != epoch {
                     return;
                 }
@@ -854,7 +856,7 @@ impl Pcl {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }

@@ -32,7 +32,8 @@
 //!   fault retry with capped exponential backoff and fall back to the next
 //!   replica before giving up.
 
-use std::sync::{Arc, Mutex as StdMutex, Weak};
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
 use ftmpi_mpi::{spawn_rank, AppFn, AppMsg, RankStatus, World, WorldRef};
 use ftmpi_net::NodeId;
@@ -371,7 +372,7 @@ pub fn inject_kill_many(
         return fail_and_restart_many(sc, world, app, kind, victims, ft);
     }
     let (handle, epoch) = {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.job_complete() {
             return Ok(());
         }
@@ -399,13 +400,13 @@ pub fn inject_kill_many(
             return;
         };
         {
-            let w = world.lock();
+            let w = world.borrow();
             if w.rt.epoch != epoch {
                 return; // a restart already revived the victims
             }
         }
         if let Err(e) = fail_and_restart_many(sc, &world, &app, kind, &victims, &ft) {
-            world.lock().rt.record_fatal(&e.to_string());
+            world.borrow_mut().rt.record_fatal(&e.to_string());
         }
     });
     Ok(())
@@ -423,7 +424,7 @@ pub fn server_fail(
     kind: ProtocolChoice,
     server_index: usize,
 ) -> Result<(), RecoveryError> {
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if w.rt.job_complete() {
         return Ok(());
     }
@@ -486,7 +487,7 @@ pub fn corrupt_images(
     server_index: usize,
     rank: Option<usize>,
 ) -> Result<(), RecoveryError> {
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if w.rt.job_complete() {
         return Ok(());
     }
@@ -552,7 +553,7 @@ pub fn fail_and_restart_many(
             found: "mlog",
         });
     }
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if w.rt.job_complete() {
         return Ok(());
     }
@@ -640,7 +641,8 @@ pub fn fail_and_restart_many(
                         && w.rt.net.reachable(node, data.image_source[r])
                     {
                         // The planner picked this source under the same
-                        // lock, digest-verified — record the consumption.
+                        // world borrow, digest-verified — record the
+                        // consumption.
                         sc.trace_proto(ftmpi_sim::ProtoEvent::RestoreImage {
                             wave: rec.wave,
                             rank: r,
@@ -725,7 +727,7 @@ pub fn fail_and_restart_many(
             }
         }
     } else {
-        let join = Arc::new(StdMutex::new(FetchJoin {
+        let join = Rc::new(RefCell::new(FetchJoin {
             remaining: blocked.len(),
             latest_ready,
         }));
@@ -774,7 +776,7 @@ struct FetchJoin {
 
 /// State carried by one fetch probe chain.
 struct FetchProbe {
-    handle: Weak<parking_lot::Mutex<World>>,
+    handle: Weak<RefCell<World>>,
     epoch: u64,
     kind: ProtocolChoice,
     fetch: BlockedFetch,
@@ -787,7 +789,7 @@ struct FetchProbe {
     saw_corrupt: bool,
     ft: FtConfig,
     app: AppFn,
-    join: Arc<StdMutex<FetchJoin>>,
+    join: Rc<RefCell<FetchJoin>>,
 }
 
 /// Schedule the respawn of rank `r` at `ready`: launch its delayed sends
@@ -796,7 +798,7 @@ struct FetchProbe {
 /// fetch.
 fn schedule_respawn(
     sc: &SimCtx,
-    handle: Weak<parking_lot::Mutex<World>>,
+    handle: Weak<RefCell<World>>,
     epoch: u64,
     r: usize,
     ready: SimTime,
@@ -808,7 +810,7 @@ fn schedule_respawn(
             return;
         };
         {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }
@@ -840,7 +842,7 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
         let Some(world) = p.handle.upgrade() else {
             return;
         };
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.epoch != p.epoch || w.rt.job_complete() {
             return; // a newer restart owns recovery now
         }
@@ -1000,12 +1002,7 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             app,
         );
         let rearm_at = {
-            // A poisoned join only means another probe's closure panicked
-            // mid-update; the counters are plain integers, safe to reuse.
-            let mut j = match join.lock() {
-                Ok(j) => j,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut j = join.borrow_mut();
             j.remaining -= 1;
             j.latest_ready = j.latest_ready.max(ready);
             (j.remaining == 0).then_some(j.latest_ready)
@@ -1083,13 +1080,13 @@ pub fn arm_scrubber(sc: &SimCtx, world: &WorldRef, kind: ProtocolChoice, interva
     if matches!(kind, ProtocolChoice::Dummy | ProtocolChoice::Mlog) {
         return;
     }
-    let handle = world.lock().rt.world_handle();
+    let handle = world.borrow().rt.world_handle();
     schedule_scrub_tick(sc, handle, kind, interval, sc.now() + interval);
 }
 
 fn schedule_scrub_tick(
     sc: &SimCtx,
-    handle: Weak<parking_lot::Mutex<World>>,
+    handle: Weak<RefCell<World>>,
     kind: ProtocolChoice,
     interval: SimDuration,
     at: SimTime,
@@ -1099,13 +1096,13 @@ fn schedule_scrub_tick(
             return;
         };
         {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.job_complete() {
                 return;
             }
             scrub_pass(&mut w, sc, kind);
         }
-        let handle = world.lock().rt.world_handle();
+        let handle = world.borrow().rt.world_handle();
         schedule_scrub_tick(sc, handle, kind, interval, sc.now() + interval);
     });
 }
@@ -1182,7 +1179,8 @@ fn scrub_engine(
 /// damage, then launch one bounded re-replication flow per damaged copy.
 /// The repair write lands only if, when the stream completes, the slot is
 /// still retained, still damaged (an earlier repair may have won), and the
-/// target still takes writes — checked under the lock at completion time.
+/// target still takes writes — checked under the world borrow at completion
+/// time.
 fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
     let scanned = {
         let World { proto, .. } = &mut *w;
@@ -1328,7 +1326,7 @@ pub fn partition_cut(
     service_node: NodeId,
 ) {
     let (handle, epoch) = {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         w.rt.net
             .start_partition_with(name, nodes.iter().copied(), direction, tear);
         (w.rt.world_handle(), w.rt.epoch)
@@ -1348,7 +1346,7 @@ pub fn partition_cut(
             return;
         };
         let victims: Vec<usize> = {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.job_complete() || w.rt.epoch != epoch {
                 return;
             }
@@ -1369,7 +1367,7 @@ pub fn partition_cut(
             return;
         }
         if let Err(e) = fail_and_restart_many(sc, &world, &app, kind, &victims, &ft) {
-            world.lock().rt.record_fatal(&e.to_string());
+            world.borrow_mut().rt.record_fatal(&e.to_string());
         }
     });
 }
@@ -1390,7 +1388,7 @@ pub fn mlog_fail_and_restart(
 ) -> Result<(), RecoveryError> {
     use crate::mlog::Mlog;
 
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if w.rt.job_complete() || w.rt.ranks[victim].status != RankStatus::Running {
         return Ok(());
     }
@@ -1472,13 +1470,13 @@ pub fn mlog_fail_and_restart(
             return;
         };
         {
-            let w = world.lock();
+            let w = world.borrow();
             if w.rt.ranks[victim].incarnation != incarnation {
                 return;
             }
         }
         spawn_rank(sc, &world, victim, app);
-        let handle2 = world.lock().rt.world_handle();
+        let handle2 = world.borrow().rt.world_handle();
         Mlog::schedule_rank_ckpt_pub(sc, handle2, victim, sc.now() + period, incarnation);
     });
     Ok(())

@@ -1,6 +1,7 @@
 //! Job assembly and execution: platform + deployment + protocol + workload
 //! in one call, returning the metrics every experiment consumes.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ftmpi_mpi::{
@@ -368,7 +369,7 @@ pub fn build_deployment(spec: &JobSpec) -> Deployment {
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Record the structured protocol trace (checker input). Off by
-    /// default: tracing is behind a lock-free gate and costs nothing when
+    /// default: tracing is behind a one-flag gate and costs nothing when
     /// disabled.
     pub trace: bool,
     /// Perturb same-time event tiebreaks with this seed (race detection).
@@ -379,10 +380,6 @@ pub struct RunOptions {
     /// this list, falling back to 0 (the canonical order) beyond its end.
     /// `None` leaves the kernel policy-free — the ordinary fast path.
     pub schedule: Option<Vec<usize>>,
-    /// Force the process backend (`true` = legacy OS threads), overriding
-    /// the `FTMPI_THREADED` environment default (differential-backend
-    /// testing). `None` keeps the default (stackless coroutines).
-    pub threaded: Option<bool>,
     /// Re-open one of the two historical races as a regression fixture for
     /// the schedule explorer (see [`RaceFixture`]). `None` — always, outside
     /// explorer tests — leaves every protocol path exactly as shipped.
@@ -455,9 +452,6 @@ pub fn run_job_explored(
     let world: WorldRef = World::new_ref(rt, proto);
 
     let mut sim = Sim::new();
-    if let Some(threaded) = opts.threaded {
-        sim.force_threaded(threaded);
-    }
     if let Some(prefix) = opts.schedule {
         sim.set_schedule_policy(Box::new(ftmpi_sim::PrescribedPolicy::new(prefix)));
     }
@@ -471,7 +465,7 @@ pub fn run_job_explored(
         sim.set_tiebreak_seed(seed);
     }
 
-    let w2 = Arc::clone(&world);
+    let w2 = Rc::clone(&world);
     let app = Arc::clone(&spec.app);
     let nranks = spec.nranks;
     let protocol = spec.protocol;
@@ -488,7 +482,7 @@ pub fn run_job_explored(
     });
 
     for &at in &spec.wave_triggers {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule(at, move |sc| match protocol {
             ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
             ProtocolChoice::Vcl => Vcl::trigger_wave_now(&w2, sc),
@@ -502,16 +496,16 @@ pub fn run_job_explored(
     // (independent Poisson schedules can legally collide — see
     // `FailurePlan::merged`).
     for (at, server) in spec.failures.server_kills.clone() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule(at, move |sc| {
             if let Err(e) = server_fail(sc, &w2, protocol, server) {
-                w2.lock().rt.record_fatal(&e.to_string());
+                w2.borrow_mut().rt.record_fatal(&e.to_string());
             }
         });
     }
 
     for (at, victim) in spec.failures.kills.clone() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
@@ -521,7 +515,7 @@ pub fn run_job_explored(
                 inject_kill(sc, &w2, &app, protocol, victim, &ft)
             };
             if let Err(e) = outcome {
-                w2.lock().rt.record_fatal(&e.to_string());
+                w2.borrow_mut().rt.record_fatal(&e.to_string());
             }
         });
     }
@@ -535,13 +529,13 @@ pub fn run_job_explored(
             .filter(|&r| placement_roles.node_of(r).0 == node)
             .collect();
         let server_idx = dep.server_nodes.iter().position(|n| n.0 == node);
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
             if let Some(idx) = server_idx {
                 if let Err(e) = server_fail(sc, &w2, protocol, idx) {
-                    w2.lock().rt.record_fatal(&e.to_string());
+                    w2.borrow_mut().rt.record_fatal(&e.to_string());
                 }
             }
             let outcome = if protocol == ProtocolChoice::Mlog {
@@ -552,7 +546,7 @@ pub fn run_job_explored(
                 inject_kill_many(sc, &w2, &app, protocol, &victims, &ft)
             };
             if let Err(e) = outcome {
-                w2.lock().rt.record_fatal(&e.to_string());
+                w2.borrow_mut().rt.record_fatal(&e.to_string());
             }
         });
     }
@@ -567,9 +561,9 @@ pub fn run_job_explored(
     }
     let mut fault_idx = 0u64;
     for ev in spec.net_faults.expanded_link_events() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule_link_fault(ev.at, fault_lane(fault_idx), move |_sc| {
-            let mut w = w2.lock();
+            let mut w = w2.borrow_mut();
             match ev.kind {
                 LinkFaultKind::Down => w.rt.net.set_link_down(ev.from, ev.to),
                 LinkFaultKind::Degrade(f) => w.rt.net.degrade_link(ev.from, ev.to, f),
@@ -608,7 +602,7 @@ pub fn run_job_explored(
         });
     }
     for p in partitions {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         let name = p.name.clone();
@@ -631,10 +625,10 @@ pub fn run_job_explored(
         });
         fault_idx += 1;
         if let Some(heal) = p.heal {
-            let w2 = Arc::clone(&world);
+            let w2 = Rc::clone(&world);
             let name = p.name.clone();
             sim.schedule_link_fault(heal, fault_lane(fault_idx), move |_sc| {
-                w2.lock().rt.net.heal_partition(&name);
+                w2.borrow_mut().rt.net.heal_partition(&name);
             });
             fault_idx += 1;
         }
@@ -645,10 +639,10 @@ pub fn run_job_explored(
     // counter — corruption races flows and fetch probes touching the same
     // replica exactly like a link transition would).
     for ev in spec.failures.expanded_corruptions() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule_link_fault(ev.at, fault_lane(fault_idx), move |sc| {
             if let Err(e) = corrupt_images(sc, &w2, protocol, ev.server, ev.rank) {
-                w2.lock().rt.record_fatal(&e.to_string());
+                w2.borrow_mut().rt.record_fatal(&e.to_string());
             }
         });
         fault_idx += 1;
@@ -661,7 +655,7 @@ pub fn run_job_explored(
         if std::env::var_os("FTMPI_NO_SCRUB").is_none()
             && matches!(protocol, ProtocolChoice::Vcl | ProtocolChoice::Pcl)
         {
-            let w2 = Arc::clone(&world);
+            let w2 = Rc::clone(&world);
             sim.schedule(SimTime::ZERO, move |sc| {
                 arm_scrubber(sc, &w2, protocol, interval);
             });
@@ -670,7 +664,7 @@ pub fn run_job_explored(
 
     let report = sim.run().map_err(|e| JobError::Sim(e.to_string()))?;
 
-    let w = world.lock();
+    let w = world.borrow();
     if let Some(e) = &w.rt.fatal_error {
         return Err(JobError::Recovery(e.clone()));
     }
@@ -691,7 +685,7 @@ pub fn run_job_explored(
     drop(w);
     // Pull protocol stats (needs the mutable downcast hook).
     let ft_stats = {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         let World { proto, .. } = &mut *w;
         if let Some(vcl) = proto.as_any_mut().downcast_mut::<Vcl>() {
             vcl.finalize_stats();

@@ -21,6 +21,8 @@
 //! traffic, in exchange for checkpoint transfers that overlap computation.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Weak;
 
 use ftmpi_mpi::{
     AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World, WorldRef,
@@ -213,7 +215,7 @@ impl Vcl {
     /// is constructed and ranks are spawned.
     pub fn start(world: &WorldRef, sc: &SimCtx) {
         let (at, handle, epoch, gen) = {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             let (delay, gen) = Vcl::with(&mut w, |vcl, _| {
                 vcl.timer_gen += 1;
                 (vcl.cfg.first_wave_delay, vcl.timer_gen)
@@ -227,7 +229,7 @@ impl Vcl {
     /// the paper's conclusion). No-op if a wave is already in flight;
     /// supersedes the pending periodic timer.
     pub fn trigger_wave_now(world: &WorldRef, sc: &SimCtx) {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.job_complete() {
             return;
         }
@@ -238,7 +240,7 @@ impl Vcl {
     /// Schedule a wave to begin at `at` (epoch- and generation-guarded).
     pub fn schedule_wave_at(
         sc: &SimCtx,
-        handle: std::sync::Weak<parking_lot::Mutex<World>>,
+        handle: Weak<RefCell<World>>,
         at: SimTime,
         epoch: u64,
         gen: u64,
@@ -247,7 +249,7 @@ impl Vcl {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch || w.rt.job_complete() {
                 return;
             }
@@ -409,7 +411,7 @@ impl Vcl {
             };
             sc.schedule_keyed(delivered, lane, move |sc| {
                 let Some(world) = h.upgrade() else { return };
-                let mut w = world.lock();
+                let mut w = world.borrow_mut();
                 if w.rt.epoch != epoch {
                     return;
                 }

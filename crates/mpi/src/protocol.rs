@@ -44,7 +44,7 @@ pub enum ArrivalAction {
 ///
 /// Implementations live in `ftmpi-core`; [`DummyProtocol`] (the paper's
 /// "Vdummy" / plain runs) is provided here as the no-op baseline.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// Short name used in reports ("dummy", "vcl", "pcl").
     fn name(&self) -> &'static str;
 

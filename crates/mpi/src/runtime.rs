@@ -1,10 +1,9 @@
 //! The runtime core: per-rank state, the matching engine, and message
 //! injection/delivery mechanics shared by all protocols.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::rc::Weak;
 
 use ftmpi_net::{NetModel, NodeId};
 use ftmpi_sim::{Pid, Reply, SimCtx, SimDuration, SimTime};
@@ -258,7 +257,7 @@ pub struct RuntimeCore {
     /// Active explorer regression fixture, if any (see [`RaceFixture`]).
     pub race_fixture: Option<RaceFixture>,
     /// Back-reference for scheduling world events from core methods.
-    pub(crate) world: Weak<Mutex<World>>,
+    pub(crate) world: Weak<RefCell<World>>,
 }
 
 impl RuntimeCore {
@@ -293,7 +292,7 @@ impl RuntimeCore {
     }
 
     /// Weak handle to the world, for scheduling events from protocol code.
-    pub fn world_handle(&self) -> Weak<Mutex<World>> {
+    pub fn world_handle(&self) -> Weak<RefCell<World>> {
         self.world.clone()
     }
 
@@ -340,7 +339,7 @@ impl RuntimeCore {
         let lane = self.ranks[msg.dst].pid.map(ftmpi_sim::Pid::lane);
         sc.schedule_keyed(arrive_at, lane, move |sc| {
             let Some(world) = world.upgrade() else { return };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return; // in-flight message from before a restart
             }
@@ -581,12 +580,3 @@ fn sorted_seq_pairs(map: &HashMap<Rank, u64>) -> Vec<(Rank, u64)> {
     pairs.sort_unstable();
     pairs
 }
-
-/// Cheap handle pattern: `Arc<Mutex<World>>` with a weak back-reference
-/// inside, created by [`World::new_ref`](crate::world::World::new_ref).
-pub(crate) fn _assert_send<T: Send>() {}
-const _: () = {
-    fn _check() {
-        _assert_send::<Arc<Mutex<World>>>();
-    }
-};

@@ -1,9 +1,8 @@
 //! Integration tests for the MPI runtime: p2p semantics, FIFO channels,
 //! matching, nonblocking ops, collectives and NIC-sharing effects.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use ftmpi_mpi::{
     app_fn, spawn_rank, AppFn, DummyProtocol, Placement, RuntimeConfig, RuntimeCore, World,
@@ -37,7 +36,7 @@ fn run_app_placed(
     );
     let world = World::new_ref(rt, Box::new(DummyProtocol));
     let mut sim = Sim::new();
-    let w2 = Arc::clone(&world);
+    let w2 = Rc::clone(&world);
     sim.schedule(SimTime::ZERO, move |sc| {
         for r in 0..nranks {
             spawn_rank(sc, &w2, r, Arc::clone(&app));
@@ -45,7 +44,7 @@ fn run_app_placed(
     });
     let report = sim.run().expect("simulation failed");
     let completion = world
-        .lock()
+        .borrow()
         .rt
         .stats
         .completion_time
@@ -76,7 +75,7 @@ fn two_rank_ping_pong_round_trip_time() {
     let secs = t.as_secs_f64();
     assert!(secs > 90e-6, "round trip too fast: {secs}");
     assert!(secs < 1e-3, "round trip too slow: {secs}");
-    assert_eq!(world.lock().rt.stats.msgs_sent, 2);
+    assert_eq!(world.borrow().rt.stats.msgs_sent, 2);
 }
 
 #[test]
@@ -208,6 +207,7 @@ fn wait_after_completion_is_cheap() {
 
 #[test]
 fn barrier_synchronizes_ranks() {
+    // Captured by the app function, which must be `Send + Sync`.
     let times: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
     let t2 = Arc::clone(&times);
     let (_, _) = run_app(
@@ -218,12 +218,12 @@ fn barrier_synchronizes_ranks() {
                 // Rank r computes r seconds, then all meet at a barrier.
                 mpi.compute(SimDuration::from_secs(mpi.rank() as u64));
                 mpi.barrier().await;
-                t2.lock().push(mpi.wtime());
+                t2.lock().unwrap().push(mpi.wtime());
                 mpi
             }
         }),
     );
-    let times = times.lock();
+    let times = times.lock().unwrap();
     let min = times.iter().cloned().fold(f64::MAX, f64::min);
     let max = times.iter().cloned().fold(0.0, f64::max);
     assert!(min >= 7.0, "barrier exited before slowest rank: {min}");
@@ -259,7 +259,7 @@ fn bcast_message_count_is_n_minus_one() {
             mpi
         }),
     );
-    assert_eq!(world.lock().rt.stats.msgs_sent, 15);
+    assert_eq!(world.borrow().rt.stats.msgs_sent, 15);
 }
 
 #[test]
@@ -272,7 +272,7 @@ fn allreduce_recursive_doubling_message_count() {
         }),
     );
     // log2(8)=3 rounds × 8 ranks, one send each.
-    assert_eq!(world.lock().rt.stats.msgs_sent, 24);
+    assert_eq!(world.borrow().rt.stats.msgs_sent, 24);
 }
 
 #[test]
@@ -306,7 +306,7 @@ fn runs_are_deterministic() {
                 mpi
             }),
         );
-        let msgs = world.lock().rt.stats.msgs_sent;
+        let msgs = world.borrow().rt.stats.msgs_sent;
         (t.as_nanos(), msgs)
     };
     assert_eq!(run(), run());
@@ -351,7 +351,7 @@ fn larger_job_completes_with_many_ranks() {
             mpi
         }),
     );
-    let w = world.lock();
+    let w = world.borrow();
     assert_eq!(w.rt.stats.finished_ranks, 64);
 }
 
@@ -372,7 +372,7 @@ fn shift_moves_data_around_a_ring() {
         }),
     );
     // 3 laps × 4 ranks, one message each.
-    assert_eq!(world.lock().rt.stats.msgs_sent, 12);
+    assert_eq!(world.borrow().rt.stats.msgs_sent, 12);
     assert!(t.as_secs_f64() < 0.01);
 }
 
@@ -396,7 +396,7 @@ fn shift_equals_sendrecv_semantics() {
                 mpi
             }),
         );
-        let msgs = world.lock().rt.stats.msgs_sent;
+        let msgs = world.borrow().rt.stats.msgs_sent;
         (t, msgs)
     };
     let (t_fused, m_fused) = run(true);

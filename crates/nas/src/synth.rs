@@ -2,11 +2,10 @@
 //! §5.4 platform characterization, plus simple patterns for tests and
 //! ablations.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_sim::SimDuration;
-use parking_lot::Mutex;
 
 /// One NetPIPE sample: message size and measured one-way time.
 #[derive(Debug, Clone, Copy)]
@@ -19,7 +18,8 @@ pub struct PingPongSample {
     pub bandwidth: f64,
 }
 
-/// Shared result sink for [`netpipe_app`].
+/// Shared result sink for [`netpipe_app`]. A `Mutex` because the app
+/// function that captures it is `Send + Sync` (a sweep worker runs it).
 pub type PingPongResults = Arc<Mutex<Vec<PingPongSample>>>;
 
 /// NetPIPE: rank 0 and rank 1 ping-pong messages of exponentially growing
@@ -56,7 +56,10 @@ pub fn netpipe_app(max_bytes: u64, reps: usize, results: PingPongResults) -> App
                 let t1 = mpi.wtime();
                 if mpi.rank() == 0 {
                     let one_way = (t1 - t0) / (2.0 * reps as f64);
-                    results.lock().push(PingPongSample {
+                    let mut sink = results
+                        .lock()
+                        .expect("ping-pong sink poisoned by a panicking rank");
+                    sink.push(PingPongSample {
                         bytes,
                         one_way_secs: one_way,
                         bandwidth: bytes as f64 / one_way,

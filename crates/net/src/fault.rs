@@ -32,7 +32,7 @@
 //! splitmix64 stream. Flaps expand to plain `Down`/`Restore` events at
 //! plan-schedule time ([`NetFaultPlan::expanded_link_events`]), so the
 //! kernel sees only the three-state machine above and the expansion is a
-//! pure function of the spec — byte-identical across runs and backends.
+//! pure function of the spec — byte-identical across runs.
 
 use std::fmt;
 

@@ -19,7 +19,7 @@
 //!
 //! The model is *passive*: it computes reservation times but schedules
 //! nothing. The MPI runtime and the checkpointing protocols own the event
-//! scheduling and call into [`NetModel`] under their own state lock. The
+//! scheduling and call into [`NetModel`] through their own world borrow. The
 //! same passivity extends to faults ([`fault`]): the model holds the
 //! current link/partition state and answers
 //! [`reachable`](NetModel::reachable); callers pause and retry rather than

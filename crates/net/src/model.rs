@@ -50,8 +50,8 @@ struct ClusterRes {
 
 /// Mutable platform state: one resource set per node and per cluster.
 ///
-/// All methods take `&mut self`; the owning layer guards the model with its
-/// single state lock (the simulation is logically single-threaded).
+/// All methods take `&mut self`; the owning layer reaches the model through
+/// its single world borrow (the simulation is single-threaded).
 pub struct NetModel {
     topo: Topology,
     nodes: Vec<NodeRes>,

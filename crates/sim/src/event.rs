@@ -26,15 +26,15 @@ pub struct EventId(pub(crate) u64);
 
 pub(crate) enum EventKind {
     /// Run a model closure on the kernel loop.
-    Call(Box<dyn FnOnce(&SimCtx) + Send>),
-    /// Hand the execution token to a parked process.
+    Call(Box<dyn FnOnce(&SimCtx)>),
+    /// Wake (or kill) a parked process.
     Resume(Pid, crate::process::WakeKind),
     /// Apply a scheduled network-fault transition (link down / degrade /
     /// restore, partition start / heal). Dispatched exactly like `Call`;
     /// kept as its own variant so the lane audit can prove that fault
     /// transitions — which race with every flow chunk touching the same
     /// link — are never scheduled laneless.
-    LinkFault(Box<dyn FnOnce(&SimCtx) + Send>),
+    LinkFault(Box<dyn FnOnce(&SimCtx)>),
 }
 
 pub(crate) struct Event {
@@ -258,20 +258,6 @@ impl EventQueue {
         }
     }
 
-    /// Pop the next event only if `want(time, kind)` accepts it. Cancelled
-    /// corpses at the front are discarded either way (they would never
-    /// execute), so a refusal means the live head of the queue does not
-    /// match. Used by the kernel to coalesce consecutive same-time wakes for
-    /// one process into a single token handoff.
-    pub fn pop_if(&mut self, want: impl Fn(SimTime, &EventKind) -> bool) -> Option<Event> {
-        let k = self.live_head()?;
-        if !want(SimTime::from_nanos(k.time_ns), self.arena.get(k.slot)) {
-            return None;
-        }
-        self.heap.pop();
-        Some(self.assemble(k))
-    }
-
     /// The time of the next live (non-cancelled) event, without consuming
     /// it. Corpses discovered at the head are reclaimed on the way.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -371,24 +357,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         let ev = q.pop().unwrap();
         assert_eq!(ev.time, SimTime::from_nanos(6));
-    }
-
-    #[test]
-    fn pop_if_refuses_nonmatching_head_and_skips_corpses() {
-        let mut q = EventQueue::default();
-        let a = q.push(SimTime::from_nanos(5), None, call());
-        q.push(SimTime::from_nanos(5), None, call());
-        q.push(SimTime::from_nanos(9), None, call());
-        // Head does not match: nothing is consumed.
-        assert!(q.pop_if(|t, _| t.as_nanos() == 9).is_none());
-        assert_eq!(q.len(), 3);
-        // Cancel the head; pop_if discards the corpse and matches the next.
-        q.cancel(a);
-        let ev = q.pop_if(|t, _| t.as_nanos() == 5).unwrap();
-        assert_eq!(ev.seq, 1);
-        assert!(q.pop_if(|t, _| t.as_nanos() == 5).is_none());
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 9);
-        assert!(q.pop_if(|_, _| true).is_none());
     }
 
     #[test]
@@ -667,15 +635,15 @@ mod tests {
                 }
             }
             8 => {
-                // pop_if against the head time: taken iff the model's head
-                // is within the cut.
+                // Peek, then pop: the live head the peek reports is the one
+                // the pop takes.
                 let head = m.live.first().copied();
                 assert_eq!(q.peek_time().map(|t| t.as_nanos()), head.map(|k| k.0));
-                let Some((t, _, _)) = head else { return };
-                let cut = t + rng.next() % 2;
-                let got = q.pop_if(|et, _| et.as_nanos() <= cut).map(|ev| digest(&ev));
+                let got = q.pop().map(|ev| digest(&ev));
                 assert_eq!(got, m.live.pop_first());
-                *now = t;
+                if let Some((t, _, _)) = head {
+                    *now = t;
+                }
             }
             _ => {
                 // Cancel a pending event (stale cancellations are covered

@@ -1,64 +1,53 @@
 //! The simulation kernel: event loop, process table, and the [`SimCtx`]
 //! service handle exposed to model code.
+//!
+//! The kernel is single-threaded by construction: the drive loop, every
+//! model closure, and every process poll run on the thread that called
+//! [`Sim::run`], one at a time. Kernel state therefore lives in a
+//! `RefCell` behind an `Rc`, and the event path takes no lock and touches
+//! no atomic. (`ftmpi-check lint` enforces this with its
+//! `single-threaded-sim` rule.) A sweep that wants parallelism runs one
+//! whole `Sim` per worker thread.
 
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
 
 use crate::event::{Event, EventId, EventKind, EventQueue};
-use crate::pool::{self, LeaseGroup};
-use crate::process::{
-    Driver, Handoff, Pid, ProcCtx, ProcessExit, ResumeOutcome, WakeKind, WakeSlot,
-};
+use crate::process::{Pid, ProcCtx, ProcessExit, WakeKind};
 use crate::schedule::{Candidate, CandidateKind, Decision, SchedulePolicy, StepRecord};
 use crate::table::ProcTable;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use crate::wakes::WakeBatch;
-use crate::KilledSignal;
 
 /// A process body compiled to a resumable state machine, owned by the kernel
 /// and stepped inline from the drive loop.
-type CoroFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+type CoroFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// Deferred coroutine constructor: runs at the first Normal wake so the
-/// process's local clock starts at its actual start time (the coroutine
-/// analogue of the threaded backend's `wait_first_wake`).
-type EmbryoFn = Box<dyn FnOnce(ProcCtx) -> CoroFuture + Send>;
+/// process's local clock starts at its actual start time.
+type EmbryoFn = Box<dyn FnOnce(ProcCtx) -> CoroFuture>;
 
 /// Execution state of one simulated process.
 enum ProcBody {
-    /// Coroutine backend, not yet started: the constructor runs at the
-    /// first Normal wake (a first wake of Killed drops it unstarted).
+    /// Not yet started: the constructor runs at the first Normal wake (a
+    /// first wake of Killed drops it unstarted).
     Embryo(EmbryoFn),
-    /// Coroutine backend, parked between wakes: the kernel deposits the
-    /// next wake in `slot` and polls `fut` inline — a Resume event is a
-    /// direct method call, no thread, no Condvar round-trip.
-    Coro {
-        fut: CoroFuture,
-        slot: Arc<WakeSlot>,
-    },
+    /// Parked between wakes: the kernel deposits the next wake in
+    /// [`Shared::wake`] and polls the machine inline — a Resume event is a
+    /// direct method call.
+    Coro(CoroFuture),
     /// Checked out by the drive loop for a poll. The machine cannot stay in
-    /// the table while polled: polling reenters the kernel state lock
-    /// through `schedule_exec`.
+    /// the table while polled: polling reenters the kernel state through
+    /// `schedule_exec`.
     Running,
-    /// Threaded backend (`FTMPI_THREADED=1`): the token-handoff rendezvous,
-    /// plus the join handle of a dedicated (`FTMPI_NO_POOL`) thread; pooled
-    /// workers are never joined — teardown quiesces the lease group instead.
-    Threaded {
-        handoff: Arc<Handoff>,
-        join: Option<JoinHandle<()>>,
-    },
     /// Exited; nothing left to drive.
     Gone,
 }
 
 struct ProcEntry {
-    name: Arc<str>,
+    name: Rc<str>,
     body: ProcBody,
     alive: bool,
     /// The event scheduled by the process's current `exec` call, if any.
@@ -74,20 +63,13 @@ pub(crate) struct KernelState {
     /// the kernel hot path (resume/kill/exec) avoids hashing entirely.
     procs: ProcTable<ProcEntry>,
     next_pid: u64,
-    /// `true`: spawn processes on the legacy OS-thread backend
-    /// (`FTMPI_THREADED` / [`Sim::force_threaded`]). `false` (default):
-    /// processes are kernel-driven stackless coroutines.
-    threaded: bool,
     stop_requested: bool,
     executed: u64,
     max_events: Option<u64>,
     max_time: Option<SimTime>,
     tracer: Tracer,
     /// Exit records in completion order.
-    exits: Vec<(Pid, Arc<str>, ProcessExit)>,
-    /// Condvar round-trips avoided by delivering same-time wake batches in
-    /// one token handoff (reported in [`RunReport::handoffs_saved`]).
-    handoffs_saved: u64,
+    exits: Vec<(Pid, Rc<str>, ProcessExit)>,
     /// Exploration mode: a controller choosing among same-instant
     /// candidates ([`Sim::set_schedule_policy`]). `None` in ordinary runs —
     /// the pop path is then exactly the policy-free fast path.
@@ -198,15 +180,6 @@ impl KernelState {
         PolicyPop::Run(ev)
     }
 
-    /// Does `pid` run on the coroutine backend? Decides how the drive loop
-    /// dispatches its Resume events (inline poll vs. token handoff).
-    fn proc_is_coro(&self, pid: Pid) -> bool {
-        matches!(
-            self.procs.get(pid).map(|e| &e.body),
-            Some(ProcBody::Embryo(_) | ProcBody::Coro { .. } | ProcBody::Running)
-        )
-    }
-
     /// The drained-queue outcome: success iff no process is still parked.
     fn drained(&self) -> Result<(), SimError> {
         let parked: Vec<String> = self
@@ -225,56 +198,30 @@ impl KernelState {
     }
 }
 
-/// `false` when `FTMPI_NO_BATCH` is set: every wake gets its own token
-/// handoff, as in the unbatched kernel, and flow transfers schedule one
-/// event per chunk instead of coalescing contention-free chunk runs. The
-/// batched and unbatched paths execute the same events in the same order
-/// (wake batches only coalesce consecutive same-time wakes for one process,
-/// which pop back-to-back anyway; flow batching only swallows completions no
-/// other event could observe), so results are byte-identical either way; the
-/// toggle exists for CI to prove exactly that. Exported for the flow layer
-/// in `ftmpi-core`, which gates its chunk batching on the same switch.
-pub fn batching_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FTMPI_NO_BATCH").is_none())
-}
-
-/// `true` when `FTMPI_THREADED` is set: simulated processes run on the
-/// legacy token-handoff OS-thread backend (one pooled thread per live rank,
-/// Condvar rendezvous per wake) instead of being driven as stackless
-/// coroutines inline on the kernel loop. The two backends execute the same
-/// events in the same order and produce byte-identical results (see
-/// DESIGN.md "Rank execution" for the equivalence argument); the toggle
-/// keeps the threaded backend as the reference implementation for
-/// differential testing. Overridable per-simulation with
-/// [`Sim::force_threaded`].
-pub fn threaded_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FTMPI_THREADED").is_some())
-}
-
 /// Shared kernel handle. Internal; exposed types are [`Sim`] and [`SimCtx`].
 pub struct Shared {
-    pub(crate) state: Mutex<KernelState>,
-    /// Lock-free mirror of the tracer's enabled flag, so the per-message
-    /// trace calls on the hot path ([`SimCtx::trace`], [`SimCtx::kill`])
-    /// skip the state mutex when tracing is off (the common case: only
-    /// tests and debugging sessions enable it).
-    trace_on: AtomicBool,
-    /// This simulation's leases on the rank-thread pool; teardown waits for
-    /// the count to reach zero (the pooled replacement for join-all).
-    leases: Arc<LeaseGroup>,
+    pub(crate) state: RefCell<KernelState>,
+    /// Mirror of the tracer's enabled flag, so the per-message trace calls
+    /// on the hot path ([`SimCtx::trace`], [`SimCtx::trace_proto`]) skip
+    /// borrowing the state when tracing is off (the common case: only
+    /// tests, checkers and debugging sessions enable it).
+    trace_on: Cell<bool>,
+    /// The wake slot: the drive loop deposits the kernel time of a resume
+    /// here immediately before polling the resumed machine, and that
+    /// machine's pending suspension point consumes it. Only one machine
+    /// is polled at a time, so one slot serves every process.
+    pub(crate) wake: Cell<Option<SimTime>>,
 }
 
 impl Shared {
-    /// Schedule a model closure. Used by both [`SimCtx`] and [`ProcCtx`].
-    pub(crate) fn schedule_call(
-        self: &Arc<Self>,
+    /// Schedule a model closure. Used by both [`SimCtx`] and [`Sim`].
+    fn schedule_call(
+        &self,
         at: SimTime,
         lane: Option<u64>,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) -> EventId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let now = st.now;
         debug_assert!(at >= now, "scheduling into the past: at={at:?} now={now:?}");
         st.queue
@@ -282,7 +229,7 @@ impl Shared {
     }
 
     fn schedule_resume(&self, at: SimTime, pid: Pid, kind: WakeKind) -> EventId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
         st.queue
             .push(at, Some(pid.lane()), EventKind::Resume(pid, kind))
@@ -290,13 +237,8 @@ impl Shared {
 
     /// Schedule the model closure of a [`ProcCtx::exec`] call, remembering it
     /// so it can be cancelled if the process is killed before it runs.
-    pub(crate) fn schedule_exec(
-        self: &Arc<Self>,
-        pid: Pid,
-        at: SimTime,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
-    ) {
-        let mut st = self.state.lock();
+    pub(crate) fn schedule_exec(&self, pid: Pid, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) {
+        let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
         // The wrapper clears the pending marker as soon as the call runs, so
         // `pending_exec` is `Some` exactly while the event is still queued
@@ -305,7 +247,7 @@ impl Shared {
             at,
             Some(pid.lane()),
             EventKind::Call(Box::new(move |sc: &SimCtx| {
-                if let Some(e) = sc.shared().state.lock().procs.get_mut(pid) {
+                if let Some(e) = sc.shared.state.borrow_mut().procs.get_mut(pid) {
                     e.pending_exec = None;
                 }
                 f(sc);
@@ -382,9 +324,6 @@ pub struct RunReport {
     pub trace: Vec<TraceEvent>,
     /// Whether the run ended because [`SimCtx::request_stop`] was called.
     pub stopped: bool,
-    /// Condvar round-trips avoided by batched wake delivery (0 when
-    /// `FTMPI_NO_BATCH` is set or no same-time wake batches occurred).
-    pub handoffs_saved: u64,
     /// Exploration mode only: every instant at which more than one
     /// candidate was ready, with the policy's choice. Empty otherwise.
     pub decisions: Vec<Decision>,
@@ -397,15 +336,11 @@ pub struct RunReport {
 /// Service handle available to model closures while they run on the kernel
 /// loop. All methods are safe to call at any point inside an event handler.
 pub struct SimCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     now: SimTime,
 }
 
 impl SimCtx {
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
-    }
-
     /// The current event's virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -417,27 +352,27 @@ impl SimCtx {
     /// state. The flow layer's chunk batching is built on exactly that
     /// window.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.shared.state.lock().queue.peek_time()
+        self.shared.state.borrow_mut().queue.peek_time()
     }
 
     /// The configured stop horizon ([`Sim::set_max_time`]), if any. Batched
     /// fast-forwarding must not cross it: the unbatched kernel would have
     /// stopped at the first event past the horizon.
     pub fn horizon(&self) -> Option<SimTime> {
-        self.shared.state.lock().max_time
+        self.shared.state.borrow().max_time
     }
 
     /// Account for `n` events that a batching optimization proved
     /// equivalent to — and therefore did not schedule. Keeps
     /// [`RunReport::events_executed`] (which feeds calibration tables and
     /// cache fingerprints) identical between the batched and unbatched
-    /// kernels.
+    /// flow paths.
     pub fn credit_virtual_events(&self, n: u64) {
-        self.shared.state.lock().executed += n;
+        self.shared.state.borrow_mut().executed += n;
     }
 
     /// Schedule `f` at absolute time `at` (clamped to now if in the past).
-    pub fn schedule(&self, at: SimTime, f: impl FnOnce(&SimCtx) + Send + 'static) -> EventId {
+    pub fn schedule(&self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
         self.shared.schedule_call(at.max(self.now), None, f)
     }
 
@@ -453,20 +388,20 @@ impl SimCtx {
         &self,
         at: SimTime,
         lane: Option<u64>,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) -> EventId {
         self.shared.schedule_call(at.max(self.now), lane, f)
     }
 
     /// Schedule `f` after a delay.
-    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + Send + 'static) -> EventId {
+    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
         self.shared.schedule_call(self.now + d, None, f)
     }
 
     /// Cancel a previously scheduled event. Cancelling an already-executed
     /// event is a harmless no-op.
     pub fn cancel(&self, id: EventId) {
-        self.shared.state.lock().queue.cancel(id);
+        self.shared.state.borrow_mut().queue.cancel(id);
     }
 
     /// Wake a parked process now (no-op if it has exited).
@@ -479,31 +414,23 @@ impl SimCtx {
         self.shared.schedule_resume(at, pid, WakeKind::Normal);
     }
 
-    /// Kill a process. On the coroutine backend the kernel drops the
-    /// process's state machine at the kill wake (a pure state transition);
-    /// on the threaded backend the next kernel interaction (or the current
-    /// park) unwinds the thread. No-op for already-dead processes.
+    /// Kill a process: at the kill wake the kernel drops the process's
+    /// state machine (a pure state transition that runs its destructors).
+    /// No-op for already-dead processes.
     pub fn kill(&self, pid: Pid) {
-        // Pre-format the trace detail outside the lock; with tracing off
-        // (the common case) the whole call takes one lock acquisition.
-        let trace_detail = self
-            .shared
-            .trace_on
-            .load(Ordering::Relaxed)
-            .then(|| format!("kill {pid}"));
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let Some(entry) = st.procs.get(pid) else {
             return;
         };
         if !entry.alive {
             return;
         }
-        if let Some(detail) = trace_detail {
+        if st.tracer.enabled() {
             st.tracer.record(TraceEvent {
                 time: self.now,
                 kind: TraceKind::Kill,
                 pid: Some(pid),
-                detail,
+                detail: format!("kill {pid}"),
             });
         }
         let at = self.now.max(st.now);
@@ -518,7 +445,7 @@ impl SimCtx {
     pub fn is_alive(&self, pid: Pid) -> bool {
         self.shared
             .state
-            .lock()
+            .borrow()
             .procs
             .get(pid)
             .map(|e| e.alive)
@@ -531,8 +458,8 @@ impl SimCtx {
     /// helpers).
     pub fn spawn_at<F, Fut>(&self, at: SimTime, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_inner(&self.shared, at.max(self.now), name.into(), f)
     }
@@ -540,21 +467,21 @@ impl SimCtx {
     /// Spawn a new simulated process that starts immediately.
     pub fn spawn<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         self.spawn_at(self.now, name, f)
     }
 
     /// Ask the kernel loop to stop after the current event.
     pub fn request_stop(&self) {
-        self.shared.state.lock().stop_requested = true;
+        self.shared.state.borrow_mut().stop_requested = true;
     }
 
     /// Record a model trace event. With tracing disabled (the common case)
-    /// this is a single relaxed atomic load — no lock, no formatting.
+    /// this is a single flag read — no borrow, no formatting.
     pub fn trace(&self, label: &'static str, pid: Option<Pid>, detail: impl FnOnce() -> String) {
-        if !self.shared.trace_on.load(Ordering::Relaxed) {
+        if !self.shared.trace_on.get() {
             return;
         }
         let ev = TraceEvent {
@@ -563,15 +490,15 @@ impl SimCtx {
             pid,
             detail: detail(),
         };
-        self.shared.state.lock().tracer.record(ev);
+        self.shared.state.borrow_mut().tracer.record(ev);
     }
 
     /// Record a typed protocol event (see [`crate::ProtoEvent`]). Same
-    /// lock-free gate as [`SimCtx::trace`]: with tracing disabled this is a
-    /// single relaxed atomic load, so protocol hot paths (every message
-    /// send/delivery) stay zero-cost in ordinary runs.
+    /// gate as [`SimCtx::trace`]: with tracing disabled this is a single
+    /// flag read, so protocol hot paths (every message send/delivery) stay
+    /// zero-cost in ordinary runs.
     pub fn trace_proto(&self, ev: crate::trace::ProtoEvent) {
-        if !self.shared.trace_on.load(Ordering::Relaxed) {
+        if !self.shared.trace_on.get() {
             return;
         }
         let rec = TraceEvent {
@@ -580,111 +507,45 @@ impl SimCtx {
             pid: None,
             detail: String::new(),
         };
-        self.shared.state.lock().tracer.record(rec);
+        self.shared.state.borrow_mut().tracer.record(rec);
     }
 }
 
-fn spawn_inner<F, Fut>(shared: &Arc<Shared>, start_at: SimTime, name: String, f: F) -> Pid
+fn spawn_inner<F, Fut>(shared: &Rc<Shared>, start_at: SimTime, name: String, f: F) -> Pid
 where
-    F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-    Fut: Future<Output = ()> + Send + 'static,
+    F: FnOnce(ProcCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let name: Arc<str> = Arc::from(name.as_str());
-    let pid;
-    let threaded;
-    {
-        let mut st = shared.state.lock();
-        pid = Pid(st.next_pid);
-        st.next_pid += 1;
-        threaded = st.threaded;
-        if st.tracer.enabled() {
-            let detail = format!("spawn '{name}'");
-            let now = st.now;
-            st.tracer.record(TraceEvent {
-                time: now,
-                kind: TraceKind::Spawn,
-                pid: Some(pid),
-                detail,
-            });
-        }
+    let name: Rc<str> = Rc::from(name.as_str());
+    let mut st = shared.state.borrow_mut();
+    let pid = Pid(st.next_pid);
+    st.next_pid += 1;
+    let now = st.now;
+    if st.tracer.enabled() {
+        let detail = format!("spawn '{name}'");
+        st.tracer.record(TraceEvent {
+            time: now,
+            kind: TraceKind::Spawn,
+            pid: Some(pid),
+            detail,
+        });
     }
-    let body = if threaded {
-        let handoff = Handoff::new();
-        let thread_shared = Arc::clone(shared);
-        let thread_handoff = Arc::clone(&handoff);
-        let thread_name = Arc::clone(&name);
-        let trampoline = move || {
-            let (kind, now) = thread_handoff.wait_first_wake();
-            if matches!(kind, WakeKind::Killed) {
-                thread_handoff.exit(ProcessExit::Killed);
-                return;
-            }
-            let driver_handoff = Arc::clone(&thread_handoff);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let ctx = ProcCtx {
-                    pid,
-                    name: thread_name,
-                    driver: Driver::Threaded(driver_handoff),
-                    shared: thread_shared,
-                    local_time: now,
-                };
-                // The whole body runs inside a single poll: on this backend
-                // every suspension point blocks on the token handoff and
-                // resolves immediately, so a live process never observes
-                // `Pending` — a kill unwinds the thread out of the poll via
-                // `KilledSignal` instead.
-                let mut fut = Box::pin(f(ctx));
-                let mut cx = Context::from_waker(Waker::noop());
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {}
-                    Poll::Pending => unreachable!("threaded suspension returned Pending"),
-                }
-            }));
-            let status = match result {
-                Ok(()) => ProcessExit::Normal,
-                Err(payload) => {
-                    if payload.downcast_ref::<KilledSignal>().is_some() {
-                        ProcessExit::Killed
-                    } else {
-                        ProcessExit::Panicked(panic_message(payload))
-                    }
-                }
-            };
-            thread_handoff.exit(status);
-        };
-        // Pool checkout: an idle worker runs the trampoline, or (escape
-        // hatch / cold pool) a fresh thread is spawned. `join` is `Some`
-        // only for dedicated escape-hatch threads; pooled lifetimes are
-        // governed by the lease group, which teardown quiesces.
-        let join = pool::spawn_process(
-            format!("sim-{pid}-{name}"),
-            &shared.leases,
-            Box::new(trampoline),
-        );
-        ProcBody::Threaded { handoff, join }
-    } else {
-        // Coroutine backend: no thread at all. The body is materialized as
-        // a kernel-owned state machine at its first Normal wake.
-        ProcBody::Embryo(Box::new(move |ctx| Box::pin(f(ctx))))
-    };
-    {
-        let mut st = shared.state.lock();
-        st.procs.insert(
-            pid,
-            ProcEntry {
-                name,
-                body,
-                alive: true,
-                pending_exec: None,
-            },
-        );
-        let now = st.now;
-        st.queue.push(
-            start_at.max(now),
-            Some(pid.lane()),
-            EventKind::Resume(pid, WakeKind::Normal),
-        );
-    }
+    // No thread, no machine yet: the body is materialized as a
+    // kernel-owned state machine at its first Normal wake.
+    st.procs.insert(
+        pid,
+        ProcEntry {
+            name,
+            body: ProcBody::Embryo(Box::new(move |ctx| Box::pin(f(ctx)))),
+            alive: true,
+            pending_exec: None,
+        },
+    );
+    st.queue.push(
+        start_at.max(now),
+        Some(pid.lane()),
+        EventKind::Resume(pid, WakeKind::Normal),
+    );
     pid
 }
 
@@ -700,17 +561,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The simulation: owns the kernel state and drives the event loop.
 pub struct Sim {
-    shared: Arc<Shared>,
-}
-
-/// One unit of work popped under the state lock and dispatched outside it.
-enum Dispatch {
-    Call(Box<dyn FnOnce(&SimCtx) + Send>, SimTime),
-    /// Threaded backend: hand the token (with a wake batch) to the process
-    /// thread and wait for it to park or exit.
-    Wakes(Pid, SimTime, WakeBatch),
-    /// Coroutine backend: step the process's state machine inline.
-    Poll(Pid, SimTime, WakeKind),
+    shared: Rc<Shared>,
 }
 
 impl Default for Sim {
@@ -719,66 +570,47 @@ impl Default for Sim {
     }
 }
 
-/// Install (once per process) a panic hook that silences the expected
-/// [`KilledSignal`] unwinds of killed simulated processes while delegating
-/// every real panic to the previous hook.
-fn install_kill_quiet_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<KilledSignal>().is_some() {
-                return; // expected failure-injection unwind
-            }
-            previous(info);
-        }));
-    });
-}
-
 impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Sim {
-        install_kill_quiet_hook();
         Sim {
-            shared: Arc::new(Shared {
-                state: Mutex::new(KernelState {
+            shared: Rc::new(Shared {
+                state: RefCell::new(KernelState {
                     queue: EventQueue::default(),
                     now: SimTime::ZERO,
                     procs: ProcTable::default(),
                     next_pid: 0,
-                    threaded: threaded_enabled(),
                     stop_requested: false,
                     executed: 0,
                     max_events: None,
                     max_time: None,
                     tracer: Tracer::default(),
                     exits: Vec::new(),
-                    handoffs_saved: 0,
                     policy: None,
                     decisions: Vec::new(),
                     steps: Vec::new(),
                 }),
-                trace_on: AtomicBool::new(false),
-                leases: Arc::new(LeaseGroup::default()),
+                trace_on: Cell::new(false),
+                wake: Cell::new(None),
             }),
         }
     }
 
     /// Cap the number of events (defence against runaway models).
     pub fn set_max_events(&mut self, n: u64) {
-        self.shared.state.lock().max_events = Some(n);
+        self.shared.state.borrow_mut().max_events = Some(n);
     }
 
     /// Stop the run once the kernel clock passes `t` (remaining processes are
     /// killed during teardown).
     pub fn set_max_time(&mut self, t: SimTime) {
-        self.shared.state.lock().max_time = Some(t);
+        self.shared.state.borrow_mut().max_time = Some(t);
     }
 
     /// Enable trace collection (returned in the [`RunReport`]).
     pub fn enable_trace(&mut self) {
-        self.shared.state.lock().tracer.set_enabled(true);
-        self.shared.trace_on.store(true, Ordering::Relaxed);
+        self.shared.state.borrow_mut().tracer.set_enabled(true);
+        self.shared.trace_on.set(true);
     }
 
     /// Perturb same-time event tiebreaks with a seeded permutation.
@@ -791,33 +623,22 @@ impl Sim {
     /// trace fingerprints — a difference means some model or protocol state
     /// depends on the arbitrary tie order. Call before the run starts.
     pub fn set_tiebreak_seed(&mut self, seed: u64) {
-        self.shared.state.lock().queue.set_tiebreak_seed(seed);
+        self.shared.state.borrow_mut().queue.set_tiebreak_seed(seed);
     }
 
     /// Install a [`SchedulePolicy`] (exploration mode). Every pop with more
     /// than one ready candidate consults the policy; [`RunReport::decisions`]
     /// and [`RunReport::steps`] record the run's choice points and step
-    /// effects. Wake batching is bypassed in this mode so each wake stays an
-    /// individually choosable scheduling unit. Call before scheduling
-    /// anything (the queue starts recording lanes here).
+    /// effects. Each wake stays an individually choosable scheduling unit.
+    /// Call before scheduling anything (the queue starts recording lanes
+    /// here).
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         st.queue.record_lanes();
         st.policy = Some(policy);
     }
 
-    /// Override the `FTMPI_THREADED` backend choice for this simulation:
-    /// `true` runs processes on the legacy OS-thread backend, `false` on the
-    /// coroutine backend. Differential tests drive the same workload through
-    /// both backends in one process and compare results byte for byte. Call
-    /// before spawning anything.
-    pub fn force_threaded(&mut self, threaded: bool) {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(st.next_pid, 0, "switch process backends before spawning");
-        st.threaded = threaded;
-    }
-
-    /// Convenience constructor for a [`SharedFlag`].
+    /// Convenience constructor for a [`SharedFlag`](crate::SharedFlag).
     pub fn shared_flag(&self) -> crate::process::SharedFlag {
         crate::process::SharedFlag::new()
     }
@@ -826,8 +647,8 @@ impl Sim {
     /// [`SimCtx::spawn_at`] for the async body contract.
     pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_inner(&self.shared, SimTime::ZERO, name.into(), f)
     }
@@ -835,14 +656,14 @@ impl Sim {
     /// Spawn an initial process starting at `at`.
     pub fn spawn_at<F, Fut>(&mut self, at: SimTime, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_inner(&self.shared, at, name.into(), f)
     }
 
     /// Schedule a model closure before the run starts.
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&SimCtx) + Send + 'static) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
         self.shared.schedule_call(at, None, f)
     }
 
@@ -855,9 +676,9 @@ impl Sim {
         &mut self,
         at: SimTime,
         lane: u64,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) -> EventId {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let at = at.max(st.now);
         st.queue
             .push(at, Some(lane), EventKind::LinkFault(Box::new(f)))
@@ -866,14 +687,13 @@ impl Sim {
     /// Drive the event loop to completion.
     ///
     /// Ends when the queue drains with no parked processes, when a stop is
-    /// requested, or when a budget/deadline triggers. On success all process
-    /// threads have been joined.
+    /// requested, or when a budget/deadline triggers. On return every
+    /// remaining process has been killed and its state machine dropped.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         let result = self.run_loop();
-        // Always tear down remaining threads, even on error paths, so that
-        // dropping the Sim never leaks parked threads.
+        // Always tear down remaining processes, even on error paths.
         self.teardown();
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let report = RunReport {
             final_time: st.now,
             events_executed: st.executed,
@@ -884,7 +704,6 @@ impl Sim {
                 .collect(),
             trace: st.tracer.take(),
             stopped: st.stop_requested,
-            handoffs_saved: st.handoffs_saved,
             decisions: std::mem::take(&mut st.decisions),
             steps: std::mem::take(&mut st.steps),
         };
@@ -892,11 +711,13 @@ impl Sim {
         result.map(|()| report)
     }
 
+    /// Pop the next event under a short state borrow, then dispatch it with
+    /// the state released: model closures and process polls reenter the
+    /// kernel.
     fn run_loop(&mut self) -> Result<(), SimError> {
-        let batching = batching_enabled();
         loop {
-            let dispatch = {
-                let mut st = self.shared.state.lock();
+            let ev = {
+                let mut st = self.shared.state.borrow_mut();
                 if st.stop_requested {
                     return Ok(());
                 }
@@ -907,117 +728,51 @@ impl Sim {
                         });
                     }
                 }
-                if st.policy.is_some() {
+                let ev = if st.policy.is_some() {
                     match st.pop_with_policy() {
                         PolicyPop::Drained => return st.drained(),
                         PolicyPop::Horizon => return Ok(()),
                         PolicyPop::Retry => continue,
-                        PolicyPop::Run(ev) => {
-                            debug_assert!(ev.time >= st.now, "event queue went backwards");
-                            st.now = ev.time;
-                            match ev.kind {
-                                EventKind::Call(f) | EventKind::LinkFault(f) => {
-                                    st.executed += 1;
-                                    Dispatch::Call(f, ev.time)
-                                }
-                                // No wake coalescing: each wake must remain
-                                // an individually orderable scheduling unit.
-                                EventKind::Resume(pid, kind) => {
-                                    if st.proc_is_coro(pid) {
-                                        Dispatch::Poll(pid, ev.time, kind)
-                                    } else {
-                                        Dispatch::Wakes(
-                                            pid,
-                                            ev.time,
-                                            WakeBatch::single(kind, ev.time),
-                                        )
-                                    }
-                                }
-                            }
-                        }
+                        PolicyPop::Run(ev) => ev,
                     }
                 } else {
-                    match st.queue.pop() {
-                        None => return st.drained(),
-                        Some(ev) => {
-                            // Resumes aimed at dead processes are stale: drop them
-                            // without advancing the clock, so a killed process's
-                            // pending wakes don't distort the final time.
-                            if let EventKind::Resume(pid, _) = ev.kind {
-                                let alive = st.procs.get(pid).map(|e| e.alive).unwrap_or(false);
-                                if !alive {
-                                    continue;
-                                }
-                            }
-                            debug_assert!(ev.time >= st.now, "event queue went backwards");
-                            // Past the horizon: stop without consuming the event
-                            // (the clock must not advance beyond max_time).
-                            if st.max_time.map(|mt| ev.time > mt).unwrap_or(false) {
-                                st.stop_requested = true;
-                                return Ok(());
-                            }
-                            st.now = ev.time;
-                            match ev.kind {
-                                EventKind::Call(f) | EventKind::LinkFault(f) => {
-                                    st.executed += 1;
-                                    Dispatch::Call(f, ev.time)
-                                }
-                                EventKind::Resume(pid, kind) => {
-                                    if st.proc_is_coro(pid) {
-                                        // Coroutine backend: no wake batching
-                                        // — there is no handoff to save, each
-                                        // wake is one inline poll. Consecutive
-                                        // same-time wakes pop back-to-back
-                                        // with nothing in between (they share
-                                        // the process's tiebreak lane), so
-                                        // delivery order matches the threaded
-                                        // backend's batched order exactly.
-                                        Dispatch::Poll(pid, ev.time, kind)
-                                    } else {
-                                        let mut wakes = WakeBatch::single(kind, ev.time);
-                                        if batching {
-                                            // Coalesce every immediately-following
-                                            // same-time wake for this process into
-                                            // one token handoff. Same-lane same-time
-                                            // events pop in scheduling order under
-                                            // any tiebreak seed, so the batch
-                                            // preserves exactly the order the
-                                            // unbatched loop would deliver.
-                                            // (`executed` for wake batches is
-                                            // accounted after delivery — see
-                                            // `resume_process`.)
-                                            while let Some(next) = st.queue.pop_if(|t, k| {
-                                                t == ev.time
-                                                    && matches!(k, EventKind::Resume(p, _) if *p == pid)
-                                            }) {
-                                                if let EventKind::Resume(_, k) = next.kind {
-                                                    wakes.push_back(k, next.time);
-                                                }
-                                            }
-                                        }
-                                        Dispatch::Wakes(pid, ev.time, wakes)
-                                    }
-                                }
-                            }
+                    let Some(ev) = st.queue.pop() else {
+                        return st.drained();
+                    };
+                    // Resumes aimed at dead processes are stale: drop them
+                    // without advancing the clock, so a killed process's
+                    // pending wakes don't distort the final time.
+                    if let EventKind::Resume(pid, _) = ev.kind {
+                        if !st.procs.get(pid).map(|e| e.alive).unwrap_or(false) {
+                            continue;
                         }
                     }
+                    // Past the horizon: stop without consuming the event
+                    // (the clock must not advance beyond max_time).
+                    if st.max_time.map(|mt| ev.time > mt).unwrap_or(false) {
+                        st.stop_requested = true;
+                        return Ok(());
+                    }
+                    ev
+                };
+                debug_assert!(ev.time >= st.now, "event queue went backwards");
+                st.now = ev.time;
+                // A wake is counted by `drive_coro`, once it is delivered.
+                if !matches!(ev.kind, EventKind::Resume(..)) {
+                    st.executed += 1;
                 }
+                ev
             };
-            match dispatch {
-                Dispatch::Call(f, time) => {
+            match ev.kind {
+                EventKind::Call(f) | EventKind::LinkFault(f) => {
                     let sc = SimCtx {
-                        shared: Arc::clone(&self.shared),
-                        now: time,
+                        shared: Rc::clone(&self.shared),
+                        now: ev.time,
                     };
                     f(&sc);
                 }
-                Dispatch::Wakes(pid, time, wakes) => {
-                    if let Some(err) = self.resume_process(pid, wakes, time) {
-                        return Err(err);
-                    }
-                }
-                Dispatch::Poll(pid, time, kind) => {
-                    if let Some(err) = self.drive_coro(pid, kind, time) {
+                EventKind::Resume(pid, kind) => {
+                    if let Some(err) = self.drive_coro(pid, kind, ev.time) {
                         return Err(err);
                     }
                 }
@@ -1025,78 +780,60 @@ impl Sim {
         }
     }
 
-    /// Step a coroutine-backed process: deposit the wake and poll its state
-    /// machine inline. The machine is taken out of the table and polled
-    /// *outside* the state lock — polling reenters the kernel (`exec`
-    /// schedules its Call event). A kill wake never reaches the machine:
-    /// killing is a state transition in which the kernel drops the machine
-    /// (running its Drop impls, the analogue of the threaded backend's
-    /// `KilledSignal` unwind) and records the exit.
+    /// Step a process: deposit the wake and poll its state machine inline.
+    /// The machine is taken out of the table and polled with the state
+    /// released — polling reenters the kernel (`exec` schedules its Call
+    /// event). A kill wake never reaches the machine: killing is a state
+    /// transition in which the kernel drops the machine (running its Drop
+    /// impls) and records the exit.
     fn drive_coro(&self, pid: Pid, kind: WakeKind, now: SimTime) -> Option<SimError> {
         enum Step {
-            Drop(ProcBody),
-            Start(EmbryoFn, Arc<WakeSlot>, ProcCtx),
-            Poll(CoroFuture, Arc<WakeSlot>),
+            Start(EmbryoFn, ProcCtx),
+            Poll(CoroFuture),
         }
         let step = {
-            let mut st = self.shared.state.lock();
-            // One executed event per delivered wake, matching the threaded
-            // backend's per-wake accounting (a kill delivery also counts 1).
+            let mut st = self.shared.state.borrow_mut();
+            // One executed event per delivered wake (a kill counts 1).
             st.executed += 1;
             let e = st.procs.get_mut(pid)?;
             if !e.alive {
                 return None;
             }
-            match kind {
-                WakeKind::Killed => {
-                    let body = std::mem::replace(&mut e.body, ProcBody::Gone);
-                    Step::Drop(body)
-                }
-                WakeKind::Normal => match std::mem::replace(&mut e.body, ProcBody::Running) {
-                    ProcBody::Embryo(factory) => {
-                        let slot = WakeSlot::new();
-                        let ctx = ProcCtx {
-                            pid,
-                            name: Arc::clone(&e.name),
-                            driver: Driver::Coro(Arc::clone(&slot)),
-                            shared: Arc::clone(&self.shared),
-                            local_time: now,
-                        };
-                        Step::Start(factory, slot, ctx)
-                    }
-                    ProcBody::Coro { fut, slot } => {
-                        slot.put(WakeKind::Normal, now);
-                        Step::Poll(fut, slot)
-                    }
-                    other => {
-                        // A live coroutine is always parked between wakes.
-                        e.body = other;
-                        debug_assert!(false, "coroutine resumed in an undrivable state");
-                        return None;
-                    }
-                },
-            }
-        };
-        let (pending, slot) = match step {
-            Step::Drop(body) => {
-                // Drop outside the lock: the machine's Drop impls may run
-                // arbitrary model-state destructors.
+            if kind == WakeKind::Killed {
+                let body = std::mem::replace(&mut e.body, ProcBody::Gone);
+                // Dropped with the state released: the machine's Drop impls
+                // may run arbitrary model-state destructors.
+                drop(st);
                 drop(body);
-                return self.record_coro_exit(pid, now, ProcessExit::Killed);
+                return self.record_exit(pid, now, ProcessExit::Killed);
             }
-            Step::Start(factory, slot, ctx) => (CoroStep::New(factory, ctx), slot),
-            Step::Poll(fut, slot) => (CoroStep::Existing(fut), slot),
+            match std::mem::replace(&mut e.body, ProcBody::Running) {
+                ProcBody::Embryo(factory) => {
+                    let ctx = ProcCtx {
+                        pid,
+                        name: Rc::clone(&e.name),
+                        shared: Rc::clone(&self.shared),
+                        local_time: now,
+                    };
+                    Step::Start(factory, ctx)
+                }
+                ProcBody::Coro(fut) => Step::Poll(fut),
+                other => {
+                    // A live process is always parked between wakes.
+                    e.body = other;
+                    debug_assert!(false, "process resumed in an undrivable state");
+                    return None;
+                }
+            }
         };
-        enum CoroStep {
-            New(EmbryoFn, ProcCtx),
-            Existing(CoroFuture),
-        }
-        // Construct (first wake) and poll with panics contained, exactly as
-        // the threaded trampoline's catch_unwind does.
+        // Construct (first wake) and poll with panics contained.
         let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut fut = match pending {
-                CoroStep::New(factory, ctx) => factory(ctx),
-                CoroStep::Existing(fut) => fut,
+            let mut fut = match step {
+                Step::Start(factory, ctx) => factory(ctx),
+                Step::Poll(fut) => {
+                    self.shared.wake.set(Some(now));
+                    fut
+                }
             };
             let mut cx = Context::from_waker(Waker::noop());
             match fut.as_mut().poll(&mut cx) {
@@ -1104,43 +841,41 @@ impl Sim {
                 Poll::Ready(()) => None,
             }
         }));
+        let unconsumed = self.shared.wake.take();
+        debug_assert!(
+            unconsumed.is_none() || polled.is_err(),
+            "a resumed process parked without consuming its wake"
+        );
         match polled {
             Ok(Some(fut)) => {
                 // Parked at a suspension point: store the machine back.
-                let mut st = self.shared.state.lock();
-                if let Some(e) = st.procs.get_mut(pid) {
-                    e.body = ProcBody::Coro { fut, slot };
+                if let Some(e) = self.shared.state.borrow_mut().procs.get_mut(pid) {
+                    e.body = ProcBody::Coro(fut);
                 }
                 None
             }
-            Ok(None) => self.record_coro_exit(pid, now, ProcessExit::Normal),
+            Ok(None) => self.record_exit(pid, now, ProcessExit::Normal),
             Err(payload) => {
-                let status = if payload.downcast_ref::<KilledSignal>().is_some() {
-                    ProcessExit::Killed
-                } else {
-                    ProcessExit::Panicked(panic_message(payload))
-                };
-                self.record_coro_exit(pid, now, status)
+                self.record_exit(pid, now, ProcessExit::Panicked(panic_message(payload)))
             }
         }
     }
 
-    /// Exit bookkeeping for a coroutine-backed process: mirror of the
-    /// threaded backend's `resume_process` exit branch (dead-mark, pending
-    /// `exec` cancellation, exit trace and record, panic escalation).
-    fn record_coro_exit(&self, pid: Pid, now: SimTime, status: ProcessExit) -> Option<SimError> {
-        let mut st = self.shared.state.lock();
+    /// Exit bookkeeping: dead-mark, pending `exec` cancellation, exit trace
+    /// and record, panic escalation.
+    fn record_exit(&self, pid: Pid, now: SimTime, status: ProcessExit) -> Option<SimError> {
+        let mut st = self.shared.state.borrow_mut();
         let name = if let Some(e) = st.procs.get_mut(pid) {
             e.alive = false;
             e.body = ProcBody::Gone;
             let pending = e.pending_exec.take();
-            let name = Arc::clone(&e.name);
+            let name = Rc::clone(&e.name);
             if let Some(id) = pending {
                 st.queue.cancel(id);
             }
             name
         } else {
-            Arc::from("?")
+            Rc::from("?")
         };
         if st.tracer.enabled() {
             let detail = format!("exit '{name}': {status:?}");
@@ -1151,7 +886,7 @@ impl Sim {
                 detail,
             });
         }
-        st.exits.push((pid, Arc::clone(&name), status.clone()));
+        st.exits.push((pid, Rc::clone(&name), status.clone()));
         if let ProcessExit::Panicked(message) = status {
             return Some(SimError::ProcessPanicked {
                 name: name.to_string(),
@@ -1161,77 +896,13 @@ impl Sim {
         None
     }
 
-    /// Hand the token to `pid` with a batch of wakes; returns an error for
-    /// real panics. Event accounting happens here, after delivery: the
-    /// process consumed `delivered` of the batch, and each consumed wake is
-    /// one executed event — exactly what the unbatched loop would have
-    /// counted, because the wakes it left unconsumed (it exited mid-batch)
-    /// are the ones that loop would have dropped as stale. A process found
-    /// already dead still counts its one popped wake, as before.
-    fn resume_process(&self, pid: Pid, wakes: WakeBatch, now: SimTime) -> Option<SimError> {
-        let handoff = {
-            let st = self.shared.state.lock();
-            match st.procs.get(pid) {
-                Some(e) if e.alive => match &e.body {
-                    ProcBody::Threaded { handoff, .. } => Arc::clone(handoff),
-                    // Only threaded processes are dispatched as wake batches.
-                    _ => return None,
-                },
-                _ => return None, // stale resume for a dead process
-            }
-        };
-        let (outcome, delivered) = handoff.resume_batch(wakes);
-        let mut st = self.shared.state.lock();
-        st.executed += (delivered as u64).max(1);
-        st.handoffs_saved += delivered.saturating_sub(1) as u64;
-        match outcome {
-            ResumeOutcome::Parked => None,
-            ResumeOutcome::Exited(status) => {
-                let name = if let Some(e) = st.procs.get_mut(pid) {
-                    e.alive = false;
-                    let pending = e.pending_exec.take();
-                    let name = Arc::clone(&e.name);
-                    if let Some(id) = pending {
-                        st.queue.cancel(id);
-                    }
-                    name
-                } else {
-                    Arc::from("?")
-                };
-                if st.tracer.enabled() {
-                    let detail = format!("exit '{name}': {status:?}");
-                    st.tracer.record(TraceEvent {
-                        time: now,
-                        kind: TraceKind::Exit,
-                        pid: Some(pid),
-                        detail,
-                    });
-                }
-                st.exits.push((pid, Arc::clone(&name), status.clone()));
-                if let ProcessExit::Panicked(message) = status {
-                    return Some(SimError::ProcessPanicked {
-                        name: name.to_string(),
-                        message,
-                    });
-                }
-                None
-            }
-        }
-    }
-
-    /// Kill every remaining process (lowest pid first) and join all threads.
+    /// Kill every remaining process, lowest pid first, dropping each state
+    /// machine with the state released (Drop impls may run arbitrary
+    /// model-state destructors).
     fn teardown(&mut self) {
-        // Decide each victim's backend under the lock but act outside it:
-        // threaded kills rendezvous with the process thread, and coroutine
-        // drops may run arbitrary Drop impls.
-        enum Victim {
-            Coro(Pid, ProcBody, SimTime),
-            Threaded(Pid, Arc<Handoff>, Arc<str>, SimTime),
-        }
         loop {
-            let victim = {
-                let mut st = self.shared.state.lock();
-                let now = st.now;
+            let body = {
+                let mut st = self.shared.state.borrow_mut();
                 let Some(pid) = st
                     .procs
                     .iter()
@@ -1244,57 +915,14 @@ impl Sim {
                 let Some(e) = st.procs.get_mut(pid) else {
                     break;
                 };
-                match &e.body {
-                    ProcBody::Threaded { handoff, .. } => {
-                        Victim::Threaded(pid, Arc::clone(handoff), Arc::clone(&e.name), now)
-                    }
-                    _ => {
-                        let body = std::mem::replace(&mut e.body, ProcBody::Gone);
-                        e.alive = false;
-                        let name = Arc::clone(&e.name);
-                        st.exits.push((pid, name, ProcessExit::Killed));
-                        Victim::Coro(pid, body, now)
-                    }
-                }
+                let body = std::mem::replace(&mut e.body, ProcBody::Gone);
+                e.alive = false;
+                let name = Rc::clone(&e.name);
+                st.exits.push((pid, name, ProcessExit::Killed));
+                body
             };
-            match victim {
-                Victim::Coro(_pid, body, _now) => drop(body),
-                Victim::Threaded(pid, handoff, name, now) => {
-                    if let ResumeOutcome::Exited(status) = handoff.resume(WakeKind::Killed, now) {
-                        let mut st = self.shared.state.lock();
-                        if let Some(e) = st.procs.get_mut(pid) {
-                            e.alive = false;
-                        }
-                        st.exits.push((pid, name, status));
-                    } else {
-                        // A process that parks again after a kill wake would
-                        // be a trampoline bug; mark it dead to guarantee
-                        // loop progress.
-                        let mut st = self.shared.state.lock();
-                        if let Some(e) = st.procs.get_mut(pid) {
-                            e.alive = false;
-                        }
-                    }
-                }
-            }
+            drop(body);
         }
-        // Join dedicated (escape-hatch) threads, then wait for every pooled
-        // worker leased by this simulation to finish its trampoline. After
-        // this, no thread still references this Sim's state.
-        let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock();
-            st.procs
-                .values_mut()
-                .filter_map(|e| match &mut e.body {
-                    ProcBody::Threaded { join, .. } => join.take(),
-                    _ => None,
-                })
-                .collect()
-        };
-        for j in joins {
-            let _ = j.join();
-        }
-        pool::wait_group_idle(&self.shared.leases);
     }
 }
 

@@ -7,10 +7,9 @@
 //! no OS thread per process, so topologies with 10⁵⁺ processes fit in one
 //! scheduler thread. Execution stays strictly sequential (one machine steps
 //! at a time), so every run with the same inputs takes the same scheduling
-//! decisions and produces bit-identical virtual timings. Setting
-//! `FTMPI_THREADED=1` (or [`Sim::force_threaded`]) runs the same bodies on
-//! the legacy cooperative OS-thread backend instead; both backends execute
-//! the same events in the same order and produce byte-identical results.
+//! decisions and produces bit-identical virtual timings. A [`Sim`] is
+//! single-threaded end to end: its state sits in `Rc`/`RefCell`/`Cell`
+//! handles, and the event path takes no lock and touches no atomic.
 //!
 //! # Lazy local clocks
 //!
@@ -27,9 +26,7 @@
 //! drops a killed process's state machine at the kill wake — a pure state
 //! transition that runs the machine's destructors, mirroring the "task killed
 //! by the operating system" failure model of the paper this workspace
-//! reproduces. (On the threaded backend the kill is delivered as a panic
-//! payload that unwinds the process thread; the observable effects are
-//! identical.)
+//! reproduces.
 //!
 //! # Example
 //!
@@ -53,20 +50,15 @@ mod arena;
 mod event;
 mod kernel;
 pub mod microbench;
-mod pool;
 mod process;
 mod reply;
 mod schedule;
 mod table;
 mod time;
 mod trace;
-mod wakes;
 
 pub use event::EventId;
-pub use kernel::{
-    batching_enabled, threaded_enabled, DeadlockInfo, RunReport, Sim, SimCtx, SimError,
-};
-pub use pool::{pool_stats, wait_live_below, PoolStats};
+pub use kernel::{DeadlockInfo, RunReport, Sim, SimCtx, SimError};
 pub use process::{Pid, ProcCtx, ProcessExit, SharedFlag};
 pub use reply::Reply;
 pub use schedule::{
@@ -74,12 +66,3 @@ pub use schedule::{
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{ProtoEvent, TraceEvent, TraceKind, Tracer};
-
-/// Panic payload used by the threaded backend (`FTMPI_THREADED=1`) to unwind
-/// a simulated process that has been killed. The coroutine backend never
-/// unwinds: the kernel drops the killed process's state machine instead.
-///
-/// Process code never observes this type: the trampoline installed by
-/// [`Sim::spawn`] catches it and records a [`ProcessExit::Killed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KilledSignal;

@@ -5,30 +5,20 @@
 //! interaction ([`ProcCtx::exec`] and the sleep helpers built on it). The
 //! kernel owns the machine and steps it inline from the event loop: a
 //! Resume event is a direct `poll` call on the scheduler's own thread — no
-//! OS thread, no Condvar round-trip, no execution token.
-//!
-//! The legacy *threaded* backend (`FTMPI_THREADED=1`) drives the same async
-//! body on a pooled OS thread instead: the whole body runs inside a single
-//! `poll` whose suspension points block on the token-handoff rendezvous
-//! ([`Handoff`]), preserving the historical cooperative-thread semantics
-//! bit for bit. Exactly one thread runs at a time under that backend —
-//! either the kernel loop or one simulated process — so model state never
-//! sees concurrent access in either mode.
+//! OS thread, no lock, no execution token. Exactly one machine steps at a
+//! time, so model state never sees concurrent access and every shared
+//! handle is a plain single-threaded cell.
 
+use std::cell::Cell;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use parking_lot::{Condvar, Mutex};
-
-use crate::kernel::SimCtx;
+use crate::kernel::{Shared, SimCtx};
 use crate::reply::Reply;
 use crate::time::{SimDuration, SimTime};
-use crate::wakes::WakeBatch;
-use crate::KilledSignal;
 
 /// Identifier of a simulated process. Never reused within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,196 +59,20 @@ pub(crate) enum WakeKind {
     Killed,
 }
 
-/// The wake mailbox of a coroutine-backed process: the kernel drive loop
-/// deposits exactly one `(kind, time)` wake here immediately before polling
-/// the process's state machine, and the machine's pending suspension point
-/// consumes it. Single-threaded in practice (only the kernel loop touches
-/// it); the mutex exists so the future stays `Send` for storage in the
-/// shared kernel state.
-pub(crate) struct WakeSlot(Mutex<Option<(WakeKind, SimTime)>>);
-
-impl WakeSlot {
-    pub fn new() -> Arc<WakeSlot> {
-        Arc::new(WakeSlot(Mutex::new(None)))
-    }
-
-    /// Kernel side: deposit the wake the next poll will consume.
-    pub fn put(&self, kind: WakeKind, now: SimTime) {
-        let prev = self.0.lock().replace((kind, now));
-        debug_assert!(
-            prev.is_none(),
-            "wake deposited while a previous wake was still unconsumed"
-        );
-    }
-
-    /// Suspension side: consume the pending wake, if any.
-    pub fn take(&self) -> Option<(WakeKind, SimTime)> {
-        self.0.lock().take()
-    }
-}
-
-enum HandoffState {
-    /// The kernel (or nobody yet) holds the token.
-    KernelHeld,
-    /// The process holds the token and should run.
-    ProcessHeld(WakeKind, SimTime),
-    /// The process thread has terminated.
-    Exited(ProcessExit),
-}
-
-/// Outcome observed by the kernel after handing the token to a process.
-pub(crate) enum ResumeOutcome {
-    Parked,
-    Exited(ProcessExit),
-}
-
-struct HandoffInner {
-    state: HandoffState,
-    /// Wakes delivered with the current token handoff but not yet consumed.
-    /// A parked process drains this batch in FIFO order before giving the
-    /// token back, so a batch of same-time wakes costs one Condvar
-    /// round-trip instead of one per wake. The inline-storage batch keeps
-    /// the common cases (one wake, or a handful of coalesced ones) free of
-    /// heap allocation.
-    pending: WakeBatch,
-    /// Wakes the process has consumed during the current `resume_batch`.
-    delivered: usize,
-}
-
-/// The token-passing rendezvous between the kernel loop and one process
-/// (threaded backend only).
-pub(crate) struct Handoff {
-    inner: Mutex<HandoffInner>,
-    cv: Condvar,
-}
-
-impl Handoff {
-    pub fn new() -> Arc<Handoff> {
-        Arc::new(Handoff {
-            inner: Mutex::new(HandoffInner {
-                state: HandoffState::KernelHeld,
-                pending: WakeBatch::new(),
-                delivered: 0,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Kernel side: deliver a single wake (see [`Handoff::resume_batch`]).
-    pub fn resume(&self, kind: WakeKind, now: SimTime) -> ResumeOutcome {
-        self.resume_batch(WakeBatch::single(kind, now)).0
-    }
-
-    /// Kernel side: give the token to the process with a non-empty FIFO
-    /// batch of wakes and wait until it parks or exits. Returns the outcome
-    /// and how many of the wakes the process actually consumed (a process
-    /// that exits mid-batch leaves the rest undelivered, exactly like the
-    /// unbatched kernel dropping stale wakes for a dead process). Must be
-    /// called *without* holding the kernel state lock.
-    pub fn resume_batch(&self, mut wakes: WakeBatch) -> (ResumeOutcome, usize) {
-        let mut st = self.inner.lock();
-        match st.state {
-            HandoffState::Exited(ref e) => return (ResumeOutcome::Exited(e.clone()), 0),
-            HandoffState::KernelHeld => {
-                let (kind, now) = wakes.pop_front().expect("resume_batch with no wakes");
-                st.pending = wakes;
-                st.delivered = 1;
-                st.state = HandoffState::ProcessHeld(kind, now);
-                self.cv.notify_all();
-            }
-            HandoffState::ProcessHeld(..) => {
-                unreachable!("kernel resumed a process that already holds the token")
-            }
-        }
-        loop {
-            match st.state {
-                HandoffState::KernelHeld => {
-                    debug_assert!(st.pending.is_empty(), "token returned with wakes pending");
-                    return (ResumeOutcome::Parked, st.delivered);
-                }
-                HandoffState::Exited(ref e) => {
-                    let status = e.clone();
-                    // Leftover wakes were aimed at a now-dead process; they
-                    // are stale by definition and must not be re-queued.
-                    st.pending.clear();
-                    return (ResumeOutcome::Exited(status), st.delivered);
-                }
-                HandoffState::ProcessHeld(..) => self.cv.wait(&mut st),
-            }
-        }
-    }
-
-    /// Process side: give the token back and wait for the next wake.
-    /// Returns the wake kind and the kernel time of the resume.
-    pub fn park(&self) -> (WakeKind, SimTime) {
-        let mut st = self.inner.lock();
-        debug_assert!(
-            matches!(st.state, HandoffState::ProcessHeld(..)),
-            "park() called by a process that does not hold the token"
-        );
-        if let Some((kind, now)) = st.pending.pop_front() {
-            // Fast path: consume the next batched wake while keeping the
-            // token — no Condvar round-trip through the kernel.
-            st.delivered += 1;
-            st.state = HandoffState::ProcessHeld(kind, now);
-            return (kind, now);
-        }
-        st.state = HandoffState::KernelHeld;
-        self.cv.notify_all();
-        loop {
-            if let HandoffState::ProcessHeld(kind, now) = st.state {
-                return (kind, now);
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Process side: wait for the very first wake after spawn.
-    pub fn wait_first_wake(&self) -> (WakeKind, SimTime) {
-        let mut st = self.inner.lock();
-        loop {
-            if let HandoffState::ProcessHeld(kind, now) = st.state {
-                return (kind, now);
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Process side: announce termination and release the token.
-    pub fn exit(&self, status: ProcessExit) {
-        let mut st = self.inner.lock();
-        st.state = HandoffState::Exited(status);
-        self.cv.notify_all();
-    }
-}
-
-/// How this process's suspension points synchronize with the kernel.
-pub(crate) enum Driver {
-    /// Default backend: the kernel polls the state machine inline; a
-    /// suspension returns `Pending` and the next wake arrives through the
-    /// [`WakeSlot`] immediately before the next poll.
-    Coro(Arc<WakeSlot>),
-    /// Legacy backend (`FTMPI_THREADED=1`): a suspension blocks the pooled
-    /// OS thread on the token handoff and returns `Ready` once woken, so
-    /// the whole process body completes in a single outer poll.
-    Threaded(Arc<Handoff>),
-}
-
-/// One suspension point: resolves to the next `(kind, time)` wake.
+/// One suspension point: resolves to the kernel time of the next wake,
+/// which the drive loop deposits in the kernel's wake slot immediately
+/// before polling the machine.
 struct Suspend<'a> {
-    driver: &'a Driver,
+    shared: &'a Shared,
 }
 
 impl Future for Suspend<'_> {
-    type Output = (WakeKind, SimTime);
+    type Output = SimTime;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.driver {
-            Driver::Coro(slot) => match slot.take() {
-                Some(wake) => Poll::Ready(wake),
-                None => Poll::Pending,
-            },
-            Driver::Threaded(handoff) => Poll::Ready(handoff.park()),
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<SimTime> {
+        match self.shared.wake.take() {
+            Some(now) => Poll::Ready(now),
+            None => Poll::Pending,
         }
     }
 }
@@ -270,9 +84,8 @@ impl Future for Suspend<'_> {
 /// synchronizes with the kernel at the process's local time.
 pub struct ProcCtx {
     pub(crate) pid: Pid,
-    pub(crate) name: Arc<str>,
-    pub(crate) driver: Driver,
-    pub(crate) shared: Arc<crate::kernel::Shared>,
+    pub(crate) name: Rc<str>,
+    pub(crate) shared: Rc<Shared>,
     pub(crate) local_time: SimTime,
 }
 
@@ -307,31 +120,24 @@ impl ProcCtx {
     /// bug and panics.
     pub async fn exec<R, F>(&mut self, f: F) -> R
     where
-        R: Send + 'static,
-        F: FnOnce(&SimCtx, Reply<R>) + Send + 'static,
+        R: 'static,
+        F: FnOnce(&SimCtx, Reply<R>) + 'static,
     {
-        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let reply = Reply::new(self.pid, Arc::clone(&slot));
+        let slot = Rc::new(Cell::new(None));
+        let reply = Reply::new(self.pid, Rc::clone(&slot));
         self.shared
             .schedule_exec(self.pid, self.local_time, move |sc| f(sc, reply));
-        let (kind, resume_time) = Suspend {
-            driver: &self.driver,
+        // A kill never resolves this suspension: the kernel drops the
+        // machine instead.
+        let resume_time = Suspend {
+            shared: &self.shared,
         }
         .await;
-        if matches!(kind, WakeKind::Killed) {
-            // Threaded backend only: unwind the OS thread. The coroutine
-            // backend never delivers a kill wake — the kernel drops the
-            // state machine instead (the suspension simply never resolves).
-            std::panic::panic_any(KilledSignal);
-        }
         if resume_time > self.local_time {
             self.local_time = resume_time;
         }
-        let value = slot
-            .lock()
-            .take()
-            .expect("process woken without a completed reply (model bug)");
-        value
+        slot.take()
+            .expect("process woken without a completed reply (model bug)")
     }
 
     /// Suspend until the kernel clock catches up with the local clock.
@@ -350,10 +156,10 @@ impl ProcCtx {
     }
 }
 
-/// A tiny thread-safe boolean used by tests and examples to observe
-/// completion from outside the simulation.
+/// A tiny shared boolean used by tests and examples to observe completion
+/// from outside the simulation.
 #[derive(Debug, Clone, Default)]
-pub struct SharedFlag(Arc<AtomicBool>);
+pub struct SharedFlag(Rc<Cell<bool>>);
 
 impl SharedFlag {
     /// Create an unset flag.
@@ -362,10 +168,10 @@ impl SharedFlag {
     }
     /// Raise the flag.
     pub fn set(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.set(true);
     }
     /// Read the flag.
     pub fn get(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.get()
     }
 }

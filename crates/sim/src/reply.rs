@@ -1,8 +1,7 @@
 //! Completion tokens connecting model event handlers to parked processes.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::kernel::SimCtx;
 use crate::process::Pid;
@@ -17,14 +16,13 @@ use crate::time::SimTime;
 /// reports this as a deadlock, which is the desired loud failure for a model
 /// bug (or the correct silent behaviour for a process that is about to be
 /// killed).
-#[derive(Debug)]
 pub struct Reply<R> {
     pid: Pid,
-    slot: Arc<Mutex<Option<R>>>,
+    slot: Rc<Cell<Option<R>>>,
 }
 
-impl<R: Send + 'static> Reply<R> {
-    pub(crate) fn new(pid: Pid, slot: Arc<Mutex<Option<R>>>) -> Self {
+impl<R: 'static> Reply<R> {
+    pub(crate) fn new(pid: Pid, slot: Rc<Cell<Option<R>>>) -> Self {
         Reply { pid, slot }
     }
 
@@ -35,14 +33,13 @@ impl<R: Send + 'static> Reply<R> {
 
     /// Deliver `value` and wake the process at the current event time.
     pub fn complete(self, sc: &SimCtx, value: R) {
-        *self.slot.lock() = Some(value);
+        self.slot.set(Some(value));
         sc.resume(self.pid);
     }
 
     /// Deliver `value` and wake the process at the (future) time `at`.
     pub fn complete_at(self, sc: &SimCtx, at: SimTime, value: R) {
-        let Reply { pid, slot } = self;
-        *slot.lock() = Some(value);
-        sc.resume_at(pid, at);
+        self.slot.set(Some(value));
+        sc.resume_at(self.pid, at);
     }
 }

@@ -59,11 +59,6 @@ impl<T> ProcTable<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().filter_map(|e| e.as_ref())
     }
-
-    /// Mutable access to all inserted entries, in pid order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.entries.iter_mut().filter_map(|e| e.as_mut())
-    }
 }
 
 #[cfg(test)]
@@ -108,9 +103,7 @@ mod tests {
         }
         let pids: Vec<u64> = t.iter().map(|(p, _)| p.0).collect();
         assert_eq!(pids, vec![0, 1, 2]);
-        for v in t.values_mut() {
-            *v += 10;
-        }
+        *t.get_mut(Pid(2)).expect("inserted") += 10;
         assert_eq!(t.get(Pid(2)), Some(&12));
     }
 }

@@ -1,10 +1,9 @@
 //! Integration tests for the simulation kernel: scheduling, lazy clocks,
 //! suspension/waking, kill semantics, determinism, deadlock detection, and
-//! coroutine/threaded backend equivalence.
+//! run reports pinned to recorded values.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ftmpi_sim::{ProcessExit, Reply, Sim, SimDuration, SimError, SimTime};
 
@@ -19,15 +18,15 @@ fn empty_simulation_completes_at_time_zero() {
 #[test]
 fn scheduled_closures_run_in_time_order() {
     let mut sim = Sim::new();
-    let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     for &t in &[30u64, 10, 20] {
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.schedule(SimTime::from_nanos(t), move |sc| {
-            log.lock().push(sc.now().as_nanos());
+            log.borrow_mut().push(sc.now().as_nanos());
         });
     }
     let report = sim.run().unwrap();
-    assert_eq!(*log.lock(), vec![10, 20, 30]);
+    assert_eq!(*log.borrow(), vec![10, 20, 30]);
     assert_eq!(report.final_time, SimTime::from_nanos(30));
 }
 
@@ -51,19 +50,19 @@ fn lazy_compute_advances_virtual_time_without_events() {
 #[test]
 fn sleep_interleaves_processes_deterministically() {
     let mut sim = Sim::new();
-    let log: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Rc<RefCell<Vec<(String, u64)>>> = Rc::new(RefCell::new(Vec::new()));
     for (name, step) in [("a", 3u64), ("b", 5u64)] {
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.spawn(name, move |mut ctx| async move {
             for _ in 0..3 {
                 ctx.sleep(SimDuration::from_secs(step)).await;
-                log.lock()
+                log.borrow_mut()
                     .push((ctx.name().to_string(), ctx.now().as_nanos() / 1_000_000_000));
             }
         });
     }
     sim.run().unwrap();
-    let got = log.lock().clone();
+    let got = log.borrow().clone();
     let expect = vec![
         ("a".to_string(), 3),
         ("b".to_string(), 5),
@@ -86,13 +85,13 @@ struct Mailbox {
 #[test]
 fn reply_wakes_parked_process_with_value() {
     let mut sim = Sim::new();
-    let mbox: Arc<Mutex<Mailbox>> = Arc::new(Mutex::new(Mailbox::default()));
+    let mbox: Rc<RefCell<Mailbox>> = Rc::new(RefCell::new(Mailbox::default()));
 
-    let mb = Arc::clone(&mbox);
+    let mb = Rc::clone(&mbox);
     sim.spawn("receiver", move |mut ctx| async move {
         let got = ctx
             .exec::<u64, _>(move |sc, reply| {
-                let mut m = mb.lock();
+                let mut m = mb.borrow_mut();
                 if let Some(v) = m.value.take() {
                     reply.complete(sc, v);
                 } else {
@@ -104,9 +103,9 @@ fn reply_wakes_parked_process_with_value() {
         assert_eq!(ctx.now(), SimTime::from_nanos(7));
     });
 
-    let mb = Arc::clone(&mbox);
+    let mb = Rc::clone(&mbox);
     sim.schedule(SimTime::from_nanos(7), move |sc| {
-        let mut m = mb.lock();
+        let mut m = mb.borrow_mut();
         if let Some(w) = m.waiter.take() {
             w.complete(sc, 42);
         } else {
@@ -293,35 +292,34 @@ fn trace_collects_lifecycle_events() {
 #[test]
 fn many_processes_scale() {
     let mut sim = Sim::new();
-    let counter = Arc::new(Mutex::new(0u64));
+    let counter = Rc::new(RefCell::new(0u64));
     for i in 0..600 {
-        let c = Arc::clone(&counter);
+        let c = Rc::clone(&counter);
         sim.spawn(format!("w{i}"), move |mut ctx| async move {
             ctx.sleep(SimDuration::from_nanos(i)).await;
-            *c.lock() += 1;
+            *c.borrow_mut() += 1;
         });
     }
     sim.run().unwrap();
-    assert_eq!(*counter.lock(), 600);
+    assert_eq!(*counter.borrow(), 600);
 }
 
-/// The coroutine backend must host far more processes than any thread pool
-/// could: 50k sleepers complete with bounded OS threads (the scale_bench
-/// binary exercises the full 10⁵-rank workload).
+/// The kernel must host far more processes than any thread pool could:
+/// 50k sleepers complete on the one kernel thread (the scale_bench binary
+/// exercises the full 10⁵-rank workload).
 #[test]
-fn coroutine_backend_hosts_tens_of_thousands_of_processes() {
+fn kernel_hosts_tens_of_thousands_of_processes() {
     let mut sim = Sim::new();
-    sim.force_threaded(false);
-    let counter = Arc::new(Mutex::new(0u64));
+    let counter = Rc::new(RefCell::new(0u64));
     for i in 0..50_000u64 {
-        let c = Arc::clone(&counter);
+        let c = Rc::clone(&counter);
         sim.spawn(format!("w{i}"), move |mut ctx| async move {
             ctx.sleep(SimDuration::from_nanos(1 + i % 97)).await;
-            *c.lock() += 1;
+            *c.borrow_mut() += 1;
         });
     }
     sim.run().unwrap();
-    assert_eq!(*counter.lock(), 50_000);
+    assert_eq!(*counter.borrow(), 50_000);
 }
 
 /// Kill/respawn churn: pids stay sequential and are never reused, killed
@@ -331,13 +329,13 @@ fn coroutine_backend_hosts_tens_of_thousands_of_processes() {
 #[test]
 fn kill_respawn_churn_keeps_pids_distinct() {
     let mut sim = Sim::new();
-    let finished: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let finished: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let mut pids = Vec::new();
     for i in 0..8u64 {
-        let f = Arc::clone(&finished);
+        let f = Rc::clone(&finished);
         pids.push(sim.spawn(format!("gen0-{i}"), move |mut ctx| async move {
             ctx.sleep(SimDuration::from_secs(10)).await;
-            f.lock().push(i);
+            f.borrow_mut().push(i);
         }));
     }
     // Allocation is strictly increasing (pids are sequential, never reused).
@@ -348,7 +346,7 @@ fn kill_respawn_churn_keeps_pids_distinct() {
     let victims: Vec<_> = pids.iter().copied().skip(1).step_by(2).collect();
     let survivors: Vec<_> = pids.iter().copied().step_by(2).collect();
     let v2 = victims.clone();
-    let f = Arc::clone(&finished);
+    let f = Rc::clone(&finished);
     sim.schedule(SimTime::from_nanos(5), move |sc| {
         for pid in &v2 {
             assert!(sc.is_alive(*pid));
@@ -359,7 +357,7 @@ fn kill_respawn_churn_keeps_pids_distinct() {
             let f = f.clone();
             let new = sc.spawn(format!("gen1-{k}"), move |mut ctx| async move {
                 ctx.sleep(SimDuration::from_secs(1)).await;
-                f.lock().push(100 + k as u64);
+                f.borrow_mut().push(100 + k as u64);
             });
             assert!(new > *pid, "pid {new} reused or preceded {pid}");
         }
@@ -381,14 +379,13 @@ fn kill_respawn_churn_keeps_pids_distinct() {
             .map(|(_, _, e)| e.clone());
         assert_eq!(exit, Some(ProcessExit::Normal), "{pid}");
     }
-    let mut done = finished.lock().clone();
+    let mut done = finished.borrow().clone();
     done.sort_unstable();
     assert_eq!(done, vec![0, 2, 4, 6, 100, 101, 102, 103]);
 }
 
-/// Killing with tracing disabled takes the lock-free fast path; killing with
-/// tracing enabled must still record the event. Both paths must agree on
-/// semantics.
+/// Killing with tracing disabled records nothing; killing with tracing
+/// enabled must record the event. Both paths must agree on semantics.
 #[test]
 fn kill_traces_only_when_tracing_enabled() {
     for tracing in [false, true] {
@@ -430,89 +427,51 @@ fn max_time_never_advances_past_the_horizon() {
     );
 }
 
+/// A wake and a kill landing on one process at the same instant run in
+/// scheduling order (they share the process's tiebreak lane): the wake is
+/// delivered first, then the kill drops the machine at its next
+/// suspension point.
 #[test]
-fn same_time_wake_and_kill_batch_into_one_handoff() {
-    // Threaded backend: a wake and a kill landing at the same instant share
-    // one token handoff (PR 3's batching). The coroutine backend has no
-    // handoffs to save — the equivalent schedule is checked by the
-    // differential test below.
+fn same_time_wake_then_kill_delivers_the_wake_first() {
     let mut sim = Sim::new();
-    sim.force_threaded(true);
-    let victim = sim.spawn("victim", |mut ctx| async move {
+    let woke = sim.shared_flag();
+    let w = woke.clone();
+    let victim = sim.spawn("victim", move |mut ctx| async move {
         ctx.sleep(SimDuration::from_secs(5)).await;
-        // The kill wake is already pending when this suspension happens, so
-        // the process unwinds here without another kernel round-trip.
+        w.set();
         ctx.sleep(SimDuration::from_secs(10)).await;
         unreachable!("killed at 5s");
     });
     // Route the kill through a t=1s hop so its 5s call is pushed *after*
     // the sleeper's completion call: at 5s the sleep wake is queued first,
-    // then the Killed resume lands right behind it — two same-time wakes
-    // on one lane, delivered as one batch.
+    // then the Killed resume lands right behind it on the same lane.
     sim.schedule(SimTime::from_nanos(1_000_000_000), move |sc| {
         sc.schedule_in(SimDuration::from_secs(4), move |sc| sc.kill(victim));
     });
     let report = sim.run().unwrap();
+    assert!(woke.get(), "the same-instant wake must run before the kill");
     assert!(report
         .exits
         .iter()
         .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed));
-    if std::env::var_os("FTMPI_NO_BATCH").is_none() {
-        assert_eq!(
-            report.handoffs_saved, 1,
-            "both wakes should share a handoff"
-        );
-    } else {
-        assert_eq!(report.handoffs_saved, 0);
-    }
+    assert_eq!(report.final_time, SimTime::from_nanos(5_000_000_000));
 }
 
+/// Drive one mixed workload (sleep chains, reply-completed execs, a kill at
+/// a degenerate instant) and compare every observable of the run report
+/// with the values the former thread-per-rank backend also produced.
 #[test]
-fn pool_reuses_rank_threads_across_sims() {
-    // The lease pool serves the threaded backend only; force it so the test
-    // keeps covering the pool when the coroutine backend is the default.
-    let before = ftmpi_sim::pool_stats();
-    for round in 0..3 {
+fn mixed_workload_report_matches_recorded_values() {
+    fn run() -> (u64, u64, Vec<(String, ProcessExit)>, usize) {
         let mut sim = Sim::new();
-        sim.force_threaded(true);
-        for i in 0..4 {
-            sim.spawn(format!("r{round}-{i}"), |mut ctx| async move {
-                ctx.sleep(SimDuration::from_nanos(1)).await;
-            });
-        }
-        sim.run().unwrap();
-        // Sim teardown quiesces its lease group, so every worker is back
-        // in the idle queue before the next round spawns.
-    }
-    let after = ftmpi_sim::pool_stats();
-    assert!(
-        after.checkouts >= before.checkouts + 12,
-        "12 spawns must be visible in the pool counters: {before:?} -> {after:?}"
-    );
-    if std::env::var_os("FTMPI_NO_POOL").is_none() {
-        assert!(
-            after.reused > before.reused,
-            "serial churn must reuse parked workers: {before:?} -> {after:?}"
-        );
-    }
-}
-
-/// Drive one mixed workload (sleep chains, reply-completed execs, kills at
-/// degenerate instants, a panicless respawn) through both backends and
-/// compare every observable of the run report.
-#[test]
-fn backends_produce_identical_reports() {
-    fn run(threaded: bool) -> (u64, u64, Vec<(String, ProcessExit)>, usize) {
-        let mut sim = Sim::new();
-        sim.force_threaded(threaded);
         sim.enable_trace();
-        let log: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let log: Rc<RefCell<Vec<(String, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         for (name, step) in [("a", 3u64), ("b", 5u64), ("c", 7u64)] {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn(name, move |mut ctx| async move {
                 for _ in 0..4 {
                     ctx.sleep(SimDuration::from_secs(step)).await;
-                    log.lock()
+                    log.borrow_mut()
                         .push((ctx.name().to_string(), ctx.now().as_nanos()));
                 }
             });
@@ -537,17 +496,24 @@ fn backends_produce_identical_reports() {
             report.trace.len(),
         )
     }
-    assert_eq!(run(false), run(true));
+    let exits = [
+        ("victim", ProcessExit::Killed),
+        ("a", ProcessExit::Normal),
+        ("b", ProcessExit::Normal),
+        ("c", ProcessExit::Normal),
+    ]
+    .map(|(n, e)| (n.to_string(), e))
+    .to_vec();
+    assert_eq!(run(), (28_000_000_000, 30, exits, 9));
 }
 
 /// Kill delivered while the process is suspended mid-`exec` (its model call
 /// already queued but not yet run): the pending call must be cancelled and
-/// the exit recorded at the kill instant, identically on both backends.
+/// the exit recorded at the kill instant.
 #[test]
 fn kill_during_suspension_cancels_pending_exec() {
-    fn run(threaded: bool) -> (u64, u64, bool) {
+    fn run() -> (u64, u64, bool) {
         let mut sim = Sim::new();
-        sim.force_threaded(threaded);
         let side_effect = sim.shared_flag();
         let fx = side_effect.clone();
         let victim = sim.spawn("victim", move |mut ctx| async move {
@@ -573,10 +539,9 @@ fn kill_during_suspension_cancels_pending_exec() {
             side_effect.get(),
         )
     }
-    let coro = run(false);
-    let threaded = run(true);
-    assert_eq!(coro, threaded);
-    assert!(!coro.2, "cancelled exec must not mutate model state");
+    let (final_ns, events, side_effect) = run();
+    assert!(!side_effect, "cancelled exec must not mutate model state");
+    assert_eq!((final_ns, events), (10, 3));
 }
 
 /// A process killed before its first wake (spawned at a later start time)
@@ -584,9 +549,8 @@ fn kill_during_suspension_cancels_pending_exec() {
 /// completion — the restart-while-embryonic state transition.
 #[test]
 fn kill_before_first_wake_drops_the_unstarted_process() {
-    fn run(threaded: bool) -> (u64, bool, bool) {
+    fn run() -> (u64, bool, bool) {
         let mut sim = Sim::new();
-        sim.force_threaded(threaded);
         let started = sim.shared_flag();
         let replaced = sim.shared_flag();
         let s2 = started.clone();
@@ -613,8 +577,8 @@ fn kill_before_first_wake_drops_the_unstarted_process() {
             .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed));
         (report.events_executed, started.get(), replaced.get())
     }
-    let coro = run(false);
-    assert_eq!(coro, run(true));
-    assert!(!coro.1, "killed-before-start process must never run");
-    assert!(coro.2, "replacement must complete");
+    let (events, started, replaced) = run();
+    assert!(!started, "killed-before-start process must never run");
+    assert!(replaced, "replacement must complete");
+    assert_eq!(events, 5);
 }

@@ -169,7 +169,7 @@ fn myrinet_beats_gige_for_latency_bound_cg() {
 
 #[test]
 fn netpipe_ratios_match_the_paper() {
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     let measure = |nodes: [usize; 2]| {
         let results: synth::PingPongResults = Arc::new(Mutex::new(Vec::new()));
         let app = synth::netpipe_app(1 << 20, 2, Arc::clone(&results));
@@ -180,7 +180,7 @@ fn netpipe_ratios_match_the_paper() {
             ftmpi::net::NodeId(nodes[1]),
         ]);
         run_job(spec).expect("netpipe");
-        let out = results.lock().clone();
+        let out = results.lock().unwrap().clone();
         out
     };
     let intra = measure([101, 102]);
