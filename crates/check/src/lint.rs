@@ -73,7 +73,6 @@ const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
 pub const ENV_TOGGLES: &[&str] = &[
     "FTMPI_NO_BATCH",
     "FTMPI_NO_CACHE",
-    "FTMPI_DEBUG",
     "FTMPI_MINE_BUDGET",
     "FTMPI_NO_MINE",
     "FTMPI_NO_SCRUB",

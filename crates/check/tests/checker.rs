@@ -6,7 +6,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ftmpi_check::{
-    check_trace, perturbation_check, run_checked_with_churn, smoke_probes, Violation,
+    check_trace, parse_mined_artifact, perturbation_check, run_checked_with_churn, smoke_probes,
+    Violation,
 };
 use ftmpi_core::{run_job_with, JobSpec, ProtocolChoice, RunOptions};
 use ftmpi_sim::{ProtoEvent, TraceEvent, TraceKind};
@@ -207,4 +208,33 @@ fn perturbed_schedules_reproduce_the_baseline_fingerprint() {
             report.divergent()
         );
     }
+}
+
+#[test]
+fn rot_over_an_earlier_flip_keeps_the_replica_damaged() {
+    // A mined genome: a whole-server flip damages rank 0's wave-1 replica
+    // on server 0 at 2.6 s, and a rotting disk hits the same replica again
+    // at 4.516 s. A second flip must not restore the digest, or the 6.6 s
+    // restart would consume bits the trace records as damaged.
+    let (genome, _) = parse_mined_artifact(
+        "proto=pcl\n\
+         replicas=2\n\
+         genes=rot@2000000000+14700000000:s0:m900000000:x23;\
+         kill@6600000000:r0;corrupt@2600000000:s0:all\n\
+         kind=invariant\n",
+    )
+    .expect("reproducer parses");
+    let spec = genome.build_spec();
+    let (protocol, nranks) = (spec.protocol, spec.nranks);
+    let (res, trace) = run_job_with(
+        spec,
+        RunOptions {
+            trace: true,
+            ..RunOptions::default()
+        },
+    )
+    .expect("mined genome runs");
+    assert!(res.rt.restarts >= 1, "the kill must restart the job");
+    let report = check_trace(protocol, nranks, &trace);
+    assert!(report.ok(), "{:?}", report.violations);
 }

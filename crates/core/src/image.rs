@@ -1,6 +1,6 @@
 //! Checkpoint images and wave records.
 
-use ftmpi_mpi::{AppMsg, Rank};
+use ftmpi_mpi::{AppMsg, Rank, RuntimeCore};
 use ftmpi_sim::{SimDuration, SimTime};
 
 /// One FNV-1a step over a 64-bit word (byte-at-a-time, little-endian).
@@ -44,6 +44,22 @@ pub struct RankImage {
 }
 
 impl RankImage {
+    /// Capture `rank`'s image at the fork instant `now`: its completed
+    /// operations, the compute credit since its last runtime interaction,
+    /// and the messages its library holds unconsumed. The sequence
+    /// snapshots stay empty — coordinated restarts reset every counter;
+    /// Mlog fills them in on top of this capture.
+    pub(crate) fn capture(rt: &RuntimeCore, rank: Rank, now: SimTime) -> RankImage {
+        RankImage {
+            ops_completed: rt.ranks[rank].ops_completed,
+            time_credit: rt.capture_credit(rank, now),
+            taken_at: now,
+            pending: rt.snapshot_pending(rank),
+            expect_seq: Vec::new(),
+            send_seq: Vec::new(),
+        }
+    }
+
     /// Content digest of the image, keyed by the `(wave, rank)` slot it
     /// occupies so identical logical positions in different slots still
     /// hash apart. Computed once at capture and stamped on every stored

@@ -20,6 +20,12 @@
 //!   be inside the MPI library (progress engine), which is where the
 //!   blocking protocol's synchronization cost comes from.
 //!
+//! Both run on one [`WaveEngine`]: the wave lifecycle
+//! around the cut — timers, image streams with replica reroute, commit,
+//! aborts — is written once in [`wave`], and each protocol supplies only
+//! what the paper says differs. [`Mlog`], the uncoordinated
+//! message-logging alternative, is an engine of its own.
+//!
 //! Around the protocols: [`server`] models checkpoint servers and the
 //! chunked image/log streams that contend with MPI traffic on the NICs;
 //! [`recovery`] implements the dispatcher's kill-all / restore / replay
@@ -42,6 +48,7 @@ pub mod runner;
 pub mod server;
 pub mod stats;
 pub mod vcl;
+pub mod wave;
 
 pub use config::FtConfig;
 pub use deploy::Deployment;
@@ -57,3 +64,4 @@ pub use runner::{
 pub use server::StoreError;
 pub use stats::FtStats;
 pub use vcl::Vcl;
+pub use wave::WaveEngine;

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::rc::Weak;
 
 use ftmpi_mpi::{
-    AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World, WorldRef,
+    AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World,
 };
 use ftmpi_net::NodeId;
 use ftmpi_sim::{SimCtx, SimTime};
@@ -35,6 +35,7 @@ use crate::flow::{start_flow, FlowSpec};
 use crate::image::RankImage;
 use crate::server::{CheckpointStore, StoredImage};
 use crate::stats::{FtStats, WaveTiming};
+use crate::wave::with_engine;
 
 /// Per-rank logging / checkpoint state.
 struct MlogRank {
@@ -91,46 +92,8 @@ impl Mlog {
         }
     }
 
-    fn with<R>(w: &mut World, f: impl FnOnce(&mut Mlog, &mut RuntimeCore) -> R) -> R {
-        let World { rt, proto } = w;
-        let mlog = proto
-            .as_any_mut()
-            .downcast_mut::<Mlog>()
-            .expect("world protocol is not Mlog");
-        f(mlog, rt)
-    }
-
-    /// Enable the runtime semantics single-rank restart needs and arm the
-    /// staggered per-rank checkpoint timers.
-    pub fn start(world: &WorldRef, sc: &SimCtx) {
-        let mut w = world.borrow_mut();
-        w.rt.suppress_duplicate_seq = true;
-        let n = w.rt.size();
-        let (first, period) = Mlog::with(&mut w, |m, _| (m.cfg.first_wave_delay, m.cfg.period));
-        let handle = w.rt.world_handle();
-        drop(w);
-        for r in 0..n {
-            // Stagger: rank r starts its cycle r/n of a period late, so the
-            // servers never see a synchronized burst (the point of
-            // uncoordinated checkpointing).
-            let at = sc.now() + first + (period * r as u64) / n as u64;
-            Mlog::schedule_rank_ckpt(sc, handle.clone(), r, at, 0);
-        }
-    }
-
-    /// Public re-arm hook used by the single-rank recovery path.
-    pub(crate) fn schedule_rank_ckpt_pub(
-        sc: &SimCtx,
-        handle: Weak<RefCell<World>>,
-        r: Rank,
-        at: SimTime,
-        incarnation: u64,
-    ) {
-        Mlog::schedule_rank_ckpt(sc, handle, r, at, incarnation);
-    }
-
     /// Arm rank `r`'s next checkpoint at `at` (incarnation-guarded).
-    fn schedule_rank_ckpt(
+    pub(crate) fn schedule_rank_ckpt(
         sc: &SimCtx,
         handle: Weak<RefCell<World>>,
         r: Rank,
@@ -154,10 +117,9 @@ impl Mlog {
 
     /// Capture and stream rank `r`'s image; commit on completion.
     fn take_rank_checkpoint(w: &mut World, sc: &SimCtx, r: Rank) {
-        let handle = w.rt.world_handle();
         let incarnation = w.rt.ranks[r].incarnation;
         let mut flow: Option<(FlowSpec, u64, u64)> = None;
-        Mlog::with(w, |m, rt| {
+        with_engine(w, |m: &mut Mlog, rt| {
             let mr = &mut m.ranks[r];
             if mr.ckpt_in_flight {
                 return;
@@ -165,15 +127,10 @@ impl Mlog {
             mr.ckpt_in_flight = true;
             m.stats.waves_started += 1;
             rt.add_penalty(r, m.cfg.fork_cost);
-            let rs = &rt.ranks[r];
-            let credit = rt.capture_credit(r, sc.now());
             let image = RankImage {
-                ops_completed: rs.ops_completed,
-                time_credit: credit,
-                taken_at: sc.now(),
-                pending: rt.snapshot_pending(r),
                 expect_seq: rt.expect_seq_snapshot(r),
                 send_seq: rt.send_seq_snapshot(r),
+                ..RankImage::capture(rt, r, sc.now())
             };
             mr.image_version += 1;
             let version = mr.image_version;
@@ -197,8 +154,7 @@ impl Mlog {
             mr.pending = Some((version, image));
         });
         if let Some((spec, version, log_mark)) = flow {
-            start_flow(w, sc, spec, move |w, sc, done_at| {
-                let _ = handle;
+            start_flow(&mut w.rt, sc, spec, move |w, sc, done_at| {
                 Mlog::image_stored(w, sc, r, version, log_mark, done_at, incarnation);
             });
         }
@@ -217,7 +173,7 @@ impl Mlog {
     ) {
         let handle = w.rt.world_handle();
         let mut next: Option<SimTime> = None;
-        Mlog::with(w, |m, rt| {
+        with_engine(w, |m: &mut Mlog, rt| {
             let image = match m.ranks[r].pending.take() {
                 Some((pv, image)) if pv == version => image,
                 // A completion for a superseded capture: put back whatever
@@ -295,6 +251,21 @@ impl Protocol for Mlog {
 
     fn on_runtime_entry(&mut self, _rt: &mut RuntimeCore, _sc: &SimCtx, _rank: Rank) {}
 
+    /// Enable the runtime semantics single-rank restart needs and arm the
+    /// staggered per-rank checkpoint timers.
+    fn on_job_start(&mut self, rt: &mut RuntimeCore, sc: &SimCtx) {
+        rt.suppress_duplicate_seq = true;
+        let n = rt.size();
+        let handle = rt.world_handle();
+        for r in 0..n {
+            // Stagger: rank r starts its cycle r/n of a period late, so the
+            // servers never see a synchronized burst (the point of
+            // uncoordinated checkpointing).
+            let at = sc.now() + self.cfg.first_wave_delay + (self.cfg.period * r as u64) / n as u64;
+            Mlog::schedule_rank_ckpt(sc, handle.clone(), r, at, 0);
+        }
+    }
+
     fn on_send_post(&mut self, _rt: &mut RuntimeCore, _sc: &SimCtx, _msg: &AppMsg) -> SendAction {
         SendAction::Proceed
     }
@@ -333,7 +304,7 @@ impl Protocol for Mlog {
                 // simply dies.
                 return;
             }
-            Mlog::with(&mut w, |m, _| {
+            with_engine(&mut w, |m: &mut Mlog, _| {
                 let mr = &mut m.ranks[msg.dst];
                 mr.in_flight
                     .retain(|f| !(f.src == msg.src && f.seq == msg.seq));

@@ -44,21 +44,20 @@ use ftmpi_sim::SimDuration;
 use crate::config::FtConfig;
 use crate::flow::{flow_lane, start_flow_guarded, FlowRetry, FlowSpec};
 use crate::image::WaveRecord;
-use crate::pcl::Pcl;
-use crate::runner::ProtocolChoice;
+use crate::mlog::Mlog;
 use crate::server::{CheckpointStore, StoreError, StoredImage};
 use crate::stats::FtStats;
-use crate::vcl::Vcl;
+use crate::wave::{engine_mut, WaveCore, WaveEngine};
 
 /// A failure-path operation was routed to the wrong protocol engine.
 ///
-/// Replaces the old `expect("protocol is not ...")` downcast panics so a
-/// fault-injection campaign reports which scenario broke instead of
-/// aborting the whole process.
+/// A typed error rather than a panic, so a fault-injection campaign
+/// reports which scenario broke instead of aborting the whole process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
-    /// The world's installed protocol does not match the failure router's
-    /// `ProtocolChoice`.
+    /// The failure path does not apply to the world's installed engine: a
+    /// global restart in an Mlog world, or a single-rank restart in any
+    /// other.
     ProtocolMismatch {
         /// Engine the failure path expected.
         expected: &'static str,
@@ -138,8 +137,7 @@ fn detect_slot_damage(
 
 /// Pick the restore wave and account the rollback: the newest retained
 /// committed wave whose server-fetched images all survive *with a
-/// verifying digest*, else older retained waves, else scratch. Shared by
-/// both coordinated engines.
+/// verifying digest*, else older retained waves, else scratch.
 ///
 /// Verification is part of wave choice: a slot whose every replica fails
 /// its digest blocks the candidate exactly like a slot the server failure
@@ -147,15 +145,16 @@ fn detect_slot_damage(
 /// retained one instead of committing a doomed fetch. Damage seen along
 /// the way feeds the detection/quarantine counters; slots the fallback or
 /// the replica walk salvages count as repairs.
-fn plan_restore(
-    committed: &[WaveRecord],
-    store: &mut CheckpointStore,
-    server_node_of: &[NodeId],
-    stats: &mut FtStats,
-    now: SimTime,
-    need_server: &[bool],
-    quarantine_threshold: u64,
-) -> RestoreData {
+fn plan_restore(core: &mut WaveCore, now: SimTime, need_server: &[bool]) -> RestoreData {
+    let WaveCore {
+        committed,
+        store,
+        server_node_of,
+        stats,
+        cfg,
+        ..
+    } = core;
+    let quarantine_threshold = cfg.quarantine_threshold;
     let mut detections = Vec::new();
     let mut quarantines = Vec::new();
     let mut chosen: Option<WaveRecord> = None;
@@ -270,64 +269,6 @@ fn plan_restore(
     }
 }
 
-impl Vcl {
-    pub(crate) fn prepare_restart(
-        w: &mut World,
-        now: SimTime,
-        need_server: &[bool],
-    ) -> Result<RestoreData, RecoveryError> {
-        let World { proto, .. } = w;
-        let found = proto.name();
-        let Some(vcl) = proto.as_any_mut().downcast_mut::<Vcl>() else {
-            return Err(RecoveryError::ProtocolMismatch {
-                expected: "vcl",
-                found,
-            });
-        };
-        vcl.stats.restarts += 1;
-        let server_node_of = vcl.server_nodes_of_ranks();
-        let threshold = vcl.ft_cfg().quarantine_threshold;
-        Ok(plan_restore(
-            &vcl.committed,
-            &mut vcl.store,
-            &server_node_of,
-            &mut vcl.stats,
-            now,
-            need_server,
-            threshold,
-        ))
-    }
-}
-
-impl Pcl {
-    pub(crate) fn prepare_restart(
-        w: &mut World,
-        now: SimTime,
-        need_server: &[bool],
-    ) -> Result<RestoreData, RecoveryError> {
-        let World { proto, .. } = w;
-        let found = proto.name();
-        let Some(pcl) = proto.as_any_mut().downcast_mut::<Pcl>() else {
-            return Err(RecoveryError::ProtocolMismatch {
-                expected: "pcl",
-                found,
-            });
-        };
-        pcl.stats.restarts += 1;
-        let server_node_of = pcl.server_nodes_of_ranks();
-        let threshold = pcl.ft_cfg().quarantine_threshold;
-        Ok(plan_restore(
-            &pcl.committed,
-            &mut pcl.store,
-            &server_node_of,
-            &mut pcl.stats,
-            now,
-            need_server,
-            threshold,
-        ))
-    }
-}
-
 /// Inject a task kill, honoring the detection-latency model.
 ///
 /// With `detection_delay == 0` this *is* [`fail_and_restart`] — the paper's
@@ -341,11 +282,10 @@ pub fn inject_kill(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     victim: usize,
     ft: &FtConfig,
 ) -> Result<(), RecoveryError> {
-    inject_kill_many(sc, world, app, kind, &[victim], ft)
+    inject_kill_many(sc, world, app, &[victim], ft)
 }
 
 /// Inject a *correlated* kill: every rank in `victims` dies at the same
@@ -361,7 +301,6 @@ pub fn inject_kill_many(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     victims: &[usize],
     ft: &FtConfig,
 ) -> Result<(), RecoveryError> {
@@ -369,7 +308,7 @@ pub fn inject_kill_many(
         return Ok(());
     }
     if ft.detection_delay.is_zero() {
-        return fail_and_restart_many(sc, world, app, kind, victims, ft);
+        return fail_and_restart_many(sc, world, app, victims, ft);
     }
     let (handle, epoch) = {
         let mut w = world.borrow_mut();
@@ -405,7 +344,7 @@ pub fn inject_kill_many(
                 return; // a restart already revived the victims
             }
         }
-        if let Err(e) = fail_and_restart_many(sc, &world, &app, kind, &victims, &ft) {
+        if let Err(e) = fail_and_restart_many(sc, &world, &app, &victims, &ft) {
             world.borrow_mut().rt.record_fatal(&e.to_string());
         }
     });
@@ -415,61 +354,24 @@ pub fn inject_kill_many(
 /// Kill a checkpoint-server node (by index into the deployment's server
 /// fleet): every image replica it stored becomes unavailable, partial
 /// waves streaming to it abort, and later restarts fall back to older
-/// retained waves or scratch. Only the coordinated protocols model
-/// checkpoint servers this way; for `Dummy`/`Mlog` the call is a no-op, as
+/// retained waves or scratch. Only the coordinated engines model
+/// checkpoint servers this way; in any other world the call is a no-op, as
 /// is an out-of-range index or a kill after job completion.
-pub fn server_fail(
-    sc: &SimCtx,
-    world: &WorldRef,
-    kind: ProtocolChoice,
-    server_index: usize,
-) -> Result<(), RecoveryError> {
+pub fn server_fail(sc: &SimCtx, world: &WorldRef, server_index: usize) {
     let mut w = world.borrow_mut();
     if w.rt.job_complete() {
-        return Ok(());
+        return;
     }
-    let Some(node) = fleet_node_of(&mut w, kind, server_index)? else {
-        return Ok(());
+    let Some((engine, rt)) = WaveEngine::of(&mut w) else {
+        return;
+    };
+    let Some(node) = engine.core.server_fleet_node(server_index) else {
+        return;
     };
     sc.trace_proto(ftmpi_sim::ProtoEvent::ServerFail {
         node: node.0 as u64,
     });
-    match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-        ProtocolChoice::Vcl => Vcl::on_server_failed(&mut w, sc, node),
-        ProtocolChoice::Pcl => Pcl::on_server_failed(&mut w, sc, node),
-    }
-    Ok(())
-}
-
-/// Resolve a checkpoint-server fleet index to its node for the coordinated
-/// engines; `Ok(None)` for `Dummy`/`Mlog` or an out-of-range index.
-fn fleet_node_of(
-    w: &mut World,
-    kind: ProtocolChoice,
-    server_index: usize,
-) -> Result<Option<NodeId>, RecoveryError> {
-    let World { proto, .. } = w;
-    let found = proto.name();
-    Ok(match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => None,
-        ProtocolChoice::Vcl => proto
-            .as_any_mut()
-            .downcast_mut::<Vcl>()
-            .ok_or(RecoveryError::ProtocolMismatch {
-                expected: "vcl",
-                found,
-            })?
-            .server_fleet_node(server_index),
-        ProtocolChoice::Pcl => proto
-            .as_any_mut()
-            .downcast_mut::<Pcl>()
-            .ok_or(RecoveryError::ProtocolMismatch {
-                expected: "pcl",
-                found,
-            })?
-            .server_fleet_node(server_index),
-    })
+    engine.on_server_failed(rt, sc, node);
 }
 
 /// Silently damage stored image replicas on a checkpoint-server node (by
@@ -478,28 +380,26 @@ fn fleet_node_of(
 /// replica the node holds (whole-disk bit rot). Nothing in the runtime
 /// notices *now* — detection happens when a fetch or scrub pass verifies a
 /// digest, which is the whole point of the injection. No-ops mirror
-/// [`server_fail`]: `Dummy`/`Mlog`, an out-of-range index, a completed
-/// job, or a server holding nothing to damage.
-pub fn corrupt_images(
-    sc: &SimCtx,
-    world: &WorldRef,
-    kind: ProtocolChoice,
-    server_index: usize,
-    rank: Option<usize>,
-) -> Result<(), RecoveryError> {
+/// [`server_fail`]: a world without a coordinated engine, an out-of-range
+/// index, a completed job, or a server holding nothing to damage.
+pub fn corrupt_images(sc: &SimCtx, world: &WorldRef, server_index: usize, rank: Option<usize>) {
     let mut w = world.borrow_mut();
     if w.rt.job_complete() {
-        return Ok(());
+        return;
     }
-    let Some(node) = fleet_node_of(&mut w, kind, server_index)? else {
-        return Ok(());
+    let Some((engine, _)) = WaveEngine::of(&mut w) else {
+        return;
     };
+    let Some(node) = engine.core.server_fleet_node(server_index) else {
+        return;
+    };
+    let store = &mut engine.core.store;
     let damaged: Vec<(u64, usize)> = match rank {
-        Some(r) => with_store(&mut w, kind, |s| s.corrupt_newest(r, node))
-            .flatten()
+        Some(r) => store
+            .corrupt_newest(r, node)
             .map(|wave| vec![(wave, r)])
             .unwrap_or_default(),
-        None => with_store(&mut w, kind, |s| s.corrupt_server(node)).unwrap_or_default(),
+        None => store.corrupt_server(node),
     };
     for (wave, r) in damaged {
         sc.trace_proto(ftmpi_sim::ProtoEvent::Corrupt {
@@ -508,7 +408,18 @@ pub fn corrupt_images(
             node: node.0 as u64,
         });
     }
-    Ok(())
+}
+
+/// Does `w` run the uncoordinated message-logging engine? Its failures
+/// are single-rank restarts ([`mlog_fail_and_restart`]), never the
+/// dispatcher's global one.
+fn runs_mlog(w: &mut World) -> bool {
+    engine_mut::<Mlog>(w).is_some()
+}
+
+/// The coordinated engine's statistics, if `w` runs one.
+fn wave_stats(w: &mut World) -> Option<&mut FtStats> {
+    WaveEngine::of(w).map(|(engine, _)| &mut engine.core.stats)
 }
 
 /// Fail the job (as if `victim`'s task was killed) and orchestrate the
@@ -519,11 +430,10 @@ pub fn fail_and_restart(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     victim: usize,
     ft: &FtConfig,
 ) -> Result<(), RecoveryError> {
-    fail_and_restart_many(sc, world, app, kind, &[victim], ft)
+    fail_and_restart_many(sc, world, app, &[victim], ft)
 }
 
 /// [`fail_and_restart`] for a correlated group of victims: one restart
@@ -543,17 +453,16 @@ pub fn fail_and_restart_many(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     victims: &[usize],
     ft: &FtConfig,
 ) -> Result<(), RecoveryError> {
-    if kind == ProtocolChoice::Mlog {
+    let mut w = world.borrow_mut();
+    if runs_mlog(&mut w) {
         return Err(RecoveryError::ProtocolMismatch {
             expected: "vcl, pcl or dummy",
             found: "mlog",
         });
     }
-    let mut w = world.borrow_mut();
     if w.rt.job_complete() {
         return Ok(());
     }
@@ -582,22 +491,16 @@ pub fn fail_and_restart_many(
         .map(|r| (victims.contains(&r) && ft.fetch_failed_from_server) || !ft.write_local_disk)
         .collect();
 
-    // 2. Pull restore data from the protocol and abort any in-flight wave
-    //    (its partial images are garbage-collected; its flows and timers
-    //    die on the epoch guards).
-    let restore = match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => None, // Mlog rejected above
-        ProtocolChoice::Vcl => {
-            let data = Vcl::prepare_restart(&mut w, now, &need_server)?;
-            Vcl::abort_wave(&mut w, sc);
-            Some(data)
-        }
-        ProtocolChoice::Pcl => {
-            let data = Pcl::prepare_restart(&mut w, now, &need_server)?;
-            Pcl::abort_wave(&mut w, sc);
-            Some(data)
-        }
-    };
+    // 2. Pull restore data from the coordinated engine (none without
+    //    one: a scratch restart) and abort any in-flight wave (its partial
+    //    images are garbage-collected; its flows and timers die on the
+    //    epoch guards).
+    let restore = WaveEngine::of(&mut w).map(|(engine, rt)| {
+        engine.core.stats.restarts += 1;
+        let data = plan_restore(&mut engine.core, now, &need_server);
+        engine.abort_wave(rt, sc, false);
+        data
+    });
     let wave = restore.as_ref().and_then(|d| d.wave.clone());
     if let Some(data) = &restore {
         for &(cw, cr, cnode) in &data.detections {
@@ -714,17 +617,8 @@ pub fn fail_and_restart_many(
     //    blocked behind a fault the re-arm waits for the last probe chain
     //    to land (the join tracks the real latest-ready instant).
     if blocked.is_empty() {
-        let next_wave = latest_ready + ft.period;
-        match kind {
-            ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-            ProtocolChoice::Vcl => {
-                let gen = Vcl::bump_timer_gen(&mut w);
-                Vcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-            }
-            ProtocolChoice::Pcl => {
-                let gen = Pcl::bump_timer_gen(&mut w);
-                Pcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-            }
+        if let Some((engine, rt)) = WaveEngine::of(&mut w) {
+            engine.rearm(rt, sc, latest_ready + ft.period);
         }
     } else {
         let join = Rc::new(RefCell::new(FetchJoin {
@@ -737,7 +631,6 @@ pub fn fail_and_restart_many(
                 FetchProbe {
                     handle: handle.clone(),
                     epoch,
-                    kind,
                     fetch: bf,
                     src_idx: 0,
                     attempt: 0,
@@ -778,7 +671,6 @@ struct FetchJoin {
 struct FetchProbe {
     handle: Weak<RefCell<World>>,
     epoch: u64,
-    kind: ProtocolChoice,
     fetch: BlockedFetch,
     /// Replica currently being probed.
     src_idx: usize,
@@ -849,7 +741,6 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
         let FetchProbe {
             handle,
             epoch,
-            kind,
             fetch,
             mut src_idx,
             mut attempt,
@@ -873,8 +764,8 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             let delay = ft.link_retry_delay(attempt);
             attempt += 1;
             if source.is_none() || attempt >= ft.link_retry_limit.max(1) {
-                if source.is_some() {
-                    with_ft_stats(&mut w, kind, |s| s.retries_exhausted += 1);
+                if let (Some(_), Some(stats)) = (source, wave_stats(&mut w)) {
+                    stats.retries_exhausted += 1;
                 }
                 src_idx += 1;
                 attempt = 0;
@@ -893,7 +784,6 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
                 FetchProbe {
                     handle,
                     epoch,
-                    kind,
                     fetch,
                     src_idx,
                     attempt,
@@ -911,29 +801,32 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
         };
         // Verify-on-fetch: the replica must hash to the digest the wave
         // record implies before the restore commits to it.
-        let verdict = with_store(&mut w, kind, |store| {
-            store
+        let verdict = WaveEngine::of(&mut w).map(|(engine, _)| {
+            engine
+                .core
+                .store
                 .verify_replica(fetch.wave, fetch.rank, source, fetch.expected)
                 .map(|_| ())
         });
         if let Some(Err(err)) = verdict {
             if matches!(err, StoreError::CorruptImage { .. }) {
                 saw_corrupt = true;
-                with_ft_stats(&mut w, kind, |s| s.images_corrupt_detected += 1);
                 sc.trace_proto(ftmpi_sim::ProtoEvent::CorruptDetected {
                     wave: fetch.wave,
                     rank: fetch.rank,
                     node: source.0 as u64,
                 });
-                let quarantined = with_store(&mut w, kind, |store| {
-                    let seen = store.note_corruption(source);
-                    ft.quarantine_threshold > 0
+                let quarantined = WaveEngine::of(&mut w).is_some_and(|(engine, _)| {
+                    let core = &mut engine.core;
+                    core.stats.images_corrupt_detected += 1;
+                    let seen = core.store.note_corruption(source);
+                    let quarantined = ft.quarantine_threshold > 0
                         && seen >= ft.quarantine_threshold
-                        && store.quarantine_server(source)
-                })
-                .unwrap_or(false);
+                        && core.store.quarantine_server(source);
+                    core.stats.servers_quarantined += u64::from(quarantined);
+                    quarantined
+                });
                 if quarantined {
-                    with_ft_stats(&mut w, kind, |s| s.servers_quarantined += 1);
                     sc.trace_proto(ftmpi_sim::ProtoEvent::Quarantine {
                         node: source.0 as u64,
                     });
@@ -958,7 +851,6 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
                 FetchProbe {
                     handle,
                     epoch,
-                    kind,
                     fetch,
                     src_idx,
                     attempt,
@@ -971,15 +863,13 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             );
             return;
         }
-        if src_idx > 0 {
-            with_ft_stats(&mut w, kind, |s| {
-                s.images_rerouted += 1;
-                s.replica_depth_max = s.replica_depth_max.max(src_idx as u64);
-            });
-        }
-        if saw_corrupt {
-            // The walk recovered past damaged bits to a verified copy.
-            with_ft_stats(&mut w, kind, |s| s.images_repaired += 1);
+        if let Some(stats) = wave_stats(&mut w) {
+            if src_idx > 0 {
+                stats.images_rerouted += 1;
+                stats.replica_depth_max = stats.replica_depth_max.max(src_idx as u64);
+            }
+            // A walk past damaged bits to a verified copy is a repair.
+            stats.images_repaired += u64::from(saw_corrupt);
         }
         if verdict.is_some() {
             sc.trace_proto(ftmpi_sim::ProtoEvent::RestoreImage {
@@ -1007,61 +897,10 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             j.latest_ready = j.latest_ready.max(ready);
             (j.remaining == 0).then_some(j.latest_ready)
         };
-        if let Some(latest) = rearm_at {
-            let next_wave = latest + ft.period;
-            match kind {
-                ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-                ProtocolChoice::Vcl => {
-                    let gen = Vcl::bump_timer_gen(&mut w);
-                    Vcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-                }
-                ProtocolChoice::Pcl => {
-                    let gen = Pcl::bump_timer_gen(&mut w);
-                    Pcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-                }
-            }
+        if let (Some(latest), Some((engine, rt))) = (rearm_at, WaveEngine::of(&mut w)) {
+            engine.rearm(rt, sc, latest + ft.period);
         }
     });
-}
-
-/// Run `f` against the coordinated engine's checkpoint store; `None` for
-/// `Dummy`/`Mlog` or on a downcast mismatch.
-fn with_store<T>(
-    w: &mut World,
-    kind: ProtocolChoice,
-    f: impl FnOnce(&mut CheckpointStore) -> T,
-) -> Option<T> {
-    let World { proto, .. } = w;
-    match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => None,
-        ProtocolChoice::Vcl => proto
-            .as_any_mut()
-            .downcast_mut::<Vcl>()
-            .map(|v| f(&mut v.store)),
-        ProtocolChoice::Pcl => proto
-            .as_any_mut()
-            .downcast_mut::<Pcl>()
-            .map(|p| f(&mut p.store)),
-    }
-}
-
-/// Bump a counter in the coordinated engine's `FtStats`; no-op for
-/// `Dummy`/`Mlog` or on a downcast mismatch.
-fn with_ft_stats(w: &mut World, kind: ProtocolChoice, f: impl FnOnce(&mut FtStats)) {
-    let World { proto, .. } = w;
-    match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-        ProtocolChoice::Vcl => {
-            if let Some(v) = proto.as_any_mut().downcast_mut::<Vcl>() {
-                f(&mut v.stats);
-            }
-        }
-        ProtocolChoice::Pcl => {
-            if let Some(p) = proto.as_any_mut().downcast_mut::<Pcl>() {
-                f(&mut p.stats);
-            }
-        }
-    }
 }
 
 /// Tiebreak lane for scrub ticks. The scrubber is a fleet-wide background
@@ -1074,20 +913,20 @@ const SCRUB_LANE: u64 = 1 << 62;
 /// re-verifies every retained replica's digest against its wave record,
 /// launches a re-replication flow from a verified good copy over each
 /// damaged one, and feeds the quarantine threshold. Coordinated engines
-/// only. The service belongs to the checkpoint fleet, not the job epoch —
-/// it survives restarts and stands down only when the job completes.
-pub fn arm_scrubber(sc: &SimCtx, world: &WorldRef, kind: ProtocolChoice, interval: SimDuration) {
-    if matches!(kind, ProtocolChoice::Dummy | ProtocolChoice::Mlog) {
+/// only (a no-op in any other world). The service belongs to the
+/// checkpoint fleet, not the job epoch — it survives restarts and stands
+/// down only when the job completes.
+pub fn arm_scrubber(sc: &SimCtx, world: &WorldRef, interval: SimDuration) {
+    let mut w = world.borrow_mut();
+    if WaveEngine::of(&mut w).is_none() {
         return;
     }
-    let handle = world.borrow().rt.world_handle();
-    schedule_scrub_tick(sc, handle, kind, interval, sc.now() + interval);
+    schedule_scrub_tick(sc, w.rt.world_handle(), interval, sc.now() + interval);
 }
 
 fn schedule_scrub_tick(
     sc: &SimCtx,
     handle: Weak<RefCell<World>>,
-    kind: ProtocolChoice,
     interval: SimDuration,
     at: SimTime,
 ) {
@@ -1100,10 +939,10 @@ fn schedule_scrub_tick(
             if w.rt.job_complete() {
                 return;
             }
-            scrub_pass(&mut w, sc, kind);
+            scrub_pass(&mut w, sc);
         }
         let handle = world.borrow().rt.world_handle();
-        schedule_scrub_tick(sc, handle, kind, interval, sc.now() + interval);
+        schedule_scrub_tick(sc, handle, interval, sc.now() + interval);
     });
 }
 
@@ -1181,38 +1020,16 @@ fn scrub_engine(
 /// still retained, still damaged (an earlier repair may have won), and the
 /// target still takes writes — checked under the world borrow at completion
 /// time.
-fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
-    let scanned = {
-        let World { proto, .. } = &mut *w;
-        match kind {
-            ProtocolChoice::Dummy | ProtocolChoice::Mlog => None,
-            ProtocolChoice::Vcl => proto.as_any_mut().downcast_mut::<Vcl>().map(|v| {
-                let cfg = v.ft_cfg();
-                let (threshold, chunk, retry) = (
-                    cfg.quarantine_threshold,
-                    cfg.chunk_bytes,
-                    FlowRetry::bounded(cfg),
-                );
-                let (d, q, jobs) =
-                    scrub_engine(&v.committed, &mut v.store, &mut v.stats, threshold);
-                (d, q, jobs, chunk, retry)
-            }),
-            ProtocolChoice::Pcl => proto.as_any_mut().downcast_mut::<Pcl>().map(|p| {
-                let cfg = p.ft_cfg();
-                let (threshold, chunk, retry) = (
-                    cfg.quarantine_threshold,
-                    cfg.chunk_bytes,
-                    FlowRetry::bounded(cfg),
-                );
-                let (d, q, jobs) =
-                    scrub_engine(&p.committed, &mut p.store, &mut p.stats, threshold);
-                (d, q, jobs, chunk, retry)
-            }),
-        }
-    };
-    let Some((detections, quarantines, repairs, chunk, retry)) = scanned else {
+fn scrub_pass(w: &mut World, sc: &SimCtx) {
+    let Some((engine, _)) = WaveEngine::of(w) else {
         return;
     };
+    let core = &mut engine.core;
+    let chunk = core.cfg.chunk_bytes;
+    let retry = FlowRetry::bounded(&core.cfg);
+    let threshold = core.cfg.quarantine_threshold;
+    let (detections, quarantines, repairs) =
+        scrub_engine(&core.committed, &mut core.store, &mut core.stats, threshold);
     for &(wave, rank, node) in &detections {
         sc.trace_proto(ftmpi_sim::ProtoEvent::CorruptDetected {
             wave,
@@ -1242,7 +1059,7 @@ fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
             also_disk: false,
         };
         start_flow_guarded(
-            w,
+            &mut w.rt,
             sc,
             spec,
             retry,
@@ -1250,14 +1067,19 @@ fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
             // next tick re-detects and tries again.
             |_, _| {},
             move |w, sc, done| {
-                let recorded = with_store(w, kind, |s| {
-                    if !s.server_holds(wave, rank, node) {
+                let recorded = WaveEngine::of(w).is_some_and(|(engine, _)| {
+                    let core = &mut engine.core;
+                    if !core.store.server_holds(wave, rank, node) {
                         return false; // wave GC'd or the holder died mid-repair
                     }
-                    if s.verify_replica(wave, rank, node, expected).is_ok() {
+                    if core
+                        .store
+                        .verify_replica(wave, rank, node, expected)
+                        .is_ok()
+                    {
                         return false; // an earlier repair already landed
                     }
-                    s.record_image(
+                    let recorded = core.store.record_image(
                         wave,
                         rank,
                         StoredImage {
@@ -1266,11 +1088,11 @@ fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
                             stored_at: done,
                             digest: expected,
                         },
-                    )
-                })
-                .unwrap_or(false);
+                    );
+                    core.stats.images_repaired += u64::from(recorded);
+                    recorded
+                });
                 if recorded {
-                    with_ft_stats(w, kind, |st| st.images_repaired += 1);
                     sc.trace_proto(ftmpi_sim::ProtoEvent::Repair {
                         wave,
                         rank,
@@ -1317,7 +1139,6 @@ pub fn partition_cut(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     ft: &FtConfig,
     name: &str,
     nodes: &[NodeId],
@@ -1325,16 +1146,16 @@ pub fn partition_cut(
     tear: bool,
     service_node: NodeId,
 ) {
-    let (handle, epoch) = {
+    let (handle, epoch, mlog) = {
         let mut w = world.borrow_mut();
         w.rt.net
             .start_partition_with(name, nodes.iter().copied(), direction, tear);
-        (w.rt.world_handle(), w.rt.epoch)
+        (w.rt.world_handle(), w.rt.epoch, runs_mlog(&mut w))
     };
     let Some(grace) = ft.partition_rollback_after else {
         return;
     };
-    if kind == ProtocolChoice::Mlog {
+    if mlog {
         return;
     }
     let name = name.to_string();
@@ -1354,10 +1175,14 @@ pub fn partition_cut(
                 // Healed inside the grace window: heartbeats were merely
                 // late. Zero rollbacks — the epoch-guard analogue of the
                 // detection-delay false-positive suppression.
-                with_ft_stats(&mut w, kind, |s| s.partitions_suppressed += 1);
+                if let Some(stats) = wave_stats(&mut w) {
+                    stats.partitions_suppressed += 1;
+                }
                 return;
             }
-            with_ft_stats(&mut w, kind, |s| s.partitions_expired += 1);
+            if let Some(stats) = wave_stats(&mut w) {
+                stats.partitions_expired += 1;
+            }
             let service_cut = nodes.contains(&service_node);
             (0..w.rt.size())
                 .filter(|&r| nodes.contains(&w.rt.placement.node_of(r)) != service_cut)
@@ -1366,7 +1191,7 @@ pub fn partition_cut(
         if victims.is_empty() {
             return;
         }
-        if let Err(e) = fail_and_restart_many(sc, &world, &app, kind, &victims, &ft) {
+        if let Err(e) = fail_and_restart_many(sc, &world, &app, &victims, &ft) {
             world.borrow_mut().rt.record_fatal(&e.to_string());
         }
     });
@@ -1386,8 +1211,6 @@ pub fn mlog_fail_and_restart(
     victim: usize,
     ft: &FtConfig,
 ) -> Result<(), RecoveryError> {
-    use crate::mlog::Mlog;
-
     let mut w = world.borrow_mut();
     if w.rt.job_complete() || w.rt.ranks[victim].status != RankStatus::Running {
         return Ok(());
@@ -1403,9 +1226,8 @@ pub fn mlog_fail_and_restart(
 
     // Pull the victim's restore data out of the protocol.
     let (image, log, server, in_flight) = {
-        let World { proto, .. } = &mut *w;
-        let found = proto.name();
-        let Some(mlog) = proto.as_any_mut().downcast_mut::<Mlog>() else {
+        let found = w.proto.name();
+        let Some((mlog, _)) = engine_mut::<Mlog>(&mut w) else {
             return Err(RecoveryError::ProtocolMismatch {
                 expected: "mlog",
                 found,
@@ -1477,7 +1299,7 @@ pub fn mlog_fail_and_restart(
         }
         spawn_rank(sc, &world, victim, app);
         let handle2 = world.borrow().rt.world_handle();
-        Mlog::schedule_rank_ckpt_pub(sc, handle2, victim, sc.now() + period, incarnation);
+        Mlog::schedule_rank_ckpt(sc, handle2, victim, sc.now() + period, incarnation);
     });
     Ok(())
 }

@@ -22,6 +22,7 @@ use crate::recovery::{
 };
 use crate::stats::FtStats;
 use crate::vcl::Vcl;
+use crate::wave::{engine_mut, WaveEngine};
 
 /// Which fault-tolerance implementation runs the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -445,8 +446,8 @@ pub fn run_job_explored(
     rt.race_fixture = opts.race_fixture;
     let proto: Box<dyn Protocol> = match spec.protocol {
         ProtocolChoice::Dummy => Box::new(DummyProtocol),
-        ProtocolChoice::Vcl => Box::new(Vcl::new(spec.ft.clone(), &dep)),
-        ProtocolChoice::Pcl => Box::new(Pcl::new(spec.ft.clone(), &dep)),
+        ProtocolChoice::Vcl => Box::new(WaveEngine::new(spec.ft.clone(), &dep, Vcl::new(&dep))),
+        ProtocolChoice::Pcl => Box::new(WaveEngine::new(spec.ft.clone(), &dep, Pcl::default())),
         ProtocolChoice::Mlog => Box::new(Mlog::new(spec.ft.clone(), &dep)),
     };
     let world: WorldRef = World::new_ref(rt, proto);
@@ -473,20 +474,15 @@ pub fn run_job_explored(
         for r in 0..nranks {
             spawn_rank(sc, &w2, r, Arc::clone(&app));
         }
-        match protocol {
-            ProtocolChoice::Dummy => {}
-            ProtocolChoice::Vcl => Vcl::start(&w2, sc),
-            ProtocolChoice::Pcl => Pcl::start(&w2, sc),
-            ProtocolChoice::Mlog => Mlog::start(&w2, sc),
-        }
+        let World { rt, proto } = &mut *w2.borrow_mut();
+        proto.on_job_start(rt, sc);
     });
 
     for &at in &spec.wave_triggers {
         let w2 = Rc::clone(&world);
-        sim.schedule(at, move |sc| match protocol {
-            ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-            ProtocolChoice::Vcl => Vcl::trigger_wave_now(&w2, sc),
-            ProtocolChoice::Pcl => Pcl::trigger_wave_now(&w2, sc),
+        sim.schedule(at, move |sc| {
+            let World { rt, proto } = &mut *w2.borrow_mut();
+            proto.on_checkpoint_request(rt, sc);
         });
     }
 
@@ -497,11 +493,7 @@ pub fn run_job_explored(
     // `FailurePlan::merged`).
     for (at, server) in spec.failures.server_kills.clone() {
         let w2 = Rc::clone(&world);
-        sim.schedule(at, move |sc| {
-            if let Err(e) = server_fail(sc, &w2, protocol, server) {
-                w2.borrow_mut().rt.record_fatal(&e.to_string());
-            }
-        });
+        sim.schedule(at, move |sc| server_fail(sc, &w2, server));
     }
 
     for (at, victim) in spec.failures.kills.clone() {
@@ -512,7 +504,7 @@ pub fn run_job_explored(
             let outcome = if protocol == ProtocolChoice::Mlog {
                 mlog_fail_and_restart(sc, &w2, &app, victim, &ft)
             } else {
-                inject_kill(sc, &w2, &app, protocol, victim, &ft)
+                inject_kill(sc, &w2, &app, victim, &ft)
             };
             if let Err(e) = outcome {
                 w2.borrow_mut().rt.record_fatal(&e.to_string());
@@ -534,16 +526,14 @@ pub fn run_job_explored(
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
             if let Some(idx) = server_idx {
-                if let Err(e) = server_fail(sc, &w2, protocol, idx) {
-                    w2.borrow_mut().rt.record_fatal(&e.to_string());
-                }
+                server_fail(sc, &w2, idx);
             }
             let outcome = if protocol == ProtocolChoice::Mlog {
                 victims
                     .iter()
                     .try_for_each(|&v| mlog_fail_and_restart(sc, &w2, &app, v, &ft))
             } else {
-                inject_kill_many(sc, &w2, &app, protocol, &victims, &ft)
+                inject_kill_many(sc, &w2, &app, &victims, &ft)
             };
             if let Err(e) = outcome {
                 w2.borrow_mut().rt.record_fatal(&e.to_string());
@@ -614,7 +604,6 @@ pub fn run_job_explored(
                 sc,
                 &w2,
                 &app,
-                protocol,
                 &ft,
                 &name,
                 &nodes,
@@ -641,9 +630,7 @@ pub fn run_job_explored(
     for ev in spec.failures.expanded_corruptions() {
         let w2 = Rc::clone(&world);
         sim.schedule_link_fault(ev.at, fault_lane(fault_idx), move |sc| {
-            if let Err(e) = corrupt_images(sc, &w2, protocol, ev.server, ev.rank) {
-                w2.borrow_mut().rt.record_fatal(&e.to_string());
-            }
+            corrupt_images(sc, &w2, ev.server, ev.rank)
         });
         fault_idx += 1;
     }
@@ -657,7 +644,7 @@ pub fn run_job_explored(
         {
             let w2 = Rc::clone(&world);
             sim.schedule(SimTime::ZERO, move |sc| {
-                arm_scrubber(sc, &w2, protocol, interval);
+                arm_scrubber(sc, &w2, interval);
             });
         }
     }
@@ -683,22 +670,7 @@ pub fn run_job_explored(
     let rt_stats = w.rt.stats.clone();
     let (leftover_unexpected, leftover_posted) = w.rt.leftover_messages();
     drop(w);
-    // Pull protocol stats (needs the mutable downcast hook).
-    let ft_stats = {
-        let mut w = world.borrow_mut();
-        let World { proto, .. } = &mut *w;
-        if let Some(vcl) = proto.as_any_mut().downcast_mut::<Vcl>() {
-            vcl.finalize_stats();
-            vcl.stats.clone()
-        } else if let Some(pcl) = proto.as_any_mut().downcast_mut::<Pcl>() {
-            pcl.finalize_stats();
-            pcl.stats.clone()
-        } else if let Some(mlog) = proto.as_any_mut().downcast_mut::<Mlog>() {
-            mlog.stats.clone()
-        } else {
-            FtStats::default()
-        }
-    };
+    let ft_stats = final_ft_stats(&mut world.borrow_mut());
     Ok((
         JobResult {
             completion,
@@ -714,6 +686,17 @@ pub fn run_job_explored(
             steps: report.steps,
         },
     ))
+}
+
+/// The installed engine's statistics at the end of a run (all-zero for
+/// the Dummy protocol).
+fn final_ft_stats(w: &mut World) -> FtStats {
+    if let Some((engine, _)) = WaveEngine::of(w) {
+        return engine.finalize_stats();
+    }
+    engine_mut::<Mlog>(w)
+        .map(|(mlog, _)| mlog.stats.clone())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -25,13 +25,15 @@ use ftmpi_mpi::Rank;
 use ftmpi_net::NodeId;
 use ftmpi_sim::SimTime;
 
-/// XOR mask applied to a stored replica's digest by an injected bit-flip.
-/// The simulation stores no payload bytes, so "some stored bits flipped"
-/// is modelled as the stored digest no longer matching the digest
-/// recomputed from the authoritative wave record. Flipping twice restores
-/// the original — matching real media, where a second upset on the same
-/// bits is (astronomically unlikely but) self-cancelling.
-pub const CORRUPT_FLIP: u64 = 0x5a5a_5a5a_5a5a_5a5a;
+/// Odd step an injected bit-flip adds (wrapping) to a stored replica's
+/// digest. The simulation stores no payload bytes, so "some stored bits
+/// flipped" is modelled as the stored digest no longer matching the digest
+/// recomputed from the authoritative wave record. An odd step generates
+/// all of `u64` under wrapping addition (orbit length 2⁶⁴), so no number
+/// of further flips — a `rot` event landing on a replica a `corrupt` event
+/// already damaged — can ever walk the digest back to the original: damage
+/// persists until a verified write replaces the replica.
+pub const CORRUPT_STEP: u64 = 0x5a5a_5a5a_5a5a_5a5b;
 
 /// XOR mask a torn (truncated) write stamps on the digest it records: the
 /// server received only a prefix of the stream, so what it stores can
@@ -242,15 +244,17 @@ impl CheckpointStore {
 
     /// Flip the stored digest of the (wave, rank) replica on `node` — an
     /// injected bit-flip on that server's disk. Returns whether a replica
-    /// was there to damage. Flipping the same replica twice restores it
-    /// (XOR), which the failure planner never does.
+    /// was there to damage. Flipping an already damaged replica leaves it
+    /// damaged (see [`CORRUPT_STEP`]); only [`record_image`] heals it.
+    ///
+    /// [`record_image`]: CheckpointStore::record_image
     pub fn corrupt_replica(&mut self, wave: u64, rank: Rank, node: NodeId) -> bool {
         if let Some(replica) = self
             .images
             .get_mut(&(wave, rank))
             .and_then(|r| r.iter_mut().find(|i| i.server == node))
         {
-            replica.digest ^= CORRUPT_FLIP;
+            replica.digest = replica.digest.wrapping_add(CORRUPT_STEP);
             return true;
         }
         false
@@ -272,14 +276,17 @@ impl CheckpointStore {
     }
 
     /// Flip every replica currently stored on `node` — a whole-disk
-    /// bit-rot event. Returns the damaged (wave, rank) slots in
+    /// bit-rot event. Like [`corrupt_replica`], a flip never undoes an
+    /// earlier one. Returns the damaged (wave, rank) slots in
     /// deterministic (map) order, for tracing.
+    ///
+    /// [`corrupt_replica`]: CheckpointStore::corrupt_replica
     pub fn corrupt_server(&mut self, node: NodeId) -> Vec<(u64, Rank)> {
         let mut slots = Vec::new();
         for (&(wave, rank), replicas) in self.images.iter_mut() {
             for replica in replicas.iter_mut() {
                 if replica.server == node {
-                    replica.digest ^= CORRUPT_FLIP;
+                    replica.digest = replica.digest.wrapping_add(CORRUPT_STEP);
                     slots.push((wave, rank));
                 }
             }
@@ -736,6 +743,28 @@ mod tests {
         // Whole-server rot touches only node 9's slots here.
         assert_eq!(store.corrupt_server(NodeId(9)), vec![(2, 1)]);
         assert!(!store.has_intact_image(2, 1, 3));
+    }
+
+    #[test]
+    fn a_second_flip_never_heals_and_a_verified_write_does() {
+        let mut store = CheckpointStore::default();
+        let good = StoredImage {
+            digest: 77,
+            ..img_on(NodeId(8), 4)
+        };
+        store.record_image(1, 0, good);
+        // A targeted flip, then whole-disk rot over the same replica.
+        assert!(store.corrupt_replica(1, 0, NodeId(8)));
+        assert_eq!(store.corrupt_server(NodeId(8)), vec![(1, 0)]);
+        assert!(
+            store.verify_replica(1, 0, NodeId(8), 77).is_err(),
+            "two flips must not restore the digest"
+        );
+        assert!(store.corrupt_replica(1, 0, NodeId(8)));
+        assert!(store.verify_replica(1, 0, NodeId(8), 77).is_err());
+        // A verified rewrite of the slot is what clears the damage.
+        assert!(store.record_image(1, 0, good));
+        assert!(store.verify_replica(1, 0, NodeId(8), 77).is_ok());
     }
 
     #[test]

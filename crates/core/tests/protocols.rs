@@ -538,18 +538,20 @@ fn midwave_kill_aborts_wave_and_leaves_no_orphan_images() {
 fn server_loss_falls_back_to_scratch_without_replicas() {
     // One copy per image: killing the victim's primary server destroys all
     // of its committed images, so the next restart starts from scratch.
-    let app = ring_app(100, 10_000, SimDuration::from_millis(100));
-    let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-    spec.failures = FailurePlan::server_kill_at(SimTime::from_nanos(4_000_000_000), 1)
-        .with_kill(SimTime::from_nanos(4_500_000_000), 1);
-    let res = run(spec);
-    assert_eq!(res.rt.restarts, 1);
-    assert!(
-        res.ft.rollback_depth_max >= 1,
-        "rank 1's images lived on server 1; rollback must reach past the lost wave, got depth {}",
-        res.ft.rollback_depth_max
-    );
-    assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        let app = ring_app(100, 10_000, SimDuration::from_millis(100));
+        let mut spec = base_spec(6, proto, app);
+        spec.failures = FailurePlan::server_kill_at(SimTime::from_nanos(4_000_000_000), 1)
+            .with_kill(SimTime::from_nanos(4_500_000_000), 1);
+        let res = run(spec);
+        assert_eq!(res.rt.restarts, 1);
+        assert!(
+            res.ft.rollback_depth_max >= 1,
+            "rank 1's images lived on server 1; rollback must reach past the lost wave, got depth {}",
+            res.ft.rollback_depth_max
+        );
+        assert_clean(&res);
+    }
 }
 
 #[test]
@@ -592,25 +594,27 @@ fn partition_outliving_the_job_surrenders_waves_but_completes() {
     // and surrenders, so no wave ever commits — but application traffic is
     // out of the partition's scope (it models stalled checkpoint transport,
     // not node death), so the job itself must still finish.
-    let app = ring_app(100, 10_000, SimDuration::from_millis(200));
-    let mut spec = base_spec(6, ProtocolChoice::Pcl, app);
-    spec.net_faults = NetFaultPlan::none().with_partition(
-        "forever",
-        vec![NodeId(0)],
-        SimTime::from_nanos(1_500_000_000),
-        None,
-    );
-    // Paused control traffic to the dead side keeps probing until the cap.
-    spec.max_virtual_time = Some(SimTime::from_nanos(120_000_000_000));
-    let res = run(spec);
-    assert_eq!(res.waves(), 0, "no wave can commit without rank 0's image");
-    assert!(
-        res.ft.waves_aborted >= 1,
-        "the push retry budget must surrender, aborting the wave"
-    );
-    assert_eq!(res.rt.restarts, 0);
-    assert!(res.rt.link_retries >= u64::from(FtConfig::default().link_retry_limit));
-    assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        let app = ring_app(100, 10_000, SimDuration::from_millis(200));
+        let mut spec = base_spec(6, proto, app);
+        spec.net_faults = NetFaultPlan::none().with_partition(
+            "forever",
+            vec![NodeId(0)],
+            SimTime::from_nanos(1_500_000_000),
+            None,
+        );
+        // Paused control traffic to the dead side keeps probing until the cap.
+        spec.max_virtual_time = Some(SimTime::from_nanos(120_000_000_000));
+        let res = run(spec);
+        assert_eq!(res.waves(), 0, "no wave can commit without rank 0's image");
+        assert!(
+            res.ft.waves_aborted >= 1,
+            "the push retry budget must surrender, aborting the wave"
+        );
+        assert_eq!(res.rt.restarts, 0);
+        assert!(res.rt.link_retries >= u64::from(FtConfig::default().link_retry_limit));
+        assert_clean(&res);
+    }
 }
 
 #[test]
@@ -626,26 +630,28 @@ fn heal_exactly_at_the_retry_deadline_lands_the_probe() {
     let first_probe = kill + ft.restart_delay.as_nanos();
     // Failed probes at +0 and +base; the +3·base probe ties with the heal.
     let deadline = first_probe + 3 * ft.link_retry_base.as_nanos();
-    for (heal, want_retries) in [(deadline, 2), (deadline + 1, 3)] {
-        let app = ring_app(100, 10_000, SimDuration::from_millis(200));
-        let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-        spec.failures = FailurePlan::kill_at(SimTime::from_nanos(kill), 1);
-        spec.net_faults = NetFaultPlan::none().with_partition(
-            "fetch-window",
-            vec![NodeId(1)],
-            SimTime::from_nanos(kill - 100_000_000),
-            Some(SimTime::from_nanos(heal)),
-        );
-        let res = run(spec);
-        assert_eq!(res.rt.restarts, 1);
-        assert_eq!(
-            res.rt.link_retries,
-            want_retries,
-            "heal at first_probe+{} ns must cost exactly {want_retries} probe retries",
-            heal - first_probe
-        );
-        assert_eq!(res.ft.images_refetched, 1, "one victim, one fetch");
-        assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        for (heal, want_retries) in [(deadline, 2), (deadline + 1, 3)] {
+            let app = ring_app(100, 10_000, SimDuration::from_millis(200));
+            let mut spec = base_spec(6, proto, app);
+            spec.failures = FailurePlan::kill_at(SimTime::from_nanos(kill), 1);
+            spec.net_faults = NetFaultPlan::none().with_partition(
+                "fetch-window",
+                vec![NodeId(1)],
+                SimTime::from_nanos(kill - 100_000_000),
+                Some(SimTime::from_nanos(heal)),
+            );
+            let res = run(spec);
+            assert_eq!(res.rt.restarts, 1);
+            assert_eq!(
+                res.rt.link_retries,
+                want_retries,
+                "heal at first_probe+{} ns must cost exactly {want_retries} probe retries",
+                heal - first_probe
+            );
+            assert_eq!(res.ft.images_refetched, 1, "one victim, one fetch");
+            assert_clean(&res);
+        }
     }
 }
 
@@ -656,28 +662,30 @@ fn node_kill_of_an_already_partitioned_node_recovers_after_heal() {
     // the heal, so it rides the probe chain across it — one restart, one
     // fetch, bounded retries, clean completion.
     let t0 = 8_500_000_000u64;
-    let app = ring_app(100, 10_000, SimDuration::from_millis(200));
-    let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-    spec.failures = FailurePlan::node_kill_at(SimTime::from_nanos(t0 + 500_000_000), 2);
-    spec.net_faults = NetFaultPlan::none().with_partition(
-        "pre-cut",
-        vec![NodeId(2)],
-        SimTime::from_nanos(t0),
-        Some(SimTime::from_nanos(t0 + 6_500_000_000)),
-    );
-    let res = run(spec);
-    assert_eq!(res.rt.restarts, 1, "one node death, one correlated restart");
-    assert_eq!(res.ft.images_refetched, 1);
-    assert!(
-        res.rt.link_retries >= 1,
-        "the fetch must probe the cut before the heal lets it through"
-    );
-    assert!(
-        res.rt.link_retries <= u64::from(FtConfig::default().link_retry_limit) * 2,
-        "retries must stay on the bounded ladder, got {}",
-        res.rt.link_retries
-    );
-    assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        let app = ring_app(100, 10_000, SimDuration::from_millis(200));
+        let mut spec = base_spec(6, proto, app);
+        spec.failures = FailurePlan::node_kill_at(SimTime::from_nanos(t0 + 500_000_000), 2);
+        spec.net_faults = NetFaultPlan::none().with_partition(
+            "pre-cut",
+            vec![NodeId(2)],
+            SimTime::from_nanos(t0),
+            Some(SimTime::from_nanos(t0 + 6_500_000_000)),
+        );
+        let res = run(spec);
+        assert_eq!(res.rt.restarts, 1, "one node death, one correlated restart");
+        assert_eq!(res.ft.images_refetched, 1);
+        assert!(
+            res.rt.link_retries >= 1,
+            "the fetch must probe the cut before the heal lets it through"
+        );
+        assert!(
+            res.rt.link_retries <= u64::from(FtConfig::default().link_retry_limit) * 2,
+            "retries must stay on the bounded ladder, got {}",
+            res.rt.link_retries
+        );
+        assert_clean(&res);
+    }
 }
 
 #[test]
@@ -728,19 +736,21 @@ fn coincident_server_and_rank_kill_restores_from_surviving_replica() {
 fn server_loss_with_replicas_restores_from_survivor() {
     // Two copies per image: the same server loss costs nothing — the
     // restart fetches the victim's image from the surviving replica.
-    let app = ring_app(100, 10_000, SimDuration::from_millis(100));
-    let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-    spec.ft = spec.ft.with_replicas(2);
-    spec.failures = FailurePlan::server_kill_at(SimTime::from_nanos(4_000_000_000), 1)
-        .with_kill(SimTime::from_nanos(4_500_000_000), 1);
-    let res = run(spec);
-    assert_eq!(res.rt.restarts, 1);
-    assert_eq!(
-        res.ft.rollback_depth_max, 0,
-        "the surviving replica keeps the newest wave usable"
-    );
-    assert!(res.ft.images_refetched >= 1);
-    assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        let app = ring_app(100, 10_000, SimDuration::from_millis(100));
+        let mut spec = base_spec(6, proto, app);
+        spec.ft = spec.ft.with_replicas(2);
+        spec.failures = FailurePlan::server_kill_at(SimTime::from_nanos(4_000_000_000), 1)
+            .with_kill(SimTime::from_nanos(4_500_000_000), 1);
+        let res = run(spec);
+        assert_eq!(res.rt.restarts, 1);
+        assert_eq!(
+            res.ft.rollback_depth_max, 0,
+            "the surviving replica keeps the newest wave usable"
+        );
+        assert!(res.ft.images_refetched >= 1);
+        assert_clean(&res);
+    }
 }
 
 #[test]
@@ -799,28 +809,30 @@ fn directed_heal_exactly_at_the_retry_deadline_lands_the_probe() {
     let ft = FtConfig::default();
     let first_probe = kill + ft.restart_delay.as_nanos();
     let deadline = first_probe + 3 * ft.link_retry_base.as_nanos();
-    for (heal, want_retries) in [(deadline, 2), (deadline + 1, 3)] {
-        let app = ring_app(100, 10_000, SimDuration::from_millis(200));
-        let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-        spec.failures = FailurePlan::kill_at(SimTime::from_nanos(kill), 1);
-        spec.net_faults = NetFaultPlan::none().with_partition_directed(
-            "fetch-window-outbound",
-            vec![NodeId(1)],
-            CutDirection::Outbound,
-            SimTime::from_nanos(kill - 100_000_000),
-            Some(SimTime::from_nanos(heal)),
-        );
-        let res = run(spec);
-        assert_eq!(res.rt.restarts, 1);
-        assert_eq!(
-            res.rt.link_retries,
-            want_retries,
-            "outbound-only heal at first_probe+{} ns must cost exactly {want_retries} probe \
-             retries, same as a symmetric cut",
-            heal - first_probe
-        );
-        assert_eq!(res.ft.images_refetched, 1, "one victim, one fetch");
-        assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        for (heal, want_retries) in [(deadline, 2), (deadline + 1, 3)] {
+            let app = ring_app(100, 10_000, SimDuration::from_millis(200));
+            let mut spec = base_spec(6, proto, app);
+            spec.failures = FailurePlan::kill_at(SimTime::from_nanos(kill), 1);
+            spec.net_faults = NetFaultPlan::none().with_partition_directed(
+                "fetch-window-outbound",
+                vec![NodeId(1)],
+                CutDirection::Outbound,
+                SimTime::from_nanos(kill - 100_000_000),
+                Some(SimTime::from_nanos(heal)),
+            );
+            let res = run(spec);
+            assert_eq!(res.rt.restarts, 1);
+            assert_eq!(
+                res.rt.link_retries,
+                want_retries,
+                "outbound-only heal at first_probe+{} ns must cost exactly {want_retries} probe \
+                 retries, same as a symmetric cut",
+                heal - first_probe
+            );
+            assert_eq!(res.ft.images_refetched, 1, "one victim, one fetch");
+            assert_clean(&res);
+        }
     }
 }
 
@@ -900,30 +912,32 @@ fn corruption_landing_at_the_exact_retry_deadline_walks_to_the_replica() {
     let first_probe = kill + ft.restart_delay.as_nanos();
     // Failed probes at +0 and +base; the +3·base probe ties with the heal.
     let deadline = first_probe + 3 * ft.link_retry_base.as_nanos();
-    let app = ring_app(100, 10_000, SimDuration::from_millis(200));
-    let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-    spec.ft = spec.ft.with_replicas(2);
-    spec.failures = FailurePlan::kill_at(SimTime::from_nanos(kill), 1)
-        // The walk visits servers in ascending node order, so fleet
-        // index 0 is the copy the planned fetch tries first.
-        .with_corruption(SimTime::from_nanos(deadline), 0, 1);
-    spec.net_faults = NetFaultPlan::none().with_partition(
-        "fetch-window",
-        vec![NodeId(1)],
-        SimTime::from_nanos(kill - 100_000_000),
-        Some(SimTime::from_nanos(deadline)),
-    );
-    let res = run(spec);
-    assert_eq!(res.rt.restarts, 1);
-    assert_eq!(
-        res.rt.link_retries, 2,
-        "the corrupt copy is rejected at verify time, not by more probes"
-    );
-    assert_eq!(res.ft.images_corrupt_detected, 1, "one flip, one detection");
-    assert_eq!(res.ft.images_repaired, 1, "the walk salvages the sibling");
-    assert_eq!(res.ft.images_rerouted, 1);
-    assert_eq!(res.ft.replica_depth_max, 1);
-    assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        let app = ring_app(100, 10_000, SimDuration::from_millis(200));
+        let mut spec = base_spec(6, proto, app);
+        spec.ft = spec.ft.with_replicas(2);
+        spec.failures = FailurePlan::kill_at(SimTime::from_nanos(kill), 1)
+            // The walk visits servers in ascending node order, so fleet
+            // index 0 is the copy the planned fetch tries first.
+            .with_corruption(SimTime::from_nanos(deadline), 0, 1);
+        spec.net_faults = NetFaultPlan::none().with_partition(
+            "fetch-window",
+            vec![NodeId(1)],
+            SimTime::from_nanos(kill - 100_000_000),
+            Some(SimTime::from_nanos(deadline)),
+        );
+        let res = run(spec);
+        assert_eq!(res.rt.restarts, 1);
+        assert_eq!(
+            res.rt.link_retries, 2,
+            "the corrupt copy is rejected at verify time, not by more probes"
+        );
+        assert_eq!(res.ft.images_corrupt_detected, 1, "one flip, one detection");
+        assert_eq!(res.ft.images_repaired, 1, "the walk salvages the sibling");
+        assert_eq!(res.ft.images_rerouted, 1);
+        assert_eq!(res.ft.replica_depth_max, 1);
+        assert_clean(&res);
+    }
 }
 
 #[test]
@@ -965,30 +979,32 @@ fn corrupting_an_empty_store_at_time_zero_is_a_noop() {
     // slot cannot be damaged — the events must expand, schedule, and
     // apply as no-ops, and a later kill restores from the (untouched)
     // images pushed afterwards exactly like a corruption-free twin.
-    let mk = |corrupt: bool| {
-        let app = ring_app(100, 10_000, SimDuration::from_millis(200));
-        let mut spec = base_spec(6, ProtocolChoice::Vcl, app);
-        spec.failures = FailurePlan::kill_at(SimTime::from_nanos(9_000_000_000), 2);
-        if corrupt {
-            spec.failures = spec
-                .failures
-                .with_server_corruption(SimTime::ZERO, 0)
-                .with_server_corruption(SimTime::ZERO, 1);
-        }
-        run(spec)
-    };
-    let twin = mk(false);
-    let res = mk(true);
-    assert_eq!(
-        res.ft.images_corrupt_detected, 0,
-        "nothing stored, nothing damaged"
-    );
-    assert_eq!(res.ft.images_repaired, 0);
-    assert_eq!(res.rt.restarts, 1);
-    assert_eq!(
-        res.completion_secs(),
-        twin.completion_secs(),
-        "a no-op corruption schedule must not perturb the restart timing"
-    );
-    assert_clean(&res);
+    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
+        let mk = |corrupt: bool| {
+            let app = ring_app(100, 10_000, SimDuration::from_millis(200));
+            let mut spec = base_spec(6, proto, app);
+            spec.failures = FailurePlan::kill_at(SimTime::from_nanos(9_000_000_000), 2);
+            if corrupt {
+                spec.failures = spec
+                    .failures
+                    .with_server_corruption(SimTime::ZERO, 0)
+                    .with_server_corruption(SimTime::ZERO, 1);
+            }
+            run(spec)
+        };
+        let twin = mk(false);
+        let res = mk(true);
+        assert_eq!(
+            res.ft.images_corrupt_detected, 0,
+            "nothing stored, nothing damaged"
+        );
+        assert_eq!(res.ft.images_repaired, 0);
+        assert_eq!(res.rt.restarts, 1);
+        assert_eq!(
+            res.completion_secs(),
+            twin.completion_secs(),
+            "a no-op corruption schedule must not perturb the restart timing"
+        );
+        assert_clean(&res);
+    }
 }

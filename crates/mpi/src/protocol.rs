@@ -11,7 +11,11 @@
 //! * [`Protocol::on_runtime_entry`] — in the blocking protocol, markers are
 //!   only handled when the process is inside the MPI library (the progress
 //!   engine runs); the non-blocking protocol handles them asynchronously in
-//!   its separate daemon process and ignores this hook.
+//!   its separate daemon process and ignores this hook;
+//! * [`Protocol::on_job_start`] and [`Protocol::on_checkpoint_request`] —
+//!   the dispatcher arms the engine's checkpoint timers once the ranks are
+//!   spawned, and may ask for a wave early (the failure-prediction trigger
+//!   of the paper's conclusion).
 
 use std::any::Any;
 
@@ -68,6 +72,17 @@ pub trait Protocol {
     /// A rank's application code finished (rank reached `Mpi::finalize`).
     fn on_rank_finished(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, rank: Rank) {
         let _ = (rt, sc, rank);
+    }
+
+    /// Every rank was just spawned: arm the engine's checkpoint timers.
+    fn on_job_start(&mut self, rt: &mut RuntimeCore, sc: &SimCtx) {
+        let _ = (rt, sc);
+    }
+
+    /// A proactive checkpoint was requested (a failure predictor fired):
+    /// coordinated engines start a wave now unless one is in flight.
+    fn on_checkpoint_request(&mut self, rt: &mut RuntimeCore, sc: &SimCtx) {
+        let _ = (rt, sc);
     }
 
     /// Downcast support so `ftmpi-core` controller events can reach their

@@ -42,6 +42,12 @@ done
 echo "==> ftmpi-check explore --smoke (DPOR over tied schedules, BENCH_explore.json)"
 cargo run -q --release -p ftmpi-check -- explore --smoke
 
+echo "==> ftmpi-check storm --mine (full-budget miner: zero violations)"
+# The full budget reaches genomes the smoke budget does not (e.g. a rot
+# and a corrupt gene landing on one replica). It runs before the smoke
+# pair so the smoke pair still writes BENCH_storm.json and the corpus last.
+cargo run -q --release -p ftmpi-check -- storm --mine
+
 echo "==> ftmpi-check storm --mine --smoke (coverage-guided miner, BENCH_storm.json)"
 cargo run -q --release -p ftmpi-check -- storm --mine --smoke | tee "$DIFF_TMP/mine-1.log"
 cp BENCH_storm.json "$DIFF_TMP/mine-1.json"
