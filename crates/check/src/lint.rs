@@ -70,13 +70,7 @@ const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
 /// The declared environment-toggle registry: the complete set of `FTMPI_*`
 /// variables the workspace may read. Every entry must also appear in the
 /// README's toggle table (checked by [`env_registry_hits`]).
-pub const ENV_TOGGLES: &[&str] = &[
-    "FTMPI_NO_BATCH",
-    "FTMPI_NO_CACHE",
-    "FTMPI_MINE_BUDGET",
-    "FTMPI_NO_MINE",
-    "FTMPI_NO_SCRUB",
-];
+pub const ENV_TOGGLES: &[&str] = &["FTMPI_NO_BATCH", "FTMPI_NO_CACHE"];
 
 /// Files audited by the `sim-audit` rule. The checkpoint store rides
 /// along with the kernel memory files: replica lookups must surface

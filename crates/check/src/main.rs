@@ -19,9 +19,9 @@
 //!   seeded mutation over fault schedules (kills, directed partitions,
 //!   server-group cuts, link flaps), keeping a corpus of schedules that
 //!   light new coverage states under `results/storm/` and shrinking any
-//!   violation to a minimal reproducer. Emits `BENCH_storm.json`.
-//!   `FTMPI_MINE_BUDGET` overrides the mutation budget; `FTMPI_NO_MINE`
-//!   skips the pass. `storm --replay FILE` re-runs a mined reproducer.
+//!   violation to a minimal reproducer. Emits `BENCH_storm.json`. The
+//!   mutation budget is 96 rounds per protocol, 12 with `--smoke`.
+//!   `storm --replay FILE` re-runs a mined reproducer.
 //! * `figures [--full]` — drive every figure workload family through the
 //!   checker with churn variants. `--full` uses the paper-sized classes.
 //! * `explore [--smoke] [--replay FILE]` — exhaustively enumerate the
@@ -238,18 +238,9 @@ fn mine_record(report: &ftmpi_check::MineReport) -> Vec<JsonObject> {
 }
 
 fn cmd_mine(smoke: bool) -> ExitCode {
-    // CI off-switch: skip the mining pass entirely under FTMPI_NO_MINE.
-    if std::env::var_os("FTMPI_NO_MINE").is_some() {
-        println!("mine: skipped (FTMPI_NO_MINE)");
-        return ExitCode::SUCCESS;
-    }
-    // Mutation budget per protocol; FTMPI_MINE_BUDGET overrides.
-    let rounds = std::env::var("FTMPI_MINE_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 12 } else { 96 });
+    // Mutation budget per protocol.
     let report = mine(MineOptions {
-        rounds,
+        rounds: if smoke { 12 } else { 96 },
         seed: 0xf17a,
     });
     let root = workspace_root();

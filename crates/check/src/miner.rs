@@ -29,13 +29,14 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
+use ftmpi_bench::proto_name;
 use ftmpi_core::{FailurePlan, JobSpec, ProtocolChoice, SilentCorruptionSpec};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId};
 use ftmpi_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::storm::{profile, ring_spec, run_storm, StormOutcome};
+use crate::storm::{ring_profile, ring_spec, run_storm, StormOutcome};
 
 /// Ranks in the mined workload (the storm ring).
 const NRANKS: usize = 8;
@@ -286,10 +287,7 @@ impl Gene {
 impl Genome {
     /// One-line corpus form: `proto=… replicas=… genes=a;b;c`.
     pub fn encode(&self) -> String {
-        let proto = match self.proto {
-            ProtocolChoice::Pcl => "pcl",
-            _ => "vcl",
-        };
+        let proto = proto_name(self.proto);
         let genes: Vec<String> = self.genes.iter().map(Gene::encode).collect();
         format!(
             "proto={proto} replicas={} genes={}",
@@ -908,9 +906,8 @@ pub fn mine(opts: MineOptions) -> MineReport {
         violations: Vec::new(),
     };
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        let prof = match profile(ring_spec(proto)) {
-            Ok(p) if p.waves.len() >= 2 => p,
-            _ => continue,
+        let Ok(prof) = ring_profile(proto) else {
+            continue;
         };
         let (w0s, w0c) = prof.waves[0];
         let (_, w1c) = prof.waves[1];
@@ -978,10 +975,7 @@ pub fn mine(opts: MineOptions) -> MineReport {
 
 /// Serialize one reproducer in the explorer's `key=value` artifact format.
 pub fn encode_artifact(v: &MinedViolation) -> String {
-    let proto = match v.genome.proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+    let proto = proto_name(v.genome.proto);
     let genes: Vec<String> = v.genome.genes.iter().map(Gene::encode).collect();
     format!(
         "# ftmpi-check storm miner reproducer\n\

@@ -32,8 +32,9 @@
 //! [`storm_campaign`] runs deterministic scenarios covering each window for
 //! both protocols, then seeded randomized storms whose kill times are
 //! biased toward wave and recovery windows measured from a clean profiling
-//! run of the same workload.
+//! run of the same workload (one per protocol, shared by every family).
 
+use ftmpi_bench::proto_name;
 use ftmpi_core::{run_job_with, FailurePlan, JobSpec, ProtocolChoice, RunOptions};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId};
 use ftmpi_sim::{ProtoEvent, SimDuration, SimTime, TraceEvent, TraceKind};
@@ -110,7 +111,7 @@ pub(crate) struct CleanProfile {
     pub(crate) waves: Vec<(u64, u64)>,
 }
 
-pub(crate) fn profile(spec: JobSpec) -> Result<CleanProfile, String> {
+fn profile(spec: JobSpec) -> Result<CleanProfile, String> {
     let (res, trace) = run_job_with(
         spec,
         RunOptions {
@@ -139,6 +140,20 @@ pub(crate) fn profile(spec: JobSpec) -> Result<CleanProfile, String> {
         end_ns: res.completion.as_nanos(),
         waves,
     })
+}
+
+/// The clean profile of [`ring_spec`] that every ring-based family aims its
+/// faults with, or why there is none (the run failed, or it committed
+/// fewer than the two waves the families aim between).
+pub(crate) fn ring_profile(proto: ProtocolChoice) -> Result<CleanProfile, String> {
+    let prof = profile(ring_spec(proto))?;
+    if prof.waves.len() < 2 {
+        return Err(format!(
+            "clean run committed only {} wave(s)",
+            prof.waves.len()
+        ));
+    }
+    Ok(prof)
 }
 
 /// The storm workload: the smoke ring at 8 ranks over two servers, long
@@ -282,26 +297,9 @@ fn commits_within(trace: &[TraceEvent], start_ns: u64, end_ns: u64) -> Vec<u64> 
 const RETRY_BOUND: u64 = 512;
 
 /// Deterministic scenarios for one protocol on the ring workload.
-fn ring_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
-    let tag = match proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+fn ring_scenarios(proto: ProtocolChoice, prof: &CleanProfile, out: &mut Vec<StormOutcome>) {
+    let tag = proto_name(proto);
     let base = ring_spec(proto);
-    let prof = match profile(base.clone()) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(profile_failure(&format!("storm.profile.{tag}"), e));
-            return;
-        }
-    };
-    if prof.waves.len() < 2 {
-        out.push(profile_failure(
-            &format!("storm.profile.{tag}"),
-            format!("clean run committed only {} wave(s)", prof.waves.len()),
-        ));
-        return;
-    }
     let n = base.nranks;
     let (w0s, w0c) = prof.waves[0];
     let (_, w1c) = prof.waves[1];
@@ -417,29 +415,9 @@ fn ring_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
 /// dispatcher and every peer — so checkpoint pushes, wave control traffic
 /// and restore fetches touching it must pause, retry with bounded backoff,
 /// and resume at heal.
-fn partition_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
-    let tag = match proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+fn partition_scenarios(proto: ProtocolChoice, prof: &CleanProfile, out: &mut Vec<StormOutcome>) {
+    let tag = proto_name(proto);
     let base = ring_spec(proto);
-    let prof = match profile(base.clone()) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(profile_failure(
-                &format!("storm.partition.profile.{tag}"),
-                e,
-            ));
-            return;
-        }
-    };
-    if prof.waves.len() < 2 {
-        out.push(profile_failure(
-            &format!("storm.partition.profile.{tag}"),
-            format!("clean run committed only {} wave(s)", prof.waves.len()),
-        ));
-        return;
-    }
     let cut_node = vec![NodeId(0)];
     let (w0s, _) = prof.waves[0];
     let (_, w1c) = prof.waves[1];
@@ -620,11 +598,8 @@ fn partition_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
 
 /// Correlated node-death scenarios for one protocol: a node kill takes out
 /// everything the node hosted in one atomic event.
-fn node_kill_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
-    let tag = match proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+fn node_kill_scenarios(proto: ProtocolChoice, prof: &CleanProfile, out: &mut Vec<StormOutcome>) {
+    let tag = proto_name(proto);
 
     // Colocated ranks: two ranks per node (threshold forced down), so one
     // node death kills both in a single correlated restart.
@@ -660,37 +635,23 @@ fn node_kill_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
     // Server node and rank node die together, and the dead server held the
     // victim's only replica (round-robin puts every one of rank 0's images
     // on server 0): the restore must roll back past every retained wave.
-    let base = ring_spec(proto);
-    match profile(base.clone()) {
-        Ok(prof) if prof.waves.len() >= 2 => {
-            let (_, w1c) = prof.waves[1];
-            let t = SimTime::from_nanos(w1c + 300_000_000);
-            let mut spec = base.clone();
-            spec.ft = spec.ft.with_retained_waves(2);
-            // Node 8 hosts server 0; node 0 hosts rank 0 (its client).
-            spec.failures = FailurePlan::node_kill_at(t, 8).with_node_kill(t, 0);
-            let mut o = run_storm(&format!("storm.nodekill.soloreplica.{tag}"), spec);
-            let (restarts, depth) = (o.restarts, o.rollback_depth_max);
-            o.expect(
-                restarts == 1,
-                format!("expected one correlated restart, got {restarts}"),
-            );
-            o.expect(
-                depth >= 1,
-                "losing the victim's only replica server must roll back past the newest wave"
-                    .to_string(),
-            );
-            out.push(o);
-        }
-        Ok(prof) => out.push(profile_failure(
-            &format!("storm.nodekill.soloreplica.{tag}"),
-            format!("clean run committed only {} wave(s)", prof.waves.len()),
-        )),
-        Err(e) => out.push(profile_failure(
-            &format!("storm.nodekill.soloreplica.{tag}"),
-            e,
-        )),
-    }
+    let (_, w1c) = prof.waves[1];
+    let t = SimTime::from_nanos(w1c + 300_000_000);
+    let mut spec = ring_spec(proto);
+    spec.ft = spec.ft.with_retained_waves(2);
+    // Node 8 hosts server 0; node 0 hosts rank 0 (its client).
+    spec.failures = FailurePlan::node_kill_at(t, 8).with_node_kill(t, 0);
+    let mut o = run_storm(&format!("storm.nodekill.soloreplica.{tag}"), spec);
+    let (restarts, depth) = (o.restarts, o.rollback_depth_max);
+    o.expect(
+        restarts == 1,
+        format!("expected one correlated restart, got {restarts}"),
+    );
+    o.expect(
+        depth >= 1,
+        "losing the victim's only replica server must roll back past the newest wave".to_string(),
+    );
+    out.push(o);
 }
 
 /// Asymmetric-fault scenarios for one protocol: flapping push links,
@@ -699,26 +660,9 @@ fn node_kill_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
 /// double-send) across half-open cuts, pushes must reroute or walk replicas
 /// when a server group goes dark, and the watchdog must classify every
 /// grace window as suppressed or expired.
-fn asymmetry_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
-    let tag = match proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+fn asymmetry_scenarios(proto: ProtocolChoice, prof: &CleanProfile, out: &mut Vec<StormOutcome>) {
+    let tag = proto_name(proto);
     let base = ring_spec(proto);
-    let prof = match profile(base.clone()) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(profile_failure(&format!("storm.asym.profile.{tag}"), e));
-            return;
-        }
-    };
-    if prof.waves.len() < 2 {
-        out.push(profile_failure(
-            &format!("storm.asym.profile.{tag}"),
-            format!("clean run committed only {} wave(s)", prof.waves.len()),
-        ));
-        return;
-    }
     let (w0s, _) = prof.waves[0];
     let (_, w1c) = prof.waves[1];
 
@@ -890,11 +834,8 @@ fn asymmetry_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
 /// damaged replica, no placement on a quarantined server) these assert the
 /// repair accounting: every injected corruption is either walked past /
 /// re-replicated (counted) or pushes the restore to an older retained wave.
-fn integrity_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
-    let tag = match proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+fn integrity_scenarios(proto: ProtocolChoice, prof: &CleanProfile, out: &mut Vec<StormOutcome>) {
+    let tag = proto_name(proto);
     let base = ring_spec(proto);
 
     // Flip-under-restore and scrubber-races-restart share a two-replica
@@ -971,20 +912,6 @@ fn integrity_scenarios(proto: ProtocolChoice, out: &mut Vec<StormOutcome>) {
         )),
     }
 
-    let prof = match profile(base.clone()) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(profile_failure(&format!("storm.corrupt.profile.{tag}"), e));
-            return;
-        }
-    };
-    if prof.waves.len() < 2 {
-        out.push(profile_failure(
-            &format!("storm.corrupt.profile.{tag}"),
-            format!("clean run committed only {} wave(s)", prof.waves.len()),
-        ));
-        return;
-    }
     let (w0s, w0c) = prof.waves[0];
     let (_, w1c) = prof.waves[1];
 
@@ -1126,30 +1053,18 @@ fn random_plan(rng: &mut StdRng, prof: &CleanProfile, spec: &JobSpec) -> Failure
 }
 
 /// Seeded randomized storms for one protocol.
-fn random_storms(proto: ProtocolChoice, seeds: &[u64], out: &mut Vec<StormOutcome>) {
-    let tag = match proto {
-        ProtocolChoice::Pcl => "pcl",
-        _ => "vcl",
-    };
+fn random_storms(
+    proto: ProtocolChoice,
+    prof: &CleanProfile,
+    seeds: &[u64],
+    out: &mut Vec<StormOutcome>,
+) {
+    let tag = proto_name(proto);
     let base = ring_spec(proto);
-    let prof = match profile(base.clone()) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(profile_failure(&format!("storm.random.{tag}"), e));
-            return;
-        }
-    };
-    if prof.waves.is_empty() {
-        out.push(profile_failure(
-            &format!("storm.random.{tag}"),
-            "clean run committed no waves".to_string(),
-        ));
-        return;
-    }
     for &seed in seeds {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut spec = base.clone();
-        spec.failures = random_plan(&mut rng, &prof, &spec);
+        spec.failures = random_plan(&mut rng, prof, &spec);
         // Half the storms run with a 200 ms heartbeat-timeout lag.
         if rng.gen_range(0u32..2) == 0 {
             spec.ft = spec.ft.with_detection_delay_secs(0.2);
@@ -1195,22 +1110,34 @@ fn stream_scenario(out: &mut Vec<StormOutcome>) {
 /// protocols (kills, partitions, node deaths), the stream variant, and
 /// seeded randomized storms (`smoke` uses fewer seeds; CI runs the smoke
 /// set — the partition and node-kill families are deterministic and run in
-/// both modes).
+/// both modes). Each protocol's clean ring profile is measured once; a
+/// protocol without one reports a single `storm.profile.*` failure instead
+/// of its ring-based families.
 pub fn storm_campaign(smoke: bool) -> Vec<StormOutcome> {
     let seeds: &[u64] = if smoke { &[1, 2] } else { &[1, 2, 3, 4, 5] };
     let mut out = Vec::new();
+    let mut ring = Vec::new();
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        ring_scenarios(proto, &mut out);
+        match ring_profile(proto) {
+            Ok(prof) => ring.push((proto, prof)),
+            Err(e) => out.push(profile_failure(
+                &format!("storm.profile.{}", proto_name(proto)),
+                e,
+            )),
+        }
     }
-    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        partition_scenarios(proto, &mut out);
-        node_kill_scenarios(proto, &mut out);
-        asymmetry_scenarios(proto, &mut out);
-        integrity_scenarios(proto, &mut out);
+    for (proto, prof) in &ring {
+        ring_scenarios(*proto, prof, &mut out);
+    }
+    for (proto, prof) in &ring {
+        partition_scenarios(*proto, prof, &mut out);
+        node_kill_scenarios(*proto, prof, &mut out);
+        asymmetry_scenarios(*proto, prof, &mut out);
+        integrity_scenarios(*proto, prof, &mut out);
     }
     stream_scenario(&mut out);
-    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        random_storms(proto, seeds, &mut out);
+    for (proto, prof) in &ring {
+        random_storms(*proto, prof, seeds, &mut out);
     }
     out
 }

@@ -7,6 +7,7 @@
 //! bench crate through the checker, adding a churn variant that kills a
 //! rank shortly after the first committed wave.
 
+use ftmpi_bench::proto_name;
 use ftmpi_core::{
     run_job_with, FailurePlan, FtConfig, JobError, JobSpec, ProtocolChoice, RunOptions,
 };
@@ -94,10 +95,7 @@ fn smoke_spec(nranks: usize, protocol: ProtocolChoice, app: AppFn) -> JobSpec {
 pub fn smoke_probes() -> Vec<(String, JobSpec)> {
     let mut probes = Vec::new();
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        let name = match proto {
-            ProtocolChoice::Pcl => "pcl",
-            _ => "vcl",
-        };
+        let name = proto_name(proto);
         let mut clean = smoke_spec(
             8,
             proto,

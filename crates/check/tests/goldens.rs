@@ -1,4 +1,4 @@
-//! Pinned outcomes of the kill and smoke scenarios: every case must
+//! Pinned outcomes of the kill, smoke and storm scenarios: every case must
 //! reproduce the recorded digests byte for byte. Each golden is the FNV-1a
 //! digest of the full encoded [`ftmpi_core::JobResult`] (the byte
 //! representation the persistent memo cache stores), the structured
@@ -11,7 +11,7 @@
 //! Regenerating a golden is a deliberate act: a change that moves one
 //! changes simulated behaviour, and must say so.
 
-use ftmpi_check::{check_trace, smoke_probes, trace_fingerprint};
+use ftmpi_check::{check_trace, smoke_probes, storm_campaign, trace_fingerprint, StormOutcome};
 use ftmpi_core::{
     run_job_with, FailurePlan, FtConfig, JobResult, JobSpec, ProtocolChoice, RunOptions,
 };
@@ -184,4 +184,121 @@ fn mlog_restart_matches_goldens() {
     let (res, _) = assert_golden("mlog-kill", spec, &want);
     assert_eq!(res.rt.restarts, 1);
     assert_eq!(res.leftover_unexpected, 0);
+}
+
+/// Digest of one storm scenario's verdict: its name, every
+/// [`StormOutcome`] counter (lost work by its `f64` bit pattern), the
+/// checker's waves checked and violations, and the scenario's failures.
+fn storm_digest(o: &StormOutcome) -> u64 {
+    let (checked, violations) = o.report.as_ref().map_or((0, Vec::new()), |r| {
+        let v: Vec<String> = r.violations.iter().map(|v| format!("{v:?}")).collect();
+        (r.waves_checked, v)
+    });
+    let text = format!(
+        "{} waves={} restarts={} aborted={} depth={} lost={:#x} orphans={} retries={} \
+         suppressed={} expired={} exhausted={} replica_depth={} rerouted={} refetched={} \
+         corrupt={} repaired={} quarantined={} checked={checked} violations={violations:?} \
+         failures={:?}",
+        o.name,
+        o.waves,
+        o.restarts,
+        o.waves_aborted,
+        o.rollback_depth_max,
+        o.lost_work_secs.to_bits(),
+        o.orphan_images_end,
+        o.link_retries,
+        o.partitions_suppressed,
+        o.partitions_expired,
+        o.retries_exhausted,
+        o.replica_depth_max,
+        o.images_rerouted,
+        o.images_refetched,
+        o.images_corrupt_detected,
+        o.images_repaired,
+        o.servers_quarantined,
+        o.failures,
+    );
+    fnv1a(text.as_bytes())
+}
+
+/// The smoke storm campaign — kills, partitions, node deaths, asymmetric
+/// cuts, corruption, quarantine and seeded random storms for both
+/// coordinated engines — reproduces every scenario's recorded verdict.
+#[test]
+fn storm_smoke_campaign_matches_goldens() {
+    const GOLDENS: &[(&str, u64)] = &[
+        ("storm.midwave.kill.pcl", 0xef88_bb08_4c07_3e4c),
+        ("storm.midrecovery.kill.pcl", 0x6b02_a219_7edf_900b),
+        ("storm.lag.0.pcl", 0x974b_c0da_4644_b896),
+        ("storm.lag.200ms.pcl", 0x7717_7ce6_eea1_9886),
+        ("storm.lag.1s.pcl", 0xcbca_8910_0c91_fbd7),
+        ("storm.serverloss.fallback.pcl", 0x7101_3d2b_9247_cf3f),
+        ("storm.serverloss.replicas.pcl", 0x64af_308e_ecbf_f4ea),
+        ("storm.serverloss.midwave.pcl", 0xdcbb_dad7_4bb3_b8d8),
+        ("storm.midwave.kill.vcl", 0x24e0_1c10_343a_df25),
+        ("storm.midrecovery.kill.vcl", 0xe44b_ce46_4f95_d015),
+        ("storm.lag.0.vcl", 0xfbfd_d861_0e7a_2ff4),
+        ("storm.lag.200ms.vcl", 0x44d5_ceb4_bc43_2bf4),
+        ("storm.lag.1s.vcl", 0x6ce7_0354_d1cd_e839),
+        ("storm.serverloss.fallback.vcl", 0x235e_6376_944a_4197),
+        ("storm.serverloss.replicas.vcl", 0x14aa_4784_4407_c2d9),
+        ("storm.serverloss.midwave.vcl", 0x8111_989b_4b4b_08a2),
+        ("storm.partition.heal.pcl", 0xd337_0282_770f_42f3),
+        ("storm.partition.midwave.pcl", 0x6ecf_1a1e_c6aa_3c45),
+        ("storm.partition.recovery.pcl", 0x0bda_fc7a_3f1a_a540),
+        (
+            "storm.partition.fetchdup.control.pcl",
+            0x59d9_cead_6764_a066,
+        ),
+        ("storm.partition.fetchdup.pcl", 0xf2aa_5291_5174_3710),
+        ("storm.nodekill.colocated.pcl", 0x9abb_f8bd_9d85_74a9),
+        ("storm.nodekill.soloreplica.pcl", 0xe2e9_ec87_d395_f6ec),
+        ("storm.flap.push.pcl", 0x9c07_3878_da6b_9e6b),
+        ("storm.partition.outbound.pcl", 0x6263_104a_2866_5566),
+        ("storm.serverpart.reroute.pcl", 0xf522_659a_0f3b_1698),
+        ("storm.serverpart.fetch.pcl", 0xfd29_74dc_743d_990a),
+        ("storm.corrupt.flipfetch.pcl", 0x35de_4a6a_be76_0ba8),
+        ("storm.corrupt.scrubrace.pcl", 0xd954_a311_b9ba_bde2),
+        ("storm.corrupt.allreplicas.pcl", 0x5f1f_7de7_344e_3810),
+        ("storm.corrupt.tornwrite.pcl", 0x7fc7_2547_ee10_273f),
+        ("storm.corrupt.quarantine.pcl", 0x5cc6_2932_5206_dcd3),
+        ("storm.partition.heal.vcl", 0x9acf_44f2_a05e_190a),
+        ("storm.partition.midwave.vcl", 0xf986_0a18_fe22_99c5),
+        ("storm.partition.recovery.vcl", 0x0289_2746_9069_ef36),
+        (
+            "storm.partition.fetchdup.control.vcl",
+            0xb2ea_daf0_5541_66c4,
+        ),
+        ("storm.partition.fetchdup.vcl", 0x52b0_1d74_e578_e566),
+        ("storm.nodekill.colocated.vcl", 0x2ec1_f165_c687_a7fb),
+        ("storm.nodekill.soloreplica.vcl", 0xf6ed_7cd2_2992_7464),
+        ("storm.flap.push.vcl", 0xa6d9_8b78_d141_bcaa),
+        ("storm.partition.outbound.vcl", 0x3799_d9af_3dce_75fe),
+        ("storm.serverpart.reroute.vcl", 0x90bb_bc92_6ebe_8ede),
+        ("storm.serverpart.fetch.vcl", 0x48b2_3736_372f_2c98),
+        ("storm.corrupt.flipfetch.vcl", 0x083f_8e4f_b727_25da),
+        ("storm.corrupt.scrubrace.vcl", 0xf3e8_069f_e4ed_52a0),
+        ("storm.corrupt.allreplicas.vcl", 0x9d67_48e1_627b_57e6),
+        ("storm.corrupt.tornwrite.vcl", 0x16c4_248b_ab0d_91b3),
+        ("storm.corrupt.quarantine.vcl", 0x7875_85ed_befc_5969),
+        ("storm.midwave.kill.stream2", 0x0637_01a8_6f11_7813),
+        ("storm.random.pcl.seed1", 0x6b33_a2a2_560e_62a2),
+        ("storm.random.pcl.seed2", 0x1972_9645_ff88_1884),
+        ("storm.random.vcl.seed1", 0x070b_fd38_7241_e94f),
+        ("storm.random.vcl.seed2", 0xb8bb_2b46_e0bd_5e25),
+    ];
+    let outcomes = storm_campaign(true);
+    let got: Vec<(&str, u64)> = outcomes
+        .iter()
+        .map(|o| (o.name.as_str(), storm_digest(o)))
+        .collect();
+    let names: Vec<&str> = got.iter().map(|(n, _)| *n).collect();
+    let pinned: Vec<&str> = GOLDENS.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, pinned, "the storm scenario set changed");
+    for ((name, digest), (_, want)) in got.iter().zip(GOLDENS) {
+        assert_eq!(digest, want, "{name}: storm verdict moved");
+    }
+    for o in &outcomes {
+        assert!(o.ok(), "{}: {:?}", o.name, o.failures);
+    }
 }

@@ -50,7 +50,7 @@ pub struct FtConfig {
     /// explanation for the synchronization cost) versus channel flushing.
     pub pcl_async_markers: bool,
     /// Heartbeat-timeout lag between a task kill and the dispatcher
-    /// noticing it (`fail_and_restart`). The paper assumes immediate
+    /// noticing it (and restarting the job). The paper assumes immediate
     /// detection through the broken TCP connection — `ZERO` reproduces
     /// that exactly; with a positive lag the victim sits dead while the
     /// survivors keep computing work that the restart then discards.
@@ -66,7 +66,8 @@ pub struct FtConfig {
     pub retained_waves: usize,
     /// First retry delay after a checkpoint stream or restore fetch finds
     /// its peer unreachable (link down or partition). Doubles per attempt
-    /// up to [`link_retry_cap`](FtConfig::link_retry_cap). Irrelevant
+    /// up to [`link_retry_cap`](FtConfig::link_retry_cap) (see
+    /// [`FlowRetry::delay`](crate::flow::FlowRetry::delay)). Irrelevant
     /// while no network faults are scheduled: reachability never fails.
     pub link_retry_base: SimDuration,
     /// Ceiling on the exponential retry backoff.
@@ -89,9 +90,7 @@ pub struct FtConfig {
     /// Period of the background scrub pass re-verifying every retained
     /// replica's digest and re-replicating damaged copies from a good one.
     /// `None` (the default) schedules no scrub ticks, keeping failure-free
-    /// runs byte-identical to the pre-integrity code. The `FTMPI_NO_SCRUB`
-    /// environment toggle force-disables a configured scrubber for A/B
-    /// determinism checks.
+    /// runs byte-identical to the pre-integrity code.
     pub scrub_interval: Option<SimDuration>,
     /// Quarantine a checkpoint server after this many digest-verification
     /// failures were attributed to it: the server stops receiving
@@ -167,15 +166,6 @@ impl FtConfig {
         self
     }
 
-    /// Convenience: set the link-retry backoff schedule (first delay,
-    /// cap, and per-destination attempt budget).
-    pub fn with_link_retry(mut self, base: SimDuration, cap: SimDuration, limit: u32) -> Self {
-        self.link_retry_base = base;
-        self.link_retry_cap = cap;
-        self.link_retry_limit = limit;
-        self
-    }
-
     /// Convenience: arm the partition watchdog with a grace period in
     /// seconds (cuts outliving it roll the survivors back).
     pub fn with_partition_rollback_after_secs(mut self, s: f64) -> Self {
@@ -202,14 +192,6 @@ impl FtConfig {
     pub fn with_torn_writes(mut self) -> Self {
         self.torn_writes = true;
         self
-    }
-
-    /// The retry delay before attempt `attempt` (0-based): `base · 2^attempt`,
-    /// capped. Saturates instead of overflowing for absurd attempt counts.
-    pub fn link_retry_delay(&self, attempt: u32) -> SimDuration {
-        let base = self.link_retry_base.max(SimDuration::from_nanos(1));
-        let mult = 1u64 << attempt.min(32);
-        (base * mult).min(self.link_retry_cap.max(base))
     }
 }
 
@@ -254,14 +236,7 @@ mod tests {
         assert_eq!(cfg.link_retry_cap, SimDuration::from_secs(2));
         assert_eq!(cfg.link_retry_limit, 8);
         assert!(cfg.partition_rollback_after.is_none());
-        let cfg = cfg
-            .with_link_retry(
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(80),
-                3,
-            )
-            .with_partition_rollback_after_secs(5.0);
-        assert_eq!(cfg.link_retry_limit, 3);
+        let cfg = cfg.with_partition_rollback_after_secs(5.0);
         assert_eq!(
             cfg.partition_rollback_after,
             Some(SimDuration::from_secs(5))
@@ -284,25 +259,5 @@ mod tests {
         assert_eq!(cfg.scrub_interval, Some(SimDuration::from_secs_f64(2.5)));
         assert_eq!(cfg.quarantine_threshold, 3);
         assert!(cfg.torn_writes);
-    }
-
-    #[test]
-    fn link_retry_delay_doubles_and_caps() {
-        let cfg = FtConfig::default().with_link_retry(
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(2),
-            8,
-        );
-        assert_eq!(cfg.link_retry_delay(0), SimDuration::from_millis(50));
-        assert_eq!(cfg.link_retry_delay(1), SimDuration::from_millis(100));
-        assert_eq!(cfg.link_retry_delay(5), SimDuration::from_millis(1600));
-        // 50ms · 2^6 = 3.2s caps at 2s, and stays capped forever after.
-        assert_eq!(cfg.link_retry_delay(6), SimDuration::from_secs(2));
-        assert_eq!(cfg.link_retry_delay(63), SimDuration::from_secs(2));
-        // Degenerate inputs stay sane: a zero base becomes 1 ns, a cap
-        // below the base is lifted to the base.
-        let z = FtConfig::default().with_link_retry(SimDuration::ZERO, SimDuration::ZERO, 1);
-        assert_eq!(z.link_retry_delay(0), SimDuration::from_nanos(1));
-        assert_eq!(z.link_retry_delay(40), SimDuration::from_nanos(1));
     }
 }

@@ -415,3 +415,31 @@ fn send_control_attempt(
         on_arrival(&mut w, sc);
     });
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn link_retry_delay_doubles_and_caps() {
+        let retry = FlowRetry::bounded(&FtConfig::default());
+        assert_eq!(retry.limit, Some(8));
+        assert_eq!(retry.delay(0), SimDuration::from_millis(50));
+        assert_eq!(retry.delay(1), SimDuration::from_millis(100));
+        assert_eq!(retry.delay(5), SimDuration::from_millis(1600));
+        // 50ms · 2^6 = 3.2s caps at 2s, and stays capped forever after.
+        assert_eq!(retry.delay(6), SimDuration::from_secs(2));
+        assert_eq!(retry.delay(63), SimDuration::from_secs(2));
+        // The control-message pause policy rides the same default ladder.
+        assert_eq!(FlowRetry::PAUSE.delay(6), retry.delay(6));
+        // Degenerate inputs stay sane: a zero base becomes 1 ns, a cap
+        // below the base is lifted to the base.
+        let z = FlowRetry {
+            base: SimDuration::ZERO,
+            cap: SimDuration::ZERO,
+            limit: Some(1),
+        };
+        assert_eq!(z.delay(0), SimDuration::from_nanos(1));
+        assert_eq!(z.delay(40), SimDuration::from_nanos(1));
+    }
+}

@@ -28,11 +28,12 @@
 //!
 //! Around the protocols: [`server`] models checkpoint servers and the
 //! chunked image/log streams that contend with MPI traffic on the NICs;
-//! [`recovery`] implements the dispatcher's kill-all / restore / replay
-//! restart; [`failure`] provides targeted and MTTF-driven failure
-//! injection; and [`runner`] assembles platform + placement + protocol +
-//! workload into a single [`run_job`](runner::run_job) call used by every
-//! experiment in the paper-reproduction harness.
+//! [`recovery`] routes every kill to the engine's restart (the
+//! dispatcher's kill-all / restore / replay, or Mlog's single-rank one);
+//! [`failure`] provides targeted and MTTF-driven failure injection; and
+//! [`runner`] assembles platform + placement + protocol + workload into a
+//! single [`run_job`] call used by every experiment in the
+//! paper-reproduction harness.
 
 #![warn(missing_docs)]
 
@@ -56,7 +57,6 @@ pub use failure::{CorruptionEvent, FailurePlan, SilentCorruptionSpec};
 pub use image::RankImage;
 pub use mlog::Mlog;
 pub use pcl::Pcl;
-pub use recovery::RecoveryError;
 pub use runner::{
     run_job, run_job_explored, run_job_with, JobError, JobResult, JobSpec, Platform,
     ProtocolChoice, RunOptions, ScheduleLog,

@@ -24,16 +24,16 @@ use std::cell::RefCell;
 use std::rc::Weak;
 
 use ftmpi_mpi::{
-    AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World,
+    spawn_rank, AppFn, AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction,
+    World,
 };
 use ftmpi_net::NodeId;
-use ftmpi_sim::{SimCtx, SimTime};
+use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 use crate::deploy::Deployment;
 use crate::flow::{start_flow, FlowSpec};
 use crate::image::RankImage;
-use crate::server::{CheckpointStore, StoredImage};
 use crate::stats::{FtStats, WaveTiming};
 use crate::wave::with_engine;
 
@@ -66,8 +66,6 @@ pub struct Mlog {
     server_node_of: Vec<NodeId>,
     /// Protocol statistics (wave numbers count per-rank checkpoints).
     pub stats: FtStats,
-    /// Server control-plane state.
-    pub store: CheckpointStore,
     ranks: Vec<MlogRank>,
 }
 
@@ -78,7 +76,6 @@ impl Mlog {
             cfg,
             server_node_of: (0..dep.nranks()).map(|r| dep.server_node_of(r)).collect(),
             stats: FtStats::default(),
-            store: CheckpointStore::default(),
             ranks: (0..dep.nranks())
                 .map(|_| MlogRank {
                     log: Vec::new(),
@@ -199,18 +196,6 @@ impl Mlog {
                 started_at: taken_at,
                 committed_at: done_at,
             });
-            m.store.record_image(
-                version,
-                r,
-                StoredImage {
-                    server: m.server_node_of[r],
-                    bytes: m.cfg.image_bytes,
-                    stored_at: done_at,
-                    // Uncoordinated restores keep the image in-engine and
-                    // never digest-verify a fetch; the slot is bookkeeping.
-                    digest: 0,
-                },
-            );
             if rt.ranks[r].incarnation == incarnation {
                 next = Some(sc.now() + m.cfg.period);
             }
@@ -220,27 +205,93 @@ impl Mlog {
         }
     }
 
-    /// Restore data for a single-rank restart.
-    pub(crate) fn restore_of(&self, r: Rank) -> (Option<RankImage>, Vec<AppMsg>, NodeId) {
-        (
-            self.ranks[r].image.clone(),
-            self.ranks[r].log.clone(),
-            self.server_node_of[r],
-        )
-    }
+    /// Single-rank failure handling, the whole of an Mlog kill: only
+    /// `victim` rolls back; everyone else keeps computing. A victim that
+    /// already finished, or a job that completed, makes this a no-op.
+    ///
+    /// The victim restores its own last image, replays its receiver-based
+    /// log, and re-executes from there; its re-sent messages are suppressed
+    /// as duplicates at the receivers, and messages addressed to it while
+    /// it was down wait in the runtime (sender-side transport
+    /// retransmission).
+    pub(crate) fn restart_rank(w: &mut World, sc: &SimCtx, app: &AppFn, victim: Rank) {
+        if w.rt.job_complete() || w.rt.ranks[victim].status != RankStatus::Running {
+            return;
+        }
+        if let Some(pid) = w.rt.ranks[victim].pid.take() {
+            sc.kill(pid);
+        }
+        w.rt.stats.restarts += 1;
+        let (has_image, in_flight) = with_engine(w, |m: &mut Mlog, rt| {
+            m.stats.restarts += 1;
+            let mr = &mut m.ranks[victim];
+            mr.ckpt_in_flight = false;
+            // Roll the victim back (bumps its incarnation: stale per-rank
+            // events and timers die) and rebuild its pre-crash runtime
+            // memory.
+            let (skip, credit) = mr
+                .image
+                .as_ref()
+                .map_or((0, SimDuration::ZERO), |i| (i.ops_completed, i.time_credit));
+            rt.ranks[victim].reset_for_restart(skip, credit);
+            match &mr.image {
+                Some(img) => {
+                    rt.set_expect_seq(victim, img.expect_seq.clone());
+                    rt.set_send_seq(victim, img.send_seq.clone());
+                    for msg in &img.pending {
+                        rt.inject_restored(sc, msg.clone());
+                    }
+                }
+                // No image: the rank restarts from scratch with empty
+                // (all-zero) sparse watermarks.
+                None => rt.set_expect_seq(victim, Vec::new()),
+            }
+            // Replay the receiver-based log, in delivery order.
+            for msg in &mr.log {
+                rt.inject_restored(sc, msg.clone());
+            }
+            // The messages whose log writes were in flight leave with the
+            // failure (their pending completions die on the incarnation
+            // guard).
+            (mr.image.is_some(), std::mem::take(&mut mr.in_flight))
+        });
+        // They re-enter arrival handling in their original order (and
+        // re-log under the new incarnation); doing this before any later
+        // traffic preserves the per-channel FIFO the duplicate watermark
+        // depends on.
+        for msg in in_flight {
+            w.handle_arrival(sc, msg);
+        }
 
-    /// Take the messages whose log writes were in flight when the rank
-    /// failed; the restart re-injects them in arrival order (their pending
-    /// completions die on the incarnation guard).
-    pub(crate) fn take_in_flight(&mut self, r: Rank) -> Vec<AppMsg> {
-        std::mem::take(&mut self.ranks[r].in_flight)
-    }
-
-    /// Reset rank `r`'s protocol state after its restart is orchestrated.
-    pub(crate) fn on_rank_restarted(&mut self, r: Rank) {
-        let mr = &mut self.ranks[r];
-        mr.ckpt_in_flight = false;
-        self.stats.restarts += 1;
+        // Image fetch from the victim's server, then respawn and re-arm its
+        // independent checkpoint cycle.
+        let (ready, period) = with_engine(w, |m: &mut Mlog, rt| {
+            let base = sc.now() + m.cfg.restart_delay;
+            let ready = if has_image {
+                let node = rt.placement.node_of(victim);
+                let server = m.server_node_of[victim];
+                rt.net
+                    .transfer(server, node, m.cfg.image_bytes, base)
+                    .delivered
+            } else {
+                base
+            };
+            (ready, m.cfg.period)
+        });
+        let incarnation = w.rt.ranks[victim].incarnation;
+        let handle = w.rt.world_handle();
+        let app = app.clone();
+        sc.schedule(ready, move |sc| {
+            let Some(world) = handle.upgrade() else {
+                return;
+            };
+            if world.borrow().rt.ranks[victim].incarnation != incarnation {
+                return;
+            }
+            spawn_rank(sc, &world, victim, app);
+            let handle = world.borrow().rt.world_handle();
+            Mlog::schedule_rank_ckpt(sc, handle, victim, sc.now() + period, incarnation);
+        });
     }
 }
 

@@ -16,10 +16,7 @@ use crate::deploy::Deployment;
 use crate::failure::FailurePlan;
 use crate::mlog::Mlog;
 use crate::pcl::Pcl;
-use crate::recovery::{
-    arm_scrubber, corrupt_images, inject_kill, inject_kill_many, mlog_fail_and_restart,
-    partition_cut, server_fail,
-};
+use crate::recovery::{arm_scrubber, corrupt_images, kill_ranks, partition_cut, server_fail};
 use crate::stats::FtStats;
 use crate::vcl::Vcl;
 use crate::wave::{engine_mut, WaveEngine};
@@ -318,9 +315,8 @@ pub enum JobError {
     },
     /// The simulation failed (deadlock or panic — a protocol/model bug).
     Sim(String),
-    /// The failure/recovery path hit a fatal routing error (see
-    /// [`crate::recovery::RecoveryError`]); the message names the broken
-    /// scenario instead of the old downcast panic aborting the process.
+    /// Recovery got fatally stuck (every replica of an image a restart
+    /// needs is unreachable, damaged or gone); the message names the rank.
     Recovery(String),
     /// The run ended without every rank finishing (hit the time guard).
     /// Carries a per-rank status dump for diagnosis.
@@ -469,7 +465,6 @@ pub fn run_job_explored(
     let w2 = Rc::clone(&world);
     let app = Arc::clone(&spec.app);
     let nranks = spec.nranks;
-    let protocol = spec.protocol;
     sim.schedule(SimTime::ZERO, move |sc| {
         for r in 0..nranks {
             spawn_rank(sc, &w2, r, Arc::clone(&app));
@@ -500,16 +495,7 @@ pub fn run_job_explored(
         let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
-        sim.schedule(at, move |sc| {
-            let outcome = if protocol == ProtocolChoice::Mlog {
-                mlog_fail_and_restart(sc, &w2, &app, victim, &ft)
-            } else {
-                inject_kill(sc, &w2, &app, victim, &ft)
-            };
-            if let Err(e) = outcome {
-                w2.borrow_mut().rt.record_fatal(&e.to_string());
-            }
-        });
+        sim.schedule(at, move |sc| kill_ranks(sc, &w2, &app, &[victim], &ft));
     }
 
     // Node deaths: the node's colocated server fails first (its replicas
@@ -528,16 +514,7 @@ pub fn run_job_explored(
             if let Some(idx) = server_idx {
                 server_fail(sc, &w2, idx);
             }
-            let outcome = if protocol == ProtocolChoice::Mlog {
-                victims
-                    .iter()
-                    .try_for_each(|&v| mlog_fail_and_restart(sc, &w2, &app, v, &ft))
-            } else {
-                inject_kill_many(sc, &w2, &app, &victims, &ft)
-            };
-            if let Err(e) = outcome {
-                w2.borrow_mut().rt.record_fatal(&e.to_string());
-            }
+            kill_ranks(sc, &w2, &app, &victims, &ft);
         });
     }
 
@@ -635,18 +612,11 @@ pub fn run_job_explored(
         fault_idx += 1;
     }
 
-    // Background scrubber (off by default). `FTMPI_NO_SCRUB` force-disables
-    // it regardless of the spec — the operational kill switch when a scrub
-    // storm needs to be ruled out in the field.
+    // Background scrubber (off by default; a no-op without a coordinated
+    // engine).
     if let Some(interval) = spec.ft.scrub_interval {
-        if std::env::var_os("FTMPI_NO_SCRUB").is_none()
-            && matches!(protocol, ProtocolChoice::Vcl | ProtocolChoice::Pcl)
-        {
-            let w2 = Rc::clone(&world);
-            sim.schedule(SimTime::ZERO, move |sc| {
-                arm_scrubber(sc, &w2, interval);
-            });
-        }
+        let w2 = Rc::clone(&world);
+        sim.schedule(SimTime::ZERO, move |sc| arm_scrubber(sc, &w2, interval));
     }
 
     let report = sim.run().map_err(|e| JobError::Sim(e.to_string()))?;

@@ -4,10 +4,13 @@
 
 use std::sync::Arc;
 
-use ftmpi_core::{run_job, FailurePlan, FtConfig, JobSpec, ProtocolChoice};
+use ftmpi_core::runner::build_deployment;
+use ftmpi_core::{
+    run_job, run_job_with, FailurePlan, FtConfig, JobSpec, ProtocolChoice, RunOptions,
+};
 use ftmpi_mpi::{app_fn, AppFn};
-use ftmpi_net::SoftwareStack;
-use ftmpi_sim::{SimDuration, SimTime};
+use ftmpi_net::{NetFaultPlan, NodeId, SoftwareStack};
+use ftmpi_sim::{ProtoEvent, SimDuration, SimTime, TraceKind};
 
 fn ring_app(iters: usize, bytes: u64, compute: SimDuration) -> AppFn {
     app_fn(move |mut mpi| async move {
@@ -124,6 +127,63 @@ fn survives_repeated_failures_of_different_ranks() {
     };
     let res = run_job(spec).expect("run");
     assert_eq!(res.rt.restarts, 3);
+    assert_eq!(res.leftover_unexpected, 0);
+    assert_eq!(res.leftover_posted, 0);
+}
+
+#[test]
+fn node_kill_restarts_each_colocated_rank_alone() {
+    let app = ring_app(120, 4_096, SimDuration::from_millis(80));
+    let mut spec = base_spec(6, app);
+    // Two ranks per node: node 0 hosts two of the six.
+    spec.single_threshold = 4;
+    let dep = build_deployment(&spec);
+    let victims: Vec<String> = (0..spec.nranks)
+        .filter(|&r| dep.placement.node_of(r) == NodeId(0))
+        .map(|r| format!("spawn 'rank{r}'"))
+        .collect();
+    assert_eq!(victims.len(), 2, "node 0 must host two ranks");
+    spec.failures = FailurePlan::node_kill_at(SimTime::from_nanos(2_500_000_000), 0);
+    let opts = RunOptions {
+        trace: true,
+        ..RunOptions::default()
+    };
+    let (res, trace) = run_job_with(spec, opts).expect("node-kill run");
+    // One single-rank restart per colocated victim, none for anyone else.
+    assert_eq!(res.rt.restarts, 2);
+    assert_eq!(res.ft.restarts, 2);
+    let respawned: Vec<&str> = trace
+        .iter()
+        .filter(|te| matches!(te.kind, TraceKind::Spawn) && te.time > SimTime::ZERO)
+        .map(|te| te.detail.as_str())
+        .collect();
+    assert_eq!(respawned, victims);
+    // No global rollback: the dispatcher's restart never ran.
+    assert!(!trace
+        .iter()
+        .any(|te| matches!(te.kind, TraceKind::Proto(ProtoEvent::Restart { .. }))));
+    assert_eq!(res.leftover_unexpected, 0);
+    assert_eq!(res.leftover_posted, 0);
+}
+
+#[test]
+fn partition_outliving_the_grace_never_fires_the_watchdog() {
+    let app = ring_app(120, 4_096, SimDuration::from_millis(80));
+    let mut spec = base_spec(5, app);
+    spec.ft = spec.ft.with_partition_rollback_after_secs(1.0);
+    // Rank 0's node is cut off for 4 s, four times the grace.
+    spec.net_faults = NetFaultPlan::none().with_partition(
+        "mlog-cut",
+        vec![NodeId(0)],
+        SimTime::from_nanos(2_000_000_000),
+        Some(SimTime::from_nanos(6_000_000_000)),
+    );
+    let res = run_job(spec).expect("an Mlog job rides the partition out");
+    // Mlog does not use the dispatcher's heartbeat model: nobody is
+    // declared failed, however long the cut stands.
+    assert_eq!(res.rt.restarts, 0);
+    assert_eq!(res.ft.restarts, 0);
+    assert_eq!(res.ft.partitions_expired, 0);
     assert_eq!(res.leftover_unexpected, 0);
     assert_eq!(res.leftover_posted, 0);
 }

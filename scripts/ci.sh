@@ -39,6 +39,10 @@ for fam in flipfetch scrubrace allreplicas tornwrite quarantine; do
     grep -q "storm.corrupt.$fam.vcl" "$DIFF_TMP/storm.log"
 done
 
+echo "==> storm --smoke again (must be byte-identical)"
+cargo run -q --release -p ftmpi-check -- storm --smoke > "$DIFF_TMP/storm-2.log"
+cmp "$DIFF_TMP/storm.log" "$DIFF_TMP/storm-2.log"
+
 echo "==> ftmpi-check explore --smoke (DPOR over tied schedules, BENCH_explore.json)"
 cargo run -q --release -p ftmpi-check -- explore --smoke
 
