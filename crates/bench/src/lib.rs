@@ -362,9 +362,9 @@ pub fn figure_probe_specs(fast: bool) -> Vec<(String, JobSpec)> {
                 cg_n,
                 proto,
                 2,
-                SimDuration::from_secs_f64(if fast { 0.1 } else { 10.0 }),
+                SimDuration::from_secs_f64(if fast { 0.1 } else { 1.0 }),
             ),
-            if fast { 0.1 } else { 10.0 },
+            if fast { 0.1 } else { 1.0 },
         );
         // §5.3 Myrinet with the protocol's natural stack (figure 7).
         let stack = match proto {

@@ -279,9 +279,8 @@ fn key_hash(key: &str) -> String {
 
 /// Validate one cache-entry file body: version header, namespace kind, full
 /// fingerprint (hash collisions are detected, not trusted), and payload
-/// length must all match. Shared by the writable disk tier and the
-/// read-only seed tier; the caller decides what a failure means (delete
-/// vs. ignore).
+/// length must all match. A `None` tells the disk tier to delete the file
+/// and recompute the result.
 fn validate_entry(text: &str, kind: &str, key: &str) -> Option<String> {
     let rest = text.strip_prefix(CACHE_VERSION)?.strip_prefix('\n')?;
     let rest = rest.strip_prefix("kind=")?.strip_prefix(kind)?;
@@ -316,20 +315,10 @@ pub struct MemoCache {
     map: Mutex<HashMap<String, JobResult>>,
     blobs: Mutex<HashMap<String, String>>,
     disk: Option<PathBuf>,
-    /// Read-only fallback tier: entries committed to the repository (the
-    /// calibration tables), consulted after a disk miss. Never written,
-    /// never invalidated on corruption — a stale or damaged seed entry
-    /// simply fails validation and the result is recomputed.
-    seed: Option<PathBuf>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
 }
-
-/// Repository-committed seed entries (see [`MemoCache::persistent`]): the
-/// calibration-table results, so a cold checkout prices its first
-/// `calibrate` run at decode cost instead of minutes of simulation.
-const SEED_CACHE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/data/calibration-cache");
 
 impl MemoCache {
     /// A fresh, shareable, memory-only cache.
@@ -337,25 +326,15 @@ impl MemoCache {
         Arc::new(MemoCache::default())
     }
 
-    /// A cache backed by `dir` (created on first write), falling back to
-    /// the repository's committed calibration seeds on disk misses. Setting
-    /// `FTMPI_NO_CACHE` disables both disk tiers, yielding a memory-only
+    /// A cache backed by `dir` (created on first write). Setting
+    /// `FTMPI_NO_CACHE` disables the disk tier, yielding a memory-only
     /// cache — the escape hatch for timing measurements and CI baselines.
     pub fn persistent(dir: impl Into<PathBuf>) -> Arc<MemoCache> {
-        MemoCache::persistent_with_seed(dir, PathBuf::from(SEED_CACHE_DIR))
-    }
-
-    /// [`MemoCache::persistent`] with an explicit seed directory (tests).
-    pub fn persistent_with_seed(
-        dir: impl Into<PathBuf>,
-        seed: impl Into<PathBuf>,
-    ) -> Arc<MemoCache> {
         if std::env::var_os("FTMPI_NO_CACHE").is_some() {
             return MemoCache::new();
         }
         Arc::new(MemoCache {
             disk: Some(dir.into()),
-            seed: Some(seed.into()),
             ..MemoCache::default()
         })
     }
@@ -386,21 +365,6 @@ impl MemoCache {
                 None => self.discard_disk("r", key),
             }
         }
-        if let Some(payload) = self.load_seed("r", key) {
-            if let Some(result) = JobResult::decode(&payload) {
-                // Promote into memory and write through to the local disk
-                // tier so later processes against the same out dir hit it
-                // without touching the seeds.
-                self.store_disk("r", key, &payload);
-                self.map
-                    .lock()
-                    .unwrap()
-                    .insert(key.to_string(), result.clone());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(result);
-            }
-        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
@@ -418,10 +382,7 @@ impl MemoCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(b);
         }
-        if let Some(payload) = self
-            .load_disk("b", key)
-            .or_else(|| self.load_seed("b", key))
-        {
+        if let Some(payload) = self.load_disk("b", key) {
             self.blobs
                 .lock()
                 .unwrap()
@@ -455,16 +416,6 @@ impl MemoCache {
             let _ = std::fs::remove_file(&path);
         }
         parsed
-    }
-
-    /// Read and validate one committed seed entry. Strictly read-only: a
-    /// corrupt, truncated, or version-mismatched seed (e.g. one committed
-    /// before an encoding bump) fails validation and is *ignored* — the
-    /// result is recomputed — never deleted.
-    fn load_seed(&self, kind: &str, key: &str) -> Option<String> {
-        let dir = self.seed.as_ref()?;
-        let text = std::fs::read_to_string(dir.join(format!("{kind}-{}", key_hash(key)))).ok()?;
-        validate_entry(&text, kind, key)
     }
 
     fn discard_disk(&self, kind: &str, key: &str) {
@@ -1124,48 +1075,5 @@ mod tests {
             out.result.unwrap();
             assert!(entry.exists(), "entry rewritten after recompute");
         }
-    }
-
-    #[test]
-    fn seed_tier_serves_committed_entries_and_promotes_them() {
-        let seed = ScratchDir::new("seed-src");
-        let local = ScratchDir::new("seed-local");
-        let key = spec_fingerprint("ring12", &ring_spec(12));
-        // Author a seed entry the way the repo does: run once with the
-        // seed directory as the writable tier, then treat it read-only.
-        let baseline = {
-            let cache = MemoCache::persistent_with_seed(&seed.0, seed.0.join("unused"));
-            let mut r = SweepRunner::new(1).with_cache(Arc::clone(&cache));
-            r.add_spec("job", "ring12", ring_spec(12));
-            r.run_detailed().pop().unwrap().result.unwrap()
-        };
-        // A cold cache over an empty local dir must fall back to the seed…
-        let cache = MemoCache::persistent_with_seed(local.0.join("cache"), &seed.0);
-        let got = cache.get(&key).expect("seed tier should hit");
-        assert_eq!(digest(&got), digest(&baseline));
-        assert_eq!(cache.stats(), (1, 0), "a seed hit is a hit, not a miss");
-        assert_eq!(cache.disk_hits(), 1, "a seed hit counts as a disk hit");
-        // …and write the entry through to the local tier, so the next
-        // fresh instance hits it even with the seed dir gone.
-        let cache = MemoCache::persistent_with_seed(local.0.join("cache"), seed.0.join("gone"));
-        let promoted = cache.get(&key).expect("promoted entry should hit");
-        assert_eq!(promoted.encode(), baseline.encode());
-    }
-
-    #[test]
-    fn corrupt_seed_entries_are_ignored_never_deleted() {
-        let seed = ScratchDir::new("seed-corrupt");
-        let local = ScratchDir::new("seed-corrupt-local");
-        let key = spec_fingerprint("ring12", &ring_spec(12));
-        std::fs::create_dir_all(&seed.0).unwrap();
-        let path = seed.0.join(format!("r-{}", key_hash(&key)));
-        std::fs::write(&path, "not a cache entry").unwrap();
-        let cache = MemoCache::persistent_with_seed(local.0.join("cache"), &seed.0);
-        assert!(
-            cache.get(&key).is_none(),
-            "corrupt seed must read as a miss"
-        );
-        assert!(path.exists(), "seed entries are read-only, never deleted");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "not a cache entry");
     }
 }

@@ -70,7 +70,7 @@ const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
 /// The declared environment-toggle registry: the complete set of `FTMPI_*`
 /// variables the workspace may read. Every entry must also appear in the
 /// README's toggle table (checked by [`env_registry_hits`]).
-pub const ENV_TOGGLES: &[&str] = &["FTMPI_NO_BATCH", "FTMPI_NO_CACHE"];
+pub const ENV_TOGGLES: &[&str] = &["FTMPI_NO_CACHE"];
 
 /// Files audited by the `sim-audit` rule. The checkpoint store rides
 /// along with the kernel memory files: replica lookups must surface
@@ -953,8 +953,8 @@ pub(crate) enum EventKind {
     #[test]
     fn env_registry_rules() {
         let ok = vec![(
-            "crates/sim/src/kernel.rs".to_string(),
-            "let off = std::env::var(\"FTMPI_NO_BATCH\").is_ok();\n".to_string(),
+            "crates/bench/src/sweep.rs".to_string(),
+            "if std::env::var_os(\"FTMPI_NO_CACHE\").is_some() {\n".to_string(),
         )];
         let readme: String = ENV_TOGGLES
             .iter()

@@ -427,7 +427,7 @@ fn partition_scenarios(proto: ProtocolChoice, prof: &CleanProfile, out: &mut Vec
     // wave for 1.5 s, and heals 1.5 s before the 3 s watchdog. A false
     // positive the layer must fully suppress: no restart, no aborted wave,
     // no commit across the cut, every stall a bounded link retry, and zero
-    // image fetches (acceptance criterion for partition tolerance).
+    // image fetches (what partition tolerance must guarantee).
     let cut = w0s - 1_000_000;
     let heal = cut + 1_500_000_000;
     let mut spec = base.clone();

@@ -2,12 +2,12 @@
 //! the checkpoint servers.
 //!
 //! A flow transfers `bytes` from one node to another in chunks; each chunk
-//! is a separate network reservation, so MPI messages interleave with the
-//! stream on the shared NICs — the fair-sharing behaviour behind Fig. 5's
-//! server-scaling result and the Pcl contention discussion. When
-//! `also_disk` is set the flow simultaneously writes the local disk file
-//! (clone writing + daemon pipelining read→send), and each chunk completes
-//! at the slower of the two.
+//! is a separate network reservation and kernel event, so MPI messages
+//! interleave with the stream on the shared NICs — the fair-sharing
+//! behaviour behind Fig. 5's server-scaling result and the Pcl contention
+//! discussion. When `also_disk` is set the flow simultaneously writes the
+//! local disk file (clone writing + daemon pipelining read→send), and each
+//! chunk completes at the slower of the two.
 //!
 //! Entry points take the runtime half of the world (`&mut RuntimeCore`): the
 //! caller already holds the world borrow (a second `borrow_mut` would
@@ -47,18 +47,6 @@ pub struct FlowSpec {
     pub chunk: u64,
     /// Mirror the stream to the source node's local disk.
     pub also_disk: bool,
-}
-
-/// `false` when `FTMPI_NO_BATCH` is set: every flow chunk is scheduled as
-/// its own event instead of coalescing contention-free chunk runs in
-/// `advance_chunk`. Batching only swallows completions no other event
-/// could observe and credits them back through
-/// [`SimCtx::credit_virtual_events`], so results and event counts are
-/// byte-identical either way; the toggle exists for CI to prove exactly
-/// that.
-fn batching_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FTMPI_NO_BATCH").is_none())
 }
 
 type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime)>;
@@ -270,72 +258,18 @@ fn advance_chunk(
         });
         return;
     }
-    // Reserve this chunk — and, with batching on, keep reserving inline for
-    // as long as the unbatched kernel would have done nothing else anyway.
-    // The unbatched loop schedules one completion event per chunk; when that
-    // event is strictly the earliest thing in the queue, its handler runs
-    // with exactly the model state visible here (nothing else executed in
-    // between, so reachability, the epoch, and every queue frontier are
-    // unchanged), and its reservation call `transfer(src, dst, len, done)`
-    // is replicated bit-for-bit by passing the previous completion time as
-    // `earliest`. Each swallowed completion is credited back to the event
-    // count so run reports — which feed calibration fingerprints — stay
-    // identical. The fast-forward stops at the first chunk whose completion
-    // is *not* strictly earliest (ties included: tiebreak order among
-    // same-time events must stay the kernel's call), at the stop horizon
-    // (the unbatched kernel halts on, without consuming, the first event
-    // past it), and before the final chunk (`on_done` must observe its
-    // completion as a real event time).
-    let batching = batching_enabled();
-    let mut sent = sent;
-    let mut at = sc.now();
-    let mut swallowed: u64 = 0;
-    #[cfg(debug_assertions)]
-    let mut touch_watch: Option<(u64, Option<u64>)> = None;
-    let done = loop {
-        let len = spec.chunk.max(1).min(spec.bytes - sent);
-        let net_done = w.rt.net.transfer(spec.src, spec.dst, len, at).delivered;
-        let done = if spec.also_disk {
-            let disk_done = w.rt.net.disk_write(spec.src, len, at);
-            net_done.max(disk_done)
-        } else {
-            net_done
-        };
-        sent += len;
-        #[cfg(debug_assertions)]
-        {
-            // The batching argument made manifest: within one quiescent
-            // window every chunk bumps the path's contention counters by
-            // exactly the same amount, because no competing reservation can
-            // interleave. (Measured as consecutive per-chunk deltas so the
-            // check is independent of traffic before the window.)
-            let now_touches = w.rt.net.path_touches(spec.src, spec.dst);
-            if let Some((prev_touches, prev_delta)) = touch_watch {
-                let delta = now_touches - prev_touches;
-                if let Some(expect) = prev_delta {
-                    debug_assert_eq!(
-                        delta, expect,
-                        "competing reservation interleaved a batched flow window"
-                    );
-                }
-                touch_watch = Some((now_touches, Some(delta)));
-            } else {
-                touch_watch = Some((now_touches, None));
-            }
-        }
-        let quiescent = batching
-            && sent < spec.bytes
-            && sc.next_event_time().is_none_or(|t| t > done)
-            && sc.horizon().is_none_or(|mt| done <= mt);
-        if !quiescent {
-            break done;
-        }
-        swallowed += 1;
-        at = done;
+    // Reserve this chunk and schedule its completion: one network
+    // reservation and one kernel event per chunk, so MPI traffic reserved
+    // in between shares the NICs with the stream.
+    let now = sc.now();
+    let len = spec.chunk.max(1).min(spec.bytes - sent);
+    let net_done = w.rt.net.transfer(spec.src, spec.dst, len, now).delivered;
+    let done = if spec.also_disk {
+        net_done.max(w.rt.net.disk_write(spec.src, len, now))
+    } else {
+        net_done
     };
-    if swallowed > 0 {
-        sc.credit_virtual_events(swallowed);
-    }
+    let sent = sent + len;
     sc.schedule_keyed(done, lane, move |sc| {
         let Some(strong) = handle.upgrade() else {
             return;

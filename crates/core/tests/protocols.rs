@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use ftmpi_core::{run_job, FailurePlan, FtConfig, JobError, JobResult, JobSpec, ProtocolChoice};
+use ftmpi_core::{
+    run_job, run_job_explored, FailurePlan, FtConfig, JobError, JobResult, JobSpec, ProtocolChoice,
+    RunOptions,
+};
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId, SoftwareStack};
 use ftmpi_sim::{SimDuration, SimTime};
@@ -1004,6 +1007,36 @@ fn corrupting_an_empty_store_at_time_zero_is_a_noop() {
             res.completion_secs(),
             twin.completion_secs(),
             "a no-op corruption schedule must not perturb the restart timing"
+        );
+        assert_clean(&res);
+    }
+}
+
+#[test]
+fn explored_runs_record_one_step_per_executed_event() {
+    // Exploration mode documents one `StepRecord` per executed event. A
+    // 4 MiB image streamed to one server in 256 KiB chunks while the ring
+    // still talks gives every chunk completion its own step; the event
+    // counts pin the run, so neither side of the equality can drift.
+    for (proto, events) in [(ProtocolChoice::Pcl, 159), (ProtocolChoice::Vcl, 159)] {
+        let mut spec = JobSpec::new(3, proto, ring_app(4, 1_000, SimDuration::from_millis(50)));
+        spec.servers = 1;
+        spec.ft = FtConfig {
+            period: SimDuration::from_secs(30),
+            first_wave_delay: SimDuration::from_millis(60),
+            image_bytes: 4 << 20,
+            ..FtConfig::default()
+        };
+        let opts = RunOptions {
+            schedule: Some(vec![]),
+            ..RunOptions::default()
+        };
+        let (res, _, log) = run_job_explored(spec, opts).expect("job failed");
+        assert_eq!(res.events, events, "{proto:?} event count");
+        assert_eq!(
+            log.steps.len() as u64,
+            res.events,
+            "{proto:?}: one step per executed event"
         );
         assert_clean(&res);
     }

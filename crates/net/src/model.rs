@@ -354,28 +354,6 @@ impl NetModel {
         }
     }
 
-    /// Sum of the [`touches`](Resource::touches) counters of every resource
-    /// a `src → dst` transfer reserves (0 for loopback, which touches
-    /// none). Two snapshots around a transfer differ by the path length;
-    /// any *extra* difference is competing traffic that reserved part of
-    /// the same path in between. The flow layer uses this to audit its
-    /// chunk batching: inside a batched window the delta per chunk must be
-    /// exactly constant, because the batching argument is precisely that no
-    /// other event — and therefore no other reservation — can interleave.
-    pub fn path_touches(&self, src: NodeId, dst: NodeId) -> u64 {
-        if src == dst {
-            return 0;
-        }
-        let ends = self.nodes[src.0].nic_tx.touches() + self.nodes[dst.0].nic_rx.touches();
-        if self.topo.same_cluster(src, dst) {
-            ends
-        } else {
-            let cs = self.topo.cluster_of(src);
-            let cd = self.topo.cluster_of(dst);
-            ends + self.clusters[cs.0].wan_up.touches() + self.clusters[cd.0].wan_down.touches()
-        }
-    }
-
     /// Reserve a local-disk write of `bytes` on `node` (checkpoint files).
     /// Returns the completion time.
     pub fn disk_write(&mut self, node: NodeId, bytes: u64, earliest: SimTime) -> SimTime {
@@ -427,24 +405,6 @@ mod tests {
 
     fn gige4() -> NetModel {
         NetModel::new(Topology::single_cluster(4, LinkConfig::gige()))
-    }
-
-    #[test]
-    fn path_touches_tracks_exactly_the_reserved_path() {
-        let mut net = gige4();
-        assert_eq!(net.path_touches(NodeId(0), NodeId(1)), 0);
-        // Each intra-cluster transfer touches nic_tx + nic_rx once, large
-        // or small (the bypass path still counts).
-        net.transfer(NodeId(0), NodeId(1), 1 << 20, SimTime::ZERO);
-        assert_eq!(net.path_touches(NodeId(0), NodeId(1)), 2);
-        net.transfer(NodeId(0), NodeId(1), 64, SimTime::ZERO);
-        assert_eq!(net.path_touches(NodeId(0), NodeId(1)), 4);
-        // Loopback touches no shared resource.
-        net.transfer(NodeId(2), NodeId(2), 1 << 20, SimTime::ZERO);
-        assert_eq!(net.path_touches(NodeId(2), NodeId(2)), 0);
-        // Competing traffic through a shared endpoint shows up in the delta.
-        net.transfer(NodeId(2), NodeId(1), 64, SimTime::ZERO);
-        assert_eq!(net.path_touches(NodeId(0), NodeId(1)), 5);
     }
 
     #[test]

@@ -17,11 +17,6 @@ pub struct Resource {
     bytes_total: u64,
     /// Accumulated busy time (for utilisation reporting).
     busy_time: SimDuration,
-    /// Number of reservations (including bypasses) ever made. A monotonic
-    /// contention probe: two snapshots differ by exactly the traffic that
-    /// touched the resource in between, regardless of message size or
-    /// which reservation path it took.
-    touches: u64,
 }
 
 impl Resource {
@@ -33,7 +28,6 @@ impl Resource {
             busy_until: SimTime::ZERO,
             bytes_total: 0,
             busy_time: SimDuration::ZERO,
-            touches: 0,
         }
     }
 
@@ -75,7 +69,6 @@ impl Resource {
         self.busy_until = start + occupancy;
         self.bytes_total = self.bytes_total.saturating_add(bytes);
         self.busy_time += occupancy;
-        self.touches += 1;
         (start, start + duration)
     }
 
@@ -87,18 +80,12 @@ impl Resource {
     pub fn bypass(&mut self, earliest: SimTime, bytes: u64) -> (SimTime, SimTime) {
         let duration = SimDuration::for_transfer(bytes, self.capacity_bps);
         self.bytes_total = self.bytes_total.saturating_add(bytes);
-        self.touches += 1;
         (earliest, earliest + duration)
     }
 
     /// Total bytes ever reserved through this resource.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
-    }
-
-    /// Number of reservations (including bypasses) ever made.
-    pub fn touches(&self) -> u64 {
-        self.touches
     }
 
     /// Accumulated occupancy time.
@@ -172,18 +159,6 @@ mod tests {
         r.reserve(SimTime::ZERO, 300);
         assert_eq!(r.bytes_total(), 400);
         assert_eq!(r.busy_time().as_secs_f64(), 4.0);
-    }
-
-    #[test]
-    fn touches_count_every_reservation_path() {
-        let mut r = Resource::new(100.0);
-        assert_eq!(r.touches(), 0);
-        r.reserve(SimTime::ZERO, 100);
-        r.reserve_with_rate(SimTime::ZERO, 100, 50.0);
-        r.bypass(SimTime::ZERO, 8);
-        assert_eq!(r.touches(), 3);
-        r.reset_queue(SimTime::ZERO);
-        assert_eq!(r.touches(), 3, "reset preserves counters");
     }
 
     #[test]

@@ -316,7 +316,9 @@ pub struct DeadlockInfo {
 pub struct RunReport {
     /// Kernel clock when the run ended.
     pub final_time: SimTime,
-    /// Number of events executed.
+    /// Number of events the kernel executed: every call, wake and kill
+    /// counts once, and so does every flow chunk (each is its own event).
+    /// In exploration mode this equals `steps.len()`.
     pub events_executed: u64,
     /// Exit records `(pid, name, status)` in completion order.
     pub exits: Vec<(Pid, String, ProcessExit)>,
@@ -344,31 +346,6 @@ impl SimCtx {
     /// The current event's virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The time of the next pending event, if any. Event handlers use this
-    /// to decide how far they may safely fast-forward: up to (but not
-    /// including) the next event, nothing else can observe or perturb model
-    /// state. The flow layer's chunk batching is built on exactly that
-    /// window.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.shared.state.borrow_mut().queue.peek_time()
-    }
-
-    /// The configured stop horizon ([`Sim::set_max_time`]), if any. Batched
-    /// fast-forwarding must not cross it: the unbatched kernel would have
-    /// stopped at the first event past the horizon.
-    pub fn horizon(&self) -> Option<SimTime> {
-        self.shared.state.borrow().max_time
-    }
-
-    /// Account for `n` events that a batching optimization proved
-    /// equivalent to — and therefore did not schedule. Keeps
-    /// [`RunReport::events_executed`] (which feeds calibration tables and
-    /// cache fingerprints) identical between the batched and unbatched
-    /// flow paths.
-    pub fn credit_virtual_events(&self, n: u64) {
-        self.shared.state.borrow_mut().executed += n;
     }
 
     /// Schedule `f` at absolute time `at` (clamped to now if in the past).
