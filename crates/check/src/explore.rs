@@ -31,12 +31,15 @@
 //!    and dumped as a replayable `key=value` artifact.
 //!
 //! The state fingerprint is the trace-prefix fingerprint
-//! ([`crate::fingerprint::trace_fingerprint`]), which buckets and sorts
-//! same-instant records — so commuting reorders collapse to one state,
-//! and proto-silent steps don't split states at all. It is an
-//! *abstraction*: exploration is exhaustive relative to this reduction
-//! (memoized states are not re-expanded), which is exactly the
-//! partial-order-reduction bargain.
+//! ([`crate::fingerprint::trace_fingerprint`] of the trace before the
+//! decision's chosen step), which buckets and sorts same-instant records —
+//! so commuting reorders collapse to one state, and proto-silent steps
+//! don't split states at all. It is computed incrementally: one
+//! `Fingerprinter` pass over a run's trace yields every decision's state
+//! fingerprint and the terminal one, with the same values a per-prefix
+//! digest would give. It is an *abstraction*: exploration is exhaustive
+//! relative to this reduction (memoized states are not re-expanded), which
+//! is exactly the partial-order-reduction bargain.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -47,7 +50,7 @@ use ftmpi_core::{
 use ftmpi_mpi::RaceFixture;
 use ftmpi_sim::{Candidate, ProtoEvent, SimDuration, SimTime, TraceEvent, TraceKind};
 
-use crate::fingerprint::trace_fingerprint;
+use crate::fingerprint::Fingerprinter;
 use crate::hb::commutes;
 use crate::invariants::check_trace;
 use crate::suite::{ring_app, stream_app};
@@ -127,7 +130,8 @@ pub struct ExploreOutcome {
     pub pruned: u64,
     /// Branches skipped by the state-memo.
     pub deduped: u64,
-    /// `true` when the frontier emptied within budget.
+    /// `true` when the frontier emptied within budget (a run budget cut
+    /// leaves it non-empty).
     pub exhausted: bool,
     /// First violation found, if any.
     pub violation: Option<ViolationReport>,
@@ -140,6 +144,9 @@ pub struct ExploreOutcome {
 /// One run's classification, internal to the DFS.
 struct RunOutcome {
     fp: u64,
+    /// The state fingerprint at each decision from the prescription's end
+    /// on (see [`fingerprints`]).
+    state_fps: Vec<u64>,
     trace: Vec<TraceEvent>,
     log: ScheduleLog,
     /// `Some(kind)` when the run violated (invariant or error). Divergence
@@ -165,8 +172,10 @@ fn run_one(
                 .violations
                 .first()
                 .map(|v| format!("invariant:{v:?}"));
+            let (state_fps, fp) = fingerprints(&trace, &log, prescription.len());
             Ok(RunOutcome {
-                fp: trace_fingerprint(&trace),
+                fp,
+                state_fps,
                 trace,
                 log,
                 broken,
@@ -178,11 +187,34 @@ fn run_one(
             // protocol) is a violation of the strongest kind, not a tool
             // error: record it and keep the canonical run authoritative.
             fp: 0,
+            state_fps: Vec::new(),
             trace: Vec::new(),
             log: ScheduleLog::default(),
             broken: Some(format!("error:{e}")),
         }),
     }
+}
+
+/// One digest pass over a run's trace: the state fingerprint at each
+/// decision from index `from` on — the fingerprint of the trace before the
+/// decision's chosen step — and the terminal fingerprint.
+fn fingerprints(trace: &[TraceEvent], log: &ScheduleLog, from: usize) -> (Vec<u64>, u64) {
+    let mut f = Fingerprinter::new();
+    let mut fed = 0;
+    let mut digest_to = |cut: usize| {
+        for te in &trace[fed..cut] {
+            f.push(te);
+        }
+        fed = cut;
+        f.digest()
+    };
+    let states = log
+        .decisions
+        .iter()
+        .skip(from)
+        .map(|dec| digest_to(log.steps[dec.step].trace_lo))
+        .collect();
+    (states, digest_to(trace.len()))
 }
 
 /// The proto events of step `i`'s effect window.
@@ -238,11 +270,11 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
     let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
     let mut canonical_fp: Option<u64> = None;
 
-    while let Some(prescription) = frontier.pop() {
-        if outcome.runs >= opts.max_runs {
-            frontier.clear();
+    // A budget cut leaves the frontier non-empty: not exhausted.
+    while outcome.runs < opts.max_runs {
+        let Some(prescription) = frontier.pop() else {
             break;
-        }
+        };
         let run = run_one(cfg, &spec, prescription.clone())?;
         outcome.runs += 1;
         outcome.max_decisions = outcome.max_decisions.max(run.log.decisions.len());
@@ -280,9 +312,8 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             .enumerate()
             .map(|(i, s)| (s.seq, i))
             .collect();
-        for d in prescription.len()..run.log.decisions.len() {
+        for (d, &state_fp) in (prescription.len()..).zip(&run.state_fps) {
             let dec = &run.log.decisions[d];
-            let state_fp = trace_fingerprint(&run.trace[..run.log.steps[dec.step].trace_lo]);
             for (a, _) in dec.candidates.iter().enumerate() {
                 if a == dec.chosen {
                     continue;

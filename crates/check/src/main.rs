@@ -29,7 +29,9 @@
 //!   schedule-policy hook). Clean configs must exhaust without
 //!   violations; the two historical-race fixtures must be rediscovered
 //!   with minimized reproducers (dumped under `results/explore/`). Emits
-//!   `BENCH_explore.json`. `--replay FILE` re-runs one reproducer.
+//!   `BENCH_explore.json`, which holds no timing and so is deterministic;
+//!   each config's wall time is printed on its stdout line. `--replay FILE`
+//!   re-runs one reproducer.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -377,19 +379,19 @@ fn explore_record(o: &ExploreOutcome) -> JsonObject {
             "canonical_fp",
             JsonValue::Str(format!("{:016x}", o.canonical_fp)),
         ),
-        ("wall_ms", JsonValue::UInt(o.wall_ms)),
     ]
 }
 
 fn print_explore(o: &ExploreOutcome) {
     println!(
-        "{:36} runs={:<5} outcomes={:<2} decisions<={:<3} pruned={:<5} memo={:<5} {}",
+        "{:36} runs={:<5} outcomes={:<2} decisions<={:<3} pruned={:<5} memo={:<5} wall={:<7} {}",
         format!("explore.{}", o.name),
         o.runs,
         o.distinct_outcomes,
         o.max_decisions,
         o.pruned,
         o.deduped,
+        format!("{}ms", o.wall_ms),
         match (&o.violation, o.exhausted) {
             (Some(v), _) => format!("VIOLATION {} (minimized: [{}])", v.kind, {
                 v.minimized

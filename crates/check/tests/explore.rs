@@ -15,6 +15,9 @@ fn config(name: &str) -> ftmpi_check::ExploreConfig {
         .unwrap_or_else(|| panic!("no explore config named {name}"))
 }
 
+/// Also pins the pcl3 ring's schedule space beside the vcl3 ring's (see
+/// `clean_vcl_ring_explores_the_recorded_state_space`): the counts
+/// `explore --smoke` records in `BENCH_explore.json`.
 #[test]
 fn clean_pcl_ring_exhausts_with_one_outcome() {
     let cfg = config("pcl3.ring");
@@ -30,6 +33,12 @@ fn clean_pcl_ring_exhausts_with_one_outcome() {
     assert!(
         out.pruned > 0,
         "commutation oracle never pruned a branch: {out:?}"
+    );
+    assert_eq!(out.canonical_fp, 0xc20f_d04d_1c3b_6f31);
+    assert_eq!(
+        (out.runs, out.pruned, out.deduped, out.max_decisions),
+        (75, 20, 2893, 67),
+        "runs / pruned / memo hits / decisions moved"
     );
 }
 
@@ -92,6 +101,21 @@ fn clean_vcl_ring_explores_the_recorded_state_space() {
         (143, 29, 9304, 80),
         "runs / pruned / memo hits / decisions moved"
     );
+}
+
+/// An exploration cut by its run budget must say so: the vcl3 ring needs
+/// 143 runs, so five leave branches unexplored and the space unexhausted.
+#[test]
+fn budget_cut_exploration_is_not_exhausted() {
+    let cfg = config("vcl3.ring");
+    let opts = ExploreOptions {
+        max_runs: 5,
+        ..ExploreOptions::default()
+    };
+    let out = explore(&cfg, &opts).expect("exploration runs");
+    assert!(out.violation.is_none(), "{out:?}");
+    assert_eq!(out.runs, 5, "{out:?}");
+    assert!(!out.exhausted, "a budget cut reported exhaustion: {out:?}");
 }
 
 /// Exploring the same config twice on one thread, with a violating

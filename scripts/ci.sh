@@ -47,7 +47,11 @@ cargo run -q --release -p ftmpi-check -- storm --smoke > "$DIFF_TMP/storm-2.log"
 cmp "$DIFF_TMP/storm.log" "$DIFF_TMP/storm-2.log"
 
 echo "==> ftmpi-check explore --smoke (DPOR over tied schedules, BENCH_explore.json)"
+# The file holds every config's counts, verdict, minimized schedule and
+# canonical fingerprint, and no timing: it must match the committed one.
+cp BENCH_explore.json "$DIFF_TMP/explore.json"
 cargo run -q --release -p ftmpi-check -- explore --smoke
+cmp "$DIFF_TMP/explore.json" BENCH_explore.json
 
 echo "==> ftmpi-check storm --mine (full-budget miner: zero violations)"
 # The full budget reaches genomes the smoke budget does not (e.g. a rot
