@@ -1,4 +1,4 @@
-//! Kernel event-queue microbenchmark: the binary-heap queue across the
+//! Kernel event-queue microbenchmark: the radix-heap queue across the
 //! three event-time densities the kernel actually sees (same-instant
 //! marker storms, near-time chunked flows, wide-spread timers) at two
 //! pending-event populations — a paper-sized figure run's and a 10⁵-rank
@@ -8,7 +8,8 @@
 //! The deterministic op driver lives in [`ftmpi_sim::microbench`] (the sim
 //! crates forbid wall-clock reads, so the timing lives here). Each run's
 //! pop-order checksum is reported next to its rate, so a change to the
-//! queue that moves the pop order shows up as a changed checksum.
+//! queue that moves the pop order shows up as a changed checksum (CI
+//! compares the six checksums with the committed ones).
 //!
 //! Writes `BENCH_kernel.json` at the repository root.
 //!

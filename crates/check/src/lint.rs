@@ -1066,4 +1066,22 @@ pub(crate) enum EventKind {
         );
         assert_eq!(hashmap_binding("use std::collections::HashMap;"), None);
     }
+
+    /// Maps on the event path carry a fixed hasher as a third type
+    /// parameter. Their iteration order no longer varies between
+    /// processes — it is the same wrong order every run — so the lint is
+    /// the only guard left, and it must still see them.
+    #[test]
+    fn hashmap_order_sees_maps_with_a_fixed_hasher() {
+        assert_eq!(
+            hashmap_binding("    pub(crate) requests: HashMap<u64, ReqState, FxBuildHasher>,"),
+            Some("requests".to_string())
+        );
+        let src = "    requests: HashMap<u64, Req, H>,\n    \
+                   for r in requests.values() { out.push(r); }\n";
+        let hits = lint_source("crates/mpi/src/runtime.rs", src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, RULE_HASHMAP_ORDER);
+        assert_eq!(hits[0].line, 2);
+    }
 }

@@ -6,7 +6,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Weak;
 
 use ftmpi_net::{NetModel, NodeId};
-use ftmpi_sim::{Pid, Reply, SimCtx, SimDuration, SimTime};
+use ftmpi_sim::{FxBuildHasher, Pid, Reply, SimCtx, SimDuration, SimTime};
 
 use crate::config::RuntimeConfig;
 use crate::placement::Placement;
@@ -93,18 +93,18 @@ pub struct RankState {
     /// Monotonic per-rank arrival counter (orders image snapshots).
     pub(crate) arrival_counter: u64,
     /// Nonblocking request table.
-    pub(crate) requests: HashMap<u64, ReqState>,
+    pub(crate) requests: HashMap<u64, ReqState, FxBuildHasher>,
     pub(crate) next_req_id: u64,
     /// Next app sequence number per destination rank. Sparse: a missing
     /// entry means 0, so a rank only pays for peers it actually talks to —
     /// dense per-peer vectors are O(n²) across the job and at 10⁵ ranks
     /// would dwarf every other runtime structure.
-    pub(crate) next_seq_to: HashMap<Rank, u64>,
+    pub(crate) next_seq_to: HashMap<Rank, u64, FxBuildHasher>,
     /// Next expected sequence number per source rank (duplicate
     /// suppression for single-rank-restart protocols; only consulted when
     /// `RuntimeCore::suppress_duplicate_seq` is set). Sparse like
     /// `next_seq_to`: a missing entry means 0.
-    pub(crate) expect_seq_from: HashMap<Rank, u64>,
+    pub(crate) expect_seq_from: HashMap<Rank, u64, FxBuildHasher>,
     /// Local time at which the rank posted its current blocking operation
     /// (valid while `blocked_in_lib`); bounds checkpoint time credits.
     pub last_post: SimTime,
@@ -129,10 +129,10 @@ impl RankState {
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
             arrival_counter: 0,
-            requests: HashMap::new(),
+            requests: HashMap::default(),
             next_req_id: 0,
-            next_seq_to: HashMap::new(),
-            expect_seq_from: HashMap::new(),
+            next_seq_to: HashMap::default(),
+            expect_seq_from: HashMap::default(),
             last_post: SimTime::ZERO,
             incarnation: 0,
         }
@@ -571,7 +571,7 @@ impl RuntimeCore {
 /// Flatten a sparse per-peer counter map into `(peer, value)` pairs sorted
 /// by peer, dropping zero entries (a missing key already means 0). Sorting
 /// keeps image contents independent of hash-map iteration order.
-fn sorted_seq_pairs(map: &HashMap<Rank, u64>) -> Vec<(Rank, u64)> {
+fn sorted_seq_pairs(map: &HashMap<Rank, u64, FxBuildHasher>) -> Vec<(Rank, u64)> {
     let mut pairs: Vec<(Rank, u64)> = map
         .iter()
         .filter(|(_, &v)| v != 0)

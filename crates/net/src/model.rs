@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use ftmpi_sim::{SimDuration, SimTime};
+use ftmpi_sim::{FxBuildHasher, SimDuration, SimTime};
 
 use crate::fault::CutDirection;
 use crate::resource::Resource;
@@ -60,7 +60,7 @@ pub struct NetModel {
     /// bypassed small messages from overtaking earlier traffic on the same
     /// channel (TCP connections are FIFO; Chandy–Lamport markers rely on
     /// this).
-    pair_last: HashMap<(NodeId, NodeId), SimTime>,
+    pair_last: HashMap<(NodeId, NodeId), SimTime, FxBuildHasher>,
     /// Directed links currently down (see [`crate::fault`]). BTree
     /// containers so any iteration a future diagnostic adds is
     /// deterministic.
@@ -98,7 +98,7 @@ impl NetModel {
             topo,
             nodes,
             clusters,
-            pair_last: HashMap::new(),
+            pair_last: HashMap::default(),
             link_down: BTreeSet::new(),
             degraded: BTreeMap::new(),
             partitions: BTreeMap::new(),

@@ -1,9 +1,10 @@
 //! Slab arena for event payloads.
 //!
-//! The event heap orders events by a small `Copy` key; the fat part of an
+//! The event queue orders events by a small `Copy` key; the fat part of an
 //! event — the boxed model closure in [`EventKind`] — lives here, addressed
-//! by slot. Sifting therefore moves 32-byte keys instead of whole events,
-//! and a cancelled event's payload is reclaimed the moment its tombstone is
+//! by slot. Sifting the same-instant heap and moving keys between radix
+//! buckets therefore copy 32-byte keys instead of whole events, and a
+//! cancelled event's payload is reclaimed the moment its tombstone is
 //! discovered instead of riding along in the queue. The layout follows the
 //! `QueuedEvent` / side-table idiom of trainspotting's scheduler.
 

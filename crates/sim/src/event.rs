@@ -5,17 +5,30 @@
 //! sequential and cooperative, scheduling order — and therefore tie-breaking
 //! among same-time events — is deterministic.
 //!
-//! The order is kept by a binary min-heap of 32-byte [`Key`]s: O(log n)
-//! per operation whatever the spread of event times, from a same-instant
-//! marker storm at 64 ranks to 10⁵ far-future checkpoint timers. Event
-//! payloads (boxed model closures) live in an
+//! The order is kept by a monotone radix heap of 32-byte [`Key`]s. The
+//! kernel clamps every schedule to its clock, so no key lands below the last
+//! popped instant, `last`. Keys at `last` sit in a small binary heap ordered
+//! by `(tiekey, seq)`; a later key lives in radix bucket *i*, where *i* is
+//! the highest bit at which its time differs from `last`. When the
+//! same-instant heap empties, the lowest non-empty bucket is drained: its
+//! earliest time becomes `last`, and each of its keys moves into the heap or
+//! into a strictly lower bucket. A key therefore moves at most 64 times in
+//! its life, and a far-future timer stays untouched until `last` reaches its
+//! top differing bit — whether the pending set is a same-instant marker
+//! storm at 64 ranks or 10⁵ checkpoint timers seconds ahead.
+//!
+//! Buckets keep their keys in fixed-size chunks drawn from one shared free
+//! pool, and a drained bucket returns its chunks, so key storage tracks the
+//! peak key count rather than the sum of every bucket's high-water mark.
+//! Event payloads (boxed model closures) live in an
 //! [`EventArena`](crate::arena::EventArena) addressed by slot, so no closure
-//! is ever moved by a sift.
+//! is ever moved by a sift or a re-bucketing.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use crate::arena::EventArena;
+use crate::hash::FxBuildHasher;
 use crate::kernel::SimCtx;
 use crate::process::Pid;
 use crate::time::SimTime;
@@ -48,7 +61,8 @@ pub(crate) struct Event {
 }
 
 /// Scheduling key: the total event order `(time, tiekey, seq)` plus the
-/// arena slot of the payload. Sifting moves only this 32-byte `Copy` value.
+/// arena slot of the payload. Sifts and re-bucketing move only this 32-byte
+/// `Copy` value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Key {
     pub time_ns: u64,
@@ -74,12 +88,79 @@ fn splitmix64(mut x: u64) -> u64 {
 /// the kernel microbenchmark ([`EventQueue::set_compact_min_tombstones`]).
 const COMPACT_MIN_TOMBSTONES: usize = 64;
 
+/// Keys per bucket chunk (2 KiB of keys).
+const CHUNK: usize = 64;
+
+/// One radix bucket per bit of a `u64` time.
+const BUCKETS: usize = 64;
+
+/// A radix bucket: an unordered bag of keys in chunks, every chunk but the
+/// last one full.
+struct Bucket {
+    chunks: Vec<Vec<Key>>,
+    /// Earliest time in the bag; `u64::MAX` while it is empty.
+    min: u64,
+}
+
+impl Default for Bucket {
+    fn default() -> Self {
+        Bucket {
+            chunks: Vec::new(),
+            min: u64::MAX,
+        }
+    }
+}
+
+impl Bucket {
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK + c.len())
+    }
+
+    /// Drop the keys `keep` rejects, packing the survivors to the front so
+    /// every chunk but the last stays full; emptied chunks go to `free`.
+    fn retain(&mut self, keep: &mut impl FnMut(&Key) -> bool, free: &mut Vec<Vec<Key>>) {
+        let mut kept = 0;
+        self.min = u64::MAX;
+        for r in 0..self.len() {
+            let k = self.chunks[r / CHUNK][r % CHUNK];
+            if keep(&k) {
+                self.chunks[kept / CHUNK][kept % CHUNK] = k;
+                self.min = self.min.min(k.time_ns);
+                kept += 1;
+            }
+        }
+        let used = kept.div_ceil(CHUNK);
+        free.extend(self.chunks.drain(used..).map(|mut c| {
+            c.clear();
+            c
+        }));
+        if let Some(c) = self.chunks.last_mut() {
+            c.truncate(kept - (used - 1) * CHUNK);
+        }
+    }
+}
+
 /// Min-queue of pending events plus a tombstone set for cancellation.
 pub(crate) struct EventQueue {
+    /// Keys at the current instant `last`, ordered by `(tiekey, seq)`.
     heap: BinaryHeap<Reverse<Key>>,
+    /// The current instant: the time of the latest refill. Every pending
+    /// key is at or after it.
+    last: u64,
+    /// Keys after `last`, in bucket *i* when bit *i* is the highest bit at
+    /// which their time differs from `last`.
+    buckets: [Bucket; BUCKETS],
+    /// Bit *i* is set iff bucket *i* holds a key.
+    occupied: u64,
+    /// Number of keys in `buckets`.
+    bucketed: usize,
+    /// Empty chunks, shared by every bucket.
+    free_chunks: Vec<Vec<Key>>,
     arena: EventArena,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
+    cancelled: HashSet<u64, FxBuildHasher>,
     /// When set, same-time tiebreaks follow a seeded permutation of the
     /// scheduling order instead of the scheduling order itself. Causality is
     /// preserved (an event scheduled by another still runs after it); only
@@ -93,16 +174,21 @@ pub(crate) struct EventQueue {
     /// pending event's tiebreak lane to build per-lane candidate fronts,
     /// and `Key` deliberately does not carry it. Empty (and untouched) in
     /// ordinary runs, so the hot push/pop paths pay nothing.
-    lanes: Option<std::collections::HashMap<u64, Option<u64>>>,
+    lanes: Option<HashMap<u64, Option<u64>, FxBuildHasher>>,
 }
 
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            last: 0,
+            buckets: std::array::from_fn(|_| Bucket::default()),
+            occupied: 0,
+            bucketed: 0,
+            free_chunks: Vec::new(),
             arena: EventArena::default(),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
+            cancelled: HashSet::default(),
             tiebreak_seed: None,
             compact_min_tombstones: COMPACT_MIN_TOMBSTONES,
             scheduled_total: 0,
@@ -116,7 +202,7 @@ impl EventQueue {
     /// be enabled before the first push so every pending event is covered.
     pub fn record_lanes(&mut self) {
         debug_assert_eq!(self.scheduled_total, 0, "record_lanes after pushes");
-        self.lanes = Some(std::collections::HashMap::new());
+        self.lanes = Some(HashMap::default());
     }
 
     /// The recorded lane of a pending event (exploration mode only).
@@ -155,13 +241,74 @@ impl EventQueue {
             m.insert(seq, lane);
         }
         let slot = self.arena.insert(kind);
-        self.heap.push(Reverse(Key {
+        self.insert(Key {
             time_ns: time.as_nanos(),
             tiekey,
             seq,
             slot,
-        }));
+        });
         EventId(seq)
+    }
+
+    /// File a key at `last` into the same-instant heap, and a later one into
+    /// the bucket of the highest bit at which its time differs from `last`.
+    fn insert(&mut self, k: Key) {
+        debug_assert!(
+            k.time_ns >= self.last,
+            "event at {} ns pushed below the last popped instant {} ns",
+            k.time_ns,
+            self.last
+        );
+        let diff = k.time_ns ^ self.last;
+        if diff == 0 {
+            self.heap.push(Reverse(k));
+            return;
+        }
+        let i = diff.ilog2() as usize;
+        let b = &mut self.buckets[i];
+        match b.chunks.last_mut() {
+            Some(c) if c.len() < CHUNK => c.push(k),
+            _ => {
+                let mut c = self
+                    .free_chunks
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                c.push(k);
+                b.chunks.push(c);
+            }
+        }
+        b.min = b.min.min(k.time_ns);
+        self.occupied |= 1 << i;
+        self.bucketed += 1;
+    }
+
+    /// Refill the empty same-instant heap from the lowest non-empty bucket
+    /// *i*: its earliest time becomes `last`, and each of its keys moves
+    /// into the heap or into a strictly lower bucket (they all agree with
+    /// the new `last` on every bit from *i* up). Keys in higher buckets stay
+    /// put: the new `last` agrees with the old one above bit *i*. The
+    /// bucket's minimum is kept up to date on insert, so this is one pass,
+    /// and a lone key goes straight into the heap. No-op once every bucket
+    /// is empty.
+    fn refill(&mut self) {
+        debug_assert!(self.heap.is_empty(), "refill over a non-empty instant");
+        if self.occupied == 0 {
+            return;
+        }
+        let i = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << i);
+        let b = &mut self.buckets[i];
+        self.last = std::mem::replace(&mut b.min, u64::MAX);
+        let mut chunks = std::mem::take(&mut b.chunks);
+        for mut c in chunks.drain(..) {
+            self.bucketed -= c.len();
+            for &k in &c {
+                self.insert(k);
+            }
+            c.clear();
+            self.free_chunks.push(c);
+        }
+        self.buckets[i].chunks = chunks;
     }
 
     /// Mark an event cancelled; it is skipped when popped.
@@ -174,32 +321,45 @@ impl EventQueue {
         // takes as many fresh cancellations as there are live events before
         // it can trigger again.
         if self.cancelled.len() >= self.compact_min_tombstones
-            && self.cancelled.len() * 2 >= self.heap.len()
+            && self.cancelled.len() * 2 >= self.stored()
         {
             self.compact();
         }
     }
 
-    /// Drop every cancelled event from the heap and clear the tombstone
-    /// set, reclaiming the corpses' arena slots.
+    /// Keys physically held: live events plus not-yet-reclaimed corpses.
+    fn stored(&self) -> usize {
+        self.heap.len() + self.bucketed
+    }
+
+    /// Drop every cancelled event from the heap and the buckets and clear
+    /// the tombstone set, reclaiming the corpses' arena slots.
     ///
-    /// Tombstones that match nothing in the heap belong to events that
+    /// Tombstones that match nothing in the queue belong to events that
     /// were already executed; discarding them restores exact
     /// `len`/`is_empty` accounting.
     fn compact(&mut self) {
         let cancelled = std::mem::take(&mut self.cancelled);
         let (arena, lanes) = (&mut self.arena, &mut self.lanes);
-        self.heap.retain(|Reverse(k)| {
-            if cancelled.contains(&k.seq) {
-                arena.discard(k.slot);
-                if let Some(m) = lanes.as_mut() {
-                    m.remove(&k.seq);
-                }
-                false
-            } else {
-                true
+        let mut keep = |k: &Key| {
+            if !cancelled.contains(&k.seq) {
+                return true;
             }
-        });
+            arena.discard(k.slot);
+            if let Some(m) = lanes.as_mut() {
+                m.remove(&k.seq);
+            }
+            false
+        };
+        self.heap.retain(|Reverse(k)| keep(k));
+        for (i, b) in self.buckets.iter_mut().enumerate() {
+            let before = b.len();
+            b.retain(&mut keep, &mut self.free_chunks);
+            self.bucketed -= before - b.len();
+            if b.chunks.is_empty() {
+                self.occupied &= !(1 << i);
+            }
+        }
     }
 
     /// Consume the tombstone of `seq`, if any: `true` means the event was
@@ -209,11 +369,18 @@ impl EventQueue {
         !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
-    fn peek_key(&self) -> Option<Key> {
+    /// The earliest key, refilling the same-instant heap if it ran dry.
+    fn peek_key(&mut self) -> Option<Key> {
+        if self.heap.is_empty() {
+            self.refill();
+        }
         self.heap.peek().map(|Reverse(k)| *k)
     }
 
     fn pop_key(&mut self) -> Option<Key> {
+        if self.heap.is_empty() {
+            self.refill();
+        }
         self.heap.pop().map(|Reverse(k)| k)
     }
 
@@ -270,17 +437,15 @@ impl EventQueue {
     /// [`EventQueue::take_key`], and pushes the rest back with
     /// [`EventQueue::unpop`]. Cancelled corpses encountered on the way are
     /// reclaimed.
+    ///
+    /// Once the head is found, only the same-instant heap is drained: a
+    /// refill would move `last` past the instant `unpop` pushes back to.
     pub fn pop_ready_keys(&mut self) -> Vec<Key> {
         let mut out = Vec::new();
-        let Some(t) = self.peek_time() else {
+        if self.live_head().is_none() {
             return out;
-        };
-        let t = t.as_nanos();
-        while let Some(k) = self.peek_key() {
-            if k.time_ns != t {
-                break;
-            }
-            self.heap.pop();
+        }
+        while let Some(Reverse(k)) = self.heap.pop() {
             if self.take_tombstone(k.seq) {
                 self.discard_key(k);
                 continue;
@@ -307,20 +472,23 @@ impl EventQueue {
         self.forget_lane(k.seq);
     }
 
-    /// Return unconsumed ready keys to the heap.
+    /// Return unconsumed ready keys to the queue (they are at `last`, so
+    /// they go straight back into the same-instant heap).
     pub fn unpop(&mut self, keys: impl IntoIterator<Item = Key>) {
-        self.heap.extend(keys.into_iter().map(Reverse));
+        for k in keys {
+            self.insert(k);
+        }
     }
 
     #[allow(dead_code)] // used by tests and future schedulers
     pub fn is_empty(&self) -> bool {
         // Cancelled-but-unpopped events don't count as pending work.
-        self.heap.len() <= self.cancelled.len()
+        self.stored() <= self.cancelled.len()
     }
 
     #[allow(dead_code)]
     pub fn len(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
+        self.stored().saturating_sub(self.cancelled.len())
     }
 }
 
@@ -395,7 +563,7 @@ mod tests {
             q.cancel(*id);
         }
         assert!(q.cancelled.is_empty(), "compaction should clear tombstones");
-        assert_eq!(q.heap.len(), 100, "cancelled events physically removed");
+        assert_eq!(q.stored(), 100, "cancelled events physically removed");
         assert_eq!(q.arena.len(), 100, "corpse payloads reclaimed");
         // Below-threshold cancels stay lazy but len() remains exact.
         for id in &ids[100..150] {
@@ -424,7 +592,7 @@ mod tests {
         assert_eq!(q.cancelled.len(), 1, "below the lowered threshold");
         q.cancel(b);
         assert!(q.cancelled.is_empty(), "2 tombstones vs 4 events compacts");
-        assert_eq!(q.heap.len(), 2);
+        assert_eq!(q.stored(), 2);
     }
 
     #[test]
@@ -503,12 +671,17 @@ mod tests {
     fn ready_keys_collect_the_tied_instant_and_unpop_restores_order() {
         let mut q = EventQueue::default();
         q.record_lanes();
+        // Pop an early event first, so the tied instant (t=10) and the
+        // next one (t=20) sit in radix buckets 3 and 4 above `last` = 5,
+        // and the ready set arrives through a refill.
+        q.push(SimTime::from_nanos(5), Some(9), call());
         let a = q.push(SimTime::from_nanos(10), Some(1), call());
         let b = q.push(SimTime::from_nanos(10), None, call());
         let c = q.push(SimTime::from_nanos(10), Some(1), call());
         let d = q.push(SimTime::from_nanos(20), Some(2), call());
         let corpse = q.push(SimTime::from_nanos(10), None, call());
         q.cancel(corpse);
+        assert_eq!(q.pop().map(|e| e.time.as_nanos()), Some(5));
         let ready = q.pop_ready_keys();
         assert_eq!(
             ready.iter().map(|k| k.seq).collect::<Vec<_>>(),
@@ -519,13 +692,66 @@ mod tests {
         assert_eq!(q.lane_of(b.0), None);
         assert!(matches!(q.peek_kind(ready[0]), EventKind::Call(_)));
         // Execute the *middle* candidate, push the rest back: the queue
-        // must accept keys at (or below) the instant it just drained.
+        // must accept keys at the instant it just drained, and still file
+        // later pushes at and after that instant ahead of t=20 — so the
+        // drain must not have refilled past t=10.
         let ev = q.take_key(ready[1]);
         assert_eq!(ev.seq, b.0);
         q.unpop([ready[0], ready[2]]);
+        let e = q.push(SimTime::from_nanos(10), Some(3), call());
+        let f = q.push(SimTime::from_nanos(12), Some(3), call());
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, [a.0, c.0, d.0], "unpopped keys keep their order");
+        assert_eq!(
+            order,
+            [a.0, c.0, e.0, f.0, d.0],
+            "unpopped keys keep their order"
+        );
         assert_eq!(q.lane_of(d.0), None, "consumed events forget lanes");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the last popped instant")]
+    fn push_below_the_last_popped_instant_panics() {
+        let mut q = EventQueue::default();
+        q.push(SimTime::from_nanos(10), None, call());
+        q.pop();
+        q.push(SimTime::from_nanos(9), None, call());
+    }
+
+    /// Key capacity the queue holds on to: every chunk, in a bucket or in
+    /// the free pool, plus the same-instant heap.
+    fn retained_keys(q: &EventQueue) -> usize {
+        let chunks = q.buckets.iter().flat_map(|b| &b.chunks);
+        chunks
+            .chain(&q.free_chunks)
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + q.heap.capacity()
+    }
+
+    #[test]
+    fn retained_memory_tracks_the_peak_key_count() {
+        let mut q = EventQueue::default();
+        let mut rng = XorShift(0x5EED_0003);
+        let (mut now, mut peak) = (0u64, 0usize);
+        // Each round lands 10⁵ keys in a different set of buckets: spans
+        // from 2 s down to 61 µs, each starting wherever the last ended.
+        for round in 0..6 {
+            let span = 2_000_000_000u64 >> (3 * round);
+            for _ in 0..100_000 {
+                q.push(SimTime::from_nanos(now + rng.next() % span), None, call());
+            }
+            peak = peak.max(q.len());
+            while let Some(ev) = q.pop() {
+                now = ev.time.as_nanos();
+            }
+            let held = retained_keys(&q);
+            assert!(
+                held <= peak + BUCKETS * CHUNK,
+                "round {round}: {held} keys of capacity for a peak of {peak}"
+            );
+        }
     }
 
     #[test]
@@ -605,14 +831,22 @@ mod tests {
         };
         match rng.next() % 10 {
             // Pushes dominate, with a gap spectrum from exact ties to
-            // seconds ahead.
+            // 2⁴⁰ ns ahead, plus times one before, on and one past a
+            // power-of-two boundary of `now` — where a key's radix bucket
+            // changes.
             0..=4 => {
                 let r = rng.next();
-                let gap = match r % 16 {
+                let gap = match r % 20 {
                     0..=6 => 0,
-                    7..=10 => r % 1_000,
-                    11..=13 => r % 1_000_000,
-                    _ => r % 2_000_000_000,
+                    7..=9 => r % 1_000,
+                    10..=11 => r % 1_000_000,
+                    12..=13 => r % 2_000_000_000,
+                    14..=15 => r % (1 << 40),
+                    _ => {
+                        let bit = (r >> 8) % 41;
+                        let boundary = ((*now >> bit) + 1) << bit;
+                        boundary - *now + (r >> 16) % 3 - 1
+                    }
                 };
                 let lane = match rng.next() % 4 {
                     0 => None,

@@ -1,7 +1,8 @@
 //! Deterministic process-oriented discrete-event simulation kernel.
 //!
 //! This crate is the substrate every other `ftmpi` crate runs on. It provides
-//! a virtual clock, an event queue ordered by `(time, sequence)`, and
+//! a virtual clock, an event queue ordered by `(time, tiekey, sequence)`
+//! (a monotone radix heap: virtual time never runs backwards), and
 //! *simulated processes*: `async` Rust bodies compiled into resumable state
 //! machines that the kernel owns and steps **inline** from its event loop —
 //! no OS thread per process, so topologies with 10⁵⁺ processes fit in one
@@ -48,6 +49,7 @@
 
 mod arena;
 mod event;
+mod hash;
 mod kernel;
 pub mod microbench;
 mod process;
@@ -58,6 +60,7 @@ mod time;
 mod trace;
 
 pub use event::EventId;
+pub use hash::{FxBuildHasher, FxHasher};
 pub use kernel::{DeadlockInfo, RunReport, Sim, SimCtx, SimError};
 pub use process::{Pid, ProcCtx, ProcessExit, SharedFlag};
 pub use reply::Reply;

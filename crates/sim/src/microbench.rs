@@ -121,8 +121,8 @@ mod tests {
         assert_ne!(a, drive(false, Density::WideSpread, 256, 5_000, 64));
     }
 
-    /// The pop order is pinned to the checksums the heap and the former
-    /// ladder backend both produced for this drive. (Same-instant pops
+    /// The pop order is pinned to the checksums the binary heap, the former
+    /// ladder backend and the radix heap all produced for this drive. (Same-instant pops
     /// checksum to 0 by construction: `tiekey == seq` and `now` stays 0.)
     #[test]
     fn pop_order_matches_the_recorded_checksums() {

@@ -113,7 +113,17 @@ cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
 rm -rf "$CACHE_TMP"
 
 echo "==> kernel microbench (event queue, BENCH_kernel.json)"
+# The run rewrites the timing fields, which may move. Its six pop-order
+# checksums (three event-time densities, each at 16,384 and 100,000 pending
+# events) may not: they pin the queue's exact pop order where its radix
+# buckets work hardest.
+CK_TMP="${TMPDIR:-/tmp}/ftmpi-ci-kernel-$$"
+grep '"checksum"' BENCH_kernel.json > "$CK_TMP.committed"
+test "$(wc -l < "$CK_TMP.committed")" -eq 6
 cargo run -q --release -p ftmpi-bench --bin kernel_bench -- --quick
+grep '"checksum"' BENCH_kernel.json > "$CK_TMP.fresh"
+cmp "$CK_TMP.committed" "$CK_TMP.fresh"
+rm -f "$CK_TMP.committed" "$CK_TMP.fresh"
 
 echo "==> rank-scale bench (512-rank ladder, 10^5-rank runs, BENCH_scale.json)"
 cargo run -q --release -p ftmpi-bench --bin scale_bench -- --quick
