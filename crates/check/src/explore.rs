@@ -1,7 +1,8 @@
 //! `ftmpi-check explore`: exhaustive schedule exploration (DPOR).
 //!
-//! The perturbation pass (PR 2) *samples* same-instant event orders with
-//! random seeds; this module *enumerates* them. A schedule is identified
+//! The perturbation pass *samples* same-instant event orders through a
+//! seeded [`ftmpi_sim::SeededPolicy`]; this module *enumerates* them
+//! through the same schedule-policy hook. A schedule is identified
 //! by its decision prefix — the list of candidate indices a
 //! [`ftmpi_sim::PrescribedPolicy`] feeds the kernel, canonical (index 0)
 //! beyond the prefix — so the schedule space is a tree of prescriptions
@@ -45,7 +46,8 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use ftmpi_core::{
-    run_job_explored, FtConfig, JobError, JobSpec, ProtocolChoice, RunOptions, ScheduleLog,
+    run_job_explored, FtConfig, JobError, JobSpec, ProtocolChoice, RunOptions, Schedule,
+    ScheduleLog,
 };
 use ftmpi_mpi::RaceFixture;
 use ftmpi_sim::{Candidate, ProtoEvent, SimDuration, SimTime, TraceEvent, TraceKind};
@@ -161,8 +163,7 @@ fn run_one(
 ) -> Result<RunOutcome, JobError> {
     let run_opts = RunOptions {
         trace: true,
-        tiebreak_seed: None,
-        schedule: Some(prescription.clone()),
+        schedule: Schedule::Prescribed(prescription.clone()),
         race_fixture: cfg.fixture,
     };
     match run_job_explored(spec.clone(), run_opts) {

@@ -17,14 +17,15 @@
 //!   `crates/sim/src/event.rs` must appear at a schedule site that
 //!   assigns an explicit tiebreak lane (a 3-argument `EventQueue::push`
 //!   whose lane argument is not `None`), so no event class can silently
-//!   reorder under the race detector's perturbation seeds. The same rule
-//!   pins tiekey *derivation* to `event.rs`: no other sim-crate source may
-//!   mention `splitmix64`, so no other module can re-derive lane→tiekey
-//!   mappings of its own. A second cross-file half confines the event
-//!   *push path*: `Key { .. }` construction, `arena.insert(`, and
-//!   `heap.push(` may appear only in `event.rs` (plus the slab's own
-//!   file), so no caller can mint keys or slots that bypass the lane
-//!   bookkeeping the schedule explorer replays against.
+//!   reorder under the race detector's seeded schedules. The same rule
+//!   pins the seeded tie order to `schedule.rs`: no other sim-crate source
+//!   may mention `splitmix64`, so the only seeded order is
+//!   `SeededPolicy`'s, chosen among the lane fronts the kernel offers. A
+//!   further cross-file part confines the event *push path*:
+//!   `Key { .. }` construction, `arena.insert(`, and `heap.push(` may
+//!   appear only in `event.rs` (plus the slab's own file), so no caller
+//!   can mint keys or slots that bypass the lane bookkeeping the schedule
+//!   policies choose among.
 //! * `env-registry` — every `std::env::var`/`var_os` read in the
 //!   workspace must name a toggle from the declared [`ENV_TOGGLES`]
 //!   registry, and every registered toggle must be documented in the
@@ -540,10 +541,10 @@ fn push_sites(joined: &str) -> Vec<(usize, Vec<String>)> {
 /// sources from the sim crate. Every `EventKind` variant must be reachable
 /// from a lane-assigning schedule site — a 3-argument `EventQueue::push`
 /// whose lane argument is not the literal `None` and whose kind argument
-/// constructs that variant. A variant only ever pushed laneless would get
-/// a fresh perturbation tiekey per event, so its same-time ordering would
-/// drift under the race detector's seeds instead of staying pinned to its
-/// process lane.
+/// constructs that variant. A variant only ever pushed laneless would be
+/// its own candidate at every tied instant, so its same-time ordering
+/// would drift under the race detector's seeds instead of staying pinned
+/// to its process lane.
 pub fn lane_audit_sources(sources: &[(String, String)]) -> Vec<LintHit> {
     let Some((event_path, event_text)) = sources
         .iter()
@@ -582,11 +583,11 @@ pub fn lane_audit_sources(sources: &[(String, String)]) -> Vec<LintHit> {
             rule: RULE_LANE_AUDIT,
             msg: format!(
                 "`EventKind::{v}` is never pushed with an explicit tiebreak \
-                 lane; laneless events reorder under perturbation seeds"
+                 lane; laneless events reorder under seeded schedules"
             ),
         })
         .collect();
-    hits.extend(tiekey_confinement(sources));
+    hits.extend(seeded_order_confinement(sources));
     hits.extend(push_confinement(sources));
     hits
 }
@@ -674,15 +675,17 @@ fn contains_word_prefix(line: &str, word: &str, needle: &str) -> bool {
     false
 }
 
-/// Second half of the lane audit: the lane→tiekey derivation (the
-/// `splitmix64` mixer) must live in `event.rs` and nowhere else in the sim
-/// crate. The queue orders the keys it is handed; any other module
-/// deriving its own tiekey would silently fork the ordering contract.
-fn tiekey_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
+/// Second part of the lane audit: the seeded tie order (the `splitmix64`
+/// mixer `SeededPolicy` hashes lanes with) must live in `schedule.rs` and
+/// nowhere else in the sim crate. The queue orders by `(time, seq)` and
+/// the kernel offers lane fronts to a policy; any other module hashing
+/// lanes or keys would fork a second seeded order that bypasses the lane
+/// fronts.
+fn seeded_order_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
     let mut hits = Vec::new();
     for (path, text) in sources {
         let norm = path.replace('\\', "/");
-        if norm.ends_with("src/event.rs") {
+        if norm.ends_with("src/schedule.rs") {
             continue;
         }
         let lines: Vec<&str> = text.lines().collect();
@@ -701,8 +704,8 @@ fn tiekey_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
                     file: norm.clone(),
                     line: i + 1,
                     rule: RULE_LANE_AUDIT,
-                    msg: "tiekey derivation (`splitmix64`) outside event.rs: \
-                          the queue must order keys, not derive them"
+                    msg: "seeded tie order (`splitmix64`) outside schedule.rs: \
+                          seeded reordering belongs to `SeededPolicy`"
                         .to_string(),
                 });
             }
@@ -887,30 +890,40 @@ pub(crate) enum EventKind {
     }
 
     #[test]
-    fn tiekey_derivation_confined_to_event_rs() {
+    fn seeded_order_hash_confined_to_schedule_rs() {
         let mut srcs = sources(
             "queue.push(at, Some(1), EventKind::Resume(pid, kind));\n\
              queue.push(at, Some(2), EventKind::Call(Box::new(f)));\n",
         );
-        assert!(lane_audit_sources(&srcs).is_empty());
-        // event.rs itself may (must) derive tiekeys.
-        srcs[0].1.push_str("fn splitmix64(x: u64) -> u64 { x }\n");
-        assert!(lane_audit_sources(&srcs).is_empty());
-        // Any other sim source deriving one is flagged...
+        // schedule.rs, home of `SeededPolicy`, may hash lanes.
         srcs.push((
-            "crates/sim/src/kernel.rs".into(),
-            "let t = splitmix64(seed ^ lane);\n".into(),
+            "crates/sim/src/schedule.rs".into(),
+            "let (h, _) = (splitmix64(&mut state), c.seq);\n".into(),
         ));
-        let hits = lane_audit_sources(&srcs);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, RULE_LANE_AUDIT);
-        assert_eq!(hits[0].file, "crates/sim/src/kernel.rs");
-        // ...unless escaped, mentioned in a comment, or a longer identifier.
-        srcs.last_mut().unwrap().1 =
-            "// splitmix64 is documented here only\nlet x = splitmix64_variant(y);\n".into();
         assert!(lane_audit_sources(&srcs).is_empty());
-        srcs.last_mut().unwrap().1 =
-            "// lint:allow(lane-audit)\nlet t = splitmix64(seed);\n".into();
+        // The queue, which orders by `(time, seq)` alone, and the kernel,
+        // which offers lane fronts to the policy, may not...
+        for (i, file) in [
+            (0, "crates/sim/src/event.rs"),
+            (1, "crates/sim/src/kernel.rs"),
+        ] {
+            let mut planted = srcs.clone();
+            planted[i]
+                .1
+                .push_str("let t = splitmix64(&mut seed ^ lane);\n");
+            let hits = lane_audit_sources(&planted);
+            assert_eq!(hits.len(), 1, "{hits:?}");
+            assert_eq!(hits[0].rule, RULE_LANE_AUDIT);
+            assert_eq!(hits[0].file, file);
+        }
+        // ...unless escaped, mentioned in a comment, or a longer identifier.
+        srcs[1]
+            .1
+            .push_str("// splitmix64 is documented here only\nlet x = splitmix64_variant(y);\n");
+        assert!(lane_audit_sources(&srcs).is_empty());
+        srcs[1]
+            .1
+            .push_str("// lint:allow(lane-audit)\nlet t = splitmix64(seed);\n");
         assert!(lane_audit_sources(&srcs).is_empty());
     }
 
@@ -922,7 +935,7 @@ pub(crate) enum EventKind {
         );
         // The owning files may construct keys, insert slots, and push raw.
         srcs[0].1.push_str(
-            "let k = Key { time, tiekey, slot };\nself.arena.insert(ev);\nself.heap.push(k);\n",
+            "let k = Key { time, seq, slot };\nself.arena.insert(ev);\nself.heap.push(k);\n",
         );
         srcs.push((
             "crates/sim/src/arena.rs".into(),
@@ -932,7 +945,7 @@ pub(crate) enum EventKind {
         // Any other sim source minting a Key is flagged...
         srcs.push((
             "crates/sim/src/kernel2.rs".into(),
-            "let k = Key{ time, tiekey: 7, slot };\n".into(),
+            "let k = Key{ time, seq: 7, slot };\n".into(),
         ));
         let hits = lane_audit_sources(&srcs);
         assert_eq!(hits.len(), 1, "{hits:?}");
@@ -945,7 +958,7 @@ pub(crate) enum EventKind {
         // Longer identifiers, comments, and the escape hatch don't trip it.
         srcs.last_mut().unwrap().1 = "let w = WakeKey { pid };\n\
              // a Key { .. } mentioned in a comment\n\
-             // lint:allow(lane-audit)\nlet k = Key { time, tiekey, slot };\n"
+             // lint:allow(lane-audit)\nlet k = Key { time, seq, slot };\n"
             .into();
         assert!(lane_audit_sources(&srcs).is_empty());
     }

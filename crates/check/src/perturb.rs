@@ -5,13 +5,13 @@
 //! executions that differ only in the order of independent same-instant
 //! events must produce the same protocol behaviour. This module probes
 //! exactly that property — it re-runs a configuration under seeded
-//! permutations of the tiebreak order
-//! ([`ftmpi_core::RunOptions::tiebreak_seed`]) and compares
-//! order-canonical trace fingerprints. A divergent fingerprint means some
-//! state transition read the accidental order: a schedule-sensitivity bug
-//! of the same family as a data race in a real MPI implementation.
+//! permutations of each tied instant ([`ftmpi_core::Schedule::Seeded`],
+//! the kernel's [`ftmpi_sim::SeededPolicy`]) and compares order-canonical
+//! trace fingerprints. A divergent fingerprint means some state transition
+//! read the accidental order: a schedule-sensitivity bug of the same
+//! family as a data race in a real MPI implementation.
 
-use ftmpi_core::{run_job_with, JobError, JobSpec, RunOptions};
+use ftmpi_core::{run_job_with, JobError, JobSpec, RunOptions, Schedule};
 
 use crate::fingerprint::trace_fingerprint;
 
@@ -50,7 +50,6 @@ pub fn perturbation_check(
         mk_spec(),
         RunOptions {
             trace: true,
-            tiebreak_seed: None,
             ..RunOptions::default()
         },
     )?;
@@ -61,7 +60,7 @@ pub fn perturbation_check(
             mk_spec(),
             RunOptions {
                 trace: true,
-                tiebreak_seed: Some(seed),
+                schedule: Schedule::Seeded(seed),
                 ..RunOptions::default()
             },
         )?;

@@ -116,7 +116,6 @@ fn profile(spec: JobSpec) -> Result<CleanProfile, String> {
         spec,
         RunOptions {
             trace: true,
-            tiebreak_seed: None,
             ..RunOptions::default()
         },
     )
@@ -207,7 +206,6 @@ pub fn run_storm_traced(name: &str, spec: JobSpec) -> (StormOutcome, Vec<TraceEv
         spec,
         RunOptions {
             trace: true,
-            tiebreak_seed: None,
             ..RunOptions::default()
         },
     ) {

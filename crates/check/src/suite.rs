@@ -161,7 +161,6 @@ pub fn run_checked(name: &str, spec: JobSpec) -> Result<ProbeOutcome, JobError> 
         spec,
         RunOptions {
             trace: true,
-            tiebreak_seed: None,
             ..RunOptions::default()
         },
     )?;
@@ -188,7 +187,6 @@ pub fn run_checked_with_churn(
         spec,
         RunOptions {
             trace: true,
-            tiebreak_seed: None,
             ..RunOptions::default()
         },
     )?;

@@ -28,7 +28,6 @@ fn traced(name: &str) -> (ProtocolChoice, usize, Vec<TraceEvent>) {
         spec,
         RunOptions {
             trace: true,
-            tiebreak_seed: None,
             ..RunOptions::default()
         },
     )

@@ -11,9 +11,13 @@
 //! Regenerating a golden is a deliberate act: a change that moves one
 //! changes simulated behaviour, and must say so.
 
-use ftmpi_check::{check_trace, smoke_probes, storm_campaign, trace_fingerprint, StormOutcome};
+use std::fmt::Write as _;
+
+use ftmpi_check::{
+    check_trace, figure_smoke_probes, smoke_probes, storm_campaign, trace_fingerprint, StormOutcome,
+};
 use ftmpi_core::{
-    run_job_with, FailurePlan, FtConfig, JobResult, JobSpec, ProtocolChoice, RunOptions,
+    run_job_with, FailurePlan, FtConfig, JobResult, JobSpec, ProtocolChoice, RunOptions, Schedule,
 };
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_sim::{SimDuration, SimTime, TraceEvent};
@@ -87,6 +91,109 @@ fn smoke_probe_set_matches_goldens() {
         let (_, trace) = assert_golden(&name, spec, want);
         let report = check_trace(protocol, nranks, &trace);
         assert!(report.ok(), "{name}: {:?}", report.violations);
+    }
+}
+
+/// FNV-1a over the trace in raw (execution) order: each record's time,
+/// kind (protocol record included) and pid. Unlike the order-canonical
+/// fingerprint, this sees the order of same-instant records, so it pins
+/// the exact schedule a tie order produced.
+fn raw_trace_digest(trace: &[TraceEvent]) -> u64 {
+    let mut text = String::new();
+    for te in trace {
+        writeln!(text, "{} {:?} {:?}", te.time.as_nanos(), te.kind, te.pid)
+            .expect("write to a String");
+    }
+    fnv1a(text.as_bytes())
+}
+
+/// The seeded tie orders the smoke perturbation pass samples — the three
+/// smoke probes and the four class-S figure probes, each under seeds 1, 2
+/// and 3 — pinned by executed-event count and raw-order trace digest. The
+/// pass itself compares only order-canonical fingerprints, which a seeded
+/// schedule that never reordered anything would match as well.
+#[test]
+fn perturbed_schedules_match_goldens() {
+    const GOLDENS: &[(&str, [(u64, u64); 3])] = &[
+        (
+            "smoke.ring8.pcl",
+            [
+                (6671, 0xaccf_599d_04d5_27c6),
+                (6671, 0x63f4_6c1f_7672_c31e),
+                (6671, 0x2d96_47d0_e161_b1ec),
+            ],
+        ),
+        (
+            "smoke.ring8.vcl",
+            [
+                (6671, 0x6ca9_a561_f82d_0e79),
+                (6671, 0xd631_5dfe_0163_4359),
+                (6671, 0xba59_2198_6a1c_21b5),
+            ],
+        ),
+        (
+            "smoke.stream2.vcl",
+            [
+                (1157, 0xab91_54ba_9443_f340),
+                (1157, 0x33aa_f932_dc21_9ac2),
+                (1157, 0xab91_54ba_9443_f340),
+            ],
+        ),
+        (
+            "bt.S.4.gige.pcl",
+            [
+                (5346, 0xf341_d6a8_b2c4_fd58),
+                (5346, 0x89cc_730a_336c_f0fe),
+                (5346, 0x4b90_f6f7_fcb6_a89a),
+            ],
+        ),
+        (
+            "bt.S.4.myri.pcl",
+            [
+                (5346, 0x7186_8348_727a_acc1),
+                (5346, 0x10b8_dbbd_5faf_5485),
+                (5346, 0xadd9_f79b_b16b_b5c1),
+            ],
+        ),
+        (
+            "bt.S.4.grid.pcl",
+            [
+                (5344, 0xcf43_5129_fa59_c65a),
+                (5344, 0xcba0_5db0_2bef_bc70),
+                (5344, 0xb7a5_23b9_382f_408a),
+            ],
+        ),
+        (
+            "bt.S.4.myri.vcl",
+            [
+                (4851, 0x2887_86a0_37af_20e5),
+                (4851, 0x4e6a_e0b3_f039_56a5),
+                (4851, 0x2d51_23c4_48c8_eb29),
+            ],
+        ),
+    ];
+    let probes: Vec<(String, JobSpec)> = smoke_probes()
+        .into_iter()
+        .chain(figure_smoke_probes())
+        .collect();
+    let names: Vec<&str> = probes.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = GOLDENS.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, pinned, "the perturbation target set changed");
+    for ((name, spec), (_, want)) in probes.iter().zip(GOLDENS) {
+        for (seed, &(events, digest)) in (1u64..).zip(want) {
+            let opts = RunOptions {
+                trace: true,
+                schedule: Schedule::Seeded(seed),
+                ..RunOptions::default()
+            };
+            let (res, trace) = run_job_with(spec.clone(), opts).expect("perturbed run");
+            assert_eq!(res.events, events, "{name} seed {seed}: event count moved");
+            assert_eq!(
+                raw_trace_digest(&trace),
+                digest,
+                "{name} seed {seed}: schedule moved"
+            );
+        }
     }
 }
 

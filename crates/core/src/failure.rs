@@ -41,6 +41,8 @@
 //!   images it stored.
 
 use ftmpi_mpi::Rank;
+use ftmpi_net::fault::exp_draw;
+use ftmpi_sim::schedule::splitmix64;
 use ftmpi_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,26 +91,6 @@ pub struct SilentCorruptionSpec {
     /// PRNG seed; the stream is also keyed by the server index so several
     /// specs may share a seed without sharing a schedule.
     pub seed: u64,
-}
-
-/// One step of the splitmix64 generator — the workspace's standard tiny
-/// PRNG for seeded, dependency-free randomness (same recurrence as the
-/// flap expansion in `ftmpi-net`).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// An exponential draw with the given mean, never shorter than one
-/// nanosecond (a zero-length gap would schedule two corruption events at
-/// the same instant on the same lane).
-fn exp_draw(state: &mut u64, mean: SimDuration) -> SimDuration {
-    let u = ((splitmix64(state) >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-    let ns = -(mean.as_nanos() as f64) * u.ln();
-    SimDuration::from_nanos((ns.max(1.0)) as u64)
 }
 
 impl SilentCorruptionSpec {

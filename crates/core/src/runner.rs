@@ -9,7 +9,7 @@ use ftmpi_mpi::{
     RuntimeStats, World, WorldRef,
 };
 use ftmpi_net::{fault_lane, LinkConfig, LinkFaultKind, NetFaultPlan, NetModel, SoftwareStack};
-use ftmpi_sim::{Sim, SimDuration, SimTime};
+use ftmpi_sim::{PrescribedPolicy, SeededPolicy, Sim, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 use crate::deploy::Deployment;
@@ -362,21 +362,31 @@ pub fn build_deployment(spec: &JobSpec) -> Deployment {
     }
 }
 
-/// Observation and perturbation knobs for a run (see [`run_job_with`]).
+/// Which order a run gives same-instant events (see [`RunOptions`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Schedule {
+    /// Scheduling order: the kernel runs policy-free — the ordinary fast
+    /// path.
+    #[default]
+    Canonical,
+    /// Exploration: at each multi-candidate instant the kernel takes the
+    /// next index from this list, falling back to 0 (the canonical order)
+    /// beyond its end ([`ftmpi_sim::PrescribedPolicy`]).
+    Prescribed(Vec<usize>),
+    /// Race detection: a seeded permutation of every tied instant
+    /// ([`ftmpi_sim::SeededPolicy`]).
+    Seeded(u64),
+}
+
+/// Observation and scheduling knobs for a run (see [`run_job_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Record the structured protocol trace (checker input). Off by
     /// default: tracing is behind a one-flag gate and costs nothing when
     /// disabled.
     pub trace: bool,
-    /// Perturb same-time event tiebreaks with this seed (race detection).
-    /// `None` keeps the canonical deterministic schedule.
-    pub tiebreak_seed: Option<u64>,
-    /// Drive the run under a prescribed schedule (exploration mode): at
-    /// each multi-candidate instant the kernel takes the next index from
-    /// this list, falling back to 0 (the canonical order) beyond its end.
-    /// `None` leaves the kernel policy-free — the ordinary fast path.
-    pub schedule: Option<Vec<usize>>,
+    /// The order of same-instant events.
+    pub schedule: Schedule,
     /// Re-open one of the two historical races as a regression fixture for
     /// the schedule explorer (see [`RaceFixture`]). `None` — always, outside
     /// explorer tests — leaves every protocol path exactly as shipped.
@@ -385,8 +395,8 @@ pub struct RunOptions {
 
 /// The scheduling record of an explored run: every multi-candidate choice
 /// point and every executed step, as recorded by the kernel (see
-/// [`ftmpi_sim::Decision`] / [`ftmpi_sim::StepRecord`]). Empty unless
-/// [`RunOptions::schedule`] engaged exploration mode.
+/// [`ftmpi_sim::Decision`] / [`ftmpi_sim::StepRecord`]). Empty under
+/// [`Schedule::Canonical`], which installs no policy.
 #[derive(Debug, Default)]
 pub struct ScheduleLog {
     /// Choice points in execution order.
@@ -410,8 +420,8 @@ pub fn run_job_with(
 }
 
 /// Like [`run_job_with`] but also returning the [`ScheduleLog`] — the
-/// explorer's view of a run's choice points. Costs nothing extra when
-/// exploration mode is off (the log is empty).
+/// explorer's view of a run's choice points. Costs nothing extra under the
+/// canonical schedule (the log is empty).
 pub fn run_job_explored(
     spec: JobSpec,
     opts: RunOptions,
@@ -449,17 +459,16 @@ pub fn run_job_explored(
     let world: WorldRef = World::new_ref(rt, proto);
 
     let mut sim = Sim::new();
-    if let Some(prefix) = opts.schedule {
-        sim.set_schedule_policy(Box::new(ftmpi_sim::PrescribedPolicy::new(prefix)));
+    match opts.schedule {
+        Schedule::Canonical => {}
+        Schedule::Prescribed(p) => sim.set_schedule_policy(Box::new(PrescribedPolicy::new(p))),
+        Schedule::Seeded(seed) => sim.set_schedule_policy(Box::new(SeededPolicy::new(seed))),
     }
     if let Some(t) = spec.max_virtual_time {
         sim.set_max_time(t);
     }
     if opts.trace {
         sim.enable_trace();
-    }
-    if let Some(seed) = opts.tiebreak_seed {
-        sim.set_tiebreak_seed(seed);
     }
 
     let w2 = Rc::clone(&world);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ftmpi_core::{
     run_job, run_job_explored, FailurePlan, FtConfig, JobError, JobResult, JobSpec, ProtocolChoice,
-    RunOptions,
+    RunOptions, Schedule,
 };
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId, SoftwareStack};
@@ -1028,7 +1028,7 @@ fn explored_runs_record_one_step_per_executed_event() {
             ..FtConfig::default()
         };
         let opts = RunOptions {
-            schedule: Some(vec![]),
+            schedule: Schedule::Prescribed(vec![]),
             ..RunOptions::default()
         };
         let (res, _, log) = run_job_explored(spec, opts).expect("job failed");

@@ -52,16 +52,11 @@ pub trait Protocol {
     /// Short name used in reports ("dummy", "vcl", "pcl").
     fn name(&self) -> &'static str;
 
-    /// A rank's application thread entered the runtime (any operation).
-    /// Deferred control handling (blocking-protocol markers) happens here.
+    /// A rank's application thread entered the runtime (any operation), or
+    /// just parked inside a blocking one, where its progress engine polls
+    /// even though the application issues nothing. Deferred control
+    /// handling (blocking-protocol markers) happens here.
     fn on_runtime_entry(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, rank: Rank);
-
-    /// A rank just parked inside a blocking operation: its progress engine
-    /// is now polling, so deferred control traffic can be handled even
-    /// though the application is not issuing operations.
-    fn on_progress_poll(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, rank: Rank) {
-        self.on_runtime_entry(rt, sc, rank);
-    }
 
     /// An application send is about to be injected into the network.
     fn on_send_post(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, msg: &AppMsg) -> SendAction;

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use ftmpi_sim::{Reply, SimCtx, SimDuration, SimTime};
+use ftmpi_sim::{Reply, SimCtx, SimDuration};
 
 use crate::handle::Mpi;
 use crate::protocol::{ArrivalAction, Protocol, SendAction};
@@ -189,7 +189,7 @@ impl World {
             let r = &mut self.rt.ranks[me];
             r.blocked_in_lib = true;
             r.last_post = sc.now();
-            self.proto.on_progress_poll(&mut self.rt, sc, me);
+            self.proto.on_runtime_entry(&mut self.rt, sc, me);
         }
     }
 
@@ -212,7 +212,7 @@ impl World {
             r.last_post = sc.now();
             // The rank is now inside the progress engine: deferred control
             // traffic (blocking-protocol markers) can be handled.
-            self.proto.on_progress_poll(&mut self.rt, sc, dst);
+            self.proto.on_runtime_entry(&mut self.rt, sc, dst);
         }
     }
 
@@ -274,7 +274,7 @@ impl World {
                 // The wait completes on message arrival; carry the pause over.
                 self.rt.add_penalty(rank, penalty);
             }
-            self.proto.on_progress_poll(&mut self.rt, sc, rank);
+            self.proto.on_runtime_entry(&mut self.rt, sc, rank);
         }
     }
 
@@ -320,6 +320,3 @@ pub fn spawn_rank(sc: &SimCtx, world: &WorldRef, rank: Rank, app: AppFn) {
         r.last_entry = sc.now();
     }
 }
-
-/// Convenience for tests: synchronisation point recording a value.
-pub(crate) fn _noop(_: SimTime) {}

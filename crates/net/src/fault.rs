@@ -36,6 +36,7 @@
 
 use std::fmt;
 
+use ftmpi_sim::schedule::splitmix64;
 use ftmpi_sim::{SimDuration, SimTime};
 
 use crate::topology::NodeId;
@@ -186,20 +187,12 @@ pub struct LinkFlapSpec {
     pub seed: u64,
 }
 
-/// One step of the splitmix64 generator — the workspace's standard tiny
-/// PRNG for seeded, dependency-free randomness.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// An exponential draw with the given mean, never shorter than one
-/// nanosecond (a zero-length interval would schedule two transitions at the
-/// same instant on the same lane).
-fn exp_draw(state: &mut u64, mean: SimDuration) -> SimDuration {
+/// An exponential draw with the given mean from a splitmix64 stream, never
+/// shorter than one nanosecond (a zero-length interval would schedule two
+/// events of one renewal process at the same instant on the same lane).
+/// Drives the flap expansion here and the rot and silent-corruption
+/// expansions of `ftmpi-core`.
+pub fn exp_draw(state: &mut u64, mean: SimDuration) -> SimDuration {
     // 53 uniform bits shifted into (0, 1): adding 0.5 before scaling keeps
     // the draw strictly positive so ln() stays finite.
     let u = ((splitmix64(state) >> 11) as f64 + 0.5) / (1u64 << 53) as f64;

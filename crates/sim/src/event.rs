@@ -1,17 +1,20 @@
 //! The kernel event queue.
 //!
-//! Events are totally ordered by `(time, tiekey, seq)`. The sequence number
-//! is assigned when the event is scheduled; because simulated execution is
+//! Events are totally ordered by `(time, seq)`. The sequence number is
+//! assigned when the event is scheduled; because simulated execution is
 //! sequential and cooperative, scheduling order — and therefore tie-breaking
-//! among same-time events — is deterministic.
+//! among same-time events — is deterministic. Any other order of a tied
+//! instant is a [`SchedulePolicy`](crate::SchedulePolicy)'s choice, made by
+//! the kernel over [`EventQueue::pop_ready_keys`]; the queue itself has no
+//! other mode.
 //!
-//! The order is kept by a monotone radix heap of 32-byte [`Key`]s. The
+//! The order is kept by a monotone radix heap of 24-byte [`Key`]s. The
 //! kernel clamps every schedule to its clock, so no key lands below the last
 //! popped instant, `last`. Keys at `last` sit in a small binary heap ordered
-//! by `(tiekey, seq)`; a later key lives in radix bucket *i*, where *i* is
-//! the highest bit at which its time differs from `last`. When the
-//! same-instant heap empties, the lowest non-empty bucket is drained: its
-//! earliest time becomes `last`, and each of its keys moves into the heap or
+//! by `seq`; a later key lives in radix bucket *i*, where *i* is the highest
+//! bit at which its time differs from `last`. When the same-instant heap
+//! empties, the lowest non-empty bucket is drained: its earliest time
+//! becomes `last`, and each of its keys moves into the heap or
 //! into a strictly lower bucket. A key therefore moves at most 64 times in
 //! its life, and a far-future timer stays untouched until `last` reaches its
 //! top differing bit — whether the pending set is a same-instant marker
@@ -53,33 +56,17 @@ pub(crate) enum EventKind {
 pub(crate) struct Event {
     pub time: SimTime,
     pub seq: u64,
-    /// Secondary sort key among same-time events. Equal to `seq` in normal
-    /// runs; a seeded permutation of it under tiebreak perturbation (the
-    /// race detector's probe for schedule-sensitive model state).
-    pub tiekey: u64,
     pub kind: EventKind,
 }
 
-/// Scheduling key: the total event order `(time, tiekey, seq)` plus the
-/// arena slot of the payload. Sifts and re-bucketing move only this 32-byte
-/// `Copy` value.
+/// Scheduling key: the total event order `(time, seq)` plus the arena slot
+/// of the payload. Sifts and re-bucketing move only this 24-byte `Copy`
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Key {
     pub time_ns: u64,
-    pub tiekey: u64,
     pub seq: u64,
     pub slot: u32,
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed bijection on `u64` used to
-/// derive perturbed tiebreak keys from (seed, seq). Tiekey derivation is
-/// confined to [`EventQueue::push`] — the lane audit enforces that no other
-/// sim-crate code re-derives one.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Default tombstone count below which [`EventQueue::cancel`] never
@@ -144,7 +131,7 @@ impl Bucket {
 
 /// Min-queue of pending events plus a tombstone set for cancellation.
 pub(crate) struct EventQueue {
-    /// Keys at the current instant `last`, ordered by `(tiekey, seq)`.
+    /// Keys at the current instant `last`, ordered by `seq`.
     heap: BinaryHeap<Reverse<Key>>,
     /// The current instant: the time of the latest refill. Every pending
     /// key is at or after it.
@@ -161,19 +148,14 @@ pub(crate) struct EventQueue {
     arena: EventArena,
     next_seq: u64,
     cancelled: HashSet<u64, FxBuildHasher>,
-    /// When set, same-time tiebreaks follow a seeded permutation of the
-    /// scheduling order instead of the scheduling order itself. Causality is
-    /// preserved (an event scheduled by another still runs after it); only
-    /// the order of *independent* same-time events changes.
-    tiebreak_seed: Option<u64>,
     compact_min_tombstones: usize,
     /// Total number of events ever scheduled (for run reports).
     pub scheduled_total: u64,
-    /// Side-map `seq → lane`, maintained only in exploration mode
-    /// ([`EventQueue::record_lanes`]): the schedule-policy hook needs each
-    /// pending event's tiebreak lane to build per-lane candidate fronts,
-    /// and `Key` deliberately does not carry it. Empty (and untouched) in
-    /// ordinary runs, so the hot push/pop paths pay nothing.
+    /// Side-map `seq → lane`, maintained only under a schedule policy
+    /// ([`EventQueue::record_lanes`]): the policy hook needs each pending
+    /// event's tiebreak lane to build per-lane candidate fronts, and `Key`
+    /// deliberately does not carry it. Empty (and untouched) in ordinary
+    /// runs, so the hot push/pop paths pay nothing.
     lanes: Option<HashMap<u64, Option<u64>, FxBuildHasher>>,
 }
 
@@ -189,7 +171,6 @@ impl Default for EventQueue {
             arena: EventArena::default(),
             next_seq: 0,
             cancelled: HashSet::default(),
-            tiebreak_seed: None,
             compact_min_tombstones: COMPACT_MIN_TOMBSTONES,
             scheduled_total: 0,
             lanes: None,
@@ -198,21 +179,17 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Start recording each event's tiebreak lane (exploration mode). Must
-    /// be enabled before the first push so every pending event is covered.
+    /// Start recording each event's tiebreak lane (for a schedule policy).
+    /// Must be enabled before the first push so every pending event is
+    /// covered ([`Sim::set_schedule_policy`](crate::Sim::set_schedule_policy)
+    /// asserts that).
     pub fn record_lanes(&mut self) {
-        debug_assert_eq!(self.scheduled_total, 0, "record_lanes after pushes");
         self.lanes = Some(HashMap::default());
     }
 
-    /// The recorded lane of a pending event (exploration mode only).
+    /// The recorded lane of a pending event (under a schedule policy only).
     pub fn lane_of(&self, seq: u64) -> Option<u64> {
         self.lanes.as_ref().and_then(|m| m.get(&seq).copied())?
-    }
-
-    /// Perturb same-time event ordering with `seed` (race detection).
-    pub fn set_tiebreak_seed(&mut self, seed: u64) {
-        self.tiebreak_seed = Some(seed);
     }
 
     /// Override the compaction trigger (kernel microbenchmark knob; the
@@ -224,26 +201,19 @@ impl EventQueue {
 
     /// Schedule an event. `lane` groups events that race on shared state
     /// (e.g. everything targeting one process): same-time events in the same
-    /// lane always pop in scheduling order, even under a perturbation seed,
+    /// lane always pop in scheduling order, under any schedule policy,
     /// because their relative order is defined model semantics. Unkeyed
     /// (`None`) events are treated as independent and permute freely.
     pub fn push(&mut self, time: SimTime, lane: Option<u64>, kind: EventKind) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let tiekey = match self.tiebreak_seed {
-            None => seq,
-            // Same lane ⇒ same tiekey ⇒ the `seq` tiebreak preserves the
-            // scheduling order; distinct lanes land in a seeded order.
-            Some(seed) => splitmix64(seed ^ lane.unwrap_or(seq)),
-        };
         if let Some(m) = self.lanes.as_mut() {
             m.insert(seq, lane);
         }
         let slot = self.arena.insert(kind);
         self.insert(Key {
             time_ns: time.as_nanos(),
-            tiekey,
             seq,
             slot,
         });
@@ -397,7 +367,6 @@ impl EventQueue {
         Event {
             time: SimTime::from_nanos(k.time_ns),
             seq: k.seq,
-            tiekey: k.tiekey,
             kind: self.arena.take(k.slot),
         }
     }
@@ -432,7 +401,7 @@ impl EventQueue {
     }
 
     /// Pop every live key at the earliest pending instant, in canonical
-    /// pop order (exploration mode). The caller inspects them through
+    /// pop order (under a schedule policy). The caller inspects them through
     /// [`EventQueue::peek_kind`], executes exactly one via
     /// [`EventQueue::take_key`], and pushes the rest back with
     /// [`EventQueue::unpop`]. Cancelled corpses encountered on the way are
@@ -617,54 +586,8 @@ mod tests {
     }
 
     #[test]
-    fn tiebreak_seed_permutes_only_same_time_events() {
-        let order_with = |seed: Option<u64>| {
-            let mut q = EventQueue::default();
-            if let Some(s) = seed {
-                q.set_tiebreak_seed(s);
-            }
-            // Four events at t=10 (a permutable tie), one each at 5 and 20.
-            for t in [10, 5, 10, 10, 20, 10] {
-                q.push(SimTime::from_nanos(t), None, call());
-            }
-            std::iter::from_fn(|| q.pop())
-                .map(|ev| (ev.time.as_nanos(), ev.seq))
-                .collect::<Vec<_>>()
-        };
-        let baseline = order_with(None);
-        // Time order always holds, and the unperturbed tie order is seq.
-        let times: Vec<u64> = baseline.iter().map(|(t, _)| *t).collect();
-        assert_eq!(times, [5, 10, 10, 10, 10, 20]);
-        assert_eq!(
-            baseline.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
-            [1, 0, 2, 3, 5, 4]
-        );
-        // A seed keeps the time order but permutes within the t=10 bucket;
-        // the same seed reproduces the same permutation.
-        let perturbed = order_with(Some(7));
-        assert_eq!(perturbed.iter().map(|(t, _)| *t).collect::<Vec<_>>(), times);
-        assert_eq!(perturbed, order_with(Some(7)));
-        let mid: std::collections::BTreeSet<u64> =
-            perturbed[1..5].iter().map(|(_, s)| *s).collect();
-        assert_eq!(mid, [0u64, 2, 3, 5].into_iter().collect());
-    }
-
-    #[test]
-    fn same_lane_events_keep_scheduling_order_under_any_seed() {
-        for seed in 0..32 {
-            let mut q = EventQueue::default();
-            q.set_tiebreak_seed(seed);
-            // Two lanes interleaved at one instant: intra-lane order must
-            // survive every seed, inter-lane order is fair game.
-            let a0 = q.push(SimTime::from_nanos(10), Some(1), call()).0;
-            let b0 = q.push(SimTime::from_nanos(10), Some(2), call()).0;
-            let a1 = q.push(SimTime::from_nanos(10), Some(1), call()).0;
-            let b1 = q.push(SimTime::from_nanos(10), Some(2), call()).0;
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|ev| ev.seq).collect();
-            let pos = |s: u64| order.iter().position(|&x| x == s).unwrap();
-            assert!(pos(a0) < pos(a1), "lane 1 order violated under seed {seed}");
-            assert!(pos(b0) < pos(b1), "lane 2 order violated under seed {seed}");
-        }
+    fn keys_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
     #[test]
@@ -793,22 +716,17 @@ mod tests {
     }
 
     /// The queue's contract, stated as brute force: the live events as an
-    /// ordered set of `(time, tiekey, seq)`, with tiekeys derived exactly
-    /// as [`EventQueue::push`] documents.
+    /// ordered set of `(time, seq)`.
+    #[derive(Default)]
     struct Model {
-        live: std::collections::BTreeSet<(u64, u64, u64)>,
+        live: std::collections::BTreeSet<(u64, u64)>,
         next_seq: u64,
-        seed: Option<u64>,
     }
 
     impl Model {
-        fn push(&mut self, t: u64, lane: Option<u64>) -> (u64, u64, u64) {
-            let seq = self.next_seq;
+        fn push(&mut self, t: u64) -> (u64, u64) {
+            let k = (t, self.next_seq);
             self.next_seq += 1;
-            let tiekey = self
-                .seed
-                .map_or(seq, |s| splitmix64(s ^ lane.unwrap_or(seq)));
-            let k = (t, tiekey, seq);
             self.live.insert(k);
             k
         }
@@ -818,15 +736,15 @@ mod tests {
     fn model_step(
         rng: &mut XorShift,
         now: &mut u64,
-        pushed: &mut Vec<(EventId, (u64, u64, u64))>,
+        pushed: &mut Vec<(EventId, (u64, u64))>,
         q: &mut EventQueue,
         m: &mut Model,
     ) {
-        let digest = |ev: &Event| (ev.time.as_nanos(), ev.tiekey, ev.seq);
+        let digest = |ev: &Event| (ev.time.as_nanos(), ev.seq);
         let mut push = |t: u64, lane: Option<u64>, q: &mut EventQueue, m: &mut Model| {
             let id = q.push(SimTime::from_nanos(t), lane, call());
-            let k = m.push(t, lane);
-            assert_eq!(id.0, k.2, "event ids are scheduling sequence numbers");
+            let k = m.push(t);
+            assert_eq!(id.0, k.1, "event ids are scheduling sequence numbers");
             pushed.push((id, k));
         };
         match rng.next() % 10 {
@@ -864,7 +782,7 @@ mod tests {
             6 | 7 => {
                 let got = q.pop().map(|ev| digest(&ev));
                 assert_eq!(got, m.live.pop_first(), "pop order left the model");
-                if let Some((t, _, _)) = got {
+                if let Some((t, _)) = got {
                     *now = t;
                 }
             }
@@ -875,7 +793,7 @@ mod tests {
                 assert_eq!(q.peek_time().map(|t| t.as_nanos()), head.map(|k| k.0));
                 let got = q.pop().map(|ev| digest(&ev));
                 assert_eq!(got, m.live.pop_first());
-                if let Some((t, _, _)) = head {
+                if let Some((t, _)) = head {
                     *now = t;
                 }
             }
@@ -895,16 +813,9 @@ mod tests {
 
     #[test]
     fn queue_matches_a_brute_force_model_over_1e5_mixed_ops() {
-        for (seed, tiebreak) in [(0x5EED_0001u64, None), (0x5EED_0002, Some(42))] {
+        for seed in [0x5EED_0001u64, 0x5EED_0002] {
             let mut q = EventQueue::default();
-            let mut m = Model {
-                live: std::collections::BTreeSet::new(),
-                next_seq: 0,
-                seed: tiebreak,
-            };
-            if let Some(s) = tiebreak {
-                q.set_tiebreak_seed(s);
-            }
+            let mut m = Model::default();
             let mut rng = XorShift(seed);
             let mut now = 0u64;
             let mut pushed = Vec::new();
@@ -913,7 +824,7 @@ mod tests {
             }
             // Drain the survivors: the tails must agree too.
             let tail: Vec<_> = std::iter::from_fn(|| q.pop())
-                .map(|e| (e.time.as_nanos(), e.tiekey, e.seq))
+                .map(|e| (e.time.as_nanos(), e.seq))
                 .collect();
             assert_eq!(tail, m.live.into_iter().collect::<Vec<_>>());
             assert_eq!(q.arena.len(), 0, "every payload taken or reclaimed");

@@ -70,18 +70,19 @@ pub(crate) struct KernelState {
     tracer: Tracer,
     /// Exit records in completion order.
     exits: Vec<(Pid, Rc<str>, ProcessExit)>,
-    /// Exploration mode: a controller choosing among same-instant
-    /// candidates ([`Sim::set_schedule_policy`]). `None` in ordinary runs —
-    /// the pop path is then exactly the policy-free fast path.
+    /// A controller choosing among same-instant candidates
+    /// ([`Sim::set_schedule_policy`]): the explorer's prescription or the
+    /// race detector's seed. `None` in ordinary runs — the pop path is then
+    /// exactly the policy-free fast path.
     policy: Option<Box<dyn SchedulePolicy>>,
-    /// Multi-candidate instants recorded in exploration mode.
+    /// Multi-candidate instants recorded under a policy.
     decisions: Vec<Decision>,
-    /// One record per executed event in exploration mode (effect windows
-    /// into the trace).
+    /// One record per executed event under a policy (effect windows into
+    /// the trace).
     steps: Vec<StepRecord>,
 }
 
-/// Outcome of one exploration-mode pop attempt.
+/// Outcome of one policy-driven pop attempt.
 enum PolicyPop {
     /// The queue is empty (deadlock check decides success).
     Drained,
@@ -94,7 +95,7 @@ enum PolicyPop {
 }
 
 impl KernelState {
-    /// The exploration-mode pop: gather every live event at the earliest
+    /// The policy-driven pop: gather every live event at the earliest
     /// instant, offer the per-lane fronts (plus all laneless events) to the
     /// policy, execute its pick, and return the rest to the queue. Records
     /// a [`Decision`] for every real choice point and a [`StepRecord`] for
@@ -103,16 +104,10 @@ impl KernelState {
         let Some(t) = self.queue.peek_time() else {
             return PolicyPop::Drained;
         };
-        if self.max_time.map(|mt| t > mt).unwrap_or(false) {
-            // Past the horizon: stop without consuming anything, same
-            // outcome as the policy-free loop (the clock never advances
-            // beyond max_time).
-            self.stop_requested = true;
-            return PolicyPop::Horizon;
-        }
         let mut keys = self.queue.pop_ready_keys();
         // Resumes aimed at dead processes are stale: reclaim them before
-        // building candidates, so the policy is never offered an event the
+        // building candidates or testing the horizon, so the policy is
+        // never offered — and the horizon never stops on — an event the
         // policy-free loop would silently drop.
         keys.retain(|&k| {
             let stale = matches!(
@@ -127,6 +122,14 @@ impl KernelState {
         });
         if keys.is_empty() {
             return PolicyPop::Retry;
+        }
+        if self.max_time.is_some_and(|mt| t > mt) {
+            // Past the horizon: stop without running anything, same
+            // outcome as the policy-free loop (the clock never advances
+            // beyond max_time).
+            self.queue.unpop(keys);
+            self.stop_requested = true;
+            return PolicyPop::Horizon;
         }
         // Candidates: the front event of each tiebreak lane (later same-lane
         // events are blocked behind it — intra-lane order is model
@@ -201,10 +204,10 @@ impl KernelState {
 /// Shared kernel handle. Internal; exposed types are [`Sim`] and [`SimCtx`].
 pub struct Shared {
     pub(crate) state: RefCell<KernelState>,
-    /// Mirror of the tracer's enabled flag, so the per-message trace calls
-    /// on the hot path ([`SimCtx::trace`], [`SimCtx::trace_proto`]) skip
-    /// borrowing the state when tracing is off (the common case: only
-    /// tests, checkers and debugging sessions enable it).
+    /// Mirror of the tracer's enabled flag, so the per-message trace call
+    /// on the hot path ([`SimCtx::trace_proto`]) skips borrowing the state
+    /// when tracing is off (the common case: only tests, checkers and
+    /// debugging sessions enable it).
     trace_on: Cell<bool>,
     /// The wake slot: the drive loop deposits the kernel time of a resume
     /// here immediately before polling the resumed machine, and that
@@ -318,7 +321,7 @@ pub struct RunReport {
     pub final_time: SimTime,
     /// Number of events the kernel executed: every call, wake and kill
     /// counts once, and so does every flow chunk (each is its own event).
-    /// In exploration mode this equals `steps.len()`.
+    /// Under a schedule policy this equals `steps.len()`.
     pub events_executed: u64,
     /// Exit records `(pid, name, status)` in completion order.
     pub exits: Vec<(Pid, String, ProcessExit)>,
@@ -326,11 +329,11 @@ pub struct RunReport {
     pub trace: Vec<TraceEvent>,
     /// Whether the run ended because [`SimCtx::request_stop`] was called.
     pub stopped: bool,
-    /// Exploration mode only: every instant at which more than one
+    /// Under a schedule policy only: every instant at which more than one
     /// candidate was ready, with the policy's choice. Empty otherwise.
     pub decisions: Vec<Decision>,
-    /// Exploration mode only: one record per executed event, in execution
-    /// order; each step's trace effects are
+    /// Under a schedule policy only: one record per executed event, in
+    /// execution order; each step's trace effects are
     /// `trace[step.trace_lo..next_step.trace_lo]`. Empty otherwise.
     pub steps: Vec<StepRecord>,
 }
@@ -354,12 +357,12 @@ impl SimCtx {
     }
 
     /// Schedule `f` at `at` in a tiebreak *lane*: same-time events in the
-    /// same lane always run in scheduling order, even under a perturbation
-    /// seed ([`Sim::set_tiebreak_seed`]). Model code keys an event by the
+    /// same lane always run in scheduling order, under any schedule policy
+    /// ([`Sim::set_schedule_policy`]). Model code keys an event by the
     /// entity whose state it mutates — e.g. message arrivals by the
     /// destination process's [`Pid::lane`] — so that the defined semantics
     /// of same-entity ordering (channel FIFO, op boundaries) survive
-    /// perturbation while independent events still permute. `None` marks
+    /// reordering while independent events still permute. `None` marks
     /// the event as freely permutable, same as [`SimCtx::schedule`].
     pub fn schedule_keyed(
         &self,
@@ -455,25 +458,10 @@ impl SimCtx {
         self.shared.state.borrow_mut().stop_requested = true;
     }
 
-    /// Record a model trace event. With tracing disabled (the common case)
-    /// this is a single flag read — no borrow, no formatting.
-    pub fn trace(&self, label: &'static str, pid: Option<Pid>, detail: impl FnOnce() -> String) {
-        if !self.shared.trace_on.get() {
-            return;
-        }
-        let ev = TraceEvent {
-            time: self.now,
-            kind: TraceKind::Model(label),
-            pid,
-            detail: detail(),
-        };
-        self.shared.state.borrow_mut().tracer.record(ev);
-    }
-
-    /// Record a typed protocol event (see [`crate::ProtoEvent`]). Same
-    /// gate as [`SimCtx::trace`]: with tracing disabled this is a single
-    /// flag read, so protocol hot paths (every message send/delivery) stay
-    /// zero-cost in ordinary runs.
+    /// Record a typed protocol event (see [`crate::ProtoEvent`]). With
+    /// tracing disabled (the common case) this is a single flag read — no
+    /// borrow, no record — so protocol hot paths (every message
+    /// send/delivery) stay zero-cost in ordinary runs.
     pub fn trace_proto(&self, ev: crate::trace::ProtoEvent) {
         if !self.shared.trace_on.get() {
             return;
@@ -590,27 +578,28 @@ impl Sim {
         self.shared.trace_on.set(true);
     }
 
-    /// Perturb same-time event tiebreaks with a seeded permutation.
+    /// Install a [`SchedulePolicy`]: the explorer's
+    /// [`PrescribedPolicy`](crate::PrescribedPolicy) or the race detector's
+    /// [`SeededPolicy`](crate::SeededPolicy). Every pop with more than one
+    /// ready candidate consults the policy; [`RunReport::decisions`] and
+    /// [`RunReport::steps`] record the run's choice points and step
+    /// effects. Each wake stays an individually choosable scheduling unit.
     ///
-    /// Every run remains fully deterministic for a given seed; what changes
+    /// Every run stays fully deterministic for a given policy; what changes
     /// is the execution order of *independent* events scheduled for the
     /// same virtual instant (causal chains are unaffected: an event
-    /// scheduled by another still runs after it). The `ftmpi-check` race
-    /// detector re-runs configurations under several seeds and compares
-    /// trace fingerprints — a difference means some model or protocol state
-    /// depends on the arbitrary tie order. Call before the run starts.
-    pub fn set_tiebreak_seed(&mut self, seed: u64) {
-        self.shared.state.borrow_mut().queue.set_tiebreak_seed(seed);
-    }
-
-    /// Install a [`SchedulePolicy`] (exploration mode). Every pop with more
-    /// than one ready candidate consults the policy; [`RunReport::decisions`]
-    /// and [`RunReport::steps`] record the run's choice points and step
-    /// effects. Each wake stays an individually choosable scheduling unit.
-    /// Call before scheduling anything (the queue starts recording lanes
-    /// here).
+    /// scheduled by another still runs after it).
+    ///
+    /// # Panics
+    ///
+    /// If anything was scheduled before: the queue starts recording lanes
+    /// here, and every pending event needs one.
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         let mut st = self.shared.state.borrow_mut();
+        assert_eq!(
+            st.queue.scheduled_total, 0,
+            "install the schedule policy before scheduling anything"
+        );
         st.queue.record_lanes();
         st.policy = Some(policy);
     }
@@ -648,7 +637,7 @@ impl Sim {
     /// partition start / heal) before the run starts. Fault transitions race
     /// with every flow chunk and retry probe touching the same link, so a
     /// tiebreak `lane` is mandatory: same-lane same-time events keep their
-    /// scheduling order under any perturbation seed.
+    /// scheduling order under any schedule policy.
     pub fn schedule_link_fault(
         &mut self,
         at: SimTime,

@@ -1,8 +1,8 @@
 //! Deterministic process-oriented discrete-event simulation kernel.
 //!
 //! This crate is the substrate every other `ftmpi` crate runs on. It provides
-//! a virtual clock, an event queue ordered by `(time, tiekey, sequence)`
-//! (a monotone radix heap: virtual time never runs backwards), and
+//! a virtual clock, an event queue ordered by `(time, sequence)` (a
+//! monotone radix heap: virtual time never runs backwards), and
 //! *simulated processes*: `async` Rust bodies compiled into resumable state
 //! machines that the kernel owns and steps **inline** from its event loop —
 //! no OS thread per process, so topologies with 10⁵⁺ processes fit in one
@@ -54,7 +54,7 @@ mod kernel;
 pub mod microbench;
 mod process;
 mod reply;
-mod schedule;
+pub mod schedule;
 mod table;
 mod time;
 mod trace;
@@ -65,7 +65,7 @@ pub use kernel::{DeadlockInfo, RunReport, Sim, SimCtx, SimError};
 pub use process::{Pid, ProcCtx, ProcessExit, SharedFlag};
 pub use reply::Reply;
 pub use schedule::{
-    Candidate, CandidateKind, Decision, PrescribedPolicy, SchedulePolicy, StepRecord,
+    Candidate, CandidateKind, Decision, PrescribedPolicy, SchedulePolicy, SeededPolicy, StepRecord,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{ProtoEvent, TraceEvent, TraceKind, Tracer};

@@ -50,8 +50,8 @@ impl Density {
 }
 
 /// xorshift64* step: the driver's deterministic generator (kept distinct
-/// from the queue's own tiekey derivation, which the lane audit pins to the
-/// event module).
+/// from the workspace's `splitmix64`, which the lane audit pins to the
+/// schedule module).
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s >> 12;
     *s ^= *s << 25;
@@ -104,7 +104,7 @@ pub fn drive(
         }
         if let Some(ev) = q.pop() {
             now = ev.time.as_nanos();
-            checksum ^= ev.seq.rotate_left((now % 63) as u32) ^ ev.tiekey;
+            checksum ^= ev.seq.rotate_left((now % 63) as u32) ^ ev.seq;
         }
     }
     checksum
@@ -123,7 +123,8 @@ mod tests {
 
     /// The pop order is pinned to the checksums the binary heap, the former
     /// ladder backend and the radix heap all produced for this drive. (Same-instant pops
-    /// checksum to 0 by construction: `tiekey == seq` and `now` stays 0.)
+    /// checksum to 0 by construction: each folds `seq` in twice and `now`
+    /// stays 0.)
     #[test]
     fn pop_order_matches_the_recorded_checksums() {
         let sum = |d| drive(false, d, 512, 10_000, 64);

@@ -33,8 +33,8 @@ impl fmt::Display for Pid {
 impl Pid {
     /// Tiebreak lane for events targeting this process (see
     /// [`SimCtx::schedule_keyed`](crate::SimCtx::schedule_keyed)): same-time
-    /// events aimed at one process always run in scheduling order, even
-    /// under a perturbation seed, because their order is model semantics
+    /// events aimed at one process always run in scheduling order, under
+    /// any schedule policy, because their order is model semantics
     /// (channel FIFO, op boundaries) rather than an accident.
     pub fn lane(self) -> u64 {
         self.0

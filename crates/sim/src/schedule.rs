@@ -1,27 +1,27 @@
 //! Schedule-policy hook: controlled choice among commuting same-time events.
 //!
-//! The kernel's canonical order among same-instant events is `(tiekey, seq)`
-//! — an accident of scheduling order that model semantics must not depend
-//! on. PR 2's perturbation seeds *sample* alternative orders; a
-//! [`SchedulePolicy`] lets a controller (the `ftmpi-check explore` DPOR
-//! loop) *enumerate* them: at every instant with more than one ready
-//! schedulable unit, the kernel presents the candidates and the policy
-//! picks which one runs next.
+//! The kernel's canonical order among same-instant events is scheduling
+//! order, `seq` — an accident that model semantics must not depend on. A
+//! [`SchedulePolicy`] lets a controller pick another one: at every instant
+//! with more than one ready schedulable unit, the kernel presents the
+//! candidates and the policy picks which one runs next. The
+//! `ftmpi-check explore` DPOR loop *enumerates* orders through
+//! [`PrescribedPolicy`]; the race detector *samples* them through
+//! [`SeededPolicy`].
 //!
 //! A *candidate* is either a laneless event (freely permutable by
 //! definition) or the front event of a tiebreak lane — same-lane same-time
-//! events keep their scheduling order under every policy, exactly as they
-//! do under every perturbation seed, because intra-lane order is defined
-//! model semantics (channel FIFO, per-process op order), not scheduler
-//! freedom. The policy therefore explores precisely the space the
-//! perturbation seeds sample, no more.
+//! events keep their scheduling order under every policy, because
+//! intra-lane order is defined model semantics (channel FIFO, per-process
+//! op order), not scheduler freedom. Both policies therefore range over
+//! one space: a seed samples exactly the orders the explorer enumerates.
 //!
 //! With a policy installed the kernel also records a [`Decision`] per
 //! multi-candidate instant and a [`StepRecord`] per executed event, so a
 //! controller can replay prefixes deterministically (feed the chosen
 //! indices back through [`PrescribedPolicy`]) and attribute trace effects
 //! to steps. Without a policy none of this machinery runs: ordinary
-//! simulations take the exact pop path they always took.
+//! simulations take the plain `(time, seq)` pop path.
 
 use crate::process::Pid;
 use crate::time::SimTime;
@@ -117,6 +117,48 @@ impl SchedulePolicy for PrescribedPolicy {
         let pick = self.choices.get(self.cursor).copied().unwrap_or(0);
         self.cursor += 1;
         pick.min(candidates.len().saturating_sub(1))
+    }
+}
+
+/// One step of the splitmix64 generator — the workspace's standard tiny
+/// PRNG for seeded, dependency-free randomness: [`SeededPolicy`]'s tie
+/// order, and the flap, rot and silent-corruption expansions of the fault
+/// plans.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Policy that runs a seeded permutation of each tied instant: the
+/// candidate with the least `(splitmix64(seed ^ lane), seq)`, a laneless
+/// event standing in its own lane `seq`. Every event of a lane shares one
+/// hash, so a lane keeps its scheduling order and distinct lanes land in a
+/// seeded order. The race detector runs a configuration under a few seeds
+/// and compares trace fingerprints.
+#[derive(Debug, Clone, Copy)]
+pub struct SeededPolicy {
+    seed: u64,
+}
+
+impl SeededPolicy {
+    /// A policy ordering ties by `seed`.
+    pub fn new(seed: u64) -> SeededPolicy {
+        SeededPolicy { seed }
+    }
+}
+
+impl SchedulePolicy for SeededPolicy {
+    fn choose(&mut self, _time: SimTime, candidates: &[Candidate]) -> usize {
+        let key = |c: &Candidate| {
+            let mut state = self.seed ^ c.lane.unwrap_or(c.seq);
+            (splitmix64(&mut state), c.seq)
+        };
+        (0..candidates.len())
+            .min_by_key(|&i| key(&candidates[i]))
+            .unwrap_or(0)
     }
 }
 

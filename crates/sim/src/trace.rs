@@ -191,8 +191,6 @@ pub enum TraceKind {
     Exit,
     /// A process was killed by the failure injector.
     Kill,
-    /// Model-defined record (the label names the subsystem).
-    Model(&'static str),
     /// Typed protocol event (see [`ProtoEvent`]).
     Proto(ProtoEvent),
 }

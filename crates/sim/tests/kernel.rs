@@ -5,7 +5,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ftmpi_sim::{ProcessExit, Reply, Sim, SimDuration, SimError, SimTime};
+use ftmpi_sim::{
+    PrescribedPolicy, ProcessExit, Reply, SchedulePolicy, SeededPolicy, Sim, SimDuration, SimError,
+    SimTime,
+};
 
 #[test]
 fn empty_simulation_completes_at_time_zero() {
@@ -268,21 +271,14 @@ fn identical_runs_produce_identical_reports() {
 fn trace_collects_lifecycle_events() {
     let mut sim = Sim::new();
     sim.enable_trace();
-    let p = sim.spawn("traced", |mut ctx| async move {
+    sim.spawn("traced", |mut ctx| async move {
         ctx.sleep(SimDuration::from_nanos(3)).await
-    });
-    sim.schedule(SimTime::from_nanos(1), move |sc| {
-        sc.trace("test", Some(p), || "hello".to_string());
     });
     let report = sim.run().unwrap();
     assert!(report
         .trace
         .iter()
         .any(|e| matches!(e.kind, ftmpi_sim::TraceKind::Spawn)));
-    assert!(report
-        .trace
-        .iter()
-        .any(|e| matches!(e.kind, ftmpi_sim::TraceKind::Model("test")) && e.detail == "hello"));
     assert!(report
         .trace
         .iter()
@@ -425,6 +421,122 @@ fn max_time_never_advances_past_the_horizon() {
         "clock advanced past max_time: {:?}",
         report.final_time
     );
+}
+
+/// A killed process's wake past the horizon is stale: it must neither stop
+/// the run nor hide a deadlock. With another process parked forever, the
+/// queue drains and the run reports the deadlock at the kill's instant —
+/// with or without a schedule policy.
+#[test]
+fn stale_wake_past_the_horizon_is_dropped_under_a_policy_too() {
+    let run = |policy: Option<Box<dyn SchedulePolicy>>| {
+        let mut sim = Sim::new();
+        if let Some(p) = policy {
+            sim.set_schedule_policy(p);
+        }
+        sim.set_max_time(SimTime::from_nanos(50));
+        let sleeper = sim.spawn("sleeper", |mut ctx| async move {
+            ctx.exec::<(), _>(|sc, reply| reply.complete_at(sc, SimTime::from_nanos(100), ()))
+                .await;
+        });
+        sim.spawn("stuck", |mut ctx| async move {
+            ctx.exec::<(), _>(|_sc, _reply| {}).await;
+        });
+        sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(sleeper));
+        sim.run()
+    };
+    let policies: [(&str, Option<Box<dyn SchedulePolicy>>); 3] = [
+        ("none", None),
+        ("prescribed", Some(Box::new(PrescribedPolicy::new(vec![])))),
+        ("seeded", Some(Box::new(SeededPolicy::new(7)))),
+    ];
+    for (label, policy) in policies {
+        match run(policy) {
+            Err(SimError::Deadlock(info)) => {
+                assert_eq!(info.parked, ["stuck"], "{label}");
+                assert_eq!(info.time, SimTime::from_nanos(10), "{label}");
+            }
+            other => panic!("{label}: expected the deadlock, got {other:?}"),
+        }
+    }
+}
+
+/// Run six laneless closures — four tied at t=10, one each at 5 and 20 —
+/// under `seed` (or canonically), returning `(time, index)` in run order.
+fn laneless_order(seed: Option<u64>) -> Vec<(u64, usize)> {
+    let mut sim = Sim::new();
+    if let Some(s) = seed {
+        sim.set_schedule_policy(Box::new(SeededPolicy::new(s)));
+    }
+    let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::default();
+    for (i, t) in [10u64, 5, 10, 10, 20, 10].into_iter().enumerate() {
+        let log = Rc::clone(&log);
+        sim.schedule(SimTime::from_nanos(t), move |sc| {
+            log.borrow_mut().push((sc.now().as_nanos(), i));
+        });
+    }
+    sim.run().unwrap();
+    Rc::try_unwrap(log).unwrap().into_inner()
+}
+
+/// A seed reorders only within an instant, and the same seed reproduces
+/// the same order.
+#[test]
+fn seeded_policy_permutes_only_same_time_events() {
+    let canonical = laneless_order(None);
+    assert_eq!(
+        canonical,
+        [(5, 1), (10, 0), (10, 2), (10, 3), (10, 5), (20, 4)],
+        "the canonical tie order is scheduling order"
+    );
+    let times: Vec<u64> = canonical.iter().map(|&(t, _)| t).collect();
+    let mut reordered = false;
+    for seed in 0..32 {
+        let perturbed = laneless_order(Some(seed));
+        assert_eq!(perturbed, laneless_order(Some(seed)), "seed {seed}");
+        let got: Vec<u64> = perturbed.iter().map(|&(t, _)| t).collect();
+        assert_eq!(got, times, "seed {seed} broke the time order");
+        let mut mid: Vec<usize> = perturbed[1..5].iter().map(|&(_, i)| i).collect();
+        reordered |= mid != [0, 2, 3, 5];
+        mid.sort_unstable();
+        assert_eq!(mid, [0, 2, 3, 5], "seed {seed}");
+    }
+    assert!(reordered, "no seed reordered the tied instant");
+}
+
+/// Same-lane events keep their scheduling order under every seed, while
+/// the order between lanes is the seed's.
+#[test]
+fn same_lane_events_keep_scheduling_order_under_any_seed() {
+    let mut lane_orders = std::collections::BTreeSet::new();
+    for seed in 0..32 {
+        let mut sim = Sim::new();
+        sim.set_schedule_policy(Box::new(SeededPolicy::new(seed)));
+        let log: Rc<RefCell<Vec<&str>>> = Rc::default();
+        let l = Rc::clone(&log);
+        sim.schedule(SimTime::ZERO, move |sc| {
+            // Two lanes interleaved at one instant.
+            for (lane, name) in [(1, "a0"), (2, "b0"), (1, "a1"), (2, "b1")] {
+                let l = Rc::clone(&l);
+                sc.schedule_keyed(SimTime::from_nanos(10), Some(lane), move |_| {
+                    l.borrow_mut().push(name);
+                });
+            }
+        });
+        sim.run().unwrap();
+        let order = log.borrow().clone();
+        let pos = |n: &str| order.iter().position(|&x| x == n).unwrap();
+        assert!(
+            pos("a0") < pos("a1"),
+            "lane 1 order violated under seed {seed}"
+        );
+        assert!(
+            pos("b0") < pos("b1"),
+            "lane 2 order violated under seed {seed}"
+        );
+        lane_orders.insert(pos("a0") < pos("b0"));
+    }
+    assert_eq!(lane_orders.len(), 2, "the seeds never reordered the lanes");
 }
 
 /// A wake and a kill landing on one process at the same instant run in

@@ -24,16 +24,23 @@ cargo test -q --workspace
 echo "==> ftmpi-check lint"
 cargo run -q --release -p ftmpi-check -- lint
 
+DIFF_TMP="${TMPDIR:-/tmp}/ftmpi-ci-storm-$$"
+rm -rf "$DIFF_TMP"
+mkdir -p "$DIFF_TMP"
+
 echo "==> ftmpi-check smoke (invariants + perturbation)"
-cargo run -q --release -p ftmpi-check -- smoke
+cargo run -q --release -p ftmpi-check -- smoke | tee "$DIFF_TMP/smoke.log"
+# `tee` hides the checker's exit status, so its verdict line is checked
+# instead. All seven perturbation targets (three smoke probes, four
+# class-S figure probes) must run and pass their three seeded schedules —
+# a target silently dropped from the pass would leave smoke green.
+grep -q '^smoke: ok$' "$DIFF_TMP/smoke.log"
+test "$(grep -c '^perturb\..* seeds=3 ok$' "$DIFF_TMP/smoke.log")" -eq 7
 
 echo "==> ftmpi-check figures --full (class-A figure probes, with kills)"
 cargo run -q --release -p ftmpi-check -- figures --full
 
 echo "==> ftmpi-check storm --smoke (kills, partitions, node deaths, corruption)"
-DIFF_TMP="${TMPDIR:-/tmp}/ftmpi-ci-storm-$$"
-rm -rf "$DIFF_TMP"
-mkdir -p "$DIFF_TMP"
 cargo run -q --release -p ftmpi-check -- storm --smoke | tee "$DIFF_TMP/storm.log"
 # The integrity families must actually be in the campaign for both
 # protocols — a silent drop here would un-pin the corruption machinery.
