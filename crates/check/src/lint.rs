@@ -22,10 +22,10 @@
 //!   may mention `splitmix64`, so the only seeded order is
 //!   `SeededPolicy`'s, chosen among the lane fronts the kernel offers. A
 //!   further cross-file part confines the event *push path*:
-//!   `Key { .. }` construction, `arena.insert(`, and `heap.push(` may
+//!   `Key { .. }` construction, `arena.insert(`, and `tier.push_back(` may
 //!   appear only in `event.rs` (plus the slab's own file), so no caller
-//!   can mint keys or slots that bypass the lane bookkeeping the schedule
-//!   policies choose among.
+//!   can mint keys or slots that bypass the lane stored with the payload,
+//!   which the schedule policies choose by.
 //! * `env-registry` — every `std::env::var`/`var_os` read in the
 //!   workspace must name a toggle from the declared [`ENV_TOGGLES`]
 //!   registry, and every registered toggle must be documented in the
@@ -594,18 +594,19 @@ pub fn lane_audit_sources(sources: &[(String, String)]) -> Vec<LintHit> {
 
 /// Third half of the lane audit: the event *push path* is confined.
 /// `Key { .. }` construction, `arena.insert(` (slot allocation), and
-/// `heap.push(` (queue entry) may appear only in `event.rs` — plus
-/// `arena.rs`, whose internals and tests legitimately touch the slab.
-/// Everything else must go through `EventQueue::push`, which records the
-/// lane the schedule explorer replays against; a rogue push site would
-/// create events invisible to the exploration candidate sets.
+/// `tier.push_back(` (entry into the same-instant tier) may appear only in
+/// `event.rs` — plus `arena.rs`, whose internals and tests legitimately
+/// touch the slab. Everything else must go through `EventQueue::push`,
+/// which stores the lane with the payload for the schedule policies to
+/// choose by, and files the key behind every earlier `seq`; a rogue push
+/// site would create events without a lane or out of the tier's order.
 fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
     const CONFINED: &[(&str, &[&str], &str)] = &[
         (
             "Key {",
             &["src/event.rs"],
             "`Key` construction outside the queue: events must enter through \
-             `EventQueue::push` so their lane is recorded",
+             `EventQueue::push` so their lane is stored with the payload",
         ),
         (
             "arena.insert(",
@@ -614,10 +615,10 @@ fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
              leaks and is invisible to exploration",
         ),
         (
-            "heap.push(",
+            "tier.push_back(",
             &["src/event.rs"],
-            "raw heap push outside the queue: bypasses lane bookkeeping \
-             (use `EventQueue::push` / `unpop`)",
+            "raw tier push outside the queue: bypasses the lane stored with \
+             the payload and the tier's `seq` order (use `EventQueue::push`)",
         ),
         (
             ".as_mut().poll(",
@@ -935,7 +936,7 @@ pub(crate) enum EventKind {
         );
         // The owning files may construct keys, insert slots, and push raw.
         srcs[0].1.push_str(
-            "let k = Key { time, seq, slot };\nself.arena.insert(ev);\nself.heap.push(k);\n",
+            "let k = Key { time, seq, slot };\nself.arena.insert(ev);\nself.tier.push_back(k);\n",
         );
         srcs.push((
             "crates/sim/src/arena.rs".into(),
@@ -951,8 +952,8 @@ pub(crate) enum EventKind {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, RULE_LANE_AUDIT);
         assert_eq!(hits[0].file, "crates/sim/src/kernel2.rs");
-        // ...as are raw arena inserts and heap pushes elsewhere.
-        srcs.last_mut().unwrap().1 = "self.arena.insert(ev);\nheap.push(k);\n".into();
+        // ...as are raw arena inserts and tier pushes elsewhere.
+        srcs.last_mut().unwrap().1 = "self.arena.insert(ev);\nself.tier.push_back(k);\n".into();
         let hits = lane_audit_sources(&srcs);
         assert_eq!(hits.len(), 2, "{hits:?}");
         // Longer identifiers, comments, and the escape hatch don't trip it.

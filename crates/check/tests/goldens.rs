@@ -112,6 +112,11 @@ fn raw_trace_digest(trace: &[TraceEvent]) -> u64 {
 /// and 3 — pinned by executed-event count and raw-order trace digest. The
 /// pass itself compares only order-canonical fingerprints, which a seeded
 /// schedule that never reordered anything would match as well.
+///
+/// Each probe also runs canonically and under an empty prescription, which
+/// answers choice 0 at every decision: the kernel's one pop takes choice 0
+/// when no policy is installed, so the two runs must agree in event count
+/// and raw trace order.
 #[test]
 fn perturbed_schedules_match_goldens() {
     const GOLDENS: &[(&str, [(u64, u64); 3])] = &[
@@ -180,6 +185,19 @@ fn perturbed_schedules_match_goldens() {
     let pinned: Vec<&str> = GOLDENS.iter().map(|(n, _)| *n).collect();
     assert_eq!(names, pinned, "the perturbation target set changed");
     for ((name, spec), (_, want)) in probes.iter().zip(GOLDENS) {
+        let [canonical, choice0] = [Schedule::Canonical, Schedule::Prescribed(vec![])].map(|s| {
+            let opts = RunOptions {
+                trace: true,
+                schedule: s,
+                ..RunOptions::default()
+            };
+            let (res, trace) = run_job_with(spec.clone(), opts).expect("unperturbed run");
+            (res.events, raw_trace_digest(&trace))
+        });
+        assert_eq!(
+            canonical, choice0,
+            "{name}: the canonical order is not choice 0 at every instant"
+        );
         for (seed, &(events, digest)) in (1u64..).zip(want) {
             let opts = RunOptions {
                 trace: true,

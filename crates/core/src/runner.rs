@@ -365,8 +365,9 @@ pub fn build_deployment(spec: &JobSpec) -> Deployment {
 /// Which order a run gives same-instant events (see [`RunOptions`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Schedule {
-    /// Scheduling order: the kernel runs policy-free — the ordinary fast
-    /// path.
+    /// Scheduling order: no policy is installed, and the kernel's one pop
+    /// takes choice 0 at every instant without building candidates — the
+    /// schedule `Prescribed(vec![])` runs too, minus its recorded log.
     #[default]
     Canonical,
     /// Exploration: at each multi-candidate instant the kernel takes the

@@ -1,12 +1,14 @@
 //! Slab arena for event payloads.
 //!
 //! The event queue orders events by a small `Copy` key; the fat part of an
-//! event — the boxed model closure in [`EventKind`] — lives here, addressed
-//! by slot. Sifting the same-instant heap and moving keys between radix
-//! buckets therefore copy 32-byte keys instead of whole events, and a
-//! cancelled event's payload is reclaimed the moment its tombstone is
-//! discovered instead of riding along in the queue. The layout follows the
-//! `QueuedEvent` / side-table idiom of trainspotting's scheduler.
+//! event — the boxed model closure in [`EventKind`] — lives here with the
+//! event's tiebreak lane, addressed by slot. Moving keys between radix
+//! buckets and through the same-instant tier therefore copies 24-byte keys
+//! instead of whole events, a schedule policy reads each candidate's lane
+//! from the slot it already visits for the payload, and a cancelled event's
+//! payload is reclaimed the moment its tombstone is discovered instead of
+//! riding along in the queue. The layout follows the `QueuedEvent` /
+//! side-table idiom of trainspotting's scheduler.
 
 use crate::event::EventKind;
 
@@ -15,22 +17,23 @@ use crate::event::EventKind;
 /// schedules in total.
 #[derive(Default)]
 pub(crate) struct EventArena {
-    slots: Vec<Option<EventKind>>,
+    /// Each occupied slot: the payload and the lane it was scheduled in.
+    slots: Vec<Option<(EventKind, Option<u64>)>>,
     free: Vec<u32>,
 }
 
 impl EventArena {
-    /// Store a payload, returning its slot.
-    pub fn insert(&mut self, kind: EventKind) -> u32 {
+    /// Store a payload with its lane, returning its slot.
+    pub fn insert(&mut self, kind: EventKind, lane: Option<u64>) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none(), "free slot occupied");
-                self.slots[slot as usize] = Some(kind);
+                self.slots[slot as usize] = Some((kind, lane));
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("event arena slot overflow");
-                self.slots.push(Some(kind));
+                self.slots.push(Some((kind, lane)));
                 slot
             }
         }
@@ -38,7 +41,7 @@ impl EventArena {
 
     /// Take a payload out, freeing the slot.
     pub fn take(&mut self, slot: u32) -> EventKind {
-        let kind = self.slots[slot as usize]
+        let (kind, _) = self.slots[slot as usize]
             .take()
             .expect("event arena slot taken twice");
         self.free.push(slot);
@@ -50,11 +53,12 @@ impl EventArena {
         let _ = self.take(slot);
     }
 
-    /// Borrow a payload without freeing it (queue head inspection).
-    pub fn get(&self, slot: u32) -> &EventKind {
-        self.slots[slot as usize]
+    /// Borrow a payload and its lane without freeing the slot.
+    pub fn get(&self, slot: u32) -> (&EventKind, Option<u64>) {
+        let (kind, lane) = self.slots[slot as usize]
             .as_ref()
-            .expect("event arena slot empty")
+            .expect("event arena slot empty");
+        (kind, *lane)
     }
 
     /// Number of live payloads.
@@ -75,13 +79,14 @@ mod tests {
     #[test]
     fn slots_are_reused_after_take_and_discard() {
         let mut a = EventArena::default();
-        let s0 = a.insert(call());
-        let s1 = a.insert(call());
+        let s0 = a.insert(call(), None);
+        let s1 = a.insert(call(), Some(7));
         assert_ne!(s0, s1);
+        assert_eq!(a.get(s1).1, Some(7), "the lane is stored with the payload");
         assert_eq!(a.len(), 2);
         a.discard(s0);
         assert_eq!(a.len(), 1);
-        let s2 = a.insert(call());
+        let s2 = a.insert(call(), None);
         assert_eq!(s2, s0, "freed slot reused");
         let _ = a.take(s1);
         let _ = a.take(s2);
@@ -92,7 +97,7 @@ mod tests {
     #[should_panic(expected = "taken twice")]
     fn double_take_panics() {
         let mut a = EventArena::default();
-        let s = a.insert(call());
+        let s = a.insert(call(), None);
         let _ = a.take(s);
         let _ = a.take(s);
     }

@@ -3,32 +3,39 @@
 //! Events are totally ordered by `(time, seq)`. The sequence number is
 //! assigned when the event is scheduled; because simulated execution is
 //! sequential and cooperative, scheduling order — and therefore tie-breaking
-//! among same-time events — is deterministic. Any other order of a tied
-//! instant is a [`SchedulePolicy`](crate::SchedulePolicy)'s choice, made by
-//! the kernel over [`EventQueue::pop_ready_keys`]; the queue itself has no
-//! other mode.
+//! among same-time events — is deterministic. The kernel's one pop takes
+//! index 0 of the earliest instant ([`EventQueue::instant`]) unless a
+//! [`SchedulePolicy`](crate::SchedulePolicy) picks another of its lane
+//! fronts; the queue itself has no other mode.
 //!
 //! The order is kept by a monotone radix heap of 24-byte [`Key`]s. The
 //! kernel clamps every schedule to its clock, so no key lands below the last
-//! popped instant, `last`. Keys at `last` sit in a small binary heap ordered
-//! by `seq`; a later key lives in radix bucket *i*, where *i* is the highest
-//! bit at which its time differs from `last`. When the same-instant heap
-//! empties, the lowest non-empty bucket is drained: its earliest time
-//! becomes `last`, and each of its keys moves into the heap or
-//! into a strictly lower bucket. A key therefore moves at most 64 times in
-//! its life, and a far-future timer stays untouched until `last` reaches its
-//! top differing bit — whether the pending set is a same-instant marker
-//! storm at 64 ranks or 10⁵ checkpoint timers seconds ahead.
+//! popped instant, `last`. Keys at `last` sit in the same-instant *tier*, a
+//! FIFO; a later key lives in radix bucket *i*, where *i* is the highest
+//! bit at which its time differs from `last`. When the tier empties, the
+//! lowest non-empty bucket is drained: its earliest time becomes `last`,
+//! and each of its keys moves into the tier or into a strictly lower
+//! bucket. A key therefore moves at most 64 times in its life, and a
+//! far-future timer stays untouched until `last` reaches its top differing
+//! bit — whether the pending set is a same-instant marker storm at 64 ranks
+//! or 10⁵ checkpoint timers seconds ahead.
+//!
+//! The tier needs no ordering of its own, because every bucket and the tier
+//! hold their keys in increasing `seq`. A push carries the largest `seq` yet
+//! and goes to the back of the tier or of its bucket. A refill walks the
+//! lowest non-empty bucket in order into the tier and the buckets below it,
+//! and all of those are empty. Removing any key, by compaction or by a
+//! policy's pick, keeps the rest in order. So the live front of the tier is
+//! always the canonical next event, and a pick never puts anything back.
 //!
 //! Buckets keep their keys in fixed-size chunks drawn from one shared free
 //! pool, and a drained bucket returns its chunks, so key storage tracks the
 //! peak key count rather than the sum of every bucket's high-water mark.
-//! Event payloads (boxed model closures) live in an
+//! Event payloads (boxed model closures) and their tiebreak lanes live in an
 //! [`EventArena`](crate::arena::EventArena) addressed by slot, so no closure
-//! is ever moved by a sift or a re-bucketing.
+//! is ever moved by a re-bucketing.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 use crate::arena::EventArena;
 use crate::hash::FxBuildHasher;
@@ -60,9 +67,9 @@ pub(crate) struct Event {
 }
 
 /// Scheduling key: the total event order `(time, seq)` plus the arena slot
-/// of the payload. Sifts and re-bucketing move only this 24-byte `Copy`
+/// of the payload. Re-bucketing and the tier move only this 24-byte `Copy`
 /// value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Key {
     pub time_ns: u64,
     pub seq: u64,
@@ -81,8 +88,8 @@ const CHUNK: usize = 64;
 /// One radix bucket per bit of a `u64` time.
 const BUCKETS: usize = 64;
 
-/// A radix bucket: an unordered bag of keys in chunks, every chunk but the
-/// last one full.
+/// A radix bucket: a bag of keys in chunks, every chunk but the last one
+/// full, in increasing `seq` (see the module docs).
 struct Bucket {
     chunks: Vec<Vec<Key>>,
     /// Earliest time in the bag; `u64::MAX` while it is empty.
@@ -131,8 +138,9 @@ impl Bucket {
 
 /// Min-queue of pending events plus a tombstone set for cancellation.
 pub(crate) struct EventQueue {
-    /// Keys at the current instant `last`, ordered by `seq`.
-    heap: BinaryHeap<Reverse<Key>>,
+    /// The same-instant tier: keys at the current instant `last`, in
+    /// increasing `seq`.
+    tier: VecDeque<Key>,
     /// The current instant: the time of the latest refill. Every pending
     /// key is at or after it.
     last: u64,
@@ -149,20 +157,12 @@ pub(crate) struct EventQueue {
     next_seq: u64,
     cancelled: HashSet<u64, FxBuildHasher>,
     compact_min_tombstones: usize,
-    /// Total number of events ever scheduled (for run reports).
-    pub scheduled_total: u64,
-    /// Side-map `seq → lane`, maintained only under a schedule policy
-    /// ([`EventQueue::record_lanes`]): the policy hook needs each pending
-    /// event's tiebreak lane to build per-lane candidate fronts, and `Key`
-    /// deliberately does not carry it. Empty (and untouched) in ordinary
-    /// runs, so the hot push/pop paths pay nothing.
-    lanes: Option<HashMap<u64, Option<u64>, FxBuildHasher>>,
 }
 
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            tier: VecDeque::new(),
             last: 0,
             buckets: std::array::from_fn(|_| Bucket::default()),
             occupied: 0,
@@ -172,26 +172,11 @@ impl Default for EventQueue {
             next_seq: 0,
             cancelled: HashSet::default(),
             compact_min_tombstones: COMPACT_MIN_TOMBSTONES,
-            scheduled_total: 0,
-            lanes: None,
         }
     }
 }
 
 impl EventQueue {
-    /// Start recording each event's tiebreak lane (for a schedule policy).
-    /// Must be enabled before the first push so every pending event is
-    /// covered ([`Sim::set_schedule_policy`](crate::Sim::set_schedule_policy)
-    /// asserts that).
-    pub fn record_lanes(&mut self) {
-        self.lanes = Some(HashMap::default());
-    }
-
-    /// The recorded lane of a pending event (under a schedule policy only).
-    pub fn lane_of(&self, seq: u64) -> Option<u64> {
-        self.lanes.as_ref().and_then(|m| m.get(&seq).copied())?
-    }
-
     /// Override the compaction trigger (kernel microbenchmark knob; the
     /// default is [`COMPACT_MIN_TOMBSTONES`]).
     #[allow(dead_code)] // microbench / tests
@@ -203,15 +188,12 @@ impl EventQueue {
     /// (e.g. everything targeting one process): same-time events in the same
     /// lane always pop in scheduling order, under any schedule policy,
     /// because their relative order is defined model semantics. Unkeyed
-    /// (`None`) events are treated as independent and permute freely.
+    /// (`None`) events are treated as independent and permute freely. The
+    /// lane is stored with the payload.
     pub fn push(&mut self, time: SimTime, lane: Option<u64>, kind: EventKind) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        if let Some(m) = self.lanes.as_mut() {
-            m.insert(seq, lane);
-        }
-        let slot = self.arena.insert(kind);
+        let slot = self.arena.insert(kind, lane);
         self.insert(Key {
             time_ns: time.as_nanos(),
             seq,
@@ -220,7 +202,7 @@ impl EventQueue {
         EventId(seq)
     }
 
-    /// File a key at `last` into the same-instant heap, and a later one into
+    /// File a key at `last` at the back of the tier, and a later one into
     /// the bucket of the highest bit at which its time differs from `last`.
     fn insert(&mut self, k: Key) {
         debug_assert!(
@@ -231,7 +213,13 @@ impl EventQueue {
         );
         let diff = k.time_ns ^ self.last;
         if diff == 0 {
-            self.heap.push(Reverse(k));
+            debug_assert!(
+                self.tier.back().is_none_or(|b| b.seq < k.seq),
+                "seq {} filed behind seq {} in the same-instant tier",
+                k.seq,
+                self.tier.back().map_or(0, |b| b.seq)
+            );
+            self.tier.push_back(k);
             return;
         }
         let i = diff.ilog2() as usize;
@@ -252,16 +240,16 @@ impl EventQueue {
         self.bucketed += 1;
     }
 
-    /// Refill the empty same-instant heap from the lowest non-empty bucket
-    /// *i*: its earliest time becomes `last`, and each of its keys moves
-    /// into the heap or into a strictly lower bucket (they all agree with
+    /// Refill the empty tier from the lowest non-empty bucket *i*: its
+    /// earliest time becomes `last`, and each of its keys, in order, moves
+    /// into the tier or into a strictly lower bucket (they all agree with
     /// the new `last` on every bit from *i* up). Keys in higher buckets stay
     /// put: the new `last` agrees with the old one above bit *i*. The
     /// bucket's minimum is kept up to date on insert, so this is one pass,
-    /// and a lone key goes straight into the heap. No-op once every bucket
+    /// and a lone key goes straight into the tier. No-op once every bucket
     /// is empty.
     fn refill(&mut self) {
-        debug_assert!(self.heap.is_empty(), "refill over a non-empty instant");
+        debug_assert!(self.tier.is_empty(), "refill over a non-empty instant");
         if self.occupied == 0 {
             return;
         }
@@ -299,10 +287,10 @@ impl EventQueue {
 
     /// Keys physically held: live events plus not-yet-reclaimed corpses.
     fn stored(&self) -> usize {
-        self.heap.len() + self.bucketed
+        self.tier.len() + self.bucketed
     }
 
-    /// Drop every cancelled event from the heap and the buckets and clear
+    /// Drop every cancelled event from the tier and the buckets and clear
     /// the tombstone set, reclaiming the corpses' arena slots.
     ///
     /// Tombstones that match nothing in the queue belong to events that
@@ -310,18 +298,15 @@ impl EventQueue {
     /// `len`/`is_empty` accounting.
     fn compact(&mut self) {
         let cancelled = std::mem::take(&mut self.cancelled);
-        let (arena, lanes) = (&mut self.arena, &mut self.lanes);
+        let arena = &mut self.arena;
         let mut keep = |k: &Key| {
             if !cancelled.contains(&k.seq) {
                 return true;
             }
             arena.discard(k.slot);
-            if let Some(m) = lanes.as_mut() {
-                m.remove(&k.seq);
-            }
             false
         };
-        self.heap.retain(|Reverse(k)| keep(k));
+        self.tier.retain(|k| keep(k));
         for (i, b) in self.buckets.iter_mut().enumerate() {
             let before = b.len();
             b.retain(&mut keep, &mut self.free_chunks);
@@ -332,38 +317,72 @@ impl EventQueue {
         }
     }
 
+    /// Whether `seq` carries a tombstone. The emptiness test spares the
+    /// common tombstone-free queue a hash computation.
+    fn is_cancelled(&self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.contains(&seq)
+    }
+
     /// Consume the tombstone of `seq`, if any: `true` means the event was
-    /// cancelled. The emptiness test spares the common tombstone-free pop
-    /// a hash computation.
+    /// cancelled.
     fn take_tombstone(&mut self, seq: u64) -> bool {
         !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
-    /// The earliest key, refilling the same-instant heap if it ran dry.
-    fn peek_key(&mut self) -> Option<Key> {
-        if self.heap.is_empty() {
-            self.refill();
-        }
-        self.heap.peek().map(|Reverse(k)| *k)
-    }
-
-    fn pop_key(&mut self) -> Option<Key> {
-        if self.heap.is_empty() {
-            self.refill();
-        }
-        self.heap.pop().map(|Reverse(k)| k)
-    }
-
-    /// Forget a key's lane record (the event left the queue).
-    fn forget_lane(&mut self, seq: u64) {
-        if let Some(m) = self.lanes.as_mut() {
-            m.remove(&seq);
+    /// The live head: the least-`seq` live key of the earliest instant, at
+    /// tier index 0. Refills the tier if it ran dry and reclaims cancelled
+    /// corpses (and their tombstones) on the way.
+    fn live_head(&mut self) -> Option<Key> {
+        loop {
+            if self.tier.is_empty() {
+                self.refill();
+            }
+            let k = *self.tier.front()?;
+            if !self.take_tombstone(k.seq) {
+                return Some(k);
+            }
+            self.tier.pop_front();
+            self.arena.discard(k.slot);
         }
     }
 
-    /// Reassemble the event at `k`, taking its payload out of the arena.
-    fn assemble(&mut self, k: Key) -> Event {
-        self.forget_lane(k.seq);
+    /// The live head's time and payload, without consuming it. It is
+    /// index 0 of [`EventQueue::instant`].
+    pub fn head(&mut self) -> Option<(SimTime, &EventKind)> {
+        let k = self.live_head()?;
+        Some((SimTime::from_nanos(k.time_ns), self.arena.get(k.slot).0))
+    }
+
+    /// The time of the next live (non-cancelled) event, without consuming
+    /// it. Corpses discovered at the head are reclaimed on the way.
+    #[allow(dead_code)] // tests
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.head().map(|(t, _)| t)
+    }
+
+    /// The tier after [`EventQueue::head`]: each live key of the earliest
+    /// instant in canonical pop order, as its tier index, `seq`, lane and
+    /// payload. Cancelled corpses are skipped; they stay in the tier until
+    /// they reach its front.
+    pub fn instant(&self) -> impl Iterator<Item = (usize, u64, Option<u64>, &EventKind)> {
+        self.tier
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| !self.is_cancelled(k.seq))
+            .map(|(i, k)| {
+                let (kind, lane) = self.arena.get(k.slot);
+                (i, k.seq, lane, kind)
+            })
+    }
+
+    /// Remove the live key at tier index `i` (0 is the head) and hand out
+    /// its event. The keys behind it close up in order.
+    pub fn take(&mut self, i: usize) -> Event {
+        let k = self
+            .tier
+            .remove(i)
+            .expect("take past the end of the instant");
+        debug_assert!(!self.is_cancelled(k.seq), "took a cancelled event");
         Event {
             time: SimTime::from_nanos(k.time_ns),
             seq: k.seq,
@@ -371,87 +390,15 @@ impl EventQueue {
         }
     }
 
-    /// The live head key, reclaiming cancelled corpses on the way.
-    fn live_head(&mut self) -> Option<Key> {
-        loop {
-            let k = self.peek_key()?;
-            if !self.take_tombstone(k.seq) {
-                return Some(k);
-            }
-            self.heap.pop();
-            self.discard_key(k);
-        }
-    }
-
+    /// The canonical pop: the live head, taken at index 0.
     pub fn pop(&mut self) -> Option<Event> {
-        loop {
-            let k = self.pop_key()?;
-            if self.take_tombstone(k.seq) {
-                self.discard_key(k);
-                continue;
-            }
-            return Some(self.assemble(k));
-        }
-    }
-
-    /// The time of the next live (non-cancelled) event, without consuming
-    /// it. Corpses discovered at the head are reclaimed on the way.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.live_head().map(|k| SimTime::from_nanos(k.time_ns))
-    }
-
-    /// Pop every live key at the earliest pending instant, in canonical
-    /// pop order (under a schedule policy). The caller inspects them through
-    /// [`EventQueue::peek_kind`], executes exactly one via
-    /// [`EventQueue::take_key`], and pushes the rest back with
-    /// [`EventQueue::unpop`]. Cancelled corpses encountered on the way are
-    /// reclaimed.
-    ///
-    /// Once the head is found, only the same-instant heap is drained: a
-    /// refill would move `last` past the instant `unpop` pushes back to.
-    pub fn pop_ready_keys(&mut self) -> Vec<Key> {
-        let mut out = Vec::new();
-        if self.live_head().is_none() {
-            return out;
-        }
-        while let Some(Reverse(k)) = self.heap.pop() {
-            if self.take_tombstone(k.seq) {
-                self.discard_key(k);
-                continue;
-            }
-            out.push(k);
-        }
-        out
-    }
-
-    /// Borrow the payload behind a popped-but-unconsumed key.
-    pub fn peek_kind(&self, k: Key) -> &EventKind {
-        self.arena.get(k.slot)
-    }
-
-    /// Consume a key popped by [`EventQueue::pop_ready_keys`].
-    pub fn take_key(&mut self, k: Key) -> Event {
-        self.assemble(k)
-    }
-
-    /// Drop a key popped by [`EventQueue::pop_ready_keys`] without running
-    /// it (stale resumes for dead processes).
-    pub fn discard_key(&mut self, k: Key) {
-        self.arena.discard(k.slot);
-        self.forget_lane(k.seq);
-    }
-
-    /// Return unconsumed ready keys to the queue (they are at `last`, so
-    /// they go straight back into the same-instant heap).
-    pub fn unpop(&mut self, keys: impl IntoIterator<Item = Key>) {
-        for k in keys {
-            self.insert(k);
-        }
+        self.live_head()?;
+        Some(self.take(0))
     }
 
     #[allow(dead_code)] // used by tests and future schedulers
     pub fn is_empty(&self) -> bool {
-        // Cancelled-but-unpopped events don't count as pending work.
+        // Cancelled events still held as corpses don't count as pending work.
         self.stored() <= self.cancelled.len()
     }
 
@@ -590,46 +537,89 @@ mod tests {
         assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
+    /// The current instant as [`EventQueue::instant`] lists it.
+    fn instant_of(q: &EventQueue) -> Vec<(u64, Option<u64>)> {
+        q.instant().map(|(_, seq, lane, _)| (seq, lane)).collect()
+    }
+
     #[test]
-    fn ready_keys_collect_the_tied_instant_and_unpop_restores_order() {
+    fn a_refilled_instant_lists_its_live_keys_in_seq_order_with_their_lanes() {
         let mut q = EventQueue::default();
-        q.record_lanes();
         // Pop an early event first, so the tied instant (t=10) and the
         // next one (t=20) sit in radix buckets 3 and 4 above `last` = 5,
-        // and the ready set arrives through a refill.
+        // and the instant arrives through a refill. It spans three chunks
+        // of its bucket, with a corpse among them.
         q.push(SimTime::from_nanos(5), Some(9), call());
-        let a = q.push(SimTime::from_nanos(10), Some(1), call());
-        let b = q.push(SimTime::from_nanos(10), None, call());
-        let c = q.push(SimTime::from_nanos(10), Some(1), call());
-        let d = q.push(SimTime::from_nanos(20), Some(2), call());
-        let corpse = q.push(SimTime::from_nanos(10), None, call());
-        q.cancel(corpse);
+        let (mut want, mut next) = (Vec::new(), None);
+        for i in 0..2 * CHUNK as u64 + 1 {
+            let lane = (i % 3 != 0).then_some(i % 4);
+            want.push((q.push(SimTime::from_nanos(10), lane, call()).0, lane));
+            if i == CHUNK as u64 {
+                next = Some(q.push(SimTime::from_nanos(20), Some(2), call()).0);
+                let corpse = q.push(SimTime::from_nanos(10), None, call());
+                q.cancel(corpse);
+            }
+        }
         assert_eq!(q.pop().map(|e| e.time.as_nanos()), Some(5));
-        let ready = q.pop_ready_keys();
+        assert_eq!(q.head().map(|(t, _)| t.as_nanos()), Some(10));
         assert_eq!(
-            ready.iter().map(|k| k.seq).collect::<Vec<_>>(),
-            [a.0, b.0, c.0],
-            "ready set is the live t=10 instant in pop order"
+            instant_of(&q),
+            want,
+            "the live keys in seq order, each with the lane it was pushed in"
         );
-        assert_eq!(q.lane_of(a.0), Some(1));
-        assert_eq!(q.lane_of(b.0), None);
-        assert!(matches!(q.peek_kind(ready[0]), EventKind::Call(_)));
-        // Execute the *middle* candidate, push the rest back: the queue
-        // must accept keys at the instant it just drained, and still file
-        // later pushes at and after that instant ahead of t=20 — so the
-        // drain must not have refilled past t=10.
-        let ev = q.take_key(ready[1]);
-        assert_eq!(ev.seq, b.0);
-        q.unpop([ready[0], ready[2]]);
-        let e = q.push(SimTime::from_nanos(10), Some(3), call());
-        let f = q.push(SimTime::from_nanos(12), Some(3), call());
+        assert!(q
+            .instant()
+            .all(|(_, _, _, kind)| matches!(kind, EventKind::Call(_))));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(
-            order,
-            [a.0, c.0, e.0, f.0, d.0],
-            "unpopped keys keep their order"
-        );
-        assert_eq!(q.lane_of(d.0), None, "consumed events forget lanes");
+        let canonical: Vec<u64> = want.iter().map(|&(s, _)| s).chain(next).collect();
+        assert_eq!(order, canonical, "canonical pops follow the listed order");
+    }
+
+    #[test]
+    fn taking_a_middle_key_keeps_the_rest_in_seq_order_ahead_of_later_ties() {
+        let mut q = EventQueue::default();
+        let ids: Vec<u64> = (0..5)
+            .map(|l| q.push(SimTime::from_nanos(10), Some(l), call()).0)
+            .collect();
+        let later = q.push(SimTime::from_nanos(20), None, call());
+        assert!(q.head().is_some());
+        // Take the second key, as a policy's pick does: the others close up
+        // in order...
+        assert_eq!(q.take(1).seq, ids[1]);
+        let rest = [ids[0], ids[2], ids[3], ids[4]];
+        let seqs = |q: &EventQueue| q.instant().map(|(_, s, _, _)| s).collect::<Vec<_>>();
+        assert_eq!(seqs(&q), rest);
+        // ...and a later push at the same instant queues behind them, still
+        // ahead of the next instant.
+        let e = q.push(SimTime::from_nanos(10), None, call());
+        assert_eq!(seqs(&q), [ids[0], ids[2], ids[3], ids[4], e.0]);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, [ids[0], ids[2], ids[3], ids[4], e.0, later.0]);
+        assert_eq!(q.arena.len(), 0, "every payload taken");
+    }
+
+    #[test]
+    fn a_cancelled_key_behind_the_head_is_skipped_then_reclaimed_at_the_front() {
+        let mut q = EventQueue::default();
+        let a = q.push(SimTime::from_nanos(5), Some(1), call());
+        let corpse = q.push(SimTime::from_nanos(5), Some(2), call());
+        let c = q.push(SimTime::from_nanos(5), Some(3), call());
+        q.cancel(corpse);
+        assert!(q.head().is_some());
+        // Behind the head, the corpse keeps its slot and its tombstone but
+        // is not listed...
+        assert_eq!(instant_of(&q), [(a.0, Some(1)), (c.0, Some(3))]);
+        assert_eq!(q.arena.len(), 3);
+        assert_eq!(q.take(0).seq, a.0);
+        // ...and reaching the front reclaims both without running it.
+        assert_eq!(q.head().map(|(t, _)| t.as_nanos()), Some(5));
+        assert_eq!(q.arena.len(), 1, "the corpse's slot is reclaimed");
+        assert!(q.cancelled.is_empty(), "its tombstone is consumed");
+        let listed: Vec<(usize, u64)> = q.instant().map(|(i, s, _, _)| (i, s)).collect();
+        assert_eq!(listed, [(0, c.0)]);
+        assert_eq!(q.pop().map(|e| e.seq), Some(c.0));
+        assert!(q.is_empty());
+        assert_eq!(q.arena.len(), 0);
     }
 
     #[test]
@@ -643,14 +633,14 @@ mod tests {
     }
 
     /// Key capacity the queue holds on to: every chunk, in a bucket or in
-    /// the free pool, plus the same-instant heap.
+    /// the free pool, plus the same-instant tier.
     fn retained_keys(q: &EventQueue) -> usize {
         let chunks = q.buckets.iter().flat_map(|b| &b.chunks);
         chunks
             .chain(&q.free_chunks)
             .map(Vec::capacity)
             .sum::<usize>()
-            + q.heap.capacity()
+            + q.tier.capacity()
     }
 
     #[test]
@@ -675,19 +665,6 @@ mod tests {
                 "round {round}: {held} keys of capacity for a peak of {peak}"
             );
         }
-    }
-
-    #[test]
-    fn discard_key_reclaims_without_running() {
-        let mut q = EventQueue::default();
-        q.record_lanes();
-        q.push(SimTime::from_nanos(5), Some(3), call());
-        let ready = q.pop_ready_keys();
-        assert_eq!(ready.len(), 1);
-        q.discard_key(ready[0]);
-        assert_eq!(q.arena.len(), 0, "payload reclaimed");
-        assert!(q.is_empty());
-        assert_eq!(q.lane_of(ready[0].seq), None);
     }
 
     #[test]
@@ -787,13 +764,21 @@ mod tests {
                 }
             }
             8 => {
-                // Peek, then pop: the live head the peek reports is the one
-                // the pop takes.
+                // Peek, then take a random key of the earliest instant, as a
+                // policy's pick does: the instant lists exactly the model's
+                // keys at the peeked time, in `seq` order.
                 let head = m.live.first().copied();
                 assert_eq!(q.peek_time().map(|t| t.as_nanos()), head.map(|k| k.0));
-                let got = q.pop().map(|ev| digest(&ev));
-                assert_eq!(got, m.live.pop_first());
                 if let Some((t, _)) = head {
+                    let tied: Vec<(u64, u64)> =
+                        m.live.range((t, 0)..=(t, u64::MAX)).copied().collect();
+                    let listed: Vec<(usize, u64)> =
+                        q.instant().map(|(i, seq, _, _)| (i, seq)).collect();
+                    let seqs: Vec<(u64, u64)> = listed.iter().map(|&(_, s)| (t, s)).collect();
+                    assert_eq!(seqs, tied, "the instant left the model");
+                    let (i, seq) = listed[(rng.next() % listed.len() as u64) as usize];
+                    assert_eq!(digest(&q.take(i)), (t, seq));
+                    m.live.remove(&(t, seq));
                     *now = t;
                 }
             }

@@ -72,115 +72,100 @@ pub(crate) struct KernelState {
     exits: Vec<(Pid, Rc<str>, ProcessExit)>,
     /// A controller choosing among same-instant candidates
     /// ([`Sim::set_schedule_policy`]): the explorer's prescription or the
-    /// race detector's seed. `None` in ordinary runs — the pop path is then
-    /// exactly the policy-free fast path.
+    /// race detector's seed. `None` in ordinary runs: the one pop then
+    /// takes choice 0 without building candidates.
     policy: Option<Box<dyn SchedulePolicy>>,
     /// Multi-candidate instants recorded under a policy.
     decisions: Vec<Decision>,
     /// One record per executed event under a policy (effect windows into
     /// the trace).
     steps: Vec<StepRecord>,
+    /// Scratch for [`KernelState::choose`], reused across pops: the
+    /// candidates offered, and the tier index of each.
+    candidates: Vec<Candidate>,
+    candidate_at: Vec<usize>,
 }
 
-/// Outcome of one policy-driven pop attempt.
-enum PolicyPop {
-    /// The queue is empty (deadlock check decides success).
-    Drained,
-    /// The next instant lies past `max_time`; stop was requested.
-    Horizon,
-    /// Everything at the earliest instant was stale; look again.
-    Retry,
-    /// The policy's pick, removed from the queue and ready to dispatch.
-    Run(Event),
+/// A resume aimed at a dead process is stale: the pop drops it unrun and
+/// never offers it to a policy.
+fn is_stale(procs: &ProcTable<ProcEntry>, kind: &EventKind) -> bool {
+    matches!(kind, &EventKind::Resume(pid, _) if !procs.get(pid).is_some_and(|e| e.alive))
 }
 
 impl KernelState {
-    /// The policy-driven pop: gather every live event at the earliest
-    /// instant, offer the per-lane fronts (plus all laneless events) to the
-    /// policy, execute its pick, and return the rest to the queue. Records
-    /// a [`Decision`] for every real choice point and a [`StepRecord`] for
-    /// every executed event.
-    fn pop_with_policy(&mut self) -> PolicyPop {
-        let Some(t) = self.queue.peek_time() else {
-            return PolicyPop::Drained;
-        };
-        let mut keys = self.queue.pop_ready_keys();
-        // Resumes aimed at dead processes are stale: reclaim them before
-        // building candidates or testing the horizon, so the policy is
-        // never offered — and the horizon never stops on — an event the
-        // policy-free loop would silently drop.
-        keys.retain(|&k| {
-            let stale = matches!(
-                self.queue.peek_kind(k),
-                &EventKind::Resume(pid, _)
-                    if !self.procs.get(pid).map(|e| e.alive).unwrap_or(false)
-            );
-            if stale {
-                self.queue.discard_key(k);
+    /// The one pop: the next event to dispatch, or `None` once the run
+    /// ends cleanly. Stale resumes at the head are dropped without
+    /// advancing the clock, so a killed process's pending wakes neither
+    /// distort the final time nor stop a run at the horizon. A live head
+    /// past `max_time` stops the run without being consumed (the clock
+    /// must not advance beyond `max_time`). Otherwise the pick is choice 0,
+    /// the head itself, unless a policy chooses another.
+    fn next_event(&mut self) -> Result<Option<Event>, SimError> {
+        loop {
+            let Some((time, kind)) = self.queue.head() else {
+                return self.drained().map(|()| None);
+            };
+            if is_stale(&self.procs, kind) {
+                self.queue.take(0);
+                continue;
             }
-            !stale
-        });
-        if keys.is_empty() {
-            return PolicyPop::Retry;
-        }
-        if self.max_time.is_some_and(|mt| t > mt) {
-            // Past the horizon: stop without running anything, same
-            // outcome as the policy-free loop (the clock never advances
-            // beyond max_time).
-            self.queue.unpop(keys);
-            self.stop_requested = true;
-            return PolicyPop::Horizon;
-        }
-        // Candidates: the front event of each tiebreak lane (later same-lane
-        // events are blocked behind it — intra-lane order is model
-        // semantics) plus every laneless event (freely permutable).
-        let mut seen_lanes = std::collections::HashSet::new();
-        let mut candidates = Vec::new();
-        let mut candidate_keys = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            let lane = self.queue.lane_of(k.seq);
-            if let Some(l) = lane {
-                if !seen_lanes.insert(l) {
-                    continue;
-                }
+            if self.max_time.is_some_and(|mt| time > mt) {
+                self.stop_requested = true;
+                return Ok(None);
             }
-            let kind = match self.queue.peek_kind(k) {
+            let pick = if self.policy.is_some() {
+                self.choose(time)
+            } else {
+                0
+            };
+            return Ok(Some(self.queue.take(pick)));
+        }
+    }
+
+    /// The policy's pick at the instant `time`, as a tier index. The
+    /// candidates are the front event of each tiebreak lane (later
+    /// same-lane events are blocked behind it: intra-lane order is model
+    /// semantics) plus every laneless event, in canonical order, without
+    /// corpses or stale resumes; the live head is candidate 0. Records a
+    /// [`Decision`] when there is a real choice, and the pick's
+    /// [`StepRecord`].
+    fn choose(&mut self, time: SimTime) -> usize {
+        self.candidates.clear();
+        self.candidate_at.clear();
+        for (i, seq, lane, kind) in self.queue.instant() {
+            if is_stale(&self.procs, kind) {
+                continue;
+            }
+            if lane.is_some() && self.candidates.iter().any(|c| c.lane == lane) {
+                continue;
+            }
+            let kind = match kind {
                 EventKind::Call(_) => CandidateKind::Call,
                 EventKind::Resume(pid, _) => CandidateKind::Resume(*pid),
                 EventKind::LinkFault(_) => CandidateKind::LinkFault,
             };
-            candidates.push(Candidate {
-                seq: k.seq,
-                lane,
-                kind,
-            });
-            candidate_keys.push(i);
+            self.candidates.push(Candidate { seq, lane, kind });
+            self.candidate_at.push(i);
         }
-        let chosen = if candidates.len() > 1 {
-            let policy = self
-                .policy
-                .as_mut()
-                .expect("pop_with_policy without policy");
-            let c = policy.choose(t, &candidates).min(candidates.len() - 1);
+        let mut chosen = 0;
+        if self.candidates.len() > 1 {
+            let policy = self.policy.as_mut().expect("choose without a policy");
+            chosen = policy
+                .choose(time, &self.candidates)
+                .min(self.candidates.len() - 1);
             self.decisions.push(Decision {
-                time: t,
+                time,
                 step: self.steps.len(),
-                candidates,
-                chosen: c,
+                candidates: self.candidates.clone(),
+                chosen,
             });
-            c
-        } else {
-            0
-        };
-        let key = keys.swap_remove(candidate_keys[chosen]);
-        let ev = self.queue.take_key(key);
-        self.queue.unpop(keys);
+        }
         self.steps.push(StepRecord {
-            seq: ev.seq,
-            time: ev.time,
+            seq: self.candidates[chosen].seq,
+            time,
             trace_lo: self.tracer.len(),
         });
-        PolicyPop::Run(ev)
+        self.candidate_at[chosen]
     }
 
     /// The drained-queue outcome: success iff no process is still parked.
@@ -554,6 +539,8 @@ impl Sim {
                     policy: None,
                     decisions: Vec::new(),
                     steps: Vec::new(),
+                    candidates: Vec::new(),
+                    candidate_at: Vec::new(),
                 }),
                 trace_on: Cell::new(false),
                 wake: Cell::new(None),
@@ -584,24 +571,17 @@ impl Sim {
     /// ready candidate consults the policy; [`RunReport::decisions`] and
     /// [`RunReport::steps`] record the run's choice points and step
     /// effects. Each wake stays an individually choosable scheduling unit.
+    /// Without a policy the pop takes choice 0 at every instant, so the
+    /// canonical order is the one a policy that always answers 0 gives.
     ///
     /// Every run stays fully deterministic for a given policy; what changes
     /// is the execution order of *independent* events scheduled for the
     /// same virtual instant (causal chains are unaffected: an event
-    /// scheduled by another still runs after it).
-    ///
-    /// # Panics
-    ///
-    /// If anything was scheduled before: the queue starts recording lanes
-    /// here, and every pending event needs one.
+    /// scheduled by another still runs after it). Each event's lane is
+    /// stored with it at scheduling time and the policy acts only at pops,
+    /// so it may be installed at any point before [`Sim::run`].
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        let mut st = self.shared.state.borrow_mut();
-        assert_eq!(
-            st.queue.scheduled_total, 0,
-            "install the schedule policy before scheduling anything"
-        );
-        st.queue.record_lanes();
-        st.policy = Some(policy);
+        self.shared.state.borrow_mut().policy = Some(policy);
     }
 
     /// Convenience constructor for a [`SharedFlag`](crate::SharedFlag).
@@ -694,32 +674,8 @@ impl Sim {
                         });
                     }
                 }
-                let ev = if st.policy.is_some() {
-                    match st.pop_with_policy() {
-                        PolicyPop::Drained => return st.drained(),
-                        PolicyPop::Horizon => return Ok(()),
-                        PolicyPop::Retry => continue,
-                        PolicyPop::Run(ev) => ev,
-                    }
-                } else {
-                    let Some(ev) = st.queue.pop() else {
-                        return st.drained();
-                    };
-                    // Resumes aimed at dead processes are stale: drop them
-                    // without advancing the clock, so a killed process's
-                    // pending wakes don't distort the final time.
-                    if let EventKind::Resume(pid, _) = ev.kind {
-                        if !st.procs.get(pid).map(|e| e.alive).unwrap_or(false) {
-                            continue;
-                        }
-                    }
-                    // Past the horizon: stop without consuming the event
-                    // (the clock must not advance beyond max_time).
-                    if st.max_time.map(|mt| ev.time > mt).unwrap_or(false) {
-                        st.stop_requested = true;
-                        return Ok(());
-                    }
-                    ev
+                let Some(ev) = st.next_event()? else {
+                    return Ok(());
                 };
                 debug_assert!(ev.time >= st.now, "event queue went backwards");
                 st.now = ev.time;

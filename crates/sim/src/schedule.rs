@@ -20,8 +20,10 @@
 //! multi-candidate instant and a [`StepRecord`] per executed event, so a
 //! controller can replay prefixes deterministically (feed the chosen
 //! indices back through [`PrescribedPolicy`]) and attribute trace effects
-//! to steps. Without a policy none of this machinery runs: ordinary
-//! simulations take the plain `(time, seq)` pop path.
+//! to steps. The kernel has one pop for both cases: without a policy it
+//! takes choice 0, the instant's least-`seq` live event, and builds no
+//! candidates and records nothing, so an ordinary run follows exactly the
+//! schedule of a policy that always answers 0.
 
 use crate::process::Pid;
 use crate::time::SimTime;
