@@ -1,8 +1,12 @@
-//! Harness maintenance CLI (`ftmpi-bench`): operations on the shared
-//! experiment state that no single figure binary owns. Today that is the
-//! persistent memo cache under `<out>/.cache/`:
+//! The harness front door (`ftmpi-bench`): regenerate the paper's tables
+//! and figures, and maintain the result cache they share under
+//! `<out>/.cache/`.
 //!
 //! ```sh
+//! # One figure, or every one in sequence against one shared cache.
+//! cargo run --release -p ftmpi-bench --bin ftmpi-bench -- figure fig5_servers
+//! cargo run --release -p ftmpi-bench --bin ftmpi-bench -- figure all [--full] [--jobs N]
+//!
 //! # Show what the cache holds.
 //! cargo run --release -p ftmpi-bench --bin ftmpi-bench -- cache
 //!
@@ -13,14 +17,16 @@
 //! cargo run --release -p ftmpi-bench --bin ftmpi-bench -- cache --prune --max-bytes 10000000
 //! ```
 //!
-//! `--out DIR` relocates the results directory (default `results/`), like
-//! the figure binaries.
+//! `--out DIR` relocates the results directory (default `results/`) for
+//! both commands; a fresh one makes a cold figure run.
 
 use std::path::PathBuf;
 
+use ftmpi_bench::figures;
 use ftmpi_bench::sweep::prune_cache;
 
-const USAGE: &str = "usage: ftmpi-bench cache [--prune] [--max-bytes N] [--out DIR]";
+const USAGE: &str = "usage: ftmpi-bench figure <name>|all [--fast|--full] [--out DIR] [--jobs N]
+       ftmpi-bench cache [--prune] [--max-bytes N] [--out DIR]";
 
 struct CacheCmd {
     prune: bool,
@@ -72,21 +78,18 @@ fn dir_stats(dir: &std::path::Path) -> (usize, u64) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let sub = args.next();
-    match sub.as_deref() {
-        Some("cache") => {}
-        _ => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-    let cmd = match parse_cache(args) {
-        Ok(cmd) => cmd,
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            std::process::exit(2);
-        }
+    let parsed = match args.next().as_deref() {
+        Some("figure") => figures::parse(args).map(|(figs, hargs)| figures::run(figs, &hargs)),
+        Some("cache") => parse_cache(args).map(cache),
+        _ => Err("expected a command".to_string()),
     };
+    if let Err(msg) = parsed {
+        eprintln!("error: {msg}\n{USAGE}");
+        std::process::exit(2);
+    }
+}
+
+fn cache(cmd: CacheCmd) {
     let dir = cmd.out_dir.join(".cache");
     if !cmd.prune {
         let (files, bytes) = dir_stats(&dir);

@@ -1,11 +1,11 @@
-//! Experiment harness shared by the figure-regeneration binaries.
+//! Experiment harness regenerating the paper's tables and figures.
 //!
-//! Every binary in `src/bin/` reproduces one table or figure of the paper
-//! (see DESIGN.md §3 for the index). This library holds what they share:
-//! experiment records, an aligned-table printer, JSON persistence under
-//! `results/`, spec builders for the paper's standard configurations, the
-//! parallel [`sweep`] engine every harness runs on, and the [`figures`]
-//! modules the thin binaries delegate to.
+//! Every module under [`figures`] reproduces one table or figure of the
+//! paper (see DESIGN.md §3 for the index); `ftmpi-bench figure <name>|all`
+//! runs them. This library holds what they share: experiment records, an
+//! aligned-table printer, JSON persistence under `results/`, spec builders
+//! for the paper's standard configurations, and the parallel [`sweep`]
+//! engine every harness runs on.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -119,7 +119,7 @@ pub fn proto_name(p: ProtocolChoice) -> &'static str {
     }
 }
 
-/// Parsed common CLI flags.
+/// Parsed harness flags (what follows the figure name on the front door).
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Reduced sweep for quick runs (the default); `--full` restores the
@@ -144,22 +144,9 @@ impl Default for HarnessArgs {
     }
 }
 
-const USAGE: &str = "supported flags: --fast | --full | --out DIR | --jobs N";
-
 impl HarnessArgs {
-    /// Parse `std::env::args`; prints a usage message and exits non-zero on
-    /// unknown or malformed flags.
-    pub fn parse() -> HarnessArgs {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Flag parsing proper, separated from process exit for testing.
+    /// Parse `--fast | --full | --out DIR | --jobs N`; unknown or malformed
+    /// flags are an `Err` naming the problem.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<HarnessArgs, String> {
         let mut out = HarnessArgs::default();
         let mut args = args.into_iter();
@@ -190,10 +177,9 @@ impl HarnessArgs {
         SweepRunner::new(self.jobs).with_cache(Arc::clone(cache))
     }
 
-    /// The harness's result cache: persistent under `<out_dir>/.cache/`
-    /// unless `FTMPI_NO_CACHE` is set (then memory-only). A warm rerun of
-    /// any figure against the same output directory performs zero
-    /// simulations.
+    /// The harness's result cache, persistent under `<out_dir>/.cache/`. A
+    /// warm rerun of any figure against the same output directory performs
+    /// zero simulations; a fresh `--out` is a cold run.
     pub fn cache(&self) -> Arc<MemoCache> {
         MemoCache::persistent(self.out_dir.join(".cache"))
     }

@@ -1,6 +1,6 @@
 //! Parallel experiment engine.
 //!
-//! Every figure/table binary reproduces a paper sweep by running dozens of
+//! Every figure/table harness reproduces a paper sweep by running dozens of
 //! independent jobs — each with its own [`Sim`](ftmpi_sim::Sim), `World`
 //! and network model. [`SweepRunner`] executes them on a bounded worker
 //! pool and returns results **in input order**, so tables and JSON records
@@ -13,21 +13,26 @@
 //! them) are `Send + Sync`.
 //!
 //! A [`MemoCache`] keyed by a deterministic spec fingerprint lets callers
-//! skip re-simulating configurations shared across figures (`all_figures`
-//! runs every harness in one process against one cache). With
+//! skip re-simulating configurations shared across figures (`ftmpi-bench
+//! figure all` runs every harness in one process against one cache). With
 //! [`MemoCache::persistent`] the cache gains a disk tier (one file per
 //! fingerprint, written atomically) shared across processes: a warm rerun
 //! of a figure performs zero simulations.
 
 use std::collections::HashMap;
+use std::io::Read;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ftmpi_core::{run_job, JobError, JobResult, JobSpec, Platform};
+use ftmpi_core::{run_job, JobError, JobResult, JobSpec};
 
-/// Deterministic fingerprint of everything that decides a job's result.
+/// Deterministic fingerprint of everything that decides a job's result:
+/// the workload tag, then the spec's `Debug` text. That text prints every
+/// `JobSpec` field but the application closure, exactly (times to the
+/// nanosecond, floats round-trip), and a field it does not print fails to
+/// compile, so no knob can be left out of the key.
 ///
 /// `workload_tag` must uniquely identify the application closure *and its
 /// calibration* — the figure harness passes `Workload::name` because its
@@ -37,258 +42,74 @@ use ftmpi_core::{run_job, JobError, JobResult, JobSpec, Platform};
 /// (e.g. NetPIPE sample collectors) must not be memoized at all: a cache
 /// hit skips the run that would fill the side channel.
 pub fn spec_fingerprint(workload_tag: &str, spec: &JobSpec) -> String {
-    use std::fmt::Write as _;
-    let mut key = String::with_capacity(256);
-    let _ = write!(
-        key,
-        "wl={workload_tag};n={};proto={:?};stack={:?};servers={};single={};",
-        spec.nranks, spec.protocol, spec.stack, spec.servers, spec.single_threshold
-    );
-    match &spec.platform {
-        Platform::Cluster(link) => {
-            let _ = write!(
-                key,
-                "plat=cluster(bw={:?},lat={},disk={:?},lo={:?},lolat={});",
-                link.nic_bw,
-                link.latency.as_nanos(),
-                link.disk_bw,
-                link.loopback_bw,
-                link.loopback_latency.as_nanos()
-            );
-        }
-        Platform::Grid => key.push_str("plat=grid;"),
-    }
-    let ft = &spec.ft;
-    let _ = write!(
-        key,
-        "ft=({},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:?},{:?},{},{});",
-        ft.period.as_nanos(),
-        ft.first_wave_delay.as_nanos(),
-        ft.image_bytes,
-        ft.fork_cost.as_nanos(),
-        ft.chunk_bytes,
-        ft.write_local_disk,
-        ft.restart_delay.as_nanos(),
-        ft.fetch_failed_from_server,
-        ft.vcl_process_limit,
-        ft.control_bytes,
-        ft.blocking_stream_drag.as_nanos(),
-        ft.pcl_async_markers,
-        ft.detection_delay.as_nanos(),
-        ft.replicas,
-        ft.retained_waves,
-        ft.link_retry_base.as_nanos(),
-        ft.link_retry_cap.as_nanos(),
-        ft.link_retry_limit,
-        ft.partition_rollback_after.map(|d| d.as_nanos()),
-        ft.scrub_interval.map(|d| d.as_nanos()),
-        ft.quarantine_threshold,
-        ft.torn_writes
-    );
-    let _ = write!(
-        key,
-        "maxt={:?};",
-        spec.max_virtual_time.map(|t| t.as_nanos())
-    );
-    if let Some(nodes) = &spec.placement_override {
-        let _ = write!(
-            key,
-            "place={:?};",
-            nodes.iter().map(|n| n.0).collect::<Vec<_>>()
-        );
-    }
-    if !spec.wave_triggers.is_empty() {
-        let _ = write!(
-            key,
-            "trig={:?};",
-            spec.wave_triggers
-                .iter()
-                .map(|t| t.as_nanos())
-                .collect::<Vec<_>>()
-        );
-    }
-    if !spec.failures.kills.is_empty() {
-        let _ = write!(
-            key,
-            "kills={:?};",
-            spec.failures
-                .kills
-                .iter()
-                .map(|(t, v)| (t.as_nanos(), *v))
-                .collect::<Vec<_>>()
-        );
-    }
-    if !spec.failures.server_kills.is_empty() {
-        let _ = write!(
-            key,
-            "skills={:?};",
-            spec.failures
-                .server_kills
-                .iter()
-                .map(|(t, s)| (t.as_nanos(), *s))
-                .collect::<Vec<_>>()
-        );
-    }
-    if !spec.failures.node_kills.is_empty() {
-        let _ = write!(
-            key,
-            "nkills={:?};",
-            spec.failures
-                .node_kills
-                .iter()
-                .map(|(t, node)| (t.as_nanos(), *node))
-                .collect::<Vec<_>>()
-        );
-    }
-    if !spec.failures.corruptions.is_empty() {
-        let _ = write!(
-            key,
-            "corrupt={:?};",
-            spec.failures
-                .corruptions
-                .iter()
-                .map(|e| (e.at.as_nanos(), e.server, e.rank))
-                .collect::<Vec<_>>()
-        );
-    }
-    if !spec.failures.silent_corruption.is_empty() {
-        let _ = write!(
-            key,
-            "rot={:?};",
-            spec.failures
-                .silent_corruption
-                .iter()
-                .map(|s| {
-                    (
-                        s.server,
-                        s.mtbc.as_nanos(),
-                        s.start.as_nanos(),
-                        s.end.as_nanos(),
-                        s.ranks,
-                        s.seed,
-                    )
-                })
-                .collect::<Vec<_>>()
-        );
-    }
-    if !spec.net_faults.is_empty() {
-        // Degrade factors are folded in via their exact bit pattern: two
-        // schedules differing only in a factor's last mantissa bit must not
-        // share a cache entry.
-        let _ = write!(
-            key,
-            "netf=(ev={:?},parts={:?});",
-            spec.net_faults
-                .link_events
-                .iter()
-                .map(|e| {
-                    let kind = match e.kind {
-                        ftmpi_net::LinkFaultKind::Down => (0u8, 0u64),
-                        ftmpi_net::LinkFaultKind::Degrade(f) => (1, f.to_bits()),
-                        ftmpi_net::LinkFaultKind::Restore => (2, 0),
-                    };
-                    (e.at.as_nanos(), e.from.0, e.to.0, kind)
-                })
-                .collect::<Vec<_>>(),
-            spec.net_faults
-                .partitions
-                .iter()
-                .map(|p| {
-                    (
-                        p.name.as_str(),
-                        p.nodes.iter().map(|n| n.0).collect::<Vec<_>>(),
-                        format!("{}", p.direction),
-                        p.start.as_nanos(),
-                        p.heal.map(|t| t.as_nanos()),
-                        p.tear,
-                    )
-                })
-                .collect::<Vec<_>>()
-        );
-        // Flaps and server-group partitions fold in separately; both lists
-        // are empty for every pre-existing plan, so the extra terms leave
-        // old fingerprints untouched.
-        if !spec.net_faults.flaps.is_empty() {
-            let _ = write!(
-                key,
-                "flaps={:?};",
-                spec.net_faults
-                    .flaps
-                    .iter()
-                    .map(|fl| {
-                        (
-                            fl.from.0,
-                            fl.to.0,
-                            fl.start.as_nanos(),
-                            fl.end.as_nanos(),
-                            fl.mttf.as_nanos(),
-                            fl.mttr.as_nanos(),
-                            fl.seed,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            );
-        }
-        if !spec.net_faults.server_partitions.is_empty() {
-            let _ = write!(
-                key,
-                "sparts={:?};",
-                spec.net_faults
-                    .server_partitions
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.name.as_str(),
-                            p.servers.clone(),
-                            format!("{}", p.direction),
-                            p.start.as_nanos(),
-                            p.heal.map(|t| t.as_nanos()),
-                            p.tear,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            );
-        }
-    }
-    key
+    format!("wl={workload_tag};{spec:?}")
 }
 
-/// On-disk entry header; bumped whenever [`JobResult::encode`] or the entry
-/// layout changes, so stale caches self-invalidate instead of decoding
-/// garbage.
-const CACHE_VERSION: &str = "ftmpi-cache v5";
-
-/// FNV-1a over `s` starting from `h` (two different bases give the two
-/// halves of the 128-bit cache filename, making accidental collisions
-/// between distinct fingerprints implausible).
-fn fnv1a(s: &str, mut h: u64) -> u64 {
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Two-lane FNV-1a over `bytes`, continuing from `state`: two different
+/// bases give the two halves of a 128-bit digest, making accidental
+/// collisions implausible. The lanes run in one loop so their multiply
+/// chains overlap.
+fn fnv128(bytes: &[u8], (mut a, mut b): (u64, u64)) -> (u64, u64) {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &x in bytes {
+        a = (a ^ x as u64).wrapping_mul(PRIME);
+        b = (b ^ x as u64).wrapping_mul(PRIME);
     }
-    h
+    (a, b)
 }
+
+/// The starting state of [`fnv128`].
+const FNV_BASES: (u64, u64) = (0xcbf2_9ce4_8422_2325, 0x8422_2325_cbf2_9ce4);
 
 fn key_hash(key: &str) -> String {
-    format!(
-        "{:016x}{:016x}",
-        fnv1a(key, 0xcbf2_9ce4_8422_2325),
-        fnv1a(key, 0x8422_2325_cbf2_9ce4)
-    )
+    let (a, b) = fnv128(key.as_bytes(), FNV_BASES);
+    format!("{a:016x}{b:016x}")
 }
 
-/// Validate one cache-entry file body: version header, namespace kind, full
-/// fingerprint (hash collisions are detected, not trusted), and payload
-/// length must all match. A `None` tells the disk tier to delete the file
-/// and recompute the result.
-fn validate_entry(text: &str, kind: &str, key: &str) -> Option<String> {
-    let rest = text.strip_prefix(CACHE_VERSION)?.strip_prefix('\n')?;
-    let rest = rest.strip_prefix("kind=")?.strip_prefix(kind)?;
-    let rest = rest.strip_prefix("\nkey=")?.strip_prefix(key)?;
-    let rest = rest.strip_prefix("\nlen=")?;
-    let (len_line, payload) = rest.split_once('\n')?;
-    let len: usize = len_line.parse().ok()?;
-    (payload.len() == len).then(|| payload.to_string())
+/// The first line of every disk entry: a 128-bit digest of the running
+/// executable. A hit then needs the same binary and the same spec, and
+/// determinism makes that the same result; a rebuilt binary misses and
+/// overwrites its stale entries in place (file names hash the key alone).
+/// Read once per process, on the first disk access, through one 64 KiB
+/// buffer. `None` when the executable cannot be read: every cache then
+/// stays memory-only.
+fn code_identity() -> Option<&'static str> {
+    static IDENTITY: OnceLock<Option<String>> = OnceLock::new();
+    IDENTITY
+        .get_or_init(|| {
+            let mut exe = std::fs::File::open(std::env::current_exe().ok()?).ok()?;
+            let mut buf = vec![0u8; 64 * 1024];
+            let mut state = FNV_BASES;
+            loop {
+                match exe.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => state = fnv128(&buf[..n], state),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return None,
+                }
+            }
+            Some(format!("exe={:016x}{:016x}", state.0, state.1))
+        })
+        .as_deref()
+}
+
+/// One disk entry: the `exe=` code-identity line, then `kind=`, `key=` and
+/// `len=` lines, then exactly `len` payload bytes.
+struct Entry<'a> {
+    kind: &'a str,
+    key: &'a str,
+    payload: &'a str,
+}
+
+/// Parse one entry file written by the executable `identity` names. `None`
+/// for anything else — truncated, bit-flipped, or another binary's —
+/// tells the caller to delete the file.
+fn parse_entry<'a>(text: &'a str, identity: &str) -> Option<Entry<'a>> {
+    let rest = text.strip_prefix(identity)?.strip_prefix("\nkind=")?;
+    let (kind, rest) = rest.split_once("\nkey=")?;
+    let (key, rest) = rest.split_once("\nlen=")?;
+    let (len, payload) = rest.split_once('\n')?;
+    (len.parse::<usize>().ok()? == payload.len()).then_some(Entry { kind, key, payload })
 }
 
 /// Cross-sweep memoization of successful job results.
@@ -297,13 +118,14 @@ fn validate_entry(text: &str, kind: &str, key: &str) -> Option<String> {
 /// (the Vcl process-limit refusal) or indicate model bugs worth re-hitting.
 ///
 /// Created with [`MemoCache::persistent`], the cache also maintains a disk
-/// tier: one file per fingerprint under the given directory, containing a
-/// version header, the full fingerprint (hash collisions are detected, not
-/// trusted), a payload length, and the integer-encoded result. Files are
-/// written atomically (unique temp file + rename) so concurrent processes
-/// sharing the directory can only ever observe complete entries; anything
-/// that fails validation — truncated, bit-flipped, version-mismatched —
-/// is deleted and recomputed, never an error.
+/// tier: one file per fingerprint under the given directory, containing the
+/// writing executable's digest, the full fingerprint (hash collisions are
+/// detected, not trusted), a payload length, and the integer-encoded
+/// result. Files are written atomically (unique temp file + rename) so
+/// concurrent processes sharing the directory can only ever observe
+/// complete entries; anything that fails validation — truncated,
+/// bit-flipped, written by another build — is deleted and recomputed,
+/// never an error.
 ///
 /// A second namespace of free-form *blobs* ([`MemoCache::get_blob`] /
 /// [`MemoCache::put_blob`]) serves sweeps whose product is not a
@@ -326,22 +148,13 @@ impl MemoCache {
         Arc::new(MemoCache::default())
     }
 
-    /// A cache backed by `dir` (created on first write). Setting
-    /// `FTMPI_NO_CACHE` disables the disk tier, yielding a memory-only
-    /// cache — the escape hatch for timing measurements and CI baselines.
+    /// A cache backed by `dir` (created on first write). A cold run is one
+    /// against a fresh `dir`.
     pub fn persistent(dir: impl Into<PathBuf>) -> Arc<MemoCache> {
-        if std::env::var_os("FTMPI_NO_CACHE").is_some() {
-            return MemoCache::new();
-        }
         Arc::new(MemoCache {
             disk: Some(dir.into()),
             ..MemoCache::default()
         })
-    }
-
-    /// The disk tier's directory, if this cache has one.
-    pub fn disk_dir(&self) -> Option<&std::path::Path> {
-        self.disk.as_deref()
     }
 
     /// Look up a fingerprint, counting the hit/miss. Memory first, then the
@@ -407,15 +220,18 @@ impl MemoCache {
             .map(|dir| dir.join(format!("{kind}-{}", key_hash(key))))
     }
 
-    /// Read and validate one disk entry; corrupt entries are deleted.
+    /// Read and validate one disk entry; invalid entries are deleted.
     fn load_disk(&self, kind: &str, key: &str) -> Option<String> {
         let path = self.cache_path(kind, key)?;
+        let identity = code_identity()?;
         let text = std::fs::read_to_string(&path).ok()?;
-        let parsed = validate_entry(&text, kind, key);
-        if parsed.is_none() {
+        let payload = parse_entry(&text, identity)
+            .filter(|e| e.kind == kind && e.key == key)
+            .map(|e| e.payload.to_string());
+        if payload.is_none() {
             let _ = std::fs::remove_file(&path);
         }
-        parsed
+        payload
     }
 
     fn discard_disk(&self, kind: &str, key: &str) {
@@ -430,7 +246,7 @@ impl MemoCache {
         let Some(dir) = self.disk.as_ref() else {
             return;
         };
-        let Some(path) = self.cache_path(kind, key) else {
+        let (Some(path), Some(identity)) = (self.cache_path(kind, key), code_identity()) else {
             return;
         };
         if std::fs::create_dir_all(dir).is_err() {
@@ -443,7 +259,7 @@ impl MemoCache {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let entry = format!(
-            "{CACHE_VERSION}\nkind={kind}\nkey={key}\nlen={}\n{payload}",
+            "{identity}\nkind={kind}\nkey={key}\nlen={}\n{payload}",
             payload.len()
         );
         if std::fs::write(&tmp, entry).is_ok() {
@@ -496,8 +312,8 @@ pub struct PruneReport {
     pub scanned: usize,
     /// Valid entries still present afterwards.
     pub kept: usize,
-    /// Files deleted (invalid, stale-versioned, orphaned temps, or evicted
-    /// for the byte budget).
+    /// Files deleted (invalid, written by another build, orphaned temps, or
+    /// evicted for the byte budget).
     pub removed: usize,
     /// Total size of the scanned files.
     pub bytes_before: u64,
@@ -506,15 +322,20 @@ pub struct PruneReport {
 }
 
 /// Prune a persistent cache directory: delete leftover temp files and every
-/// entry that fails validation (wrong version header, filename not matching
-/// its own `key=` hash, truncated payload), then — if `max_bytes` is given —
-/// evict oldest-modified valid entries until the directory fits the budget.
+/// entry the running executable would not load (another build's, filename
+/// not matching its own kind and key hash, truncated payload), then — if
+/// `max_bytes` is given — evict oldest-modified valid entries until the
+/// directory fits the budget.
 ///
 /// Files not recognizably ours (no `r-`/`b-`/` .tmp-` prefix) are counted
 /// in `scanned` but never touched. A missing directory is an empty, already
-/// pruned cache, not an error.
+/// pruned cache, not an error; an unreadable executable is, since no entry
+/// could then be told valid.
 pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Result<PruneReport> {
     let mut report = PruneReport::default();
+    let identity = code_identity().ok_or_else(|| {
+        std::io::Error::other("the running executable cannot be read to validate entries")
+    })?;
     let entries = match std::fs::read_dir(dir) {
         Ok(it) => it,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
@@ -539,24 +360,12 @@ pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Re
             }
             continue;
         }
-        let Some(kind) = name
-            .starts_with("r-")
-            .then_some("r")
-            .or_else(|| name.starts_with("b-").then_some("b"))
-        else {
+        if !(name.starts_with("r-") || name.starts_with("b-")) {
             continue; // not ours; leave it alone (but it was scanned)
-        };
+        }
         let ok = std::fs::read_to_string(&path).ok().is_some_and(|text| {
-            (|| {
-                let rest = text.strip_prefix(CACHE_VERSION)?.strip_prefix('\n')?;
-                let rest = rest.strip_prefix("kind=")?.strip_prefix(kind)?;
-                let rest = rest.strip_prefix("\nkey=")?;
-                let (key, rest) = rest.split_once("\nlen=")?;
-                let (len_line, payload) = rest.split_once('\n')?;
-                let len: usize = len_line.parse().ok()?;
-                (payload.len() == len && name == format!("{kind}-{}", key_hash(key))).then_some(())
-            })()
-            .is_some()
+            parse_entry(&text, identity)
+                .is_some_and(|e| name == format!("{}-{}", e.kind, key_hash(e.key)))
         });
         if ok {
             let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
@@ -761,7 +570,7 @@ fn execute(job: PlannedJob, cache: Option<&MemoCache>) -> JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftmpi_core::ProtocolChoice;
+    use ftmpi_core::{Platform, ProtocolChoice};
     use ftmpi_nas::synth;
     use ftmpi_sim::SimDuration;
 
@@ -922,6 +731,39 @@ mod tests {
             Some(SimTime::from_nanos(9)),
         );
         assert_ne!(key(&other), key(&healed));
+
+        // One nanosecond apart is a different configuration: a kill, the
+        // wave period, a proactive wave trigger, a flap window's end.
+        let ns = |t: u64| SimTime::from_nanos(t);
+        let kill = |t| {
+            let mut s = ring_spec(12);
+            s.failures = ftmpi_core::FailurePlan::kill_at(ns(t), 1);
+            key(&s)
+        };
+        assert_ne!(kill(5), kill(6));
+        let mut other = ring_spec(12);
+        other.ft.period = base.ft.period + SimDuration::from_nanos(1);
+        assert_ne!(key(&base), key(&other));
+        let trigger = |t| {
+            let mut s = ring_spec(12);
+            s.wave_triggers = vec![ns(t)];
+            key(&s)
+        };
+        assert_ne!(trigger(5), trigger(6));
+        let flap = |end| {
+            let mut s = ring_spec(12);
+            s.net_faults = NetFaultPlan::none().with_link_flap(ftmpi_net::LinkFlapSpec {
+                from: NodeId(0),
+                to: NodeId(1),
+                start: ns(5),
+                end: ns(end),
+                mttf: SimDuration::from_millis(1),
+                mttr: SimDuration::from_millis(1),
+                seed: 7,
+            });
+            key(&s)
+        };
+        assert_ne!(flap(1_000), flap(1_001));
     }
 
     /// A unique scratch dir for one test (no wallclock involved).
@@ -987,18 +829,27 @@ mod tests {
             r.run_detailed().pop().unwrap().result.unwrap();
             cache.put_blob("np/k".into(), "1,2,3\n".into());
         }
-        // Garbage: an orphaned temp file, a corrupt entry, a stranger file.
+        // Garbage: an orphaned temp file, a corrupt entry, another build's
+        // well-formed entry, a stranger file.
         std::fs::write(scratch.0.join(".tmp-999-0"), "half-written").unwrap();
         std::fs::write(
             scratch.0.join(format!("r-{}", key_hash("bogus"))),
             "not a cache entry",
         )
         .unwrap();
+        std::fs::write(
+            scratch.0.join(format!("b-{}", key_hash("old"))),
+            format!("exe={}\nkind=b\nkey=old\nlen=1\nx", "0".repeat(32)),
+        )
+        .unwrap();
         std::fs::write(scratch.0.join("README"), "hands off").unwrap();
 
         let report = prune_cache(&scratch.0, None).unwrap();
-        assert_eq!(report.scanned, 5);
-        assert_eq!(report.removed, 2, "temp + corrupt go, stranger stays");
+        assert_eq!(report.scanned, 6);
+        assert_eq!(
+            report.removed, 3,
+            "temp, corrupt and foreign go; stranger stays"
+        );
         assert_eq!(report.kept, 2);
         assert!(scratch.0.join("README").exists());
         // The surviving entries still decode.
@@ -1046,8 +897,10 @@ mod tests {
             .expect("cache entry written")
             .path();
         let pristine = std::fs::read(&entry).unwrap();
-        // Every single-byte bit-flip (and a truncation, and a version swap)
-        // must read as a miss — recomputed, never a panic or a wrong result.
+        let body = &pristine[pristine.iter().position(|&b| b == b'\n').unwrap()..];
+        // Every single-byte bit-flip (and a truncation, and another build's
+        // code identity) must read as a miss — recomputed, never a panic or
+        // a wrong result.
         let corruptions: Vec<Vec<u8>> = (0..pristine.len().min(64))
             .map(|i| {
                 let mut c = pristine.clone();
@@ -1056,7 +909,7 @@ mod tests {
             })
             .chain([
                 pristine[..pristine.len() / 2].to_vec(),
-                [b"ftmpi-cache v0\n".to_vec(), pristine.clone()].concat(),
+                [format!("exe={}", "0".repeat(32)).as_bytes(), body].concat(),
             ])
             .collect();
         for corrupt in corruptions {

@@ -26,11 +26,9 @@
 //!   appear only in `event.rs` (plus the slab's own file), so no caller
 //!   can mint keys or slots that bypass the lane stored with the payload,
 //!   which the schedule policies choose by.
-//! * `env-registry` — every `std::env::var`/`var_os` read in the
-//!   workspace must name a toggle from the declared [`ENV_TOGGLES`]
-//!   registry, and every registered toggle must be documented in the
-//!   README's environment-toggle table. Ad-hoc env reads are invisible
-//!   determinism knobs; the registry makes the full set auditable.
+//! * `env-registry` — no `std::env::var`/`var_os` read under `crates/`.
+//!   An environment read is an invisible knob on a run; the workspace
+//!   reads none, so every behaviour is chosen by a flag or a spec field.
 //! * `sim-audit` — the event-kernel memory machinery
 //!   (`crates/sim/src/arena.rs`, `event.rs`) must contain no `unsafe`
 //!   and no `.unwrap()` outside its test module: the slab recycles slots
@@ -58,7 +56,7 @@ pub const RULE_HASHMAP_ORDER: &str = "hashmap-order";
 pub const RULE_CORE_UNWRAP: &str = "core-unwrap";
 /// Rule id: `EventKind` variant never scheduled on a tiebreak lane.
 pub const RULE_LANE_AUDIT: &str = "lane-audit";
-/// Rule id: unregistered or undocumented environment toggle.
+/// Rule id: environment read.
 pub const RULE_ENV_REGISTRY: &str = "env-registry";
 /// Rule id: `unsafe` / bare `unwrap` in the kernel memory machinery.
 pub const RULE_SIM_AUDIT: &str = "sim-audit";
@@ -67,11 +65,6 @@ pub const RULE_SINGLE_THREADED: &str = "single-threaded-sim";
 
 /// Crates whose `src/` must not read the wall clock.
 const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
-
-/// The declared environment-toggle registry: the complete set of `FTMPI_*`
-/// variables the workspace may read. Every entry must also appear in the
-/// README's toggle table (checked by [`env_registry_hits`]).
-pub const ENV_TOGGLES: &[&str] = &["FTMPI_NO_CACHE"];
 
 /// Files audited by the `sim-audit` rule. The checkpoint store rides
 /// along with the kernel memory files: replica lookups must surface
@@ -365,81 +358,24 @@ fn contains_word(line: &str, word: &str) -> bool {
     false
 }
 
-/// The `FTMPI_*` identifiers mentioned on a (raw, unscrubbed) line — env
-/// variable names live inside string literals, which `scrub` blanks.
-fn ftmpi_names(raw: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(at) = raw[from..].find("FTMPI_") {
-        let abs = from + at;
-        let name: String = raw[abs..]
-            .chars()
-            .take_while(|&c| is_ident_char(c))
-            .collect();
-        from = abs + name.len();
-        if !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
-/// Cross-file `env-registry` rule over every workspace source plus the
-/// README text: each `env::var`/`env::var_os` read must name a registered
-/// [`ENV_TOGGLES`] entry on the same line, and each registered toggle must
-/// be documented in the README.
-pub fn env_registry_hits(sources: &[(String, String)], readme: &str) -> Vec<LintHit> {
+/// Cross-file `env-registry` rule over every workspace source: each
+/// `env::var`/`env::var_os` read is a finding.
+pub fn env_registry_hits(sources: &[(String, String)]) -> Vec<LintHit> {
     let mut hits = Vec::new();
     for (path, text) in sources {
         let norm = path.replace('\\', "/");
         let lines: Vec<&str> = text.lines().collect();
         for (i, raw) in lines.iter().enumerate() {
-            let s = scrub(raw);
-            if !(s.contains("env::var") || s.contains("env::var_os")) {
-                continue;
-            }
-            if allowed(&lines, i, RULE_ENV_REGISTRY) {
-                continue;
-            }
-            let names = ftmpi_names(raw);
-            if names.is_empty() {
+            if scrub(raw).contains("env::var") && !allowed(&lines, i, RULE_ENV_REGISTRY) {
                 hits.push(LintHit {
                     file: norm.clone(),
                     line: i + 1,
                     rule: RULE_ENV_REGISTRY,
-                    msg: "environment read without a registered `FTMPI_*` toggle \
-                          name on the line: every env knob must come from the \
-                          declared registry"
+                    msg: "environment read: the workspace takes no environment \
+                          toggles; choose behaviour with a flag or a spec field"
                         .to_string(),
                 });
-                continue;
             }
-            for name in names {
-                if !ENV_TOGGLES.contains(&name.as_str()) {
-                    hits.push(LintHit {
-                        file: norm.clone(),
-                        line: i + 1,
-                        rule: RULE_ENV_REGISTRY,
-                        msg: format!(
-                            "`{name}` is read but not in the declared toggle \
-                             registry (lint::ENV_TOGGLES)"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    for toggle in ENV_TOGGLES {
-        if !readme.contains(toggle) {
-            hits.push(LintHit {
-                file: "README.md".to_string(),
-                line: 1,
-                rule: RULE_ENV_REGISTRY,
-                msg: format!(
-                    "registered toggle `{toggle}` is missing from the README's \
-                     environment-toggle table"
-                ),
-            });
         }
     }
     hits
@@ -758,8 +694,7 @@ pub fn run_lint(root: &Path) -> Vec<LintHit> {
         all_sources.push((rel, text));
     }
     hits.extend(lane_audit_sources(&sim_sources));
-    let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    hits.extend(env_registry_hits(&all_sources, &readme));
+    hits.extend(env_registry_hits(&all_sources));
     hits
 }
 
@@ -966,50 +901,33 @@ pub(crate) enum EventKind {
 
     #[test]
     fn env_registry_rules() {
-        let ok = vec![(
+        // The deleted cache toggle, planted back where it lived: flagged.
+        let planted = vec![(
             "crates/bench/src/sweep.rs".to_string(),
             "if std::env::var_os(\"FTMPI_NO_CACHE\").is_some() {\n".to_string(),
         )];
-        let readme: String = ENV_TOGGLES
-            .iter()
-            .map(|t| format!("| `{t}` | doc |\n"))
-            .collect();
-        assert!(env_registry_hits(&ok, &readme).is_empty());
-
-        // Unregistered name on an env read.
-        let rogue = vec![(
-            "crates/sim/src/kernel.rs".to_string(),
-            "let x = std::env::var(\"FTMPI_SECRET\");\n".to_string(),
-        )];
-        let hits = env_registry_hits(&rogue, &readme);
+        let hits = env_registry_hits(&planted);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, RULE_ENV_REGISTRY);
-        assert!(hits[0].msg.contains("FTMPI_SECRET"));
+        assert_eq!(
+            (hits[0].file.as_str(), hits[0].line),
+            ("crates/bench/src/sweep.rs", 1)
+        );
 
-        // Env read with no FTMPI_* name at all.
+        // Any name, `var` or `var_os`.
         let anon = vec![(
-            "crates/bench/src/sweep.rs".to_string(),
-            "let home = std::env::var_os(\"HOME\");\n".to_string(),
+            "crates/sim/src/kernel.rs".to_string(),
+            "let x = std::env::var(\"HOME\");\n".to_string(),
         )];
-        let hits = env_registry_hits(&anon, &readme);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].msg.contains("without a registered"));
-        // ...unless escaped.
-        let escaped = vec![(
+        assert_eq!(env_registry_hits(&anon).len(), 1);
+        // ...unless escaped; mentions in comments and strings are not reads.
+        let quiet = vec![(
             "crates/bench/src/sweep.rs".to_string(),
-            "// lint:allow(env-registry)\nlet home = std::env::var_os(\"HOME\");\n".to_string(),
+            "// lint:allow(env-registry)\nlet home = std::env::var_os(\"HOME\");\n\
+             // std::env::var is banned\nlet s = \"env::var\";\n"
+                .to_string(),
         )];
-        assert!(env_registry_hits(&escaped, &readme).is_empty());
-
-        // A registered toggle missing from the README is flagged there.
-        let partial: String = ENV_TOGGLES[1..]
-            .iter()
-            .map(|t| format!("| `{t}` | doc |\n"))
-            .collect();
-        let hits = env_registry_hits(&ok, &partial);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].file, "README.md");
-        assert!(hits[0].msg.contains(ENV_TOGGLES[0]));
+        assert!(env_registry_hits(&quiet).is_empty());
     }
 
     #[test]

@@ -82,6 +82,43 @@ pub struct JobSpec {
     pub wave_triggers: Vec<SimTime>,
 }
 
+/// Every field but the application closure, exactly: the sweep memo cache
+/// keys results by this text. The destructuring names each field with no
+/// `..`, so a new field does not compile until it is printed here too.
+impl std::fmt::Debug for JobSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let JobSpec {
+            nranks,
+            protocol,
+            stack,
+            ft,
+            platform,
+            servers,
+            single_threshold,
+            app: _,
+            failures,
+            net_faults,
+            max_virtual_time,
+            placement_override,
+            wave_triggers,
+        } = self;
+        f.debug_struct("JobSpec")
+            .field("nranks", nranks)
+            .field("protocol", protocol)
+            .field("stack", stack)
+            .field("ft", ft)
+            .field("platform", platform)
+            .field("servers", servers)
+            .field("single_threshold", single_threshold)
+            .field("failures", failures)
+            .field("net_faults", net_faults)
+            .field("max_virtual_time", max_virtual_time)
+            .field("placement_override", placement_override)
+            .field("wave_triggers", wave_triggers)
+            .finish()
+    }
+}
+
 impl JobSpec {
     /// A spec with paper-style defaults on a GigE cluster.
     pub fn new(nranks: usize, protocol: ProtocolChoice, app: AppFn) -> JobSpec {

@@ -12,28 +12,37 @@
 
 use crate::event::EventKind;
 
+/// The lane stored for an event scheduled without one. No real lane takes
+/// this value (`EventQueue::push` asserts it), so a slot spends 8 bytes on
+/// its lane where an `Option<u64>` would spend 16.
+pub(crate) const NO_LANE: u64 = u64::MAX;
+
+/// One arena slot: when occupied, the payload and the lane it was
+/// scheduled in ([`NO_LANE`] for none).
+pub(crate) type Slot = Option<(EventKind, u64)>;
+
 /// Slab of event payloads with a free list. Slots are reused, so a long run
 /// holds roughly `queue depth` payloads regardless of how many events it
 /// schedules in total.
 #[derive(Default)]
 pub(crate) struct EventArena {
-    /// Each occupied slot: the payload and the lane it was scheduled in.
-    slots: Vec<Option<(EventKind, Option<u64>)>>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
 }
 
 impl EventArena {
     /// Store a payload with its lane, returning its slot.
     pub fn insert(&mut self, kind: EventKind, lane: Option<u64>) -> u32 {
+        let entry = Some((kind, lane.unwrap_or(NO_LANE)));
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none(), "free slot occupied");
-                self.slots[slot as usize] = Some((kind, lane));
+                self.slots[slot as usize] = entry;
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("event arena slot overflow");
-                self.slots.push(Some((kind, lane)));
+                self.slots.push(entry);
                 slot
             }
         }
@@ -55,10 +64,10 @@ impl EventArena {
 
     /// Borrow a payload and its lane without freeing the slot.
     pub fn get(&self, slot: u32) -> (&EventKind, Option<u64>) {
-        let (kind, lane) = self.slots[slot as usize]
+        let &(ref kind, lane) = self.slots[slot as usize]
             .as_ref()
             .expect("event arena slot empty");
-        (kind, *lane)
+        (kind, (lane != NO_LANE).then_some(lane))
     }
 
     /// Number of live payloads.

@@ -37,7 +37,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::arena::EventArena;
+use crate::arena::{EventArena, NO_LANE};
 use crate::hash::FxBuildHasher;
 use crate::kernel::SimCtx;
 use crate::process::Pid;
@@ -47,6 +47,10 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub(crate) u64);
 
+/// The tag is a full word: an arena slot keeps its `None` in it, and with a
+/// byte tag the compiler moves a payload out of its slot in byte-sized
+/// pieces, which slows every pop.
+#[repr(u64)]
 pub(crate) enum EventKind {
     /// Run a model closure on the kernel loop.
     Call(Box<dyn FnOnce(&SimCtx)>),
@@ -189,8 +193,12 @@ impl EventQueue {
     /// lane always pop in scheduling order, under any schedule policy,
     /// because their relative order is defined model semantics. Unkeyed
     /// (`None`) events are treated as independent and permute freely. The
-    /// lane is stored with the payload.
+    /// lane is stored with the payload; `u64::MAX` is reserved for "none".
     pub fn push(&mut self, time: SimTime, lane: Option<u64>, kind: EventKind) -> EventId {
+        assert!(
+            lane != Some(NO_LANE),
+            "lane {NO_LANE:#x} is reserved for laneless events"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.arena.insert(kind, lane);
@@ -535,6 +543,18 @@ mod tests {
     #[test]
     fn keys_are_24_bytes() {
         assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn arena_slots_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<crate::arena::Slot>(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn pushing_in_the_reserved_lane_panics() {
+        let mut q = EventQueue::default();
+        q.push(SimTime::from_nanos(1), Some(u64::MAX), call());
     }
 
     /// The current instant as [`EventQueue::instant`] lists it.

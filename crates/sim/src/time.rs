@@ -163,9 +163,10 @@ impl Div<u64> for SimDuration {
     }
 }
 
+/// Exact to the nanosecond, like [`SimDuration`]'s `Debug`.
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={:.6}s", self.as_secs_f64())
+        write!(f, "t={:?}", SimDuration(self.0))
     }
 }
 
@@ -175,9 +176,12 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Exact to the nanosecond: `Debug` text keys the sweep memo cache, so two
+/// spans a nanosecond apart must not print alike. `Display` rounds.
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        let (secs, nanos) = (self.0 / 1_000_000_000, self.0 % 1_000_000_000);
+        write!(f, "{secs}.{nanos:09}s")
     }
 }
 
@@ -238,6 +242,27 @@ mod tests {
         assert_eq!(d * 3, SimDuration::from_secs(30));
         assert_eq!(d / 2, SimDuration::from_secs(5));
         assert_eq!(d / 0, d); // divide-by-zero guards to identity
+    }
+
+    #[test]
+    fn debug_is_exact_to_the_nanosecond() {
+        let d = |ns| format!("{:?}", SimDuration::from_nanos(ns));
+        assert_ne!(d(1), d(2));
+        assert_eq!(d(1), "0.000000001s");
+        assert_eq!(
+            format!("{:?}", SimDuration::from_secs_f64(1.5)),
+            "1.500000000s"
+        );
+        assert_eq!(
+            format!("{:?}", SimTime::from_nanos(1_500_000_000)),
+            "t=1.500000000s"
+        );
+        assert_ne!(
+            format!("{:?}", SimTime::from_nanos(1)),
+            format!("{:?}", SimTime::from_nanos(2))
+        );
+        // `Display` keeps its microsecond rounding.
+        assert_eq!(SimDuration::from_nanos(1).to_string(), "0.000000");
     }
 
     #[test]

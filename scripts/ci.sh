@@ -96,28 +96,27 @@ test ! -e "$PRUNE_TMP/results/.cache/.tmp-123-0"
 test ! -e "$PRUNE_TMP/results/.cache/r-deadbeef"
 rm -rf "$PRUNE_TMP"
 
-echo "==> result-cache round trip (fig5_servers cold, then warm from disk)"
-CACHE_TMP="${TMPDIR:-/tmp}/ftmpi-ci-cache-$$"
-rm -rf "$CACHE_TMP"
-mkdir -p "$CACHE_TMP"
-cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
-    --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/cold.log"
-cp "$CACHE_TMP/results/fig5.json" "$CACHE_TMP/cold.json"
-# Same figure against the now-populated cache: every configuration must
-# come from disk (zero misses, zero simulations) and the JSON must be
-# byte-identical to the cold run's.
-cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
-    --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/warm.log"
-grep -q "/ 0 misses" "$CACHE_TMP/warm.log"
-cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
-# Cache off: every configuration is simulated again, and the figure
-# must still be byte-identical — the disk tier replays results, it never
-# changes them.
-rm "$CACHE_TMP/results/fig5.json"
-FTMPI_NO_CACHE=1 cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
-    --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/plain.log"
-cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
-rm -rf "$CACHE_TMP"
+echo "==> figure goldens + result-cache round trip (ftmpi-bench figure all, cold then warm)"
+FIG_TMP="${TMPDIR:-/tmp}/ftmpi-ci-figures-$$"
+GOLDENS="$(pwd)/crates/bench/figures.sha256"
+rm -rf "$FIG_TMP"
+mkdir -p "$FIG_TMP"
+# Cold: a fresh --out holds no cache, so every configuration is simulated.
+# Every figure JSON must match its committed digest, and every JSON the
+# run writes must have one.
+cargo run -q --release -p ftmpi-bench --bin ftmpi-bench -- \
+    figure all --fast --out "$FIG_TMP/results" > "$FIG_TMP/cold.log"
+(cd "$FIG_TMP/results" && sha256sum -c --quiet "$GOLDENS")
+test "$(ls "$FIG_TMP/results" | grep -c '\.json$')" -eq "$(wc -l < "$GOLDENS")"
+# Warm: the same run against the now-populated cache must come entirely
+# from disk (zero misses, zero simulations) and match the digests again:
+# a disk replay never changes a result.
+rm "$FIG_TMP/results"/*.json
+cargo run -q --release -p ftmpi-bench --bin ftmpi-bench -- \
+    figure all --fast --out "$FIG_TMP/results" > "$FIG_TMP/warm.log"
+grep -q "/ 0 misses" "$FIG_TMP/warm.log"
+(cd "$FIG_TMP/results" && sha256sum -c --quiet "$GOLDENS")
+rm -rf "$FIG_TMP"
 
 echo "==> kernel microbench (event queue, BENCH_kernel.json)"
 # The run rewrites the timing fields, which may move. Its six pop-order

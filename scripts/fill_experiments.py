@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Fill EXPERIMENTS.md placeholders from an all_figures log.
+"""Fill EXPERIMENTS.md placeholders from a `ftmpi-bench figure all` log.
 
-Usage: python3 scripts/fill_experiments.py /tmp/all_figures.log
+Usage:
+    cargo run --release -p ftmpi-bench --bin ftmpi-bench -- figure all > /tmp/figures.log
+    python3 scripts/fill_experiments.py /tmp/figures.log
 
 Extracts the printed tables of selected experiments and splices them into
 EXPERIMENTS.md at the `<!-- NAME -->` markers, converting the aligned-text
@@ -13,7 +15,7 @@ import sys
 
 
 def sections(log: str):
-    """Split the log into {binary_name: text} chunks."""
+    """Split the log into {harness_name: text} chunks on its headers."""
     parts = re.split(r"^#{8,} (\w+) #{8,}$", log, flags=re.M)
     out = {}
     for i in range(1, len(parts) - 1, 2):
