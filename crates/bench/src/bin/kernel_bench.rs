@@ -16,6 +16,9 @@
 //! ```sh
 //! cargo run --release -p ftmpi-bench --bin kernel_bench [-- --quick]
 //! ```
+//!
+//! `--help` prints the usage line; any other argument is an error (exit
+//! status 2). Neither writes `BENCH_kernel.json`.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -30,6 +33,29 @@ const STEADY: [usize; 2] = [16_384, 100_000];
 
 /// Tombstone compaction threshold: the queue's default.
 const COMPACT: usize = 64;
+
+const USAGE: &str = "usage: kernel_bench [--quick]";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq, Eq)]
+enum Cmd {
+    /// Run the benchmark; `quick` is the shortened CI run.
+    Run { quick: bool },
+    /// Print the usage line.
+    Help,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
+    let mut quick = false;
+    for a in args {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--help" => return Ok(Cmd::Help),
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    Ok(Cmd::Run { quick })
+}
 
 /// Median-of-`reps` wall seconds for one density and population, plus the
 /// pop-order checksum.
@@ -65,7 +91,17 @@ fn fig5_cold_wall() -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = match parse_args(std::env::args().skip(1)) {
+        Ok(Cmd::Run { quick }) => quick,
+        Ok(Cmd::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let (ops, reps) = if quick {
         (200_000u64, 3)
     } else {
@@ -113,4 +149,33 @@ fn main() {
     ));
     std::fs::write(&path, to_string_pretty(&records) + "\n").expect("write BENCH_kernel.json");
     println!("[records written to {}]", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cmd, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn quick_is_the_only_run_flag() {
+        assert_eq!(parse(&[]), Ok(Cmd::Run { quick: false }));
+        assert_eq!(parse(&["--quick"]), Ok(Cmd::Run { quick: true }));
+    }
+
+    #[test]
+    fn help_wins_wherever_it_appears() {
+        assert_eq!(parse(&["--help"]), Ok(Cmd::Help));
+        assert_eq!(parse(&["--quick", "--help"]), Ok(Cmd::Help));
+    }
+
+    #[test]
+    fn any_other_argument_is_an_error() {
+        for bad in [&["--full"][..], &["quick"], &["-h"], &["--quick", "--jobs"]] {
+            let err = parse(bad).expect_err("rejected");
+            assert!(err.contains(bad[bad.len() - 1]), "{err}");
+        }
+    }
 }

@@ -1,5 +1,5 @@
 //! Calibration probe: prints the simulated completion time, wave behaviour
-//! and simulation cost of the headline configurations, so the machine rates
+//! and event count of the headline configurations, so the machine rates
 //! and FT parameters recorded in EXPERIMENTS.md can be sanity-checked.
 
 use std::sync::Arc;
@@ -10,11 +10,12 @@ use ftmpi_net::SoftwareStack;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    bt_workload, cg_workload, cluster_spec, myrinet_spec, print_table, secs, HarnessArgs, MemoCache,
+    baseline_spec, bt_workload, cg_workload, cluster_spec, myrinet_spec, print_table, secs,
+    HarnessArgs, MemoCache,
 };
 
-/// Run the probe and render the table (wall column reflects each job's
-/// time on its worker; memo hits show as ~0 s with a `*`).
+/// Run the probe and render the table. Every column is simulated, so a
+/// memo hit prints exactly what a fresh run prints.
 pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     let mut runner = args.sweep(cache);
     let bt64 = bt_workload(NasClass::B, 64);
@@ -22,13 +23,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     for (label, spec) in [
         (
             "bt.B.64 nockpt",
-            cluster_spec(
-                &bt64,
-                64,
-                ProtocolChoice::Dummy,
-                4,
-                SimDuration::from_secs(30),
-            ),
+            baseline_spec(|proto, period| cluster_spec(&bt64, 64, proto, 4, period)),
         ),
         (
             "bt.B.64 pcl/30s/4srv",
@@ -52,14 +47,9 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
         ),
         (
             "cg.C.64 nockpt/nemesis",
-            myrinet_spec(
-                &cg64,
-                64,
-                ProtocolChoice::Dummy,
-                SoftwareStack::NemesisGm,
-                2,
-                SimDuration::from_secs(30),
-            ),
+            baseline_spec(|proto, period| {
+                myrinet_spec(&cg64, 64, proto, SoftwareStack::NemesisGm, 2, period)
+            }),
         ),
         (
             "cg.C.64 pcl/nemesis/30s",
@@ -106,16 +96,11 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
                     .unwrap_or(0.0),
             ),
             res.events.to_string(),
-            format!(
-                "{:.1}{}",
-                outcome.wall.as_secs_f64(),
-                if outcome.cached { "*" } else { "" }
-            ),
         ]);
     }
     print_table(
         "calibration",
-        &["config", "T(s)", "waves", "wave(s)", "events", "wall(s)"],
+        &["config", "T(s)", "waves", "wave(s)", "events"],
         &rows,
     );
 }

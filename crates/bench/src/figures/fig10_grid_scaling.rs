@@ -16,7 +16,8 @@ use ftmpi_nas::NasClass;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    bt_workload, grid_spec, print_table, save_records, secs, HarnessArgs, MemoCache, Record,
+    baseline_spec, bt_workload, grid_spec, print_table, save_records, secs, HarnessArgs, MemoCache,
+    Record,
 };
 
 /// Run the figure's sweep and render table + records.
@@ -45,7 +46,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
         // At 529 ranks the grid only has room for 2 servers per cluster
         // (544 nodes total).
         let servers = if n > 500 { 2 } else { 4 };
-        let mut base_spec = grid_spec(&wl, n, ProtocolChoice::Dummy, period);
+        let mut base_spec = baseline_spec(|proto, period| grid_spec(&wl, n, proto, period));
         base_spec.servers = servers;
         runner.add_spec(format!("fig10/{n}/nockpt"), &wl.name, base_spec);
         let mut ckpt_spec = grid_spec(&wl, n, ProtocolChoice::Pcl, period);

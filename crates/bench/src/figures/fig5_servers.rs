@@ -13,8 +13,8 @@ use ftmpi_nas::NasClass;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    bt_workload, cluster_spec, print_table, proto_name, save_records, secs, HarnessArgs, MemoCache,
-    Record,
+    baseline_spec, bt_workload, cluster_spec, print_table, proto_name, save_records, secs,
+    HarnessArgs, MemoCache, Record,
 };
 
 /// Run the figure's sweep and render table + records.
@@ -28,7 +28,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     // (protocol, servers); None = no-checkpoint reference.
     let mut plan: Vec<(ProtocolChoice, Option<usize>)> = Vec::new();
     {
-        let mut spec = cluster_spec(&wl, nranks, ProtocolChoice::Dummy, 1, period);
+        let mut spec = baseline_spec(|proto, period| cluster_spec(&wl, nranks, proto, 1, period));
         spec.single_threshold = 32; // 64 procs over 32 dual-processor nodes
         runner.add_spec("fig5/nockpt", &wl.name, spec);
         plan.push((ProtocolChoice::Dummy, None));

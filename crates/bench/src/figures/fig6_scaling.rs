@@ -16,7 +16,8 @@ use ftmpi_net::SoftwareStack;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    bt_workload, cluster_spec, print_table, save_records, secs, HarnessArgs, MemoCache, Record,
+    baseline_spec, bt_workload, cluster_spec, print_table, save_records, secs, HarnessArgs,
+    MemoCache, Record,
 };
 
 /// Run the figure's sweep and render tables + records.
@@ -46,7 +47,8 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
         for &n in &sizes {
             let wl = bt_workload(NasClass::B, n);
             for (label, stack) in BASELINES {
-                let mut spec = cluster_spec(&wl, n, ProtocolChoice::Dummy, 9, period);
+                let mut spec =
+                    baseline_spec(|proto, period| cluster_spec(&wl, n, proto, 9, period));
                 spec.stack = Some(stack);
                 runner.add_spec(format!("fig6/{period_s}s/{n}/{label}"), &wl.name, spec);
             }

@@ -18,7 +18,8 @@ use ftmpi_net::SoftwareStack;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    cg_workload, myrinet_spec, print_table, save_records, secs, HarnessArgs, MemoCache, Record,
+    baseline_spec, cg_workload, myrinet_spec, print_table, save_records, secs, HarnessArgs,
+    MemoCache, Record,
 };
 
 /// Run the figure's sweep and render table + records.
@@ -41,13 +42,14 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     let mut plan = Vec::new();
     for &(label, proto, stack) in series {
         for &p in &periods_s {
-            let (proto_eff, period) = if p.is_infinite() {
-                (ProtocolChoice::Dummy, SimDuration::from_secs(3600))
+            let build = |proto, period| myrinet_spec(&wl, nranks, proto, stack, 2, period);
+            let mut spec = if p.is_infinite() {
+                baseline_spec(build)
             } else {
-                (proto, SimDuration::from_secs_f64(p))
+                build(proto, SimDuration::from_secs_f64(p))
             };
-            let mut spec = myrinet_spec(&wl, nranks, proto_eff, stack, 2, period);
             spec.single_threshold = 32; // 64 procs over 32 dual nodes
+            let proto_eff = spec.protocol;
             runner.add_spec(format!("fig7/{label}/{p}"), &wl.name, spec);
             plan.push((label, proto_eff, p));
         }

@@ -16,7 +16,8 @@ use ftmpi_net::SoftwareStack;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    cg_workload, myrinet_spec, print_table, save_records, secs, HarnessArgs, MemoCache, Record,
+    baseline_spec, cg_workload, myrinet_spec, print_table, save_records, secs, HarnessArgs,
+    MemoCache, Record,
 };
 
 /// Run the figure's sweep and render table + records.
@@ -37,13 +38,15 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     for &n in sizes {
         let wl = cg_workload(NasClass::C, n);
         for &p in &periods_s {
-            let (proto, period) = if p.is_infinite() {
-                (ProtocolChoice::Dummy, SimDuration::from_secs(3600))
+            let build =
+                |proto, period| myrinet_spec(&wl, n, proto, SoftwareStack::NemesisGm, 2, period);
+            let mut spec = if p.is_infinite() {
+                baseline_spec(build)
             } else {
-                (ProtocolChoice::Pcl, SimDuration::from_secs_f64(p))
+                build(ProtocolChoice::Pcl, SimDuration::from_secs_f64(p))
             };
-            let mut spec = myrinet_spec(&wl, n, proto, SoftwareStack::NemesisGm, 2, period);
             spec.single_threshold = 32; // 64 procs → two per node
+            let proto = spec.protocol;
             runner.add_spec(format!("fig8/{n}/{p}"), &wl.name, spec);
             plan.push((wl.name.clone(), n, proto, p));
         }

@@ -21,7 +21,8 @@ use ftmpi_nas::NasClass;
 use ftmpi_sim::SimDuration;
 
 use crate::{
-    bt_workload, grid_spec, print_table, save_records, secs, HarnessArgs, MemoCache, Record,
+    baseline_spec, bt_workload, grid_spec, print_table, save_records, secs, HarnessArgs, MemoCache,
+    Record,
 };
 
 /// Run the figure's sweep and render table + records.
@@ -37,16 +38,14 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     let mut runner = args.sweep(cache);
     let mut plan = Vec::new();
     for &p in &periods_s {
-        let (proto, period) = if p.is_infinite() {
-            (ProtocolChoice::Dummy, SimDuration::from_secs(3600))
+        let build = |proto, period| grid_spec(&wl, nranks, proto, period);
+        let spec = if p.is_infinite() {
+            baseline_spec(build)
         } else {
-            (ProtocolChoice::Pcl, SimDuration::from_secs_f64(p))
+            build(ProtocolChoice::Pcl, SimDuration::from_secs_f64(p))
         };
-        runner.add_spec(
-            format!("fig9/{p}"),
-            &wl.name,
-            grid_spec(&wl, nranks, proto, period),
-        );
+        let proto = spec.protocol;
+        runner.add_spec(format!("fig9/{p}"), &wl.name, spec);
         plan.push((proto, p));
     }
 

@@ -18,8 +18,8 @@ use ftmpi_net::{LinkFlapSpec, NetFaultPlan, NodeId};
 use ftmpi_sim::{SimDuration, SimTime};
 
 use crate::{
-    bt_workload, cluster_spec, print_table, proto_name, save_records, secs, HarnessArgs, MemoCache,
-    Record,
+    baseline_spec, bt_workload, cluster_spec, print_table, proto_name, save_records, secs,
+    HarnessArgs, MemoCache, Record,
 };
 
 /// Run the experiment (two phases: the failure-free baseline fixes the
@@ -36,7 +36,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     baseline.add_spec(
         "flap/baseline",
         &wl.name,
-        cluster_spec(&wl, nranks, ProtocolChoice::Dummy, 2, period),
+        baseline_spec(|proto, period| cluster_spec(&wl, nranks, proto, 2, period)),
     );
     let base = baseline.run().pop().unwrap().expect("baseline");
     println!(

@@ -20,8 +20,8 @@ use ftmpi_net::SoftwareStack;
 use ftmpi_sim::{SimDuration, SimTime};
 
 use crate::{
-    bt_workload, cg_workload, cluster_spec, myrinet_spec, print_table, save_records, secs,
-    HarnessArgs, MemoCache, Record,
+    baseline_spec, bt_workload, cg_workload, cluster_spec, myrinet_spec, print_table, save_records,
+    secs, HarnessArgs, MemoCache, Record,
 };
 
 /// Run both future-work studies as one sweep and render tables + records.
@@ -51,13 +51,14 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     let mut plan1 = Vec::new();
     for &(label, proto, stack) in series {
         for &p in periods {
-            let (proto_eff, period) = if p.is_infinite() {
-                (ProtocolChoice::Dummy, SimDuration::from_secs(3600))
+            let build = |proto, period| myrinet_spec(&wl1, nranks, proto, stack, 2, period);
+            let mut spec = if p.is_infinite() {
+                baseline_spec(build)
             } else {
-                (proto, SimDuration::from_secs_f64(p))
+                build(proto, SimDuration::from_secs_f64(p))
             };
-            let mut spec = myrinet_spec(&wl1, nranks, proto_eff, stack, 2, period);
             spec.single_threshold = 32;
+            let proto_eff = spec.protocol;
             runner.add_spec(format!("future/{label}/{p}"), &wl1.name, spec);
             plan1.push((label, proto_eff, p));
         }

@@ -19,8 +19,8 @@ use ftmpi_net::SoftwareStack;
 use ftmpi_sim::{SimDuration, SimTime};
 
 use crate::{
-    bt_workload, cg_workload, cluster_spec, print_table, proto_name, save_records, secs,
-    HarnessArgs, MemoCache, Record,
+    baseline_spec, bt_workload, cg_workload, cluster_spec, print_table, proto_name, save_records,
+    secs, HarnessArgs, MemoCache, Record,
 };
 
 const PROTOS: [ProtocolChoice; 3] = [
@@ -40,13 +40,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     // Phase 1: the failure-free baselines decide when the kills land.
     let mut baselines = args.sweep(cache);
     for (_, wl, nranks) in &cases {
-        let mut spec = cluster_spec(
-            wl,
-            *nranks,
-            ProtocolChoice::Dummy,
-            2,
-            SimDuration::from_secs(10),
-        );
+        let mut spec = baseline_spec(|proto, period| cluster_spec(wl, *nranks, proto, 2, period));
         spec.stack = Some(SoftwareStack::TcpSock);
         baselines.add_spec(format!("logvs/{}/baseline", wl.name), &wl.name, spec);
     }

@@ -11,8 +11,8 @@ use ftmpi_nas::NasClass;
 use ftmpi_sim::{SimDuration, SimTime};
 
 use crate::{
-    bt_workload, cluster_spec, print_table, proto_name, save_records, secs, HarnessArgs, MemoCache,
-    Record,
+    baseline_spec, bt_workload, cluster_spec, print_table, proto_name, save_records, secs,
+    HarnessArgs, MemoCache, Record,
 };
 
 /// Run the experiment (two phases: baseline fixes the kill time) and
@@ -27,13 +27,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
     baseline.add_spec(
         "recovery/baseline",
         &wl.name,
-        cluster_spec(
-            &wl,
-            nranks,
-            ProtocolChoice::Dummy,
-            2,
-            SimDuration::from_secs(30),
-        ),
+        baseline_spec(|proto, period| cluster_spec(&wl, nranks, proto, 2, period)),
     );
     let base = baseline.run().pop().unwrap().expect("baseline");
     println!(
@@ -59,7 +53,12 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
             if proto == ProtocolChoice::Dummy && p != periods[0] {
                 continue; // period is meaningless without checkpoints
             }
-            let mut spec = cluster_spec(&wl, nranks, proto, 2, SimDuration::from_secs_f64(p));
+            let build = |proto, period| cluster_spec(&wl, nranks, proto, 2, period);
+            let mut spec = if proto == ProtocolChoice::Dummy {
+                baseline_spec(build)
+            } else {
+                build(proto, SimDuration::from_secs_f64(p))
+            };
             spec.failures = FailurePlan::kill_at(kill_at, nranks / 2);
             runner.add_spec(
                 format!("recovery/{}/{p}", proto_name(proto)),

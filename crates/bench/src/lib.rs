@@ -291,6 +291,19 @@ pub fn grid_spec(
     spec
 }
 
+/// The checkpoint period of every no-checkpoint baseline. A Dummy run
+/// never reads its period, so one fixed value gives identical baselines one
+/// memo key across periods and figures.
+pub const BASELINE_PERIOD: SimDuration = SimDuration::from_secs(3_600);
+
+/// The no-checkpoint baseline of a figure's configuration: `build` makes
+/// the figure's spec for a protocol and a checkpoint period, and gets the
+/// Dummy protocol and [`BASELINE_PERIOD`]. Every figure builds its
+/// baselines through here.
+pub fn baseline_spec(build: impl FnOnce(ProtocolChoice, SimDuration) -> JobSpec) -> JobSpec {
+    build(ProtocolChoice::Dummy, BASELINE_PERIOD)
+}
+
 /// BT workload at the harness calibration.
 pub fn bt_workload(class: NasClass, nranks: usize) -> Workload {
     bt::workload(class, nranks, bt_machine())

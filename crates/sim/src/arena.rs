@@ -3,7 +3,7 @@
 //! The event queue orders events by a small `Copy` key; the fat part of an
 //! event — the boxed model closure in [`EventKind`] — lives here with the
 //! event's tiebreak lane, addressed by slot. Moving keys between radix
-//! buckets and through the same-instant tier therefore copies 24-byte keys
+//! buckets and through the same-instant tier therefore copies 16-byte keys
 //! instead of whole events, a schedule policy reads each candidate's lane
 //! from the slot it already visits for the payload, and a cancelled event's
 //! payload is reclaimed the moment its tombstone is discovered instead of
@@ -32,17 +32,21 @@ pub(crate) struct EventArena {
 
 impl EventArena {
     /// Store a payload with its lane, returning its slot.
+    #[inline(always)]
     pub fn insert(&mut self, kind: EventKind, lane: Option<u64>) -> u32 {
-        let entry = Some((kind, lane.unwrap_or(NO_LANE)));
+        let lane = lane.unwrap_or(NO_LANE);
         match self.free.pop() {
             Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none(), "free slot occupied");
-                self.slots[slot as usize] = entry;
+                let s = &mut self.slots[slot as usize];
+                // Past this check the assignment has nothing to drop, so no
+                // drop call sits between building the entry and storing it.
+                assert!(s.is_none(), "free slot occupied");
+                *s = Some((kind, lane));
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("event arena slot overflow");
-                self.slots.push(entry);
+                self.slots.push(Some((kind, lane)));
                 slot
             }
         }

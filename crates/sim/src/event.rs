@@ -8,7 +8,7 @@
 //! [`SchedulePolicy`](crate::SchedulePolicy) picks another of its lane
 //! fronts; the queue itself has no other mode.
 //!
-//! The order is kept by a monotone radix heap of 24-byte [`Key`]s. The
+//! The order is kept by a monotone radix heap of 16-byte [`Key`]s. The
 //! kernel clamps every schedule to its clock, so no key lands below the last
 //! popped instant, `last`. Keys at `last` sit in the same-instant *tier*, a
 //! FIFO; a later key lives in radix bucket *i*, where *i* is the highest
@@ -28,9 +28,12 @@
 //! policy's pick, keeps the rest in order. So the live front of the tier is
 //! always the canonical next event, and a pick never puts anything back.
 //!
-//! Buckets keep their keys in fixed-size chunks drawn from one shared free
-//! pool, and a drained bucket returns its chunks, so key storage tracks the
-//! peak key count rather than the sum of every bucket's high-water mark.
+//! A bucket is a small vector: its first [`INLINE`] keys sit in place, and
+//! the rest go to fixed-size chunks drawn from one shared free pool. A
+//! drained bucket returns its chunks, so key storage tracks the peak key
+//! count rather than the sum of every bucket's high-water mark, and a
+//! bucket holding a handful of keys, as most do in a protocol run, never
+//! touches the pool.
 //! Event payloads (boxed model closures) and their tiebreak lanes live in an
 //! [`EventArena`](crate::arena::EventArena) addressed by slot, so no closure
 //! is ever moved by a re-bucketing.
@@ -70,14 +73,50 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
+/// Bits of a [`Key`]'s `id` that hold the arena slot; `seq` takes the rest.
+const SLOT_BITS: u32 = 24;
+
+/// The largest arena slot a key can carry (2²⁴ − 1): about 16.7 M events
+/// pending at once, 80 times the 10⁵-rank ring's peak.
+const MAX_SLOT: u32 = (1 << SLOT_BITS) - 1;
+
+/// The largest `seq` a key can carry (2⁴⁰ − 1): about 1.1 × 10¹² events
+/// scheduled in one run.
+const MAX_SEQ: u64 = u64::MAX >> SLOT_BITS;
+
 /// Scheduling key: the total event order `(time, seq)` plus the arena slot
-/// of the payload. Re-bucketing and the tier move only this 24-byte `Copy`
-/// value.
-#[derive(Debug, Clone, Copy)]
+/// of the payload, packed as `seq << SLOT_BITS | slot` so `id` orders like
+/// `seq`. Re-bucketing and the tier move only this 16-byte `Copy` value.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Key {
     pub time_ns: u64,
-    pub seq: u64,
-    pub slot: u32,
+    id: u64,
+}
+
+impl Key {
+    fn new(time_ns: u64, seq: u64, slot: u32) -> Key {
+        assert!(
+            seq <= MAX_SEQ,
+            "event seq {seq} does not fit the key's {}-bit seq field",
+            64 - SLOT_BITS
+        );
+        assert!(
+            slot <= MAX_SLOT,
+            "arena slot {slot} does not fit the key's {SLOT_BITS}-bit slot field"
+        );
+        Key {
+            time_ns,
+            id: seq << SLOT_BITS | u64::from(slot),
+        }
+    }
+
+    fn seq(self) -> u64 {
+        self.id >> SLOT_BITS
+    }
+
+    fn slot(self) -> u32 {
+        (self.id & u64::from(MAX_SLOT)) as u32
+    }
 }
 
 /// Default tombstone count below which [`EventQueue::cancel`] never
@@ -86,16 +125,25 @@ pub(crate) struct Key {
 /// the kernel microbenchmark ([`EventQueue::set_compact_min_tombstones`]).
 const COMPACT_MIN_TOMBSTONES: usize = 64;
 
-/// Keys per bucket chunk (2 KiB of keys).
+/// Keys a bucket holds in place before it draws chunks from the pool. A
+/// protocol run keeps 60–110 keys pending, spread over a dozen or so
+/// buckets, so most filings stay inline.
+const INLINE: usize = 8;
+
+/// Keys per pool chunk (1 KiB of keys).
 const CHUNK: usize = 64;
 
 /// One radix bucket per bit of a `u64` time.
 const BUCKETS: usize = 64;
 
-/// A radix bucket: a bag of keys in chunks, every chunk but the last one
-/// full, in increasing `seq` (see the module docs).
+/// A radix bucket: a small vector of keys in increasing `seq` (see the
+/// module docs). Key *r* sits at `inline[r]` for the first [`INLINE`], and
+/// at offset `r - INLINE` of the chunks after that, every chunk but the
+/// last one full.
 struct Bucket {
+    inline: [Key; INLINE],
     chunks: Vec<Vec<Key>>,
+    len: usize,
     /// Earliest time in the bag; `u64::MAX` while it is empty.
     min: u64,
 }
@@ -103,41 +151,100 @@ struct Bucket {
 impl Default for Bucket {
     fn default() -> Self {
         Bucket {
+            inline: [Key::default(); INLINE],
             chunks: Vec::new(),
+            len: 0,
             min: u64::MAX,
         }
     }
 }
 
 impl Bucket {
-    fn len(&self) -> usize {
-        self.chunks
-            .last()
-            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK + c.len())
+    /// Append a key.
+    #[inline(always)]
+    fn push(&mut self, k: Key, free: &mut Vec<Vec<Key>>) {
+        if self.len < INLINE {
+            self.inline[self.len] = k;
+        } else {
+            self.spill(k, free);
+        }
+        self.len += 1;
+        self.min = self.min.min(k.time_ns);
     }
 
-    /// Drop the keys `keep` rejects, packing the survivors to the front so
-    /// every chunk but the last stays full; emptied chunks go to `free`.
+    /// Append a key past the inline ones, drawing a chunk from `free` when
+    /// the last one is full. Kept out of line so the inline path stays small
+    /// where it is inlined into every filing.
+    #[inline(never)]
+    fn spill(&mut self, k: Key, free: &mut Vec<Vec<Key>>) {
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < CHUNK => c.push(k),
+            _ => {
+                let mut c = free.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                c.push(k);
+                self.chunks.push(c);
+            }
+        }
+    }
+
+    fn slot_mut(&mut self, r: usize) -> &mut Key {
+        match r.checked_sub(INLINE) {
+            None => &mut self.inline[r],
+            Some(o) => &mut self.chunks[o / CHUNK][o % CHUNK],
+        }
+    }
+
+    /// Drop the keys `keep` rejects, packing the survivors to the front in
+    /// order; emptied chunks go to `free`.
     fn retain(&mut self, keep: &mut impl FnMut(&Key) -> bool, free: &mut Vec<Vec<Key>>) {
         let mut kept = 0;
         self.min = u64::MAX;
-        for r in 0..self.len() {
-            let k = self.chunks[r / CHUNK][r % CHUNK];
+        for r in 0..self.len {
+            let k = *self.slot_mut(r);
             if keep(&k) {
-                self.chunks[kept / CHUNK][kept % CHUNK] = k;
+                *self.slot_mut(kept) = k;
                 self.min = self.min.min(k.time_ns);
                 kept += 1;
             }
         }
-        let used = kept.div_ceil(CHUNK);
+        self.len = kept;
+        let spilled = kept.saturating_sub(INLINE);
+        let used = spilled.div_ceil(CHUNK);
         free.extend(self.chunks.drain(used..).map(|mut c| {
             c.clear();
             c
         }));
         if let Some(c) = self.chunks.last_mut() {
-            c.truncate(kept - (used - 1) * CHUNK);
+            c.truncate(spilled - (used - 1) * CHUNK);
         }
     }
+}
+
+/// File `k` at the back of the tier if it is at `last`, else into the
+/// bucket of the highest bit at which its time differs from `last`.
+#[inline(always)]
+fn file(
+    k: Key,
+    last: u64,
+    tier: &mut VecDeque<Key>,
+    buckets: &mut [Bucket],
+    occupied: &mut u64,
+    free: &mut Vec<Vec<Key>>,
+) {
+    let diff = k.time_ns ^ last;
+    if diff == 0 {
+        debug_assert!(
+            tier.back().is_none_or(|b| b.id < k.id),
+            "seq {} filed behind seq {} in the same-instant tier",
+            k.seq(),
+            tier.back().map_or(0, |b| b.seq())
+        );
+        tier.push_back(k);
+        return;
+    }
+    let i = diff.ilog2() as usize;
+    buckets[i].push(k, free);
+    *occupied |= 1 << i;
 }
 
 /// Min-queue of pending events plus a tombstone set for cancellation.
@@ -153,8 +260,6 @@ pub(crate) struct EventQueue {
     buckets: [Bucket; BUCKETS],
     /// Bit *i* is set iff bucket *i* holds a key.
     occupied: u64,
-    /// Number of keys in `buckets`.
-    bucketed: usize,
     /// Empty chunks, shared by every bucket.
     free_chunks: Vec<Vec<Key>>,
     arena: EventArena,
@@ -170,7 +275,6 @@ impl Default for EventQueue {
             last: 0,
             buckets: std::array::from_fn(|_| Bucket::default()),
             occupied: 0,
-            bucketed: 0,
             free_chunks: Vec::new(),
             arena: EventArena::default(),
             next_seq: 0,
@@ -194,58 +298,30 @@ impl EventQueue {
     /// because their relative order is defined model semantics. Unkeyed
     /// (`None`) events are treated as independent and permute freely. The
     /// lane is stored with the payload; `u64::MAX` is reserved for "none".
+    #[inline(always)]
     pub fn push(&mut self, time: SimTime, lane: Option<u64>, kind: EventKind) -> EventId {
         assert!(
             lane != Some(NO_LANE),
             "lane {NO_LANE:#x} is reserved for laneless events"
         );
+        debug_assert!(
+            time.as_nanos() >= self.last,
+            "event at {} ns pushed below the last popped instant {} ns",
+            time.as_nanos(),
+            self.last
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.arena.insert(kind, lane);
-        self.insert(Key {
-            time_ns: time.as_nanos(),
-            seq,
-            slot,
-        });
-        EventId(seq)
-    }
-
-    /// File a key at `last` at the back of the tier, and a later one into
-    /// the bucket of the highest bit at which its time differs from `last`.
-    fn insert(&mut self, k: Key) {
-        debug_assert!(
-            k.time_ns >= self.last,
-            "event at {} ns pushed below the last popped instant {} ns",
-            k.time_ns,
-            self.last
+        file(
+            Key::new(time.as_nanos(), seq, slot),
+            self.last,
+            &mut self.tier,
+            &mut self.buckets,
+            &mut self.occupied,
+            &mut self.free_chunks,
         );
-        let diff = k.time_ns ^ self.last;
-        if diff == 0 {
-            debug_assert!(
-                self.tier.back().is_none_or(|b| b.seq < k.seq),
-                "seq {} filed behind seq {} in the same-instant tier",
-                k.seq,
-                self.tier.back().map_or(0, |b| b.seq)
-            );
-            self.tier.push_back(k);
-            return;
-        }
-        let i = diff.ilog2() as usize;
-        let b = &mut self.buckets[i];
-        match b.chunks.last_mut() {
-            Some(c) if c.len() < CHUNK => c.push(k),
-            _ => {
-                let mut c = self
-                    .free_chunks
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(CHUNK));
-                c.push(k);
-                b.chunks.push(c);
-            }
-        }
-        b.min = b.min.min(k.time_ns);
-        self.occupied |= 1 << i;
-        self.bucketed += 1;
+        EventId(seq)
     }
 
     /// Refill the empty tier from the lowest non-empty bucket *i*: its
@@ -263,18 +339,22 @@ impl EventQueue {
         }
         let i = self.occupied.trailing_zeros() as usize;
         self.occupied &= !(1 << i);
-        let b = &mut self.buckets[i];
-        self.last = std::mem::replace(&mut b.min, u64::MAX);
-        let mut chunks = std::mem::take(&mut b.chunks);
-        for mut c in chunks.drain(..) {
-            self.bucketed -= c.len();
+        let (lower, rest) = self.buckets.split_at_mut(i);
+        let b = &mut rest[0];
+        let last = std::mem::replace(&mut b.min, u64::MAX);
+        self.last = last;
+        let n = std::mem::take(&mut b.len);
+        let (tier, occupied, free) = (&mut self.tier, &mut self.occupied, &mut self.free_chunks);
+        for &k in &b.inline[..n.min(INLINE)] {
+            file(k, last, tier, lower, occupied, free);
+        }
+        for mut c in b.chunks.drain(..) {
             for &k in &c {
-                self.insert(k);
+                file(k, last, tier, lower, occupied, free);
             }
             c.clear();
-            self.free_chunks.push(c);
+            free.push(c);
         }
-        self.buckets[i].chunks = chunks;
     }
 
     /// Mark an event cancelled; it is skipped when popped.
@@ -295,7 +375,7 @@ impl EventQueue {
 
     /// Keys physically held: live events plus not-yet-reclaimed corpses.
     fn stored(&self) -> usize {
-        self.tier.len() + self.bucketed
+        self.tier.len() + self.buckets.iter().map(|b| b.len).sum::<usize>()
     }
 
     /// Drop every cancelled event from the tier and the buckets and clear
@@ -308,18 +388,16 @@ impl EventQueue {
         let cancelled = std::mem::take(&mut self.cancelled);
         let arena = &mut self.arena;
         let mut keep = |k: &Key| {
-            if !cancelled.contains(&k.seq) {
+            if !cancelled.contains(&k.seq()) {
                 return true;
             }
-            arena.discard(k.slot);
+            arena.discard(k.slot());
             false
         };
         self.tier.retain(|k| keep(k));
         for (i, b) in self.buckets.iter_mut().enumerate() {
-            let before = b.len();
             b.retain(&mut keep, &mut self.free_chunks);
-            self.bucketed -= before - b.len();
-            if b.chunks.is_empty() {
+            if b.len == 0 {
                 self.occupied &= !(1 << i);
             }
         }
@@ -346,11 +424,11 @@ impl EventQueue {
                 self.refill();
             }
             let k = *self.tier.front()?;
-            if !self.take_tombstone(k.seq) {
+            if !self.take_tombstone(k.seq()) {
                 return Some(k);
             }
             self.tier.pop_front();
-            self.arena.discard(k.slot);
+            self.arena.discard(k.slot());
         }
     }
 
@@ -358,7 +436,7 @@ impl EventQueue {
     /// index 0 of [`EventQueue::instant`].
     pub fn head(&mut self) -> Option<(SimTime, &EventKind)> {
         let k = self.live_head()?;
-        Some((SimTime::from_nanos(k.time_ns), self.arena.get(k.slot).0))
+        Some((SimTime::from_nanos(k.time_ns), self.arena.get(k.slot()).0))
     }
 
     /// The time of the next live (non-cancelled) event, without consuming
@@ -376,25 +454,27 @@ impl EventQueue {
         self.tier
             .iter()
             .enumerate()
-            .filter(|(_, k)| !self.is_cancelled(k.seq))
+            .filter(|(_, k)| !self.is_cancelled(k.seq()))
             .map(|(i, k)| {
-                let (kind, lane) = self.arena.get(k.slot);
-                (i, k.seq, lane, kind)
+                let (kind, lane) = self.arena.get(k.slot());
+                (i, k.seq(), lane, kind)
             })
     }
 
     /// Remove the live key at tier index `i` (0 is the head) and hand out
     /// its event. The keys behind it close up in order.
     pub fn take(&mut self, i: usize) -> Event {
-        let k = self
-            .tier
-            .remove(i)
-            .expect("take past the end of the instant");
-        debug_assert!(!self.is_cancelled(k.seq), "took a cancelled event");
+        let k = if i == 0 {
+            self.tier.pop_front()
+        } else {
+            self.tier.remove(i)
+        };
+        let k = k.expect("take past the end of the instant");
+        debug_assert!(!self.is_cancelled(k.seq()), "took a cancelled event");
         Event {
             time: SimTime::from_nanos(k.time_ns),
-            seq: k.seq,
-            kind: self.arena.take(k.slot),
+            seq: k.seq(),
+            kind: self.arena.take(k.slot()),
         }
     }
 
@@ -505,6 +585,54 @@ mod tests {
     }
 
     #[test]
+    fn compaction_keeps_a_bucket_in_seq_order_across_its_inline_keys_and_chunks() {
+        let mut q = EventQueue::default();
+        // Pop t=5 first so the 200 keys at t=12 sit in one bucket above
+        // `last`: 8 inline, then three full chunks.
+        q.push(SimTime::from_nanos(5), None, call());
+        assert!(q.pop().is_some());
+        let ids: Vec<u64> = (0..200)
+            .map(|_| q.push(SimTime::from_nanos(12), None, call()).0)
+            .collect();
+        let bucket = (12u64 ^ 5).ilog2() as usize;
+        let b = &q.buckets[bucket];
+        assert_eq!((b.len, b.chunks.len()), (200, 3));
+        // Cancel two keys of every three, inline and chunked alike. The
+        // 100th cancel crosses both thresholds and compacts; the rest stay
+        // lazy tombstones.
+        let victims: Vec<u64> = (0..200).filter(|i| i % 3 != 2).map(|i| ids[i]).collect();
+        let survivors: Vec<u64> = ids.iter().skip(2).step_by(3).copied().collect();
+        for &v in &victims[..100] {
+            q.cancel(EventId(v));
+        }
+        assert!(q.cancelled.is_empty(), "the 100th cancel compacts");
+        let b = &q.buckets[bucket];
+        assert_eq!((b.len, b.chunks.len()), (100, 2), "8 inline + 92 chunked");
+        assert_eq!(q.arena.len(), 100, "corpse payloads reclaimed");
+        let packed: Vec<u64> = b
+            .inline
+            .iter()
+            .chain(b.chunks.iter().flatten())
+            .map(|k| k.seq())
+            .collect();
+        let mut expect: Vec<u64> = victims[100..].to_vec();
+        expect.extend(&survivors);
+        expect.sort_unstable();
+        assert_eq!(
+            packed, expect,
+            "the bucket keeps its survivors in seq order"
+        );
+        for &v in &victims[100..] {
+            q.cancel(EventId(v));
+        }
+        assert_eq!(q.len(), survivors.len());
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, survivors, "survivors pop in seq order");
+        assert!(q.is_empty());
+        assert_eq!(q.arena.len(), 0, "every payload taken or reclaimed");
+    }
+
+    #[test]
     fn compaction_threshold_is_configurable() {
         let mut q = EventQueue::default();
         q.set_compact_min_tombstones(2);
@@ -541,8 +669,52 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_24_bytes() {
-        assert_eq!(std::mem::size_of::<Key>(), 24);
+    fn keys_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 16);
+    }
+
+    #[test]
+    fn packed_keys_round_trip_at_both_limits() {
+        let k = Key::new(u64::MAX, MAX_SEQ, MAX_SLOT);
+        assert_eq!(
+            (k.time_ns, k.seq(), k.slot()),
+            (u64::MAX, MAX_SEQ, MAX_SLOT)
+        );
+        let k = Key::new(7, 0, MAX_SLOT);
+        assert_eq!(
+            (k.seq(), k.slot()),
+            (0, MAX_SLOT),
+            "a full slot spills into no seq bit"
+        );
+        let k = Key::new(7, MAX_SEQ, 0);
+        assert_eq!(
+            (k.seq(), k.slot()),
+            (MAX_SEQ, 0),
+            "a full seq spills into no slot bit"
+        );
+        // The queue hands the largest legal seq out and back intact.
+        let mut q = EventQueue {
+            next_seq: MAX_SEQ,
+            ..EventQueue::default()
+        };
+        assert_eq!(q.push(SimTime::from_nanos(3), None, call()).0, MAX_SEQ);
+        assert_eq!(q.pop().map(|e| e.seq), Some(MAX_SEQ));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the key's 40-bit seq field")]
+    fn a_seq_past_the_packing_limit_panics() {
+        let mut q = EventQueue {
+            next_seq: MAX_SEQ + 1,
+            ..EventQueue::default()
+        };
+        q.push(SimTime::from_nanos(3), None, call());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the key's 24-bit slot field")]
+    fn a_slot_past_the_packing_limit_panics() {
+        Key::new(3, 0, MAX_SLOT + 1);
     }
 
     #[test]
@@ -567,8 +739,8 @@ mod tests {
         let mut q = EventQueue::default();
         // Pop an early event first, so the tied instant (t=10) and the
         // next one (t=20) sit in radix buckets 3 and 4 above `last` = 5,
-        // and the instant arrives through a refill. It spans three chunks
-        // of its bucket, with a corpse among them.
+        // and the instant arrives through a refill. It spans its bucket's
+        // inline keys and two chunks, with a corpse among them.
         q.push(SimTime::from_nanos(5), Some(9), call());
         let (mut want, mut next) = (Vec::new(), None);
         for i in 0..2 * CHUNK as u64 + 1 {
@@ -652,14 +824,16 @@ mod tests {
         q.push(SimTime::from_nanos(9), None, call());
     }
 
-    /// Key capacity the queue holds on to: every chunk, in a bucket or in
-    /// the free pool, plus the same-instant tier.
+    /// Key capacity the queue holds on to: every bucket's inline keys,
+    /// every chunk, in a bucket or in the free pool, and the same-instant
+    /// tier.
     fn retained_keys(q: &EventQueue) -> usize {
         let chunks = q.buckets.iter().flat_map(|b| &b.chunks);
         chunks
             .chain(&q.free_chunks)
             .map(Vec::capacity)
             .sum::<usize>()
+            + BUCKETS * INLINE
             + q.tier.capacity()
     }
 

@@ -116,6 +116,13 @@ cargo run -q --release -p ftmpi-bench --bin ftmpi-bench -- \
     figure all --fast --out "$FIG_TMP/results" > "$FIG_TMP/warm.log"
 grep -q "/ 0 misses" "$FIG_TMP/warm.log"
 (cd "$FIG_TMP/results" && sha256sum -c --quiet "$GOLDENS")
+# Figure stdout depends only on the build: the cold and the warm log agree
+# line for line, apart from the one cache-summary line each ends with.
+for run in cold warm; do
+    test "$(grep -c '^memo cache: ' "$FIG_TMP/$run.log")" -eq 1
+    grep -v '^memo cache: ' "$FIG_TMP/$run.log" > "$FIG_TMP/$run.body"
+done
+cmp "$FIG_TMP/cold.body" "$FIG_TMP/warm.body"
 rm -rf "$FIG_TMP"
 
 echo "==> kernel microbench (event queue, BENCH_kernel.json)"
