@@ -31,9 +31,6 @@ use ftmpi_sim::microbench::{drive, Density};
 /// paper-sized figure run keeps in flight, and a 10⁵-rank ring's timers.
 const STEADY: [usize; 2] = [16_384, 100_000];
 
-/// Tombstone compaction threshold: the queue's default.
-const COMPACT: usize = 64;
-
 const USAGE: &str = "usage: kernel_bench [--quick]";
 
 /// What the command line asks for.
@@ -64,7 +61,7 @@ fn time_queue(density: Density, steady: usize, ops: u64, reps: usize) -> (f64, u
     let mut checksum = 0u64;
     for _ in 0..reps {
         let start = Instant::now();
-        checksum = drive(false, density, steady, ops, COMPACT);
+        checksum = drive(false, density, steady, ops, 0);
         secs.push(start.elapsed().as_secs_f64());
     }
     secs.sort_by(f64::total_cmp);

@@ -5,9 +5,10 @@
 //! `ftmpi-bench`'s `kernel_bench` binary wraps it with timing and emits
 //! `BENCH_kernel.json`. Keeping the driver here lets it use the crate-private
 //! [`EventQueue`](crate::event) directly — the benchmark measures the real
-//! queue, tombstones, arena and all, not a stripped-down model of it.
+//! queue, radix buckets, same-instant tier and arena, not a stripped-down
+//! model of it.
 
-use crate::event::{EventId, EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue};
 use crate::time::SimTime;
 
 /// Event-time density profile of a drive run. The three profiles bracket the
@@ -59,52 +60,47 @@ fn xorshift(s: &mut u64) -> u64 {
     s.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
+/// Fold one popped event into a drive's checksum. The rotation makes the
+/// fold order-sensitive: two events popped in the other order, even at one
+/// instant, give another checksum.
+fn fold(h: u64, seq: u64, time_ns: u64) -> u64 {
+    h.rotate_left(5) ^ seq ^ time_ns
+}
+
 /// Drive `ops` operations against a fresh queue, holding the pending-event
-/// count near `steady`. The mix is one push + one pop per iteration with a
-/// 1-in-16 chance of cancelling a random recent event (including
-/// already-popped ones — stale timer cancellations are part of the real
-/// workload), with compaction triggered at `compact_min_tombstones`.
+/// count near `steady`: each iteration pushes one event in a random one of
+/// 64 lanes and pops one.
 ///
-/// The first argument is ignored; it is kept so existing callers build
-/// unchanged.
+/// The first and the last argument are ignored; they are kept so existing
+/// callers build unchanged.
 ///
 /// Returns a checksum over the popped sequence so the work cannot be
 /// optimized away and so callers can check that a change to the queue
-/// kept the pop order.
+/// kept the pop order, ties included.
 pub fn drive(
     _backend: bool,
     density: Density,
     steady: usize,
     ops: u64,
-    compact_min_tombstones: usize,
+    _compact_min_tombstones: usize,
 ) -> u64 {
     let mut q = EventQueue::default();
-    q.set_compact_min_tombstones(compact_min_tombstones);
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (steady as u64) ^ ops.rotate_left(17);
     let mut now = 0u64;
     let mut checksum = 0u64;
-    let mut recent: Vec<EventId> = Vec::with_capacity(steady.max(1));
     let noop = || EventKind::Call(Box::new(|_| {}));
     for _ in 0..steady {
         let r = xorshift(&mut rng);
         let t = SimTime::from_nanos(now + density.gap(r));
-        recent.push(q.push(t, Some(r % 64), noop()));
+        q.push(t, Some(r % 64), noop());
     }
     for _ in 0..ops {
         let r = xorshift(&mut rng);
         let t = SimTime::from_nanos(now + density.gap(r));
-        let id = q.push(t, Some(r % 64), noop());
-        if recent.len() == recent.capacity() {
-            recent.swap_remove(0);
-        }
-        recent.push(id);
-        if r.is_multiple_of(16) {
-            let victim = recent[(xorshift(&mut rng) % recent.len() as u64) as usize];
-            q.cancel(victim);
-        }
+        q.push(t, Some(r % 64), noop());
         if let Some(ev) = q.pop() {
             now = ev.time.as_nanos();
-            checksum ^= ev.seq.rotate_left((now % 63) as u32) ^ ev.seq;
+            checksum = fold(checksum, ev.seq, now);
         }
     }
     checksum
@@ -121,14 +117,27 @@ mod tests {
         assert_ne!(a, drive(false, Density::WideSpread, 256, 5_000, 64));
     }
 
-    /// The pop order is pinned to the checksums the binary heap, the former
-    /// ladder backend and the radix heap all produced for this drive. (Same-instant pops
-    /// checksum to 0 by construction: each folds `seq` in twice and `now`
-    /// stays 0.)
+    /// The pop order is pinned to checksums recorded on the queue as it
+    /// stood with tombstone cancellation, running this same cancel-free
+    /// mix. Every same-instant pop counts: in the `same_time` drive all
+    /// events sit at t=0, so its checksum pins the order within one
+    /// instant.
     #[test]
     fn pop_order_matches_the_recorded_checksums() {
         let sum = |d| drive(false, d, 512, 10_000, 64);
-        assert_eq!(sum(Density::NearTime), 0x77b1_6eee_69e3_b796);
-        assert_eq!(sum(Density::WideSpread), 0xa666_8719_2f50_501e);
+        assert_eq!(sum(Density::SameTime), 0x2ad2_f6ce_369f_7ee8);
+        assert_eq!(sum(Density::NearTime), 0x13ae_e780_f69f_d1e3);
+        assert_eq!(sum(Density::WideSpread), 0x12ce_4e9f_d955_4d34);
+    }
+
+    #[test]
+    fn two_orders_of_one_tied_instant_give_different_checksums() {
+        let sum = |pops: &[(u64, u64)]| pops.iter().fold(0, |h, &(seq, t)| fold(h, seq, t));
+        assert_ne!(sum(&[(3, 10), (4, 10)]), sum(&[(4, 10), (3, 10)]));
+        assert_ne!(
+            sum(&[(0, 0), (1, 0), (2, 0)]),
+            sum(&[(0, 0), (2, 0), (1, 0)]),
+            "at t=0 too"
+        );
     }
 }
