@@ -1,6 +1,7 @@
 //! Fig. 10 — Impact of large scale on blocking checkpointing: BT class B at
 //! a varying number of processes distributed over the grid; completion time
-//! without checkpoints, with a 60 s wave period, and the number of waves.
+//! without checkpoints, with a 10 s wave period (the paper's 60 s, scaled
+//! to our ≈10× shorter grid runs), and the number of waves.
 //!
 //! Paper shapes: BT.B does not scale on a grid deployment (it is a stress
 //! test); the checkpoint-free execution slows at 529 processes (remote,

@@ -123,6 +123,9 @@ impl SilentCorruptionSpec {
 }
 
 /// A schedule of task kills and checkpoint-server failures.
+/// [`run_job`](crate::run_job) rejects a plan that names a rank, server or
+/// node the job does not have, before it schedules anything
+/// ([`SpecError`](crate::SpecError)).
 #[derive(Debug, Clone, Default)]
 pub struct FailurePlan {
     /// `(time, victim rank)` pairs, in any order.

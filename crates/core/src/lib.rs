@@ -59,7 +59,7 @@ pub use mlog::Mlog;
 pub use pcl::Pcl;
 pub use runner::{
     run_job, run_job_explored, run_job_with, JobError, JobResult, JobSpec, Platform,
-    ProtocolChoice, RunOptions, Schedule, ScheduleLog,
+    ProtocolChoice, RunOptions, Schedule, ScheduleLog, SpecError,
 };
 pub use server::StoreError;
 pub use stats::FtStats;

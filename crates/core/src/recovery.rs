@@ -293,7 +293,10 @@ pub fn kill_ranks(sc: &SimCtx, world: &WorldRef, app: &AppFn, victims: &[usize],
 /// waves streaming to it abort, and later restarts fall back to older
 /// retained waves or scratch. Only the coordinated engines model
 /// checkpoint servers this way; in any other world the call is a no-op, as
-/// is an out-of-range index or a kill after job completion.
+/// is a kill after job completion. [`run_job`](crate::run_job) rejects a
+/// plan naming an index outside the fleet before the run
+/// ([`SpecError::BadServerKill`](crate::SpecError::BadServerKill)); a
+/// direct call with one is a no-op.
 pub fn server_fail(sc: &SimCtx, world: &WorldRef, server_index: usize) {
     let mut w = world.borrow_mut();
     if w.rt.job_complete() {
@@ -317,8 +320,11 @@ pub fn server_fail(sc: &SimCtx, world: &WorldRef, server_index: usize) {
 /// replica the node holds (whole-disk bit rot). Nothing in the runtime
 /// notices *now* — detection happens when a fetch or scrub pass verifies a
 /// digest, which is the whole point of the injection. No-ops mirror
-/// [`server_fail`]: a world without a coordinated engine, an out-of-range
-/// index, a completed job, or a server holding nothing to damage.
+/// [`server_fail`]: a world without a coordinated engine, a completed job,
+/// or a server holding nothing to damage. [`run_job`](crate::run_job)
+/// rejects a plan naming a server outside the fleet or a rank outside the
+/// job before the run
+/// ([`SpecError`](crate::SpecError)); a direct call with one is a no-op.
 pub fn corrupt_images(sc: &SimCtx, world: &WorldRef, server_index: usize, rank: Option<usize>) {
     let mut w = world.borrow_mut();
     if w.rt.job_complete() {

@@ -5,8 +5,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ftmpi_mpi::{
-    spawn_rank, AppFn, DummyProtocol, Placement, Protocol, RaceFixture, RuntimeConfig, RuntimeCore,
-    RuntimeStats, World, WorldRef,
+    spawn_rank, AppFn, DummyProtocol, Placement, Protocol, RaceFixture, Rank, RuntimeConfig,
+    RuntimeCore, RuntimeStats, World, WorldRef,
 };
 use ftmpi_net::{fault_lane, LinkConfig, LinkFaultKind, NetFaultPlan, NetModel, SoftwareStack};
 use ftmpi_sim::{PrescribedPolicy, SeededPolicy, Sim, SimDuration, SimTime};
@@ -364,6 +364,9 @@ pub enum JobError {
     /// The job's network-fault plan is structurally invalid (see
     /// [`ftmpi_net::FaultPlanError`]); nothing was scheduled.
     FaultPlan(ftmpi_net::FaultPlanError),
+    /// The spec describes no runnable job (see [`SpecError`]); nothing was
+    /// scheduled.
+    Spec(SpecError),
 }
 
 impl std::fmt::Display for JobError {
@@ -380,13 +383,128 @@ impl std::fmt::Display for JobError {
                 write!(f, "job did not complete; ranks: {}", ranks.join("; "))
             }
             JobError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
+            JobError::Spec(e) => write!(f, "invalid job spec: {e}"),
         }
     }
 }
 
 impl std::error::Error for JobError {}
 
-/// Build the deployment for a spec.
+/// Why a [`JobSpec`] describes no runnable job: it has no ranks or no
+/// checkpoint server, or its failure plan names a rank, server or node the
+/// job does not have. [`run_job`] checks this before it schedules anything.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// `nranks` is 0.
+    NoRanks,
+    /// `servers` is 0.
+    NoServers,
+    /// A kill names a rank outside `0..nranks`.
+    BadVictim {
+        /// The named rank.
+        victim: Rank,
+        /// The job's rank count.
+        nranks: usize,
+    },
+    /// A server kill names an index outside the server fleet.
+    BadServerKill {
+        /// The named fleet index.
+        server: usize,
+        /// The deployment's server count.
+        fleet: usize,
+    },
+    /// A node kill names a node outside the topology. A node that hosts
+    /// neither a rank nor a server is legal: its death changes nothing.
+    BadNode {
+        /// The named node id.
+        node: usize,
+        /// The topology's node count.
+        nodes: usize,
+    },
+    /// A corruption event or silent-corruption process names an index
+    /// outside the server fleet.
+    BadCorruptionServer {
+        /// The named fleet index.
+        server: usize,
+        /// The deployment's server count.
+        fleet: usize,
+    },
+    /// A corruption event names a rank outside `0..nranks`, or a
+    /// silent-corruption process draws its targets from a wider range.
+    BadCorruptionRank {
+        /// The named rank (for a process: the highest it can draw).
+        rank: Rank,
+        /// The job's rank count.
+        nranks: usize,
+    },
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::NoRanks => write!(f, "the job has no ranks"),
+            SpecError::NoServers => write!(f, "the job has no checkpoint server"),
+            SpecError::BadVictim { victim, nranks } => {
+                write!(
+                    f,
+                    "a kill names rank {victim} but the job has {nranks} ranks"
+                )
+            }
+            SpecError::BadServerKill { server, fleet } => write!(
+                f,
+                "a server kill names fleet index {server} but the deployment has {fleet} servers"
+            ),
+            SpecError::BadNode { node, nodes } => write!(
+                f,
+                "a node kill names node {node} but the topology has {nodes} nodes"
+            ),
+            SpecError::BadCorruptionServer { server, fleet } => write!(
+                f,
+                "a corruption names fleet index {server} but the deployment has {fleet} servers"
+            ),
+            SpecError::BadCorruptionRank { rank, nranks } => write!(
+                f,
+                "a corruption names rank {rank} but the job has {nranks} ranks"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// Check every index the failure plan names against the job: ranks against
+/// `nranks`, server indices against the fleet, node ids against the
+/// topology.
+fn check_failures(plan: &FailurePlan, nranks: usize, dep: &Deployment) -> Result<(), SpecError> {
+    let fleet = dep.server_nodes.len();
+    let nodes = dep.topo.node_count();
+    if let Some(&(_, victim)) = plan.kills.iter().find(|&&(_, v)| v >= nranks) {
+        return Err(SpecError::BadVictim { victim, nranks });
+    }
+    if let Some(&(_, server)) = plan.server_kills.iter().find(|&&(_, s)| s >= fleet) {
+        return Err(SpecError::BadServerKill { server, fleet });
+    }
+    if let Some(&(_, node)) = plan.node_kills.iter().find(|&&(_, n)| n >= nodes) {
+        return Err(SpecError::BadNode { node, nodes });
+    }
+    let explicit = plan.corruptions.iter().map(|c| (c.server, c.rank));
+    let seeded = plan
+        .silent_corruption
+        .iter()
+        .map(|s| (s.server, s.ranks.checked_sub(1)));
+    for (server, rank) in explicit.chain(seeded) {
+        if server >= fleet {
+            return Err(SpecError::BadCorruptionServer { server, fleet });
+        }
+        if let Some(rank) = rank.filter(|&r| r >= nranks) {
+            return Err(SpecError::BadCorruptionRank { rank, nranks });
+        }
+    }
+    Ok(())
+}
+
+/// Build the deployment for a spec. A spec with no server gets one here;
+/// [`run_job`] rejects it instead ([`SpecError::NoServers`]).
 pub fn build_deployment(spec: &JobSpec) -> Deployment {
     match &spec.platform {
         Platform::Cluster(link) => Deployment::cluster(
@@ -464,6 +582,12 @@ pub fn run_job_explored(
     spec: JobSpec,
     opts: RunOptions,
 ) -> Result<(JobResult, Vec<ftmpi_sim::TraceEvent>, ScheduleLog), JobError> {
+    if spec.nranks == 0 {
+        return Err(JobError::Spec(SpecError::NoRanks));
+    }
+    if spec.servers == 0 {
+        return Err(JobError::Spec(SpecError::NoServers));
+    }
     if spec.protocol == ProtocolChoice::Vcl && spec.nranks > spec.ft.vcl_process_limit {
         return Err(JobError::VclProcessLimit {
             requested: spec.nranks,
@@ -471,6 +595,7 @@ pub fn run_job_explored(
         });
     }
     let dep = build_deployment(&spec);
+    check_failures(&spec.failures, spec.nranks, &dep).map_err(JobError::Spec)?;
     let stack = spec.stack.unwrap_or(match spec.protocol {
         // Both MPICH-V protocol families ride the daemon architecture.
         ProtocolChoice::Vcl | ProtocolChoice::Mlog => SoftwareStack::VclDaemon,

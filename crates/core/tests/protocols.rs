@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ftmpi_core::{
     run_job, run_job_explored, FailurePlan, FtConfig, JobError, JobResult, JobSpec, ProtocolChoice,
-    RunOptions, Schedule,
+    RunOptions, Schedule, SilentCorruptionSpec, SpecError,
 };
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId, SoftwareStack};
@@ -1040,4 +1040,127 @@ fn explored_runs_record_one_step_per_executed_event() {
         );
         assert_clean(&res);
     }
+}
+
+/// A 4-rank ring with two checkpoint servers, its failure plan replaced by
+/// `failures`, run to its verdict.
+fn ring_with(proto: ProtocolChoice, failures: FailurePlan) -> Result<JobResult, JobError> {
+    let mut spec = base_spec(4, proto, ring_app(20, 1_000, SimDuration::from_millis(100)));
+    spec.failures = failures;
+    run_job(spec)
+}
+
+fn spec_error(res: Result<JobResult, JobError>) -> SpecError {
+    match res {
+        Err(JobError::Spec(e)) => e,
+        other => panic!("expected a spec error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_job_without_ranks_is_a_spec_error() {
+    let spec = JobSpec::new(0, ProtocolChoice::Pcl, ring_app(1, 100, SimDuration::ZERO));
+    assert_eq!(spec_error(run_job(spec)), SpecError::NoRanks);
+}
+
+#[test]
+fn a_job_without_servers_is_a_spec_error() {
+    let mut spec = JobSpec::new(4, ProtocolChoice::Pcl, ring_app(1, 100, SimDuration::ZERO));
+    spec.servers = 0;
+    assert_eq!(spec_error(run_job(spec)), SpecError::NoServers);
+}
+
+#[test]
+fn a_kill_of_a_rank_the_job_lacks_is_a_spec_error() {
+    // Both restart paths of Pcl (immediate and after a detection lag)
+    // and Mlog's single-rank restart index the victim.
+    let kill = || FailurePlan::kill_at(SimTime::from_nanos(1_000_000_000), 9);
+    let want = SpecError::BadVictim {
+        victim: 9,
+        nranks: 4,
+    };
+    assert_eq!(spec_error(ring_with(ProtocolChoice::Pcl, kill())), want);
+    let mut spec = base_spec(
+        4,
+        ProtocolChoice::Pcl,
+        ring_app(20, 1_000, SimDuration::ZERO),
+    );
+    spec.ft = spec.ft.with_detection_delay_secs(0.2);
+    spec.failures = kill();
+    assert_eq!(spec_error(run_job(spec)), want);
+    assert_eq!(spec_error(ring_with(ProtocolChoice::Mlog, kill())), want);
+    // The last rank is a rank of the job.
+    let last = FailurePlan::kill_at(SimTime::from_nanos(1_000_000_000), 3);
+    assert_eq!(
+        ring_with(ProtocolChoice::Pcl, last)
+            .expect("ran")
+            .rt
+            .restarts,
+        1
+    );
+}
+
+#[test]
+fn a_server_kill_outside_the_fleet_is_a_spec_error() {
+    let plan = FailurePlan::server_kill_at(SimTime::from_nanos(1_000_000_000), 2);
+    assert_eq!(
+        spec_error(ring_with(ProtocolChoice::Pcl, plan)),
+        SpecError::BadServerKill {
+            server: 2,
+            fleet: 2
+        }
+    );
+}
+
+#[test]
+fn a_node_kill_outside_the_topology_is_a_spec_error() {
+    // 4 compute nodes, 2 servers and the service node: 7 nodes.
+    let at = SimTime::from_nanos(1_000_000_000);
+    assert_eq!(
+        spec_error(ring_with(
+            ProtocolChoice::Pcl,
+            FailurePlan::node_kill_at(at, 7)
+        )),
+        SpecError::BadNode { node: 7, nodes: 7 }
+    );
+    // The service node hosts neither a rank nor a server: its death is
+    // legal and changes nothing.
+    let res = ring_with(ProtocolChoice::Pcl, FailurePlan::node_kill_at(at, 6)).expect("ran");
+    assert_eq!(res.rt.restarts, 0);
+}
+
+#[test]
+fn a_corruption_on_a_server_outside_the_fleet_is_a_spec_error() {
+    let at = SimTime::from_nanos(1_000_000_000);
+    let want = SpecError::BadCorruptionServer {
+        server: 5,
+        fleet: 2,
+    };
+    let flip = FailurePlan::none().with_corruption(at, 5, 0);
+    assert_eq!(spec_error(ring_with(ProtocolChoice::Pcl, flip)), want);
+    let rot = FailurePlan::none().with_server_corruption(at, 5);
+    assert_eq!(spec_error(ring_with(ProtocolChoice::Vcl, rot)), want);
+}
+
+#[test]
+fn a_corruption_of_a_rank_the_job_lacks_is_a_spec_error() {
+    let flip = FailurePlan::none().with_corruption(SimTime::from_nanos(1_000_000_000), 1, 4);
+    assert_eq!(
+        spec_error(ring_with(ProtocolChoice::Pcl, flip)),
+        SpecError::BadCorruptionRank { rank: 4, nranks: 4 }
+    );
+    // A silent-corruption process drawing from eight ranks could hit
+    // ranks 4..8, which the job does not have.
+    let rot = FailurePlan::none().with_silent_corruption(SilentCorruptionSpec {
+        server: 0,
+        mtbc: SimDuration::from_secs(1),
+        start: SimTime::ZERO,
+        end: SimTime::from_nanos(5_000_000_000),
+        ranks: 8,
+        seed: 3,
+    });
+    assert_eq!(
+        spec_error(ring_with(ProtocolChoice::Vcl, rot)),
+        SpecError::BadCorruptionRank { rank: 7, nranks: 4 }
+    );
 }

@@ -4,10 +4,10 @@
 //! event — the boxed model closure in [`EventKind`] — lives here with the
 //! event's tiebreak lane, addressed by slot. Moving keys between radix
 //! buckets and through the same-instant tier therefore copies 16-byte keys
-//! instead of whole events, a schedule policy reads each candidate's lane
-//! from the slot it already visits for the payload, and a cancelled event's
-//! payload is reclaimed the moment its tombstone is discovered instead of
-//! riding along in the queue. The layout follows the `QueuedEvent` /
+//! instead of whole events, and the kernel reads each head's lane from the
+//! slot it already visits for the payload: a schedule policy chooses by
+//! it, and an `exec` call finds its process in it. A slot is freed only
+//! when its event is taken. The layout follows the `QueuedEvent` /
 //! side-table idiom of trainspotting's scheduler.
 
 use crate::event::EventKind;
@@ -61,11 +61,6 @@ impl EventArena {
         kind
     }
 
-    /// Drop a payload (cancelled event), freeing the slot.
-    pub fn discard(&mut self, slot: u32) {
-        let _ = self.take(slot);
-    }
-
     /// Borrow a payload and its lane without freeing the slot.
     pub fn get(&self, slot: u32) -> (&EventKind, Option<u64>) {
         let &(ref kind, lane) = self.slots[slot as usize]
@@ -90,14 +85,14 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_reused_after_take_and_discard() {
+    fn slots_are_reused_after_take() {
         let mut a = EventArena::default();
         let s0 = a.insert(call(), None);
         let s1 = a.insert(call(), Some(7));
         assert_ne!(s0, s1);
         assert_eq!(a.get(s1).1, Some(7), "the lane is stored with the payload");
         assert_eq!(a.len(), 2);
-        a.discard(s0);
+        let _ = a.take(s0);
         assert_eq!(a.len(), 1);
         let s2 = a.insert(call(), None);
         assert_eq!(s2, s0, "freed slot reused");

@@ -24,9 +24,14 @@
 //! hold their keys in increasing `seq`. A push carries the largest `seq` yet
 //! and goes to the back of the tier or of its bucket. A refill walks the
 //! lowest non-empty bucket in order into the tier and the buckets below it,
-//! and all of those are empty. Removing any key, by compaction or by a
-//! policy's pick, keeps the rest in order. So the live front of the tier is
-//! always the canonical next event, and a pick never puts anything back.
+//! and all of those are empty. Removing a key by a policy's pick keeps the
+//! rest in order. So the front of the tier is always the canonical next
+//! event, and a pick never puts anything back.
+//!
+//! The queue removes nothing but what it hands out. An event aimed at a
+//! process that has since died — a wake, or the model call of its pending
+//! `exec` — stays queued, and the kernel's pop drops it at the head (see
+//! `is_stale` in the kernel).
 //!
 //! A bucket is a small vector: its first [`INLINE`] keys sit in place, and
 //! the rest go to fixed-size chunks drawn from one shared free pool. A
@@ -34,21 +39,17 @@
 //! count rather than the sum of every bucket's high-water mark, and a
 //! bucket holding a handful of keys, as most do in a protocol run, never
 //! touches the pool.
+//!
 //! Event payloads (boxed model closures) and their tiebreak lanes live in an
 //! [`EventArena`](crate::arena::EventArena) addressed by slot, so no closure
 //! is ever moved by a re-bucketing.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::arena::{EventArena, NO_LANE};
-use crate::hash::FxBuildHasher;
 use crate::kernel::SimCtx;
 use crate::process::Pid;
 use crate::time::SimTime;
-
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
 
 /// The tag is a full word: an arena slot keeps its `None` in it, and with a
 /// byte tag the compiler moves a payload out of its slot in byte-sized
@@ -57,6 +58,10 @@ pub struct EventId(pub(crate) u64);
 pub(crate) enum EventKind {
     /// Run a model closure on the kernel loop.
     Call(Box<dyn FnOnce(&SimCtx)>),
+    /// Run the model closure of a process's `exec` call. It rides the
+    /// process's lane, which is its pid, so the kernel can tell when the
+    /// process died before the call ran.
+    Exec(Box<dyn FnOnce(&SimCtx)>),
     /// Wake (or kill) a parked process.
     Resume(Pid, crate::process::WakeKind),
     /// Apply a scheduled network-fault transition (link down / degrade /
@@ -119,12 +124,6 @@ impl Key {
     }
 }
 
-/// Default tombstone count below which [`EventQueue::cancel`] never
-/// compacts; keeps small queues (the common case: a handful of pending
-/// timers) from paying rebuild costs for no win. Configurable per queue for
-/// the kernel microbenchmark ([`EventQueue::set_compact_min_tombstones`]).
-const COMPACT_MIN_TOMBSTONES: usize = 64;
-
 /// Keys a bucket holds in place before it draws chunks from the pool. A
 /// protocol run keeps 60–110 keys pending, spread over a dozen or so
 /// buckets, so most filings stay inline.
@@ -186,38 +185,6 @@ impl Bucket {
             }
         }
     }
-
-    fn slot_mut(&mut self, r: usize) -> &mut Key {
-        match r.checked_sub(INLINE) {
-            None => &mut self.inline[r],
-            Some(o) => &mut self.chunks[o / CHUNK][o % CHUNK],
-        }
-    }
-
-    /// Drop the keys `keep` rejects, packing the survivors to the front in
-    /// order; emptied chunks go to `free`.
-    fn retain(&mut self, keep: &mut impl FnMut(&Key) -> bool, free: &mut Vec<Vec<Key>>) {
-        let mut kept = 0;
-        self.min = u64::MAX;
-        for r in 0..self.len {
-            let k = *self.slot_mut(r);
-            if keep(&k) {
-                *self.slot_mut(kept) = k;
-                self.min = self.min.min(k.time_ns);
-                kept += 1;
-            }
-        }
-        self.len = kept;
-        let spilled = kept.saturating_sub(INLINE);
-        let used = spilled.div_ceil(CHUNK);
-        free.extend(self.chunks.drain(used..).map(|mut c| {
-            c.clear();
-            c
-        }));
-        if let Some(c) = self.chunks.last_mut() {
-            c.truncate(spilled - (used - 1) * CHUNK);
-        }
-    }
 }
 
 /// File `k` at the back of the tier if it is at `last`, else into the
@@ -247,7 +214,7 @@ fn file(
     *occupied |= 1 << i;
 }
 
-/// Min-queue of pending events plus a tombstone set for cancellation.
+/// Min-queue of pending events.
 pub(crate) struct EventQueue {
     /// The same-instant tier: keys at the current instant `last`, in
     /// increasing `seq`.
@@ -264,8 +231,6 @@ pub(crate) struct EventQueue {
     free_chunks: Vec<Vec<Key>>,
     arena: EventArena,
     next_seq: u64,
-    cancelled: HashSet<u64, FxBuildHasher>,
-    compact_min_tombstones: usize,
 }
 
 impl Default for EventQueue {
@@ -278,20 +243,11 @@ impl Default for EventQueue {
             free_chunks: Vec::new(),
             arena: EventArena::default(),
             next_seq: 0,
-            cancelled: HashSet::default(),
-            compact_min_tombstones: COMPACT_MIN_TOMBSTONES,
         }
     }
 }
 
 impl EventQueue {
-    /// Override the compaction trigger (kernel microbenchmark knob; the
-    /// default is [`COMPACT_MIN_TOMBSTONES`]).
-    #[allow(dead_code)] // microbench / tests
-    pub fn set_compact_min_tombstones(&mut self, n: usize) {
-        self.compact_min_tombstones = n.max(1);
-    }
-
     /// Schedule an event. `lane` groups events that race on shared state
     /// (e.g. everything targeting one process): same-time events in the same
     /// lane always pop in scheduling order, under any schedule policy,
@@ -299,7 +255,7 @@ impl EventQueue {
     /// (`None`) events are treated as independent and permute freely. The
     /// lane is stored with the payload; `u64::MAX` is reserved for "none".
     #[inline(always)]
-    pub fn push(&mut self, time: SimTime, lane: Option<u64>, kind: EventKind) -> EventId {
+    pub fn push(&mut self, time: SimTime, lane: Option<u64>, kind: EventKind) {
         assert!(
             lane != Some(NO_LANE),
             "lane {NO_LANE:#x} is reserved for laneless events"
@@ -321,7 +277,6 @@ impl EventQueue {
             &mut self.occupied,
             &mut self.free_chunks,
         );
-        EventId(seq)
     }
 
     /// Refill the empty tier from the lowest non-empty bucket *i*: its
@@ -357,112 +312,41 @@ impl EventQueue {
         }
     }
 
-    /// Mark an event cancelled; it is skipped when popped.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
-        // Once tombstones rival live events, pops spend more time skipping
-        // corpses than returning work and `len`/`is_empty` drift (a tombstone
-        // for an already-popped event is never reclaimed). Rebuilding is
-        // O(queue) but amortized: compaction empties the tombstone set, so it
-        // takes as many fresh cancellations as there are live events before
-        // it can trigger again.
-        if self.cancelled.len() >= self.compact_min_tombstones
-            && self.cancelled.len() * 2 >= self.stored()
-        {
-            self.compact();
+    /// The head: the least-`seq` key of the earliest instant, at tier
+    /// index 0, refilling the tier if it ran dry.
+    fn head_key(&mut self) -> Option<Key> {
+        if self.tier.is_empty() {
+            self.refill();
         }
+        self.tier.front().copied()
     }
 
-    /// Keys physically held: live events plus not-yet-reclaimed corpses.
-    fn stored(&self) -> usize {
-        self.tier.len() + self.buckets.iter().map(|b| b.len).sum::<usize>()
-    }
-
-    /// Drop every cancelled event from the tier and the buckets and clear
-    /// the tombstone set, reclaiming the corpses' arena slots.
-    ///
-    /// Tombstones that match nothing in the queue belong to events that
-    /// were already executed; discarding them restores exact
-    /// `len`/`is_empty` accounting.
-    fn compact(&mut self) {
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let arena = &mut self.arena;
-        let mut keep = |k: &Key| {
-            if !cancelled.contains(&k.seq()) {
-                return true;
-            }
-            arena.discard(k.slot());
-            false
-        };
-        self.tier.retain(|k| keep(k));
-        for (i, b) in self.buckets.iter_mut().enumerate() {
-            b.retain(&mut keep, &mut self.free_chunks);
-            if b.len == 0 {
-                self.occupied &= !(1 << i);
-            }
-        }
-    }
-
-    /// Whether `seq` carries a tombstone. The emptiness test spares the
-    /// common tombstone-free queue a hash computation.
-    fn is_cancelled(&self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.contains(&seq)
-    }
-
-    /// Consume the tombstone of `seq`, if any: `true` means the event was
-    /// cancelled.
-    fn take_tombstone(&mut self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
-    }
-
-    /// The live head: the least-`seq` live key of the earliest instant, at
-    /// tier index 0. Refills the tier if it ran dry and reclaims cancelled
-    /// corpses (and their tombstones) on the way.
-    fn live_head(&mut self) -> Option<Key> {
-        loop {
-            if self.tier.is_empty() {
-                self.refill();
-            }
-            let k = *self.tier.front()?;
-            if !self.take_tombstone(k.seq()) {
-                return Some(k);
-            }
-            self.tier.pop_front();
-            self.arena.discard(k.slot());
-        }
-    }
-
-    /// The live head's time and payload, without consuming it. It is
+    /// The head's time, payload and lane, without consuming it. It is
     /// index 0 of [`EventQueue::instant`].
-    pub fn head(&mut self) -> Option<(SimTime, &EventKind)> {
-        let k = self.live_head()?;
-        Some((SimTime::from_nanos(k.time_ns), self.arena.get(k.slot()).0))
+    pub fn head(&mut self) -> Option<(SimTime, &EventKind, Option<u64>)> {
+        let k = self.head_key()?;
+        let (kind, lane) = self.arena.get(k.slot());
+        Some((SimTime::from_nanos(k.time_ns), kind, lane))
     }
 
-    /// The time of the next live (non-cancelled) event, without consuming
-    /// it. Corpses discovered at the head are reclaimed on the way.
-    #[allow(dead_code)] // tests
+    /// The time of the next event, without consuming it.
+    #[cfg(test)]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.head().map(|(t, _)| t)
+        self.head().map(|(t, _, _)| t)
     }
 
-    /// The tier after [`EventQueue::head`]: each live key of the earliest
+    /// The tier after [`EventQueue::head`]: each key of the earliest
     /// instant in canonical pop order, as its tier index, `seq`, lane and
-    /// payload. Cancelled corpses are skipped; they stay in the tier until
-    /// they reach its front.
+    /// payload.
     pub fn instant(&self) -> impl Iterator<Item = (usize, u64, Option<u64>, &EventKind)> {
-        self.tier
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| !self.is_cancelled(k.seq()))
-            .map(|(i, k)| {
-                let (kind, lane) = self.arena.get(k.slot());
-                (i, k.seq(), lane, kind)
-            })
+        self.tier.iter().enumerate().map(|(i, k)| {
+            let (kind, lane) = self.arena.get(k.slot());
+            (i, k.seq(), lane, kind)
+        })
     }
 
-    /// Remove the live key at tier index `i` (0 is the head) and hand out
-    /// its event. The keys behind it close up in order.
+    /// Remove the key at tier index `i` (0 is the head) and hand out its
+    /// event. The keys behind it close up in order.
     pub fn take(&mut self, i: usize) -> Event {
         let k = if i == 0 {
             self.tier.pop_front()
@@ -470,7 +354,6 @@ impl EventQueue {
             self.tier.remove(i)
         };
         let k = k.expect("take past the end of the instant");
-        debug_assert!(!self.is_cancelled(k.seq()), "took a cancelled event");
         Event {
             time: SimTime::from_nanos(k.time_ns),
             seq: k.seq(),
@@ -478,21 +361,16 @@ impl EventQueue {
         }
     }
 
-    /// The canonical pop: the live head, taken at index 0.
+    /// The canonical pop: the head, taken at index 0.
     pub fn pop(&mut self) -> Option<Event> {
-        self.live_head()?;
+        self.head_key()?;
         Some(self.take(0))
     }
 
-    #[allow(dead_code)] // used by tests and future schedulers
-    pub fn is_empty(&self) -> bool {
-        // Cancelled events still held as corpses don't count as pending work.
-        self.stored() <= self.cancelled.len()
-    }
-
-    #[allow(dead_code)]
+    /// Pending events.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.stored().saturating_sub(self.cancelled.len())
+        self.tier.len() + self.buckets.iter().map(|b| b.len).sum::<usize>()
     }
 }
 
@@ -502,6 +380,13 @@ mod tests {
 
     fn call() -> EventKind {
         EventKind::Call(Box::new(|_| {}))
+    }
+
+    /// Push a no-op call, returning the `seq` the queue gave it.
+    fn push(q: &mut EventQueue, t: u64, lane: Option<u64>) -> u64 {
+        let seq = q.next_seq;
+        q.push(SimTime::from_nanos(t), lane, call());
+        seq
     }
 
     #[test]
@@ -521,151 +406,16 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::default();
-        let id = q.push(SimTime::from_nanos(5), None, call());
-        q.push(SimTime::from_nanos(6), None, call());
-        q.cancel(id);
-        assert_eq!(q.len(), 1);
-        let ev = q.pop().unwrap();
-        assert_eq!(ev.time, SimTime::from_nanos(6));
-    }
-
-    #[test]
     fn peek_time_reports_the_live_head_without_consuming() {
         let mut q = EventQueue::default();
         assert_eq!(q.peek_time(), None);
-        let a = q.push(SimTime::from_nanos(5), None, call());
-        q.push(SimTime::from_nanos(8), None, call());
+        push(&mut q, 8, None);
+        push(&mut q, 5, None);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
         assert_eq!(q.len(), 2, "peek consumes nothing");
-        q.cancel(a);
-        // The corpse at the head is reclaimed on the way to the answer.
+        assert_eq!(q.pop().unwrap().time.as_nanos(), 5);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(8)));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 8);
-    }
-
-    #[test]
-    fn empty_accounts_for_cancellations() {
-        let mut q = EventQueue::default();
-        let id = q.push(SimTime::from_nanos(5), None, call());
-        assert!(!q.is_empty());
-        q.cancel(id);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn compaction_drops_tombstones_and_keeps_len_exact() {
-        let mut q = EventQueue::default();
-        let ids: Vec<EventId> = (0..200)
-            .map(|i| q.push(SimTime::from_nanos(i), None, call()))
-            .collect();
-        // Cancelling half the queue crosses both thresholds (>= 64 tombstones
-        // and tombstones >= half the backend) exactly at the 100th cancel.
-        for id in &ids[..100] {
-            q.cancel(*id);
-        }
-        assert!(q.cancelled.is_empty(), "compaction should clear tombstones");
-        assert_eq!(q.stored(), 100, "cancelled events physically removed");
-        assert_eq!(q.arena.len(), 100, "corpse payloads reclaimed");
-        // Below-threshold cancels stay lazy but len() remains exact.
-        for id in &ids[100..150] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.cancelled.len(), 50);
-        assert_eq!(q.len(), 50);
-        // Survivors pop in order with no skipped corpses in between.
-        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|ev| ev.time.as_nanos())
-            .collect();
-        assert_eq!(times, (150u64..200).collect::<Vec<_>>());
-        assert!(q.is_empty());
-        assert_eq!(q.arena.len(), 0, "every payload taken or reclaimed");
-    }
-
-    #[test]
-    fn compaction_keeps_a_bucket_in_seq_order_across_its_inline_keys_and_chunks() {
-        let mut q = EventQueue::default();
-        // Pop t=5 first so the 200 keys at t=12 sit in one bucket above
-        // `last`: 8 inline, then three full chunks.
-        q.push(SimTime::from_nanos(5), None, call());
-        assert!(q.pop().is_some());
-        let ids: Vec<u64> = (0..200)
-            .map(|_| q.push(SimTime::from_nanos(12), None, call()).0)
-            .collect();
-        let bucket = (12u64 ^ 5).ilog2() as usize;
-        let b = &q.buckets[bucket];
-        assert_eq!((b.len, b.chunks.len()), (200, 3));
-        // Cancel two keys of every three, inline and chunked alike. The
-        // 100th cancel crosses both thresholds and compacts; the rest stay
-        // lazy tombstones.
-        let victims: Vec<u64> = (0..200).filter(|i| i % 3 != 2).map(|i| ids[i]).collect();
-        let survivors: Vec<u64> = ids.iter().skip(2).step_by(3).copied().collect();
-        for &v in &victims[..100] {
-            q.cancel(EventId(v));
-        }
-        assert!(q.cancelled.is_empty(), "the 100th cancel compacts");
-        let b = &q.buckets[bucket];
-        assert_eq!((b.len, b.chunks.len()), (100, 2), "8 inline + 92 chunked");
-        assert_eq!(q.arena.len(), 100, "corpse payloads reclaimed");
-        let packed: Vec<u64> = b
-            .inline
-            .iter()
-            .chain(b.chunks.iter().flatten())
-            .map(|k| k.seq())
-            .collect();
-        let mut expect: Vec<u64> = victims[100..].to_vec();
-        expect.extend(&survivors);
-        expect.sort_unstable();
-        assert_eq!(
-            packed, expect,
-            "the bucket keeps its survivors in seq order"
-        );
-        for &v in &victims[100..] {
-            q.cancel(EventId(v));
-        }
-        assert_eq!(q.len(), survivors.len());
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, survivors, "survivors pop in seq order");
-        assert!(q.is_empty());
-        assert_eq!(q.arena.len(), 0, "every payload taken or reclaimed");
-    }
-
-    #[test]
-    fn compaction_threshold_is_configurable() {
-        let mut q = EventQueue::default();
-        q.set_compact_min_tombstones(2);
-        let a = q.push(SimTime::from_nanos(1), None, call());
-        let b = q.push(SimTime::from_nanos(2), None, call());
-        q.push(SimTime::from_nanos(3), None, call());
-        q.push(SimTime::from_nanos(4), None, call());
-        q.cancel(a);
-        assert_eq!(q.cancelled.len(), 1, "below the lowered threshold");
-        q.cancel(b);
-        assert!(q.cancelled.is_empty(), "2 tombstones vs 4 events compacts");
-        assert_eq!(q.stored(), 2);
-    }
-
-    #[test]
-    fn compaction_purges_stale_tombstones_from_executed_events() {
-        let mut q = EventQueue::default();
-        let stale: Vec<EventId> = (0..super::COMPACT_MIN_TOMBSTONES as u64)
-            .map(|i| q.push(SimTime::from_nanos(i), None, call()))
-            .collect();
-        while q.pop().is_some() {}
-        // Cancelling already-popped events leaves tombstones that match
-        // nothing; without compaction they would make len() undercount the
-        // live events pushed afterwards.
-        for id in &stale {
-            q.cancel(*id);
-        }
-        assert!(q.cancelled.is_empty(), "stale tombstones purged");
-        for i in 0..10 {
-            q.push(SimTime::from_nanos(1_000 + i), None, call());
-        }
-        assert_eq!(q.len(), 10);
-        assert!(!q.is_empty());
     }
 
     #[test]
@@ -697,7 +447,7 @@ mod tests {
             next_seq: MAX_SEQ,
             ..EventQueue::default()
         };
-        assert_eq!(q.push(SimTime::from_nanos(3), None, call()).0, MAX_SEQ);
+        push(&mut q, 3, None);
         assert_eq!(q.pop().map(|e| e.seq), Some(MAX_SEQ));
     }
 
@@ -740,24 +490,22 @@ mod tests {
         // Pop an early event first, so the tied instant (t=10) and the
         // next one (t=20) sit in radix buckets 3 and 4 above `last` = 5,
         // and the instant arrives through a refill. It spans its bucket's
-        // inline keys and two chunks, with a corpse among them.
-        q.push(SimTime::from_nanos(5), Some(9), call());
+        // inline keys and two chunks.
+        push(&mut q, 5, Some(9));
         let (mut want, mut next) = (Vec::new(), None);
         for i in 0..2 * CHUNK as u64 + 1 {
             let lane = (i % 3 != 0).then_some(i % 4);
-            want.push((q.push(SimTime::from_nanos(10), lane, call()).0, lane));
+            want.push((push(&mut q, 10, lane), lane));
             if i == CHUNK as u64 {
-                next = Some(q.push(SimTime::from_nanos(20), Some(2), call()).0);
-                let corpse = q.push(SimTime::from_nanos(10), None, call());
-                q.cancel(corpse);
+                next = Some(push(&mut q, 20, Some(2)));
             }
         }
         assert_eq!(q.pop().map(|e| e.time.as_nanos()), Some(5));
-        assert_eq!(q.head().map(|(t, _)| t.as_nanos()), Some(10));
+        assert_eq!(q.head().map(|(t, _, _)| t.as_nanos()), Some(10));
         assert_eq!(
             instant_of(&q),
             want,
-            "the live keys in seq order, each with the lane it was pushed in"
+            "the keys in seq order, each with the lane it was pushed in"
         );
         assert!(q
             .instant()
@@ -770,10 +518,8 @@ mod tests {
     #[test]
     fn taking_a_middle_key_keeps_the_rest_in_seq_order_ahead_of_later_ties() {
         let mut q = EventQueue::default();
-        let ids: Vec<u64> = (0..5)
-            .map(|l| q.push(SimTime::from_nanos(10), Some(l), call()).0)
-            .collect();
-        let later = q.push(SimTime::from_nanos(20), None, call());
+        let ids: Vec<u64> = (0..5).map(|l| push(&mut q, 10, Some(l))).collect();
+        let later = push(&mut q, 20, None);
         assert!(q.head().is_some());
         // Take the second key, as a policy's pick does: the others close up
         // in order...
@@ -783,35 +529,11 @@ mod tests {
         assert_eq!(seqs(&q), rest);
         // ...and a later push at the same instant queues behind them, still
         // ahead of the next instant.
-        let e = q.push(SimTime::from_nanos(10), None, call());
-        assert_eq!(seqs(&q), [ids[0], ids[2], ids[3], ids[4], e.0]);
+        let e = push(&mut q, 10, None);
+        assert_eq!(seqs(&q), [ids[0], ids[2], ids[3], ids[4], e]);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, [ids[0], ids[2], ids[3], ids[4], e.0, later.0]);
+        assert_eq!(order, [ids[0], ids[2], ids[3], ids[4], e, later]);
         assert_eq!(q.arena.len(), 0, "every payload taken");
-    }
-
-    #[test]
-    fn a_cancelled_key_behind_the_head_is_skipped_then_reclaimed_at_the_front() {
-        let mut q = EventQueue::default();
-        let a = q.push(SimTime::from_nanos(5), Some(1), call());
-        let corpse = q.push(SimTime::from_nanos(5), Some(2), call());
-        let c = q.push(SimTime::from_nanos(5), Some(3), call());
-        q.cancel(corpse);
-        assert!(q.head().is_some());
-        // Behind the head, the corpse keeps its slot and its tombstone but
-        // is not listed...
-        assert_eq!(instant_of(&q), [(a.0, Some(1)), (c.0, Some(3))]);
-        assert_eq!(q.arena.len(), 3);
-        assert_eq!(q.take(0).seq, a.0);
-        // ...and reaching the front reclaims both without running it.
-        assert_eq!(q.head().map(|(t, _)| t.as_nanos()), Some(5));
-        assert_eq!(q.arena.len(), 1, "the corpse's slot is reclaimed");
-        assert!(q.cancelled.is_empty(), "its tombstone is consumed");
-        let listed: Vec<(usize, u64)> = q.instant().map(|(i, s, _, _)| (i, s)).collect();
-        assert_eq!(listed, [(0, c.0)]);
-        assert_eq!(q.pop().map(|e| e.seq), Some(c.0));
-        assert!(q.is_empty());
-        assert_eq!(q.arena.len(), 0);
     }
 
     #[test]
@@ -861,18 +583,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_queues_skip_compaction() {
-        let mut q = EventQueue::default();
-        let id = q.push(SimTime::from_nanos(1), None, call());
-        q.cancel(id);
-        // Below the compaction threshold the tombstone stays; lazily skipped
-        // on pop as before.
-        assert_eq!(q.cancelled.len(), 1);
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
     /// Deterministic xorshift64* generator for the model test (no external
     /// RNG crates in the offline build).
     struct XorShift(u64);
@@ -886,8 +596,8 @@ mod tests {
         }
     }
 
-    /// The queue's contract, stated as brute force: the live events as an
-    /// ordered set of `(time, seq)`.
+    /// The queue's contract, stated as brute force: the pending events as
+    /// an ordered set of `(time, seq)`.
     #[derive(Default)]
     struct Model {
         live: std::collections::BTreeSet<(u64, u64)>,
@@ -895,30 +605,20 @@ mod tests {
     }
 
     impl Model {
-        fn push(&mut self, t: u64) -> (u64, u64) {
-            let k = (t, self.next_seq);
+        fn push(&mut self, t: u64) {
+            self.live.insert((t, self.next_seq));
             self.next_seq += 1;
-            self.live.insert(k);
-            k
         }
     }
 
     /// One pseudo-random op against both the queue and the model.
-    fn model_step(
-        rng: &mut XorShift,
-        now: &mut u64,
-        pushed: &mut Vec<(EventId, (u64, u64))>,
-        q: &mut EventQueue,
-        m: &mut Model,
-    ) {
+    fn model_step(rng: &mut XorShift, now: &mut u64, q: &mut EventQueue, m: &mut Model) {
         let digest = |ev: &Event| (ev.time.as_nanos(), ev.seq);
-        let mut push = |t: u64, lane: Option<u64>, q: &mut EventQueue, m: &mut Model| {
-            let id = q.push(SimTime::from_nanos(t), lane, call());
-            let k = m.push(t);
-            assert_eq!(id.0, k.1, "event ids are scheduling sequence numbers");
-            pushed.push((id, k));
+        let push = |t: u64, lane: Option<u64>, q: &mut EventQueue, m: &mut Model| {
+            q.push(SimTime::from_nanos(t), lane, call());
+            m.push(t);
         };
-        match rng.next() % 10 {
+        match rng.next() % 9 {
             // Pushes dominate, with a gap spectrum from exact ties to
             // 2⁴⁰ ns ahead, plus times one before, on and one past a
             // power-of-two boundary of `now` — where a key's radix bucket
@@ -957,7 +657,7 @@ mod tests {
                     *now = t;
                 }
             }
-            8 => {
+            _ => {
                 // Peek, then take a random key of the earliest instant, as a
                 // policy's pick does: the instant lists exactly the model's
                 // keys at the peeked time, in `seq` order.
@@ -976,16 +676,6 @@ mod tests {
                     *now = t;
                 }
             }
-            _ => {
-                // Cancel a pending event (stale cancellations are covered
-                // by the compaction tests; here `len` must stay exact).
-                if !pushed.is_empty() {
-                    let (id, k) = pushed.swap_remove((rng.next() % pushed.len() as u64) as usize);
-                    if m.live.remove(&k) {
-                        q.cancel(id);
-                    }
-                }
-            }
         }
         assert_eq!(q.len(), m.live.len(), "len accounting left the model");
     }
@@ -997,16 +687,15 @@ mod tests {
             let mut m = Model::default();
             let mut rng = XorShift(seed);
             let mut now = 0u64;
-            let mut pushed = Vec::new();
             for _ in 0..100_000 {
-                model_step(&mut rng, &mut now, &mut pushed, &mut q, &mut m);
+                model_step(&mut rng, &mut now, &mut q, &mut m);
             }
             // Drain the survivors: the tails must agree too.
             let tail: Vec<_> = std::iter::from_fn(|| q.pop())
                 .map(|e| (e.time.as_nanos(), e.seq))
                 .collect();
             assert_eq!(tail, m.live.into_iter().collect::<Vec<_>>());
-            assert_eq!(q.arena.len(), 0, "every payload taken or reclaimed");
+            assert_eq!(q.arena.len(), 0, "every payload taken");
         }
     }
 }

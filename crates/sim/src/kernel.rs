@@ -15,7 +15,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::event::{Event, EventId, EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::process::{Pid, ProcCtx, ProcessExit, WakeKind};
 use crate::schedule::{Candidate, CandidateKind, Decision, SchedulePolicy, StepRecord};
 use crate::table::ProcTable;
@@ -50,10 +50,6 @@ struct ProcEntry {
     name: Rc<str>,
     body: ProcBody,
     alive: bool,
-    /// The event scheduled by the process's current `exec` call, if any.
-    /// Cancelled when the process dies so a dead process's pending request
-    /// neither mutates model state nor advances the clock.
-    pending_exec: Option<EventId>,
 }
 
 pub(crate) struct KernelState {
@@ -86,26 +82,34 @@ pub(crate) struct KernelState {
     candidate_at: Vec<usize>,
 }
 
-/// A resume aimed at a dead process is stale: the pop drops it unrun and
-/// never offers it to a policy.
-fn is_stale(procs: &ProcTable<ProcEntry>, kind: &EventKind) -> bool {
-    matches!(kind, &EventKind::Resume(pid, _) if !procs.get(pid).is_some_and(|e| e.alive))
+/// An event aimed at a dead process is stale: its wake, or the model call
+/// of the `exec` it was suspended in, which rides its lane. The pop drops
+/// a stale event unrun and never offers it to a policy, so a dead
+/// process's pending request neither mutates model state nor advances the
+/// clock.
+fn is_stale(procs: &ProcTable<ProcEntry>, kind: &EventKind, lane: Option<u64>) -> bool {
+    let pid = match kind {
+        EventKind::Resume(pid, _) => *pid,
+        EventKind::Exec(_) => Pid(lane.expect("an exec call rides its process's lane")),
+        EventKind::Call(_) | EventKind::LinkFault(_) => return false,
+    };
+    !procs.get(pid).is_some_and(|e| e.alive)
 }
 
 impl KernelState {
     /// The one pop: the next event to dispatch, or `None` once the run
-    /// ends cleanly. Stale resumes at the head are dropped without
-    /// advancing the clock, so a killed process's pending wakes neither
+    /// ends cleanly. Stale events at the head are dropped without advancing
+    /// the clock, so a killed process's pending wakes and calls neither
     /// distort the final time nor stop a run at the horizon. A live head
     /// past `max_time` stops the run without being consumed (the clock
     /// must not advance beyond `max_time`). Otherwise the pick is choice 0,
     /// the head itself, unless a policy chooses another.
     fn next_event(&mut self) -> Result<Option<Event>, SimError> {
         loop {
-            let Some((time, kind)) = self.queue.head() else {
+            let Some((time, kind, lane)) = self.queue.head() else {
                 return self.drained().map(|()| None);
             };
-            if is_stale(&self.procs, kind) {
+            if is_stale(&self.procs, kind, lane) {
                 self.queue.take(0);
                 continue;
             }
@@ -126,21 +130,21 @@ impl KernelState {
     /// candidates are the front event of each tiebreak lane (later
     /// same-lane events are blocked behind it: intra-lane order is model
     /// semantics) plus every laneless event, in canonical order, without
-    /// corpses or stale resumes; the live head is candidate 0. Records a
+    /// stale events; the live head is candidate 0. Records a
     /// [`Decision`] when there is a real choice, and the pick's
     /// [`StepRecord`].
     fn choose(&mut self, time: SimTime) -> usize {
         self.candidates.clear();
         self.candidate_at.clear();
         for (i, seq, lane, kind) in self.queue.instant() {
-            if is_stale(&self.procs, kind) {
+            if is_stale(&self.procs, kind, lane) {
                 continue;
             }
             if lane.is_some() && self.candidates.iter().any(|c| c.lane == lane) {
                 continue;
             }
             let kind = match kind {
-                EventKind::Call(_) => CandidateKind::Call,
+                EventKind::Call(_) | EventKind::Exec(_) => CandidateKind::Call,
                 EventKind::Resume(pid, _) => CandidateKind::Resume(*pid),
                 EventKind::LinkFault(_) => CandidateKind::LinkFault,
             };
@@ -203,47 +207,29 @@ pub struct Shared {
 
 impl Shared {
     /// Schedule a model closure. Used by both [`SimCtx`] and [`Sim`].
-    fn schedule_call(
-        &self,
-        at: SimTime,
-        lane: Option<u64>,
-        f: impl FnOnce(&SimCtx) + 'static,
-    ) -> EventId {
+    fn schedule_call(&self, at: SimTime, lane: Option<u64>, f: impl FnOnce(&SimCtx) + 'static) {
         let mut st = self.state.borrow_mut();
         let now = st.now;
         debug_assert!(at >= now, "scheduling into the past: at={at:?} now={now:?}");
         st.queue
-            .push(at.max(now), lane, EventKind::Call(Box::new(f)))
+            .push(at.max(now), lane, EventKind::Call(Box::new(f)));
     }
 
-    fn schedule_resume(&self, at: SimTime, pid: Pid, kind: WakeKind) -> EventId {
+    fn schedule_resume(&self, at: SimTime, pid: Pid, kind: WakeKind) {
         let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
         st.queue
-            .push(at, Some(pid.lane()), EventKind::Resume(pid, kind))
+            .push(at, Some(pid.lane()), EventKind::Resume(pid, kind));
     }
 
-    /// Schedule the model closure of a [`ProcCtx::exec`] call, remembering it
-    /// so it can be cancelled if the process is killed before it runs.
+    /// Schedule the model closure of `pid`'s [`ProcCtx::exec`] call in the
+    /// process's lane. Should the process die first, the call is stale and
+    /// the pop drops it unrun.
     pub(crate) fn schedule_exec(&self, pid: Pid, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) {
         let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
-        // The wrapper clears the pending marker as soon as the call runs, so
-        // `pending_exec` is `Some` exactly while the event is still queued
-        // (keeping cancellation tombstones precise).
-        let id = st.queue.push(
-            at,
-            Some(pid.lane()),
-            EventKind::Call(Box::new(move |sc: &SimCtx| {
-                if let Some(e) = sc.shared.state.borrow_mut().procs.get_mut(pid) {
-                    e.pending_exec = None;
-                }
-                f(sc);
-            })),
-        );
-        if let Some(entry) = st.procs.get_mut(pid) {
-            entry.pending_exec = Some(id);
-        }
+        st.queue
+            .push(at, Some(pid.lane()), EventKind::Exec(Box::new(f)));
     }
 }
 
@@ -337,8 +323,8 @@ impl SimCtx {
     }
 
     /// Schedule `f` at absolute time `at` (clamped to now if in the past).
-    pub fn schedule(&self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
-        self.shared.schedule_call(at.max(self.now), None, f)
+    pub fn schedule(&self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) {
+        self.shared.schedule_call(at.max(self.now), None, f);
     }
 
     /// Schedule `f` at `at` in a tiebreak *lane*: same-time events in the
@@ -354,19 +340,13 @@ impl SimCtx {
         at: SimTime,
         lane: Option<u64>,
         f: impl FnOnce(&SimCtx) + 'static,
-    ) -> EventId {
-        self.shared.schedule_call(at.max(self.now), lane, f)
+    ) {
+        self.shared.schedule_call(at.max(self.now), lane, f);
     }
 
     /// Schedule `f` after a delay.
-    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
-        self.shared.schedule_call(self.now + d, None, f)
-    }
-
-    /// Cancel a previously scheduled event. Cancelling an already-executed
-    /// event is a harmless no-op.
-    pub fn cancel(&self, id: EventId) {
-        self.shared.state.borrow_mut().queue.cancel(id);
+    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + 'static) {
+        self.shared.schedule_call(self.now + d, None, f);
     }
 
     /// Wake a parked process now (no-op if it has exited).
@@ -488,7 +468,6 @@ where
             name,
             body: ProcBody::Embryo(Box::new(move |ctx| Box::pin(f(ctx)))),
             alive: true,
-            pending_exec: None,
         },
     );
     st.queue.push(
@@ -609,8 +588,8 @@ impl Sim {
     }
 
     /// Schedule a model closure before the run starts.
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
-        self.shared.schedule_call(at, None, f)
+    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) {
+        self.shared.schedule_call(at, None, f);
     }
 
     /// Schedule a network-fault transition (link down / degrade / restore,
@@ -623,11 +602,11 @@ impl Sim {
         at: SimTime,
         lane: u64,
         f: impl FnOnce(&SimCtx) + 'static,
-    ) -> EventId {
+    ) {
         let mut st = self.shared.state.borrow_mut();
         let at = at.max(st.now);
         st.queue
-            .push(at, Some(lane), EventKind::LinkFault(Box::new(f)))
+            .push(at, Some(lane), EventKind::LinkFault(Box::new(f)));
     }
 
     /// Drive the event loop to completion.
@@ -686,7 +665,7 @@ impl Sim {
                 ev
             };
             match ev.kind {
-                EventKind::Call(f) | EventKind::LinkFault(f) => {
+                EventKind::Call(f) | EventKind::Exec(f) | EventKind::LinkFault(f) => {
                     let sc = SimCtx {
                         shared: Rc::clone(&self.shared),
                         now: ev.time,
@@ -704,7 +683,7 @@ impl Sim {
 
     /// Step a process: deposit the wake and poll its state machine inline.
     /// The machine is taken out of the table and polled with the state
-    /// released — polling reenters the kernel (`exec` schedules its Call
+    /// released — polling reenters the kernel (`exec` schedules its Exec
     /// event). A kill wake never reaches the machine: killing is a state
     /// transition in which the kernel drops the machine (running its Drop
     /// impls) and records the exit.
@@ -783,19 +762,14 @@ impl Sim {
         }
     }
 
-    /// Exit bookkeeping: dead-mark, pending `exec` cancellation, exit trace
-    /// and record, panic escalation.
+    /// Exit bookkeeping: dead-mark (which makes the process's pending
+    /// events stale), exit trace and record, panic escalation.
     fn record_exit(&self, pid: Pid, now: SimTime, status: ProcessExit) -> Option<SimError> {
         let mut st = self.shared.state.borrow_mut();
         let name = if let Some(e) = st.procs.get_mut(pid) {
             e.alive = false;
             e.body = ProcBody::Gone;
-            let pending = e.pending_exec.take();
-            let name = Rc::clone(&e.name);
-            if let Some(id) = pending {
-                st.queue.cancel(id);
-            }
-            name
+            Rc::clone(&e.name)
         } else {
             Rc::from("?")
         };
@@ -820,23 +794,24 @@ impl Sim {
 
     /// Kill every remaining process, lowest pid first, dropping each state
     /// machine with the state released (Drop impls may run arbitrary
-    /// model-state destructors).
+    /// model-state destructors). One walk in pid order from a cursor: a
+    /// dead process never comes back, and a process spawned by a
+    /// destructor takes a pid above the cursor, so the walk still meets
+    /// every live process lowest first.
     fn teardown(&mut self) {
+        let mut cursor = 0;
         loop {
             let body = {
                 let mut st = self.shared.state.borrow_mut();
-                let Some(pid) = st
-                    .procs
-                    .iter()
-                    .filter(|(_, e)| e.alive)
-                    .map(|(pid, _)| pid)
-                    .min()
+                let st = &mut *st;
+                let Some(pid) = (cursor..st.next_pid)
+                    .map(Pid)
+                    .find(|&p| st.procs.get(p).is_some_and(|e| e.alive))
                 else {
                     break;
                 };
-                let Some(e) = st.procs.get_mut(pid) else {
-                    break;
-                };
+                cursor = pid.0 + 1;
+                let e = st.procs.get_mut(pid).expect("a live process has an entry");
                 let body = std::mem::replace(&mut e.body, ProcBody::Gone);
                 e.alive = false;
                 let name = Rc::clone(&e.name);

@@ -27,7 +27,8 @@
 //! drops a killed process's state machine at the kill wake — a pure state
 //! transition that runs the machine's destructors, mirroring the "task killed
 //! by the operating system" failure model of the paper this workspace
-//! reproduces.
+//! reproduces. The process's pending events die with it: its next wake and
+//! the model call of the `exec` it was suspended in are dropped unrun.
 //!
 //! # Example
 //!
@@ -59,7 +60,6 @@ mod table;
 mod time;
 mod trace;
 
-pub use event::EventId;
 pub use hash::{FxBuildHasher, FxHasher};
 pub use kernel::{DeadlockInfo, RunReport, Sim, SimCtx, SimError};
 pub use process::{Pid, ProcCtx, ProcessExit, SharedFlag};

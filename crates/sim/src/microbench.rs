@@ -117,11 +117,10 @@ mod tests {
         assert_ne!(a, drive(false, Density::WideSpread, 256, 5_000, 64));
     }
 
-    /// The pop order is pinned to checksums recorded on the queue as it
-    /// stood with tombstone cancellation, running this same cancel-free
-    /// mix. Every same-instant pop counts: in the `same_time` drive all
-    /// events sit at t=0, so its checksum pins the order within one
-    /// instant.
+    /// The pop order is pinned to the checksums this drive recorded on the
+    /// queue it was written against. Every pop counts, same-instant ones
+    /// included: in the `same_time` drive all events sit at t=0, so its
+    /// checksum pins the order within one instant.
     #[test]
     fn pop_order_matches_the_recorded_checksums() {
         let sum = |d| drive(false, d, 512, 10_000, 64);

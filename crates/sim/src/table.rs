@@ -48,6 +48,7 @@ impl<T> ProcTable<T> {
     }
 
     /// All inserted entries with their pids, in pid order.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (Pid, &T)> {
         self.entries
             .iter()

@@ -6,8 +6,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ftmpi_sim::{
-    PrescribedPolicy, ProcessExit, Reply, SchedulePolicy, SeededPolicy, Sim, SimDuration, SimError,
-    SimTime,
+    CandidateKind, PrescribedPolicy, ProcessExit, Reply, SchedulePolicy, SeededPolicy, Sim,
+    SimDuration, SimError, SimTime,
 };
 
 #[test]
@@ -619,13 +619,31 @@ fn mixed_workload_report_matches_recorded_values() {
     assert_eq!(run(), (28_000_000_000, 30, exits, 9));
 }
 
+/// The three ways a run can order same-instant events: no policy, the
+/// explorer's prescription (here: always the second candidate, when there
+/// is one) and a race-detector seed.
+fn policies() -> [(&'static str, Option<Box<dyn SchedulePolicy>>); 3] {
+    [
+        ("none", None),
+        (
+            "prescribed",
+            Some(Box::new(PrescribedPolicy::new(vec![1; 8]))),
+        ),
+        ("seeded", Some(Box::new(SeededPolicy::new(7)))),
+    ]
+}
+
 /// Kill delivered while the process is suspended mid-`exec` (its model call
-/// already queued but not yet run): the pending call must be cancelled and
-/// the exit recorded at the kill instant.
+/// already queued but not yet run): the pending call is stale and dropped
+/// unrun, without advancing the clock, and the exit is recorded at the
+/// kill instant — under any schedule policy.
 #[test]
 fn kill_during_suspension_cancels_pending_exec() {
-    fn run() -> (u64, u64, bool) {
+    fn run(policy: Option<Box<dyn SchedulePolicy>>) -> (u64, u64, bool) {
         let mut sim = Sim::new();
+        if let Some(p) = policy {
+            sim.set_schedule_policy(p);
+        }
         let side_effect = sim.shared_flag();
         let fx = side_effect.clone();
         let victim = sim.spawn("victim", move |mut ctx| async move {
@@ -651,9 +669,94 @@ fn kill_during_suspension_cancels_pending_exec() {
             side_effect.get(),
         )
     }
-    let (final_ns, events, side_effect) = run();
-    assert!(!side_effect, "cancelled exec must not mutate model state");
-    assert_eq!((final_ns, events), (10, 3));
+    for (label, policy) in policies() {
+        let (final_ns, events, side_effect) = run(policy);
+        assert!(!side_effect, "{label}: a dead process's call must not run");
+        assert_eq!((final_ns, events), (10, 3), "{label}");
+    }
+}
+
+/// A dead process's pending call tied with live events is skipped while
+/// it sits behind the head and dropped once it reaches the front: no
+/// policy is ever offered it, and it never runs. A live process's call at
+/// the same instant is offered as a `Call`.
+#[test]
+fn a_dead_processs_call_behind_the_head_is_never_a_candidate() {
+    for (label, policy) in policies() {
+        let mut sim = Sim::new();
+        let with_policy = policy.is_some();
+        if let Some(p) = policy {
+            sim.set_schedule_policy(p);
+        }
+        let t = SimTime::from_nanos(20);
+        let ran = sim.shared_flag();
+        let r = ran.clone();
+        let victim = sim.spawn("victim", move |mut ctx| async move {
+            ctx.advance(SimDuration::from_nanos(20));
+            ctx.exec::<(), _>(move |_sc, _reply| r.set()).await;
+        });
+        let peer = sim.spawn("peer", |mut ctx| async move {
+            ctx.advance(SimDuration::from_nanos(20));
+            ctx.sleep_until_local().await;
+        });
+        // Two laneless calls at t=20 are queued ahead of both exec calls.
+        for _ in 0..2 {
+            sim.schedule(t, |_sc| {});
+        }
+        sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(victim));
+        let report = sim.run().unwrap();
+        assert!(!ran.get(), "{label}: a dead process's call must not run");
+        assert_eq!(report.final_time, t, "{label}");
+        // Two starts, the kill's call and wake, two calls, the peer's
+        // exec and its wake: the dead process's call is not counted.
+        assert_eq!(report.events_executed, 8, "{label}");
+        let offered: Vec<_> = report
+            .decisions
+            .iter()
+            .filter(|d| d.time == t)
+            .flat_map(|d| &d.candidates)
+            .collect();
+        assert!(
+            offered.iter().all(|c| c.lane != Some(victim.lane())),
+            "{label}: the dead process's call was offered"
+        );
+        if with_policy {
+            assert!(
+                offered
+                    .iter()
+                    .any(|c| c.lane == Some(peer.lane()) && c.kind == CandidateKind::Call),
+                "{label}: the live process's call was not offered as a Call"
+            );
+        }
+    }
+}
+
+/// A run stopped at its horizon with processes still parked kills them
+/// in teardown, lowest pid first, after the exits the run itself saw.
+#[test]
+fn teardown_kills_parked_processes_lowest_pid_first() {
+    let mut sim = Sim::new();
+    sim.set_max_time(SimTime::from_nanos(50));
+    let pids: Vec<_> = (0..6)
+        .map(|i| {
+            sim.spawn(format!("parked{i}"), |mut ctx| async move {
+                ctx.exec::<(), _>(|_sc, _reply| {}).await;
+            })
+        })
+        .collect();
+    let early = pids[3];
+    sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(early));
+    sim.schedule(SimTime::from_nanos(100), |_sc| {});
+    let report = sim.run().unwrap();
+    assert!(report.stopped);
+    let order: Vec<_> = report.exits.iter().map(|(p, _, _)| *p).collect();
+    let mut want = vec![early];
+    want.extend(pids.iter().copied().filter(|&p| p != early));
+    assert_eq!(order, want);
+    assert!(report
+        .exits
+        .iter()
+        .all(|(_, _, e)| *e == ProcessExit::Killed));
 }
 
 /// A process killed before its first wake (spawned at a later start time)
