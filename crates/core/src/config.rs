@@ -1,5 +1,6 @@
 //! Fault-tolerance configuration.
 
+use ftmpi_mpi::flow::FlowRetry;
 use ftmpi_sim::SimDuration;
 
 /// Parameters of the checkpointing machinery (both protocols).
@@ -67,7 +68,7 @@ pub struct FtConfig {
     /// First retry delay after a checkpoint stream or restore fetch finds
     /// its peer unreachable (link down or partition). Doubles per attempt
     /// up to [`link_retry_cap`](FtConfig::link_retry_cap) (see
-    /// [`FlowRetry::delay`](crate::flow::FlowRetry::delay)). Irrelevant
+    /// [`FlowRetry::delay`]). Irrelevant
     /// while no network faults are scheduled: reachability never fails.
     pub link_retry_base: SimDuration,
     /// Ceiling on the exponential retry backoff.
@@ -136,6 +137,17 @@ impl Default for FtConfig {
 }
 
 impl FtConfig {
+    /// The bounded retry ladder of checkpoint pushes and restore fetches:
+    /// after `link_retry_limit` consecutive failed probes the caller gives
+    /// up on the destination.
+    pub fn link_retry(&self) -> FlowRetry {
+        FlowRetry {
+            base: self.link_retry_base,
+            cap: self.link_retry_cap,
+            limit: Some(self.link_retry_limit),
+        }
+    }
+
     /// Convenience: set the wave period in seconds.
     pub fn with_period_secs(mut self, s: f64) -> Self {
         self.period = SimDuration::from_secs_f64(s);
@@ -198,6 +210,17 @@ impl FtConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn link_retry_follows_the_retry_knobs() {
+        let retry = FtConfig::default().link_retry();
+        assert_eq!(retry.limit, Some(8));
+        assert_eq!(retry.delay(0), SimDuration::from_millis(50));
+        assert_eq!(retry.delay(6), SimDuration::from_secs(2));
+        // The control-message pause policy rides the same default ladder.
+        assert_eq!(FlowRetry::PAUSE.delay(6), retry.delay(6));
+        assert_eq!(FlowRetry::PAUSE.delay(0), retry.delay(0));
+    }
 
     #[test]
     fn builders_override_fields() {

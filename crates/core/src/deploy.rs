@@ -110,6 +110,22 @@ impl Deployment {
         }
     }
 
+    /// The most ranks [`Deployment::grid`] places with
+    /// `servers_per_cluster` servers in every cluster, or, if some cluster
+    /// has no node left over for computing, `Err` with that cluster's node
+    /// count. These are the two conditions `grid` asserts, for callers that
+    /// want an error instead of a panic.
+    pub fn grid_capacity(servers_per_cluster: usize) -> Result<usize, usize> {
+        let topo = Topology::grid5000();
+        let sizes = (0..topo.cluster_count()).map(|c| topo.nodes_of(ClusterId(c)).count());
+        let smallest = sizes.clone().min().expect("the grid has clusters");
+        if smallest <= servers_per_cluster {
+            return Err(smallest);
+        }
+        // One compute node is reserved for the services.
+        Ok(sizes.map(|n| n - servers_per_cluster).sum::<usize>() - 1)
+    }
+
     /// Number of ranks deployed.
     pub fn nranks(&self) -> usize {
         self.placement.ranks()
@@ -167,6 +183,16 @@ mod tests {
         let c_first = d.topo.cluster_of(d.placement.node_of(0));
         let c_last = d.topo.cluster_of(d.placement.node_of(528));
         assert_ne!(c_first, c_last);
+    }
+
+    #[test]
+    fn grid_capacity_matches_what_grid_accepts() {
+        let cap = Deployment::grid_capacity(1).expect("one server per cluster fits");
+        assert_eq!(Deployment::grid(cap, 1).nranks(), cap);
+        assert!(std::panic::catch_unwind(|| Deployment::grid(cap + 1, 1)).is_err());
+        let smallest = Deployment::grid_capacity(500).expect_err("no cluster has 500 nodes");
+        assert!(smallest <= 500);
+        assert!(Deployment::grid_capacity(smallest - 1).is_ok());
     }
 
     #[test]

@@ -40,7 +40,6 @@
 pub mod config;
 pub mod deploy;
 pub mod failure;
-pub mod flow;
 pub mod image;
 pub mod mlog;
 pub mod pcl;

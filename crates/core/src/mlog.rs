@@ -23,6 +23,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Weak;
 
+use ftmpi_mpi::flow::{start_flow, FlowSpec};
 use ftmpi_mpi::{
     spawn_rank, AppFn, AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction,
     World,
@@ -32,7 +33,6 @@ use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 use crate::deploy::Deployment;
-use crate::flow::{start_flow, FlowSpec};
 use crate::image::RankImage;
 use crate::stats::{FtStats, WaveTiming};
 use crate::wave::with_engine;

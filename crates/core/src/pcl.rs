@@ -29,10 +29,10 @@
 //! aborts) is the shared [`WaveEngine`]; this module supplies Pcl's
 //! `WaveRules`.
 
+use ftmpi_mpi::flow::send_control;
 use ftmpi_mpi::{AppMsg, ArrivalAction, Rank, RankStatus, RuntimeCore, SendAction};
 use ftmpi_sim::{ProtoEvent, SimCtx, SimDuration};
 
-use crate::flow::send_control;
 use crate::image::RankImage;
 use crate::wave::{schedule_in_epoch, WaveCore, WaveEngine, WaveRules};
 

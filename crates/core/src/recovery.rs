@@ -41,12 +41,12 @@
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
+use ftmpi_mpi::flow::{flow_lane, start_flow_guarded, FlowSpec};
 use ftmpi_mpi::{spawn_rank, AppFn, AppMsg, RankStatus, RuntimeCore, World, WorldRef};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{ProtoEvent, SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
-use crate::flow::{flow_lane, start_flow_guarded, FlowRetry, FlowSpec};
 use crate::image::WaveRecord;
 use crate::mlog::Mlog;
 use crate::server::{StoreError, StoredImage};
@@ -361,7 +361,7 @@ pub fn corrupt_images(sc: &SimCtx, world: &WorldRef, server_index: usize, rank: 
 ///
 /// An image fetch whose source server is unreachable (link down or
 /// partitioned) does not deadlock the restart: the rank's fetch turns into
-/// a probe chain with capped exponential backoff ([`FlowRetry`]), walking
+/// a probe chain with capped exponential backoff ([`FlowRetry`](ftmpi_mpi::flow::FlowRetry)), walking
 /// the replica list when the per-fetch budget (`link_retry_limit`) runs
 /// out, and declaring the job fatally stuck only once every replica is
 /// exhausted. With no active faults the probe path is never entered and
@@ -652,7 +652,7 @@ fn schedule_fetch_probe(sc: &SimCtx, mut p: FetchProbe, at: SimTime) {
             rt.stats.link_retries += 1;
             // The backoff ladder restarts per replica: delay(0), delay(1),
             // … delay(limit-1), then the next source gets a fresh ladder.
-            let delay = FlowRetry::bounded(&p.ft).delay(p.attempt);
+            let delay = p.ft.link_retry().delay(p.attempt);
             p.attempt += 1;
             if source.is_none() || p.attempt >= p.ft.link_retry_limit.max(1) {
                 core.stats.retries_exhausted += u64::from(source.is_some());
@@ -771,7 +771,7 @@ fn scrub_pass(w: &mut World, sc: &SimCtx) {
         return;
     };
     let core = &mut engine.core;
-    let retry = FlowRetry::bounded(&core.cfg);
+    let retry = core.cfg.link_retry();
     for idx in 0..core.committed.len() {
         let wave = core.committed[idx].wave;
         for rank in 0..core.committed[idx].images.len() {

@@ -8,7 +8,9 @@ use ftmpi_mpi::{
     spawn_rank, AppFn, DummyProtocol, Placement, Protocol, RaceFixture, Rank, RuntimeConfig,
     RuntimeCore, RuntimeStats, World, WorldRef,
 };
-use ftmpi_net::{fault_lane, LinkConfig, LinkFaultKind, NetFaultPlan, NetModel, SoftwareStack};
+use ftmpi_net::{
+    fault_lane, LinkConfig, LinkFaultKind, NetFaultPlan, NetModel, NodeId, SoftwareStack,
+};
 use ftmpi_sim::{PrescribedPolicy, SeededPolicy, Sim, SimDuration, SimTime};
 
 use crate::config::FtConfig;
@@ -391,8 +393,9 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// Why a [`JobSpec`] describes no runnable job: it has no ranks or no
-/// checkpoint server, or its failure plan names a rank, server or node the
-/// job does not have. [`run_job`] checks this before it schedules anything.
+/// checkpoint server, its grid or placement does not fit the platform, or
+/// its failure plan names a rank, server or node the job does not have.
+/// [`run_job`] checks this before it schedules anything.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// `nranks` is 0.
@@ -437,6 +440,37 @@ pub enum SpecError {
         /// The job's rank count.
         nranks: usize,
     },
+    /// A grid spec asks for more checkpoint servers per cluster than the
+    /// smallest grid cluster can host beside a compute node.
+    GridServers {
+        /// Servers asked for in every cluster.
+        servers: usize,
+        /// Nodes in the smallest cluster.
+        smallest: usize,
+    },
+    /// A grid spec has more ranks than the grid's compute nodes hold.
+    GridRanks {
+        /// The job's rank count.
+        nranks: usize,
+        /// The most ranks the grid holds with the spec's servers.
+        capacity: usize,
+    },
+    /// `placement_override` does not give exactly one node per rank.
+    PlacementLength {
+        /// Nodes the override lists.
+        len: usize,
+        /// The job's rank count.
+        nranks: usize,
+    },
+    /// `placement_override` puts a rank on a node outside the topology.
+    BadPlacementNode {
+        /// The rank placed there.
+        rank: Rank,
+        /// The named node id.
+        node: usize,
+        /// The topology's node count.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -465,6 +499,24 @@ impl std::fmt::Display for SpecError {
             SpecError::BadCorruptionRank { rank, nranks } => write!(
                 f,
                 "a corruption names rank {rank} but the job has {nranks} ranks"
+            ),
+            SpecError::GridServers { servers, smallest } => write!(
+                f,
+                "{servers} servers per cluster leave no compute node in a grid cluster \
+                 of {smallest} nodes"
+            ),
+            SpecError::GridRanks { nranks, capacity } => write!(
+                f,
+                "the job has {nranks} ranks but the grid holds at most {capacity}"
+            ),
+            SpecError::PlacementLength { len, nranks } => write!(
+                f,
+                "the placement override lists {len} nodes for {nranks} ranks"
+            ),
+            SpecError::BadPlacementNode { rank, node, nodes } => write!(
+                f,
+                "the placement override puts rank {rank} on node {node} but the topology \
+                 has {nodes} nodes"
             ),
         }
     }
@@ -501,6 +553,26 @@ fn check_failures(plan: &FailurePlan, nranks: usize, dep: &Deployment) -> Result
         }
     }
     Ok(())
+}
+
+/// Check a placement override against the job: one node per rank, each
+/// inside the topology.
+fn check_placement(nodes: &[NodeId], nranks: usize, dep: &Deployment) -> Result<(), SpecError> {
+    if nodes.len() != nranks {
+        return Err(SpecError::PlacementLength {
+            len: nodes.len(),
+            nranks,
+        });
+    }
+    let count = dep.topo.node_count();
+    match nodes.iter().position(|n| n.0 >= count) {
+        Some(rank) => Err(SpecError::BadPlacementNode {
+            rank,
+            node: nodes[rank].0,
+            nodes: count,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Build the deployment for a spec. A spec with no server gets one here;
@@ -582,6 +654,17 @@ pub fn run_job_explored(
     spec: JobSpec,
     opts: RunOptions,
 ) -> Result<(JobResult, Vec<ftmpi_sim::TraceEvent>, ScheduleLog), JobError> {
+    let (sim, world) = assemble(spec, opts)?;
+    finish(sim, world)
+}
+
+/// The outcome of a run: its result, trace and schedule log.
+type RunOutcome = (JobResult, Vec<ftmpi_sim::TraceEvent>, ScheduleLog);
+
+/// Check a spec and build its run: the world, and a `Sim` with the
+/// world's data handler installed and every rank spawn, trigger, failure
+/// and fault scheduled.
+fn assemble(spec: JobSpec, opts: RunOptions) -> Result<(Sim, WorldRef), JobError> {
     if spec.nranks == 0 {
         return Err(JobError::Spec(SpecError::NoRanks));
     }
@@ -594,8 +677,28 @@ pub fn run_job_explored(
             limit: spec.ft.vcl_process_limit,
         });
     }
+    if let Platform::Grid = spec.platform {
+        match Deployment::grid_capacity(spec.servers) {
+            Err(smallest) => {
+                return Err(JobError::Spec(SpecError::GridServers {
+                    servers: spec.servers,
+                    smallest,
+                }))
+            }
+            Ok(capacity) if spec.nranks > capacity => {
+                return Err(JobError::Spec(SpecError::GridRanks {
+                    nranks: spec.nranks,
+                    capacity,
+                }))
+            }
+            Ok(_) => {}
+        }
+    }
     let dep = build_deployment(&spec);
     check_failures(&spec.failures, spec.nranks, &dep).map_err(JobError::Spec)?;
+    if let Some(nodes) = &spec.placement_override {
+        check_placement(nodes, spec.nranks, &dep).map_err(JobError::Spec)?;
+    }
     let stack = spec.stack.unwrap_or(match spec.protocol {
         // Both MPICH-V protocol families ride the daemon architecture.
         ProtocolChoice::Vcl | ProtocolChoice::Mlog => SoftwareStack::VclDaemon,
@@ -622,6 +725,7 @@ pub fn run_job_explored(
     let world: WorldRef = World::new_ref(rt, proto);
 
     let mut sim = Sim::new();
+    World::attach(&world, &mut sim);
     match opts.schedule {
         Schedule::Canonical => {}
         Schedule::Prescribed(p) => sim.set_schedule_policy(Box::new(PrescribedPolicy::new(p))),
@@ -791,6 +895,13 @@ pub fn run_job_explored(
         sim.schedule(SimTime::ZERO, move |sc| arm_scrubber(sc, &w2, interval));
     }
 
+    Ok((sim, world))
+}
+
+/// Run an assembled job to its end and collect its metrics. The `Sim`
+/// goes out of scope here with the data handler it owns, so nothing keeps
+/// the world alive past the run.
+fn finish(mut sim: Sim, world: WorldRef) -> Result<RunOutcome, JobError> {
     let report = sim.run().map_err(|e| JobError::Sim(e.to_string()))?;
 
     let w = world.borrow();
@@ -897,6 +1008,56 @@ mod tests {
             leftover_unexpected: 0,
             leftover_posted: 0,
         }
+    }
+
+    /// A 4-rank ring under Pcl with one checkpoint server, a kill of rank
+    /// 1 at `kill_at` and a horizon at `horizon`.
+    fn ring_spec(kill_at: f64, horizon: Option<f64>) -> JobSpec {
+        let app = ftmpi_mpi::app_fn(|mut mpi| async move {
+            let (me, n) = (mpi.rank(), mpi.size());
+            for lap in 0..200 {
+                mpi.compute(SimDuration::from_millis(20));
+                mpi.shift((me + 1) % n, (me + n - 1) % n, lap, 64 << 10)
+                    .await;
+            }
+            mpi
+        });
+        let mut spec = JobSpec::new(4, ProtocolChoice::Pcl, app);
+        spec.ft = FtConfig {
+            period: SimDuration::from_secs(1),
+            first_wave_delay: SimDuration::from_millis(500),
+            image_bytes: 8 << 20,
+            ..FtConfig::default()
+        };
+        spec.failures = FailurePlan::kill_at(SimTime::from_nanos((kill_at * 1e9) as u64), 1);
+        spec.max_virtual_time = horizon.map(|h| SimTime::from_nanos((h * 1e9) as u64));
+        spec
+    }
+
+    /// The data handler holds its world strongly and the `Sim` owns the
+    /// handler, so a cycle through the world would leak it. A run that
+    /// streamed images, restarted and finished frees its world, and so does
+    /// one stopped at its horizon with flows, messages and ops in flight.
+    #[test]
+    fn a_finished_run_frees_its_world() {
+        let (sim, world) = assemble(ring_spec(2.3, None), RunOptions::default()).expect("valid");
+        let weak = Rc::downgrade(&world);
+        let (res, _, _) = finish(sim, world).expect("the ring completes");
+        assert!(
+            res.ft.waves_committed > 0 && res.rt.restarts == 1,
+            "{res:?}"
+        );
+        assert!(weak.upgrade().is_none(), "the world outlived its run");
+
+        let (sim, world) =
+            assemble(ring_spec(2.3, Some(2.6)), RunOptions::default()).expect("valid");
+        let weak = Rc::downgrade(&world);
+        let stopped = finish(sim, world);
+        assert!(
+            matches!(stopped, Err(JobError::Incomplete { .. })),
+            "{stopped:?}"
+        );
+        assert!(weak.upgrade().is_none(), "a stopped run kept its world");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Checkpoint-server bookkeeping.
 //!
 //! The data-plane cost of a checkpoint server is its node's NIC and the
-//! flows streaming into it (see [`crate::flow`]); this module keeps the
+//! flows streaming into it (see [`ftmpi_mpi::flow`]); this module keeps the
 //! control-plane state: which server stores which rank's image of which
 //! wave, the commit status of waves, and which server nodes have failed —
 //! the distributed database the paper's FTPM maintains ("to locate which

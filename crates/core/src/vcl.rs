@@ -24,12 +24,12 @@
 //! aborts) is the shared [`WaveEngine`]; this module supplies Vcl's
 //! `WaveRules`.
 
+use ftmpi_mpi::flow::{send_control, start_flow, FlowSpec};
 use ftmpi_mpi::{AppMsg, ArrivalAction, Rank, RankStatus, RuntimeCore};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{ProtoEvent, SimCtx};
 
 use crate::deploy::Deployment;
-use crate::flow::{send_control, start_flow, FlowSpec};
 use crate::image::RankImage;
 use crate::wave::{marker_lane, WaveCore, WaveEngine, WaveRules};
 

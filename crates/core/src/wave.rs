@@ -24,13 +24,13 @@
 
 use std::any::Any;
 
+use ftmpi_mpi::flow::{start_flow_guarded, FlowRetry, FlowSpec};
 use ftmpi_mpi::{AppMsg, ArrivalAction, Protocol, Rank, RuntimeCore, SendAction, World};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{ProtoEvent, SimCtx, SimTime};
 
 use crate::config::FtConfig;
 use crate::deploy::Deployment;
-use crate::flow::{start_flow_guarded, FlowRetry, FlowSpec};
 use crate::image::WaveRecord;
 use crate::server::{replica_targets, CheckpointStore, StoredImage, TORN_WRITE};
 use crate::stats::{FtStats, WaveTiming};
@@ -238,7 +238,7 @@ impl WaveCore {
         );
         cur.image_flows_left[rank] = targets.len();
         let src = rt.placement.node_of(rank);
-        let retry = FlowRetry::bounded(&self.cfg);
+        let retry = self.cfg.link_retry();
         for (i, server) in targets.into_iter().enumerate() {
             let spec = FlowSpec {
                 src,
@@ -485,7 +485,7 @@ impl WaveEngine {
         match replacement {
             Some(cand) => {
                 core.stats.images_rerouted += 1;
-                let retry = FlowRetry::bounded(&core.cfg);
+                let retry = core.cfg.link_retry();
                 start_image_stream(rt, sc, retry, FlowSpec { dst: cand, ..spec }, rank, wave);
             }
             None => {

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use ftmpi_core::{
-    run_job, run_job_explored, FailurePlan, FtConfig, JobError, JobResult, JobSpec, ProtocolChoice,
-    RunOptions, Schedule, SilentCorruptionSpec, SpecError,
+    run_job, run_job_explored, Deployment, FailurePlan, FtConfig, JobError, JobResult, JobSpec,
+    Platform, ProtocolChoice, RunOptions, Schedule, SilentCorruptionSpec, SpecError,
 };
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId, SoftwareStack};
@@ -1163,4 +1163,70 @@ fn a_corruption_of_a_rank_the_job_lacks_is_a_spec_error() {
         spec_error(ring_with(ProtocolChoice::Vcl, rot)),
         SpecError::BadCorruptionRank { rank: 7, nranks: 4 }
     );
+}
+
+#[test]
+fn a_grid_spec_the_grid_cannot_hold_is_a_spec_error() {
+    let grid = |nranks: usize, servers: usize| {
+        let mut spec = JobSpec::new(
+            nranks,
+            ProtocolChoice::Pcl,
+            ring_app(1, 100, SimDuration::ZERO),
+        );
+        spec.platform = Platform::Grid;
+        spec.servers = servers;
+        run_job(spec)
+    };
+    let capacity = Deployment::grid_capacity(1).expect("one server per cluster fits");
+    assert_eq!(
+        spec_error(grid(600, 1)),
+        SpecError::GridRanks {
+            nranks: 600,
+            capacity
+        }
+    );
+    let Err(smallest) = Deployment::grid_capacity(500) else {
+        panic!("no grid cluster hosts 500 servers");
+    };
+    assert_eq!(
+        spec_error(grid(4, 500)),
+        SpecError::GridServers {
+            servers: 500,
+            smallest
+        }
+    );
+    // The largest grid job the spec check lets through runs.
+    assert!(grid(capacity, 1).is_ok());
+}
+
+#[test]
+fn a_placement_off_the_topology_or_of_the_wrong_length_is_a_spec_error() {
+    let placed = |nodes: Vec<usize>| {
+        let mut spec = base_spec(
+            4,
+            ProtocolChoice::Pcl,
+            ring_app(4, 1_000, SimDuration::ZERO),
+        );
+        spec.placement_override = Some(nodes.into_iter().map(NodeId).collect());
+        run_job(spec)
+    };
+    // 4 compute nodes, 2 servers and the service node: 7 nodes.
+    assert_eq!(
+        spec_error(placed(vec![0, 1, 7, 3])),
+        SpecError::BadPlacementNode {
+            rank: 2,
+            node: 7,
+            nodes: 7
+        }
+    );
+    assert_eq!(
+        spec_error(placed(vec![0, 1, 2])),
+        SpecError::PlacementLength { len: 3, nranks: 4 }
+    );
+    assert_eq!(
+        spec_error(placed(vec![0, 1, 2, 3, 0])),
+        SpecError::PlacementLength { len: 5, nranks: 4 }
+    );
+    // Any in-range placement runs, colocated ranks included.
+    assert!(placed(vec![0, 0, 6, 5]).is_ok());
 }

@@ -11,8 +11,18 @@
 //!
 //! Entry points take the runtime half of the world (`&mut RuntimeCore`): the
 //! caller already holds the world borrow (a second `borrow_mut` would
-//! panic), often split with its protocol engine; only *later* chunks borrow
-//! the whole world again from their scheduled events.
+//! panic), often split with its protocol engine; *later* chunks run from
+//! their scheduled events, with the whole world.
+//!
+//! ## The flow table
+//!
+//! A flow's state lives once in the runtime's flow table: its spec, the
+//! bytes sent, its launch epoch, its retry ladder, and its `on_done` /
+//! `on_fail` hooks, boxed once per flow. Its events — the start, each chunk
+//! landing, each retry probe — are data events naming the table slot
+//! (`[FLOW, slot]`), so a chunk allocates nothing. A flow has exactly one event
+//! pending at any time; the event that finishes, surrenders or outlives
+//! the flow's epoch takes it out of the table.
 //!
 //! ## Network faults
 //!
@@ -28,11 +38,11 @@
 //! `reachable` is always true and every code path is byte-identical to the
 //! fault-free model.
 
-use ftmpi_mpi::{RuntimeCore, World};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
-use crate::config::FtConfig;
+use crate::runtime::{RaceFixture, RuntimeCore};
+use crate::world::{World, FLOW};
 
 /// Parameters of one background flow.
 #[derive(Debug, Clone)]
@@ -53,6 +63,20 @@ type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime)>;
 type FailFn = Box<dyn FnOnce(&mut World, &SimCtx)>;
 type ArrivalFn = Box<dyn FnOnce(&mut World, &SimCtx)>;
 
+/// One flow's state in the runtime's flow table.
+pub(crate) struct Flow {
+    spec: FlowSpec,
+    /// Bytes already reserved on the network.
+    sent: u64,
+    /// The job epoch the flow started in: a restart kills the stream.
+    epoch: u64,
+    retry: FlowRetry,
+    /// Consecutive failed reachability probes so far.
+    attempt: u32,
+    on_fail: Option<FailFn>,
+    on_done: DoneFn,
+}
+
 /// Tiebreak-lane namespace for flow-chunk events, disjoint from process
 /// lanes by the high bit (a collision would only merge lanes, which is
 /// always safe — it can only *preserve* more order).
@@ -65,7 +89,7 @@ const FLOW_LANE_BASE: u64 = 1 << 63;
 /// lands last and move the wave-commit instant). Retry probes aimed at
 /// `dst` share the lane, so a probe landing on the same instant as a
 /// scheduled fault transition keeps a deterministic canonical order.
-pub(crate) fn flow_lane(dst: NodeId) -> u64 {
+pub fn flow_lane(dst: NodeId) -> u64 {
     FLOW_LANE_BASE | dst.0 as u64
 }
 
@@ -84,31 +108,12 @@ pub struct FlowRetry {
 impl FlowRetry {
     /// The unbounded pause policy with the default backoff constants,
     /// used by control messages which have no per-job config in scope.
-    /// Matches the `FtConfig` defaults.
+    /// Matches the default retry knobs of `ftmpi-core`'s `FtConfig`.
     pub const PAUSE: FlowRetry = FlowRetry {
         base: SimDuration::from_millis(50),
         cap: SimDuration::from_secs(2),
         limit: None,
     };
-
-    /// Bounded policy from the job's retry knobs: after
-    /// `link_retry_limit` consecutive failures the flow's `on_fail` hook
-    /// fires.
-    pub fn bounded(cfg: &FtConfig) -> FlowRetry {
-        FlowRetry {
-            base: cfg.link_retry_base,
-            cap: cfg.link_retry_cap,
-            limit: Some(cfg.link_retry_limit),
-        }
-    }
-
-    /// Unbounded policy with the job's backoff constants.
-    pub fn unbounded(cfg: &FtConfig) -> FlowRetry {
-        FlowRetry {
-            limit: None,
-            ..FlowRetry::bounded(cfg)
-        }
-    }
 
     /// Delay before 0-based probe `attempt`: `base · 2^attempt`, capped.
     pub fn delay(&self, attempt: u32) -> SimDuration {
@@ -169,119 +174,90 @@ fn start_flow_inner(
     on_fail: Option<FailFn>,
     on_done: DoneFn,
 ) {
-    let epoch = rt.epoch;
     // The per-source nanosecond stagger plus the destination lane are what
     // keep same-instant flow starts on one server deterministically
     // arbitrated; the `UnstaggeredFlows` regression fixture removes both to
     // re-open the arbitration race for the schedule explorer.
-    let raced = rt.race_fixture == Some(ftmpi_mpi::RaceFixture::UnstaggeredFlows);
+    let raced = rt.race_fixture == Some(RaceFixture::UnstaggeredFlows);
     let at = if raced {
         sc.now()
     } else {
         sc.now() + SimDuration::from_nanos(spec.src.0 as u64)
     };
-    let handle = rt.world_handle();
     let lane = if raced {
         None
     } else {
         Some(flow_lane(spec.dst))
     };
-    sc.schedule_keyed(at, lane, move |sc| {
-        let Some(strong) = handle.upgrade() else {
-            return;
-        };
-        let mut w = strong.borrow_mut();
-        if w.rt.epoch != epoch {
-            return; // the failure beat the stream's first byte
-        }
-        advance_chunk(&mut w, sc, spec, 0, epoch, retry, 0, on_fail, on_done);
+    let slot = rt.flows.insert(Flow {
+        spec,
+        sent: 0,
+        epoch: rt.epoch,
+        retry,
+        attempt: 0,
+        on_fail,
+        on_done,
     });
+    sc.schedule_data(at, lane, [FLOW, slot as u64]);
 }
 
-#[allow(clippy::too_many_arguments)] // private recursion carrying flow state
-fn advance_chunk(
-    w: &mut World,
-    sc: &SimCtx,
-    spec: FlowSpec,
-    sent: u64,
-    epoch: u64,
-    retry: FlowRetry,
-    attempt: u32,
-    on_fail: Option<FailFn>,
-    on_done: DoneFn,
-) {
-    if sent >= spec.bytes {
-        let now = sc.now();
-        on_done(w, sc, now);
+/// A flow event — the start, a chunk landing or a retry probe — for the
+/// flow in table `slot`. A flow whose epoch a failure-restart ended dies
+/// here, before its first byte or mid-stream, exactly like a TCP stream
+/// dying with its process. Otherwise the flow moves on: it finishes, or
+/// reserves its next chunk, or, while its destination is unreachable,
+/// probes again after a backoff or surrenders.
+pub(crate) fn on_flow_event(w: &mut World, sc: &SimCtx, slot: usize) {
+    let rt = &mut w.rt;
+    let f = rt.flows.get_mut(slot);
+    if f.epoch != rt.epoch {
+        rt.flows.take(slot);
         return;
     }
-    let handle = w.rt.world_handle();
-    let lane = Some(flow_lane(spec.dst));
+    if f.sent >= f.spec.bytes {
+        let f = rt.flows.take(slot);
+        (f.on_done)(w, sc, sc.now());
+        return;
+    }
+    let (src, dst) = (f.spec.src, f.spec.dst);
+    let lane = Some(flow_lane(dst));
     // Bulk flows model a reliable stream: each chunk needs the data path
     // *and* the acknowledgement path back. Under a one-directional cut the
     // sender's window closes — data may physically arrive but nothing is
     // committed, so the stream stalls exactly like a full cut and no chunk
     // is double-sent when the cut heals.
-    if !w.rt.net.reachable(spec.src, spec.dst) || !w.rt.net.reachable(spec.dst, spec.src) {
+    if !rt.net.reachable(src, dst) || !rt.net.reachable(dst, src) {
         // Paused by a link fault or partition: nothing is dropped, the
         // stream just stalls. Probe again after a capped exponential
         // backoff — or surrender to `on_fail` once the budget is spent.
-        if let Some(limit) = retry.limit {
-            if attempt >= limit {
-                if let Some(f) = on_fail {
-                    f(w, sc);
-                }
-                return;
+        if f.retry.limit.is_some_and(|limit| f.attempt >= limit) {
+            if let Some(fail) = rt.flows.take(slot).on_fail {
+                fail(w, sc);
             }
+            return;
         }
-        w.rt.stats.link_retries += 1;
-        let probe_at = sc.now() + retry.delay(attempt);
-        sc.schedule_keyed(probe_at, lane, move |sc| {
-            let Some(strong) = handle.upgrade() else {
-                return;
-            };
-            let mut w = strong.borrow_mut();
-            if w.rt.epoch != epoch {
-                return;
-            }
-            advance_chunk(
-                &mut w,
-                sc,
-                spec,
-                sent,
-                epoch,
-                retry,
-                attempt + 1,
-                on_fail,
-                on_done,
-            );
-        });
+        let probe_at = sc.now() + f.retry.delay(f.attempt);
+        f.attempt += 1;
+        rt.stats.link_retries += 1;
+        sc.schedule_data(probe_at, lane, [FLOW, slot as u64]);
         return;
     }
     // Reserve this chunk and schedule its completion: one network
     // reservation and one kernel event per chunk, so MPI traffic reserved
     // in between shares the NICs with the stream.
     let now = sc.now();
-    let len = spec.chunk.max(1).min(spec.bytes - sent);
-    let net_done = w.rt.net.transfer(spec.src, spec.dst, len, now).delivered;
-    let done = if spec.also_disk {
-        net_done.max(w.rt.net.disk_write(spec.src, len, now))
+    let len = f.spec.chunk.max(1).min(f.spec.bytes - f.sent);
+    let net_done = rt.net.transfer(src, dst, len, now).delivered;
+    let done = if f.spec.also_disk {
+        net_done.max(rt.net.disk_write(src, len, now))
     } else {
         net_done
     };
-    let sent = sent + len;
-    sc.schedule_keyed(done, lane, move |sc| {
-        let Some(strong) = handle.upgrade() else {
-            return;
-        };
-        let mut w = strong.borrow_mut();
-        if w.rt.epoch != epoch {
-            return; // stream died with the failure
-        }
-        // A delivered chunk proves the link: the next stall starts a
-        // fresh backoff ladder.
-        advance_chunk(&mut w, sc, spec, sent, epoch, retry, 0, on_fail, on_done);
-    });
+    f.sent += len;
+    // A delivered chunk proves the link: the next stall starts a fresh
+    // backoff ladder.
+    f.attempt = 0;
+    sc.schedule_data(done, lane, [FLOW, slot as u64]);
 }
 
 /// One-shot control message between protocol endpoints (markers from the
@@ -356,16 +332,14 @@ mod tests {
 
     #[test]
     fn link_retry_delay_doubles_and_caps() {
-        let retry = FlowRetry::bounded(&FtConfig::default());
-        assert_eq!(retry.limit, Some(8));
+        let retry = FlowRetry::PAUSE;
+        assert_eq!(retry.limit, None);
         assert_eq!(retry.delay(0), SimDuration::from_millis(50));
         assert_eq!(retry.delay(1), SimDuration::from_millis(100));
         assert_eq!(retry.delay(5), SimDuration::from_millis(1600));
         // 50ms · 2^6 = 3.2s caps at 2s, and stays capped forever after.
         assert_eq!(retry.delay(6), SimDuration::from_secs(2));
         assert_eq!(retry.delay(63), SimDuration::from_secs(2));
-        // The control-message pause policy rides the same default ladder.
-        assert_eq!(FlowRetry::PAUSE.delay(6), retry.delay(6));
         // Degenerate inputs stay sane: a zero base becomes 1 ns, a cap
         // below the base is lifted to the base.
         let z = FlowRetry {

@@ -2,16 +2,16 @@
 //!
 //! Each rank's simulated process owns an `Mpi` value. Operations either
 //! interact with the shared [`World`](crate::world::World) through the
-//! kernel (`exec`) or, in *skip-replay* mode after a restart, complete
-//! instantly: the first `skip_until` operations were already performed
-//! before the restored checkpoint, so replaying them costs nothing — the
-//! fault-tolerance protocols guarantee the message-level consistency of the
-//! cut (see DESIGN.md §5.1).
+//! kernel — the handle parks the op in the runtime under its process's pid
+//! and posts it ([`ProcCtx::post_op`]) — or, in *skip-replay* mode after a
+//! restart, complete instantly: the first `skip_until` operations were
+//! already performed before the restored checkpoint, so replaying them
+//! costs nothing — the fault-tolerance protocols guarantee the
+//! message-level consistency of the cut (see DESIGN.md §5.1).
 
-use std::rc::Rc;
+use ftmpi_sim::{ProcCtx, ReplyWords, SimDuration};
 
-use ftmpi_sim::{ProcCtx, SimDuration};
-
+use crate::runtime::Op;
 use crate::types::{Rank, RecvInfo, Tag};
 use crate::world::WorldRef;
 
@@ -93,6 +93,16 @@ impl Mpi {
         self.ops_done < self.skip_until
     }
 
+    /// Post `op` as this process's kernel interaction and wait for its
+    /// reply.
+    async fn post<R: ReplyWords>(&mut self, op: Op) -> R {
+        self.world
+            .borrow_mut()
+            .rt
+            .park_op(self.ctx.pid(), self.rank, op);
+        self.ctx.post_op().await
+    }
+
     /// Begin the next operation; returns `true` if it must be skip-replayed.
     fn next_op_skipped(&mut self) -> bool {
         let skipped = self.ops_done < self.skip_until;
@@ -125,15 +135,7 @@ impl Mpi {
         if self.next_op_skipped() {
             return;
         }
-        let world = Rc::clone(&self.world);
-        let src = self.rank;
-        self.ctx
-            .exec::<(), _>(move |sc, reply| {
-                world
-                    .borrow_mut()
-                    .post_send(sc, src, dst, tag, bytes, reply);
-            })
-            .await;
+        self.post(Op::Send { dst, tag, bytes }).await
     }
 
     /// Blocking receive; `None` matches any source / any tag.
@@ -141,15 +143,7 @@ impl Mpi {
         if self.next_op_skipped() {
             return RecvInfo::replayed();
         }
-        let world = Rc::clone(&self.world);
-        let dst = self.rank;
-        self.ctx
-            .exec::<RecvInfo, _>(move |sc, reply| {
-                world
-                    .borrow_mut()
-                    .post_recv_blocking(sc, dst, src, tag, reply);
-            })
-            .await
+        self.post(Op::Recv { src, tag }).await
     }
 
     /// Nonblocking receive: returns a request to [`wait`](Mpi::wait) on.
@@ -162,14 +156,7 @@ impl Mpi {
                 kind: ReqKind::ReplayRecv { src, tag },
             };
         }
-        let world = Rc::clone(&self.world);
-        let dst = self.rank;
-        let id = self
-            .ctx
-            .exec::<u64, _>(move |sc, reply| {
-                world.borrow_mut().post_irecv(sc, dst, src, tag, reply);
-            })
-            .await;
+        let id = self.post(Op::Irecv { src, tag }).await;
         ReqHandle {
             kind: ReqKind::Recv { id },
         }
@@ -192,16 +179,7 @@ impl Mpi {
                     return RecvInfo::replayed();
                 }
                 // Complete immediately (library entry with negligible cost).
-                let world = Rc::clone(&self.world);
-                let rank = self.rank;
-                self.ctx
-                    .exec::<(), _>(move |sc, reply| {
-                        let mut w = world.borrow_mut();
-                        let _ = &mut w.rt.ranks[rank]; // runtime entry
-                        w.proto_entry(sc, rank);
-                        reply.complete(sc, ());
-                    })
-                    .await;
+                self.post::<()>(Op::WaitSend).await;
                 RecvInfo::replayed()
             }
             ReqKind::ReplayRecv { src, tag } => {
@@ -209,15 +187,7 @@ impl Mpi {
                     return RecvInfo::replayed();
                 }
                 // The posting was replayed away; issue the receive now.
-                let world = Rc::clone(&self.world);
-                let dst = self.rank;
-                self.ctx
-                    .exec::<RecvInfo, _>(move |sc, reply| {
-                        world
-                            .borrow_mut()
-                            .post_recv_blocking(sc, dst, src, tag, reply);
-                    })
-                    .await
+                self.post(Op::Recv { src, tag }).await
             }
             ReqKind::Recv { id } => {
                 if self.next_op_skipped() {
@@ -225,13 +195,7 @@ impl Mpi {
                     // not skipped, and skip is a prefix of the op stream.
                     return RecvInfo::replayed();
                 }
-                let world = Rc::clone(&self.world);
-                let rank = self.rank;
-                self.ctx
-                    .exec::<RecvInfo, _>(move |sc, reply| {
-                        world.borrow_mut().wait_request(sc, rank, id, reply);
-                    })
-                    .await
+                self.post(Op::Wait { id }).await
             }
         }
     }
@@ -256,27 +220,23 @@ impl Mpi {
         if send_idx + 1 < self.skip_until {
             return RecvInfo::replayed(); // both halves pre-cut
         }
-        let world = Rc::clone(&self.world);
-        let me = self.rank;
         if send_idx >= self.skip_until {
             // Both halves live: the fused fast path.
-            self.ctx
-                .exec::<RecvInfo, _>(move |sc, reply| {
-                    world
-                        .borrow_mut()
-                        .post_shift(sc, me, to, from, tag, bytes, reply);
-                })
-                .await
+            self.post(Op::Shift {
+                to,
+                from,
+                tag,
+                bytes,
+            })
+            .await
         } else {
             // Send was completed before the checkpoint; only the receive
             // replays (the message comes from the restored channel state).
-            self.ctx
-                .exec::<RecvInfo, _>(move |sc, reply| {
-                    world
-                        .borrow_mut()
-                        .post_recv_blocking(sc, me, Some(from), Some(tag), reply);
-                })
-                .await
+            self.post(Op::Recv {
+                src: Some(from),
+                tag: Some(tag),
+            })
+            .await
         }
     }
 
@@ -309,12 +269,6 @@ impl Mpi {
         self.ops_done += 1; // finalize is an op, but never skipped:
                             // a restored image can only have been taken
                             // before the rank finished.
-        let world = Rc::clone(&self.world);
-        let rank = self.rank;
-        self.ctx
-            .exec::<(), _>(move |sc, reply| {
-                world.borrow_mut().mark_finished(sc, rank, reply);
-            })
-            .await;
+        self.post(Op::Finalize).await
     }
 }

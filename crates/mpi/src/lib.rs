@@ -22,16 +22,24 @@
 //!   after restart, making restart timing equivalent to resuming a
 //!   system-level process image mid-computation;
 //! * **epochs** — every in-flight network event carries the job epoch and is
-//!   discarded if a failure-restart bumped it meanwhile.
+//!   discarded if a failure-restart bumped it meanwhile;
+//! * **flows** — checkpoint images and message logs stream in chunks that
+//!   share the NICs with MPI traffic ([`flow`]).
+//!
+//! Per-message and per-chunk events are data, not closures: a rank's op,
+//! a message arrival and a flow's next step each name a table entry, and
+//! one handler per run dispatches them ([`World::attach`]).
 
 #![warn(missing_docs)]
 
 mod collectives;
 mod config;
+pub mod flow;
 mod handle;
 mod placement;
 mod protocol;
 mod runtime;
+mod slab;
 mod types;
 mod world;
 

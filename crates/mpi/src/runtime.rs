@@ -1,5 +1,11 @@
 //! The runtime core: per-rank state, the matching engine, and message
 //! injection/delivery mechanics shared by all protocols.
+//!
+//! The runtime also keeps what the per-message events need as data, so
+//! none of them boxes a closure: each posted op waits here under its
+//! process's pid until its op event runs, each message on the wire waits
+//! in the in-flight table until its arrival event, and each flow's state
+//! lives in the flow table (see [`crate::flow`]).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -9,9 +15,11 @@ use ftmpi_net::{NetModel, NodeId};
 use ftmpi_sim::{FxBuildHasher, Pid, Reply, SimCtx, SimDuration, SimTime};
 
 use crate::config::RuntimeConfig;
+use crate::flow::Flow;
 use crate::placement::Placement;
+use crate::slab::Slab;
 use crate::types::{AppMsg, Rank, RecvInfo, Tag};
-use crate::world::World;
+use crate::world::{World, ARRIVAL};
 
 /// Life-cycle state of a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +30,31 @@ pub enum RankStatus {
     Finished,
     /// Killed by a failure and not yet restarted.
     Dead,
+}
+
+/// An application operation a rank's process posted
+/// ([`ftmpi_sim::ProcCtx::post_op`]), kept until its op event runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    /// Blocking (eager) send.
+    Send { dst: Rank, tag: Tag, bytes: u64 },
+    /// Blocking receive.
+    Recv { src: Option<Rank>, tag: Option<Tag> },
+    /// Nonblocking receive.
+    Irecv { src: Option<Rank>, tag: Option<Tag> },
+    /// Wait on an (already complete) send request.
+    WaitSend,
+    /// Wait on receive request `id`.
+    Wait { id: u64 },
+    /// Fused send to `to` and receive from `from`.
+    Shift {
+        to: Rank,
+        from: Rank,
+        tag: Tag,
+        bytes: u64,
+    },
+    /// The rank's application code returned.
+    Finalize,
 }
 
 /// Where a matched message should be delivered.
@@ -258,6 +291,16 @@ pub struct RuntimeCore {
     pub race_fixture: Option<RaceFixture>,
     /// Back-reference for scheduling world events from core methods.
     pub(crate) world: Weak<RefCell<World>>,
+    /// Posted ops by process ([`Pid::index`]), with the posting rank. Keyed
+    /// by pid, not rank: under a schedule policy a killed predecessor's op
+    /// event may run after its successor posted, and each must run its own
+    /// process's op.
+    ops: Vec<Option<(Rank, Op)>>,
+    /// Messages on the wire, with the epoch they were launched in; an
+    /// arrival event names the slot.
+    in_flight: Slab<(AppMsg, u64)>,
+    /// Background flows; a flow event names the slot.
+    pub(crate) flows: Slab<Flow>,
 }
 
 impl RuntimeCore {
@@ -278,7 +321,29 @@ impl RuntimeCore {
             fatal_error: None,
             race_fixture: None,
             world: Weak::new(),
+            ops: Vec::new(),
+            in_flight: Slab::default(),
+            flows: Slab::default(),
         }
+    }
+
+    /// Keep the op `pid` posted on behalf of `rank` until its op event
+    /// runs.
+    pub(crate) fn park_op(&mut self, pid: Pid, rank: Rank, op: Op) {
+        let i = pid.index();
+        if i >= self.ops.len() {
+            self.ops.resize_with(i + 1, || None);
+        }
+        debug_assert!(self.ops[i].is_none(), "{pid} posted an op with one pending");
+        self.ops[i] = Some((rank, op));
+    }
+
+    /// The op `pid` posted, with its rank; its op event is running.
+    pub(crate) fn take_op(&mut self, pid: Pid) -> (Rank, Op) {
+        self.ops
+            .get_mut(pid.index())
+            .and_then(Option::take)
+            .expect("an op event runs the op its process posted")
     }
 
     /// Record a fatal error (first one wins).
@@ -331,20 +396,22 @@ impl RuntimeCore {
             self.net
                 .transfer_with_overhead(src_node, dst_node, msg.bytes, sc.now(), penalty);
         let arrive_at = delivery.delivered;
-        let world = self.world.clone();
-        let epoch = self.epoch;
         // Keyed by the destination process: a data arrival racing a marker
         // or wakeup at the same rank has defined order (channel FIFO), which
-        // the tiebreak perturbation must not scramble.
-        let lane = self.ranks[msg.dst].pid.map(ftmpi_sim::Pid::lane);
-        sc.schedule_keyed(arrive_at, lane, move |sc| {
-            let Some(world) = world.upgrade() else { return };
-            let mut w = world.borrow_mut();
-            if w.rt.epoch != epoch {
-                return; // in-flight message from before a restart
-            }
-            w.handle_arrival(sc, msg);
-        });
+        // the tiebreak perturbation must not scramble. The arrival is never
+        // stale in the kernel's sense: Mlog delivers to a rank whose process
+        // died and restarted.
+        let lane = self.ranks[msg.dst].pid.map(Pid::lane);
+        let slot = self.in_flight.insert((msg, self.epoch));
+        sc.schedule_data(arrive_at, lane, [ARRIVAL, slot as u64]);
+    }
+
+    /// The arrival event of the message in in-flight `slot`: hand it to
+    /// the destination unless a restart changed the epoch since its launch.
+    pub(crate) fn land(&mut self, slot: usize) -> Option<AppMsg> {
+        let (msg, epoch) = self.in_flight.take(slot);
+        // A message launched before a restart dies in flight.
+        (epoch == self.epoch).then_some(msg)
     }
 
     /// Hand an arrived (or replayed) message to the matching engine,

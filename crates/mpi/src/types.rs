@@ -1,6 +1,6 @@
 //! Core vocabulary: ranks, tags, message envelopes.
 
-use ftmpi_sim::SimTime;
+use ftmpi_sim::{ReplyWords, SimTime};
 
 /// An MPI rank (0-based).
 pub type Rank = usize;
@@ -68,6 +68,27 @@ pub struct RecvInfo {
     pub bytes: u64,
 }
 
+/// A receive's reply travels as two words: the source rank in the high
+/// half and the tag, sign preserved, in the low half of the first, the
+/// byte count in the second. Ranks must fit 32 bits.
+impl ReplyWords for RecvInfo {
+    fn to_words(self) -> [u64; 2] {
+        let src = u32::try_from(self.src).expect("a rank fits a reply's 32-bit src field");
+        [
+            u64::from(src) << 32 | u64::from(self.tag as u32),
+            self.bytes,
+        ]
+    }
+
+    fn from_words([head, bytes]: [u64; 2]) -> RecvInfo {
+        RecvInfo {
+            src: (head >> 32) as Rank,
+            tag: head as u32 as Tag,
+            bytes,
+        }
+    }
+}
+
 impl RecvInfo {
     /// Placeholder returned by skip-replayed receives (contents are never
     /// inspected by replayed code — those operations already ran before the
@@ -78,5 +99,36 @@ impl RecvInfo {
             tag: 0,
             bytes: 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recv_info_packing_round_trips_at_the_limits() {
+        for (src, tag, bytes) in [
+            (0, 0, 0),
+            (u32::MAX as Rank, Tag::MIN, u64::MAX),
+            (u32::MAX as Rank - 1, -1, 1),
+            (7, Tag::MAX, 1 << 40),
+            (100_000, -998, 64),
+        ] {
+            let info = RecvInfo { src, tag, bytes };
+            let back = RecvInfo::from_words(info.to_words());
+            assert_eq!((back.src, back.tag, back.bytes), (src, tag, bytes));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit src")]
+    fn a_rank_past_32_bits_does_not_pack() {
+        let info = RecvInfo {
+            src: 1 << 32,
+            tag: 0,
+            bytes: 0,
+        };
+        info.to_words();
     }
 }

@@ -1,16 +1,30 @@
 //! The shared world: runtime core + protocol engine in one cell, plus the
-//! application-operation entry points and rank process spawning.
+//! application-operation entry points, rank process spawning, and the
+//! run's data-event handler.
+//!
+//! Every per-message and per-chunk event is data ([`DataEvent`]): a rank's
+//! posted op, a message arrival, a flow's start, chunk or retry probe. They
+//! all reach one handler, [`World::attach`], which a run installs on its
+//! `Sim` once; it holds the world strongly, and the `Sim` drops it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use ftmpi_sim::{Reply, SimCtx, SimDuration};
+use ftmpi_sim::{DataEvent, Pid, Reply, Sim, SimCtx, SimDuration};
 
+use crate::flow;
 use crate::handle::Mpi;
 use crate::protocol::{ArrivalAction, Protocol, SendAction};
-use crate::runtime::{RankStatus, RecvSink, RuntimeCore};
+use crate::runtime::{Op, RankStatus, RecvSink, RuntimeCore};
 use crate::types::{AppMsg, Rank, RecvInfo, Tag};
+
+/// First word of a data event naming an in-flight message; the second is
+/// its slot in the runtime's in-flight table.
+pub(crate) const ARRIVAL: u64 = 0;
+/// First word of a data event naming a flow (its start, a chunk landing or
+/// a retry probe); the second is its slot in the runtime's flow table.
+pub(crate) const FLOW: u64 = 1;
 
 /// Shared mutable simulation state: the runtime core and the protocol.
 ///
@@ -64,6 +78,55 @@ impl World {
         let world = Rc::new(RefCell::new(World { rt, proto }));
         world.borrow_mut().rt.world = Rc::downgrade(&world);
         world
+    }
+
+    /// Install the world's data-event handler on `sim`, boxed once for the
+    /// run: whoever pairs a `Sim` with a `World` calls this before
+    /// [`Sim::run`]. The handler holds the world strongly; the `Sim` owns
+    /// the handler and drops it with itself.
+    pub fn attach(world: &WorldRef, sim: &mut Sim) {
+        let world = Rc::clone(world);
+        sim.set_data_handler(move |sc, ev| world.borrow_mut().on_data(sc, ev));
+    }
+
+    /// Dispatch one data event.
+    fn on_data(&mut self, sc: &SimCtx, ev: DataEvent) {
+        match ev {
+            DataEvent::Op(pid) => self.run_op(sc, pid),
+            DataEvent::Data([ARRIVAL, slot]) => {
+                if let Some(msg) = self.rt.land(slot as usize) {
+                    self.handle_arrival(sc, msg);
+                }
+            }
+            DataEvent::Data([FLOW, slot]) => flow::on_flow_event(self, sc, slot as usize),
+            DataEvent::Data([kind, _]) => panic!("data event of unknown kind {kind}"),
+        }
+    }
+
+    /// Run the op `pid` posted, answering `pid` itself: the op and its
+    /// reply are bound to the process, not to the rank it runs.
+    fn run_op(&mut self, sc: &SimCtx, pid: Pid) {
+        let (rank, op) = self.rt.take_op(pid);
+        match op {
+            Op::Send { dst, tag, bytes } => {
+                self.post_send(sc, rank, dst, tag, bytes, Reply::new(pid));
+            }
+            Op::Recv { src, tag } => self.post_recv_blocking(sc, rank, src, tag, Reply::new(pid)),
+            Op::Irecv { src, tag } => self.post_irecv(sc, rank, src, tag, Reply::new(pid)),
+            Op::WaitSend => {
+                // Complete immediately (library entry with negligible cost).
+                self.proto_entry(sc, rank);
+                Reply::new(pid).complete(sc, ());
+            }
+            Op::Wait { id } => self.wait_request(sc, rank, id, Reply::new(pid)),
+            Op::Shift {
+                to,
+                from,
+                tag,
+                bytes,
+            } => self.post_shift(sc, rank, to, from, tag, bytes, Reply::new(pid)),
+            Op::Finalize => self.mark_finished(sc, rank, Reply::new(pid)),
+        }
     }
 
     /// Common prologue of every application operation: consume pending

@@ -2,6 +2,7 @@
 //! matching, nonblocking ops, collectives and NIC-sharing effects.
 
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ftmpi_mpi::{
@@ -9,7 +10,7 @@ use ftmpi_mpi::{
     WorldRef,
 };
 use ftmpi_net::{LinkConfig, NetModel, SoftwareStack, Topology};
-use ftmpi_sim::{Sim, SimDuration, SimTime};
+use ftmpi_sim::{CandidateKind, Decision, SchedulePolicy, SeededPolicy, Sim, SimDuration, SimTime};
 
 /// Run `app` on `nranks` ranks (one per node, GigE, TCP stack); returns the
 /// job completion time and the world for post-run inspection.
@@ -36,6 +37,7 @@ fn run_app_placed(
     );
     let world = World::new_ref(rt, Box::new(DummyProtocol));
     let mut sim = Sim::new();
+    World::attach(&world, &mut sim);
     let w2 = Rc::clone(&world);
     sim.schedule(SimTime::ZERO, move |sc| {
         for r in 0..nranks {
@@ -418,4 +420,130 @@ fn exchange_is_symmetric() {
             mpi
         }),
     );
+}
+
+/// A 2-rank job on which a scheduled call, at `replace_at`, kills rank
+/// `victim`'s process and spawns a successor for it, as a restart does;
+/// `reset` also rolls the rank's runtime state back to scratch first.
+/// Returns the run's decisions (empty without a policy) and the world.
+fn run_with_replacement(
+    app: AppFn,
+    victim: usize,
+    replace_at: SimTime,
+    reset: bool,
+    policy: Option<Box<dyn SchedulePolicy>>,
+) -> (Vec<Decision>, WorldRef) {
+    let topo = Topology::single_cluster(2, LinkConfig::gige());
+    let placement = Placement::one_per_node(&topo, 2);
+    let rt = RuntimeCore::new(
+        NetModel::new(topo),
+        placement,
+        RuntimeConfig::for_stack(SoftwareStack::TcpSock),
+    );
+    let world = World::new_ref(rt, Box::new(DummyProtocol));
+    let mut sim = Sim::new();
+    World::attach(&world, &mut sim);
+    if let Some(p) = policy {
+        sim.set_schedule_policy(p);
+    }
+    let (w2, a2) = (Rc::clone(&world), Arc::clone(&app));
+    sim.schedule(SimTime::ZERO, move |sc| {
+        for r in 0..2 {
+            spawn_rank(sc, &w2, r, Arc::clone(&a2));
+        }
+    });
+    let w2 = Rc::clone(&world);
+    sim.schedule(replace_at, move |sc| {
+        let pid = w2.borrow().rt.ranks[victim].pid.expect("the victim runs");
+        sc.kill(pid);
+        if reset {
+            w2.borrow_mut().rt.ranks[victim].reset_for_restart(0, SimDuration::ZERO);
+        }
+        spawn_rank(sc, &w2, victim, app);
+    });
+    let report = sim.run().expect("simulation failed");
+    assert!(world.borrow().rt.job_complete(), "job did not complete");
+    (report.decisions, world)
+}
+
+/// A message launched toward a process that dies before it lands arrives
+/// in the dead process's lane. Arrivals are never stale: it still reaches
+/// the rank, whose successor receives it.
+#[test]
+fn an_arrival_in_a_dead_processs_lane_still_reaches_the_world() {
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let g2 = Arc::clone(&got);
+    let app = app_fn(move |mut mpi| {
+        let got = Arc::clone(&g2);
+        async move {
+            if mpi.rank() == 0 {
+                mpi.send(1, 5, 1_000).await;
+            } else {
+                let info = mpi.recv(Some(0), Some(5)).await;
+                got.lock().unwrap().push((info.src, info.tag, info.bytes));
+            }
+            mpi
+        }
+    });
+    // The message is on the wire for about 50 µs; the receiver's first
+    // process dies 10 µs in, parked in its receive.
+    let (_, world) = run_with_replacement(app, 1, SimTime::from_nanos(10_000), true, None);
+    assert_eq!(*got.lock().unwrap(), [(0, 5, 1_000)]);
+    assert_eq!(world.borrow().rt.stats.msgs_delivered, 1);
+    assert_eq!(world.borrow().rt.leftover_messages(), (0, 0));
+}
+
+/// A rank's op belongs to the process that posted it. The sender's first
+/// process posts a send at t = 10 ns and is killed and replaced at that
+/// instant; its successor posts a send of its own. Under seeded schedules
+/// the successor can post before the predecessor's op event runs, and
+/// each op event still runs its own process's send: both tags arrive.
+#[test]
+fn a_dying_predecessors_op_never_runs_its_successors() {
+    let t = SimTime::from_nanos(10);
+    let mut raced = 0;
+    for seed in 0..32 {
+        let incarnation = Arc::new(AtomicUsize::new(0));
+        let tags = Arc::new(Mutex::new(Vec::new()));
+        let (inc, t2) = (Arc::clone(&incarnation), Arc::clone(&tags));
+        let app = app_fn(move |mut mpi| {
+            let first = mpi.rank() == 0 && inc.fetch_add(1, Ordering::Relaxed) == 0;
+            let tags = Arc::clone(&t2);
+            async move {
+                if mpi.rank() == 0 {
+                    if first {
+                        mpi.compute(SimDuration::from_nanos(10));
+                        mpi.send(1, 1, 64).await;
+                    } else {
+                        mpi.send(1, 2, 64).await;
+                    }
+                } else {
+                    for _ in 0..2 {
+                        let info = mpi.recv(Some(0), None).await;
+                        tags.lock().unwrap().push(info.tag);
+                    }
+                }
+                mpi
+            }
+        });
+        let policy = Box::new(SeededPolicy::new(seed));
+        let (decisions, _) = run_with_replacement(app, 0, t, false, Some(policy));
+        let mut got = tags.lock().unwrap().clone();
+        got.sort_unstable();
+        assert_eq!(got, [1, 2], "seed {seed}");
+        // Lanes are pids: rank 0's first process is pid 0, its successor
+        // pid 2. Both ops pending at once is the race.
+        let op_in = |d: &Decision, lane: u64| {
+            d.candidates
+                .iter()
+                .any(|c| c.lane == Some(lane) && c.kind == CandidateKind::Call)
+        };
+        if decisions
+            .iter()
+            .any(|d| d.time == t && op_in(d, 0) && op_in(d, 2))
+        {
+            raced += 1;
+        }
+    }
+    assert!(raced > 0, "no seed let the successor post first");
 }

@@ -1,8 +1,10 @@
 //! Slab arena for event payloads.
 //!
-//! The event queue orders events by a small `Copy` key; the fat part of an
-//! event — the boxed model closure in [`EventKind`] — lives here with the
-//! event's tiebreak lane, addressed by slot. Moving keys between radix
+//! The event queue orders events by a small `Copy` key; the payload of an
+//! event — a wake, a posted op, two data words, or a boxed closure for a
+//! rare control event ([`EventKind`]) — lives here with the event's
+//! tiebreak lane, addressed by slot. Every payload is at most two words
+//! behind a one-word tag, so a slot stays 32 bytes. Moving keys between radix
 //! buckets and through the same-instant tier therefore copies 16-byte keys
 //! instead of whole events, and the kernel reads each head's lane from the
 //! slot it already visits for the payload: a schedule policy chooses by

@@ -29,9 +29,9 @@
 //! event, and a pick never puts anything back.
 //!
 //! The queue removes nothing but what it hands out. An event aimed at a
-//! process that has since died — a wake, or the model call of its pending
-//! `exec` — stays queued, and the kernel's pop drops it at the head (see
-//! `is_stale` in the kernel).
+//! process that has since died — a wake, or the model call or posted op of
+//! its pending interaction — stays queued, and the kernel's pop drops it at
+//! the head (see `is_stale` in the kernel).
 //!
 //! A bucket is a small vector: its first [`INLINE`] keys sit in place, and
 //! the rest go to fixed-size chunks drawn from one shared free pool. A
@@ -40,9 +40,11 @@
 //! bucket holding a handful of keys, as most do in a protocol run, never
 //! touches the pool.
 //!
-//! Event payloads (boxed model closures) and their tiebreak lanes live in an
-//! [`EventArena`](crate::arena::EventArena) addressed by slot, so no closure
-//! is ever moved by a re-bucketing.
+//! Event payloads and their tiebreak lanes live in an
+//! [`EventArena`](crate::arena::EventArena) addressed by slot, so no payload
+//! is ever moved by a re-bucketing. A payload is data on the hot path — a
+//! wake, a posted op, or two words for the run's one data handler — and a
+//! boxed closure only for rare control events ([`EventKind`]).
 
 use std::collections::VecDeque;
 
@@ -70,6 +72,13 @@ pub(crate) enum EventKind {
     /// transitions — which race with every flow chunk touching the same
     /// link — are never scheduled laneless.
     LinkFault(Box<dyn FnOnce(&SimCtx)>),
+    /// The op a process posted (`ProcCtx::post_op`), for the run's data
+    /// handler. It rides the process's lane and, like `Exec`, is stale
+    /// once the process is dead.
+    Op(Pid),
+    /// Two model-defined words for the run's data handler (a message
+    /// arrival, a flow chunk). Never stale.
+    Data([u64; 2]),
 }
 
 pub(crate) struct Event {

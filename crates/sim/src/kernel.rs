@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::event::{Event, EventKind, EventQueue};
-use crate::process::{Pid, ProcCtx, ProcessExit, WakeKind};
+use crate::process::{Pid, ProcCtx, ProcessExit, Wake, WakeKind};
 use crate::schedule::{Candidate, CandidateKind, Decision, SchedulePolicy, StepRecord};
 use crate::table::ProcTable;
 use crate::time::{SimDuration, SimTime};
@@ -50,7 +50,28 @@ struct ProcEntry {
     name: Rc<str>,
     body: ProcBody,
     alive: bool,
+    /// The reply to the process's outstanding `exec` or posted op, once
+    /// the model completed it: two words, handed to the process with the
+    /// wake that resumes it (see [`Reply`](crate::Reply)).
+    reply: Option<[u64; 2]>,
 }
+
+/// A data event as the run's one handler receives it (see
+/// [`Sim::set_data_handler`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataEvent {
+    /// The op `pid` posted with [`ProcCtx::post_op`]. The model keeps the
+    /// op's arguments keyed by the pid, and answers with
+    /// [`Reply::new(pid)`](crate::Reply::new). Dropped unrun if the process
+    /// died first.
+    Op(Pid),
+    /// Two words scheduled with [`SimCtx::schedule_data`]; what they mean is
+    /// the handler's business.
+    Data([u64; 2]),
+}
+
+/// The run's data-event handler, boxed once when it is installed.
+type DataHandler = Box<dyn Fn(&SimCtx, DataEvent)>;
 
 pub(crate) struct KernelState {
     queue: EventQueue,
@@ -83,15 +104,15 @@ pub(crate) struct KernelState {
 }
 
 /// An event aimed at a dead process is stale: its wake, or the model call
-/// of the `exec` it was suspended in, which rides its lane. The pop drops
-/// a stale event unrun and never offers it to a policy, so a dead
-/// process's pending request neither mutates model state nor advances the
-/// clock.
+/// of the `exec` it was suspended in, or the op it posted, both of which
+/// ride its lane. The pop drops a stale event unrun and never offers it to
+/// a policy, so a dead process's pending request neither mutates model
+/// state nor advances the clock.
 fn is_stale(procs: &ProcTable<ProcEntry>, kind: &EventKind, lane: Option<u64>) -> bool {
     let pid = match kind {
-        EventKind::Resume(pid, _) => *pid,
+        EventKind::Resume(pid, _) | EventKind::Op(pid) => *pid,
         EventKind::Exec(_) => Pid(lane.expect("an exec call rides its process's lane")),
-        EventKind::Call(_) | EventKind::LinkFault(_) => return false,
+        EventKind::Call(_) | EventKind::LinkFault(_) | EventKind::Data(_) => return false,
     };
     !procs.get(pid).is_some_and(|e| e.alive)
 }
@@ -144,7 +165,9 @@ impl KernelState {
                 continue;
             }
             let kind = match kind {
-                EventKind::Call(_) | EventKind::Exec(_) => CandidateKind::Call,
+                EventKind::Call(_) | EventKind::Exec(_) | EventKind::Op(_) | EventKind::Data(_) => {
+                    CandidateKind::Call
+                }
                 EventKind::Resume(pid, _) => CandidateKind::Resume(*pid),
                 EventKind::LinkFault(_) => CandidateKind::LinkFault,
             };
@@ -199,10 +222,11 @@ pub struct Shared {
     /// debugging sessions enable it).
     trace_on: Cell<bool>,
     /// The wake slot: the drive loop deposits the kernel time of a resume
-    /// here immediately before polling the resumed machine, and that
-    /// machine's pending suspension point consumes it. Only one machine
-    /// is polled at a time, so one slot serves every process.
-    pub(crate) wake: Cell<Option<SimTime>>,
+    /// and the process's reply here immediately before polling the resumed
+    /// machine, and that machine's pending suspension point consumes them.
+    /// Only one machine is polled at a time, so one slot serves every
+    /// process.
+    pub(crate) wake: Cell<Option<Wake>>,
 }
 
 impl Shared {
@@ -230,6 +254,14 @@ impl Shared {
         let at = at.max(st.now);
         st.queue
             .push(at, Some(pid.lane()), EventKind::Exec(Box::new(f)));
+    }
+
+    /// Schedule the op `pid` posted ([`ProcCtx::post_op`]) in the process's
+    /// lane: stale, like an `exec` call, should the process die first.
+    pub(crate) fn schedule_op(&self, pid: Pid, at: SimTime) {
+        let mut st = self.state.borrow_mut();
+        let at = at.max(st.now);
+        st.queue.push(at, Some(pid.lane()), EventKind::Op(pid));
     }
 }
 
@@ -347,6 +379,31 @@ impl SimCtx {
     /// Schedule `f` after a delay.
     pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + 'static) {
         self.shared.schedule_call(self.now + d, None, f);
+    }
+
+    /// Schedule a data event at `at` (clamped to now if in the past) in a
+    /// tiebreak `lane` (see [`SimCtx::schedule_keyed`]): the run's data
+    /// handler receives `words` as [`DataEvent::Data`]. The payload is the
+    /// event itself, so nothing is allocated.
+    pub fn schedule_data(&self, at: SimTime, lane: Option<u64>, words: [u64; 2]) {
+        let mut st = self.shared.state.borrow_mut();
+        let at = at.max(st.now);
+        st.queue.push(at, lane, EventKind::Data(words));
+    }
+
+    /// Store `pid`'s reply words in its table entry and wake it at `at`
+    /// (clamped to now): the write of [`Reply::complete_at`](crate::Reply).
+    pub(crate) fn complete(&self, pid: Pid, at: SimTime, words: [u64; 2]) {
+        let mut st = self.shared.state.borrow_mut();
+        if let Some(e) = st.procs.get_mut(pid) {
+            e.reply = Some(words);
+        }
+        let at = at.max(st.now);
+        st.queue.push(
+            at,
+            Some(pid.lane()),
+            EventKind::Resume(pid, WakeKind::Normal),
+        );
     }
 
     /// Wake a parked process now (no-op if it has exited).
@@ -468,6 +525,7 @@ where
             name,
             body: ProcBody::Embryo(Box::new(move |ctx| Box::pin(f(ctx)))),
             alive: true,
+            reply: None,
         },
     );
     st.queue.push(
@@ -491,6 +549,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The simulation: owns the kernel state and drives the event loop.
 pub struct Sim {
     shared: Rc<Shared>,
+    /// The handler of every data event ([`Sim::set_data_handler`]). It
+    /// holds its model strongly, so the `Sim` owns it rather than the shared
+    /// kernel state: model state that keeps a kernel handle can then never
+    /// close a reference cycle through it.
+    handler: Option<DataHandler>,
 }
 
 impl Default for Sim {
@@ -524,7 +587,18 @@ impl Sim {
                 trace_on: Cell::new(false),
                 wake: Cell::new(None),
             }),
+            handler: None,
         }
+    }
+
+    /// Install the run's one data-event handler, boxed once: it receives
+    /// every posted op ([`ProcCtx::post_op`]) and every data event
+    /// ([`SimCtx::schedule_data`]) with the kernel state released, like a
+    /// model closure. Whoever pairs a `Sim` with a model installs it before
+    /// [`Sim::run`]; a data event without a handler is a model bug and
+    /// panics.
+    pub fn set_data_handler(&mut self, handler: impl Fn(&SimCtx, DataEvent) + 'static) {
+        self.handler = Some(Box::new(handler));
     }
 
     /// Cap the number of events (defence against runaway models).
@@ -672,6 +746,8 @@ impl Sim {
                     };
                     f(&sc);
                 }
+                EventKind::Op(pid) => self.dispatch(ev.time, DataEvent::Op(pid)),
+                EventKind::Data(words) => self.dispatch(ev.time, DataEvent::Data(words)),
                 EventKind::Resume(pid, kind) => {
                     if let Some(err) = self.drive_coro(pid, kind, ev.time) {
                         return Err(err);
@@ -679,6 +755,19 @@ impl Sim {
                 }
             }
         }
+    }
+
+    /// Hand a data event to the installed handler.
+    fn dispatch(&self, now: SimTime, ev: DataEvent) {
+        let handler = self
+            .handler
+            .as_ref()
+            .expect("a data event ran with no data handler installed (Sim::set_data_handler)");
+        let sc = SimCtx {
+            shared: Rc::clone(&self.shared),
+            now,
+        };
+        handler(&sc, ev);
     }
 
     /// Step a process: deposit the wake and poll its state machine inline.
@@ -690,7 +779,7 @@ impl Sim {
     fn drive_coro(&self, pid: Pid, kind: WakeKind, now: SimTime) -> Option<SimError> {
         enum Step {
             Start(EmbryoFn, ProcCtx),
-            Poll(CoroFuture),
+            Poll(CoroFuture, Option<[u64; 2]>),
         }
         let step = {
             let mut st = self.shared.state.borrow_mut();
@@ -718,7 +807,7 @@ impl Sim {
                     };
                     Step::Start(factory, ctx)
                 }
-                ProcBody::Coro(fut) => Step::Poll(fut),
+                ProcBody::Coro(fut) => Step::Poll(fut, e.reply.take()),
                 other => {
                     // A live process is always parked between wakes.
                     e.body = other;
@@ -731,8 +820,8 @@ impl Sim {
         let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut fut = match step {
                 Step::Start(factory, ctx) => factory(ctx),
-                Step::Poll(fut) => {
-                    self.shared.wake.set(Some(now));
+                Step::Poll(fut, reply) => {
+                    self.shared.wake.set(Some((now, reply)));
                     fut
                 }
             };

@@ -21,6 +21,15 @@
 //! the model wakes it through a [`Reply`]. This keeps event counts
 //! proportional to communication operations, not compute phases.
 //!
+//! # Events as data
+//!
+//! Hot model paths schedule no closures. A process posts its operation as
+//! data ([`ProcCtx::post_op`]), model code schedules two-word data events
+//! ([`SimCtx::schedule_data`]), and both reach the one handler the model
+//! installs per run ([`Sim::set_data_handler`]) as a [`DataEvent`]. A reply
+//! is two words kept in the process table ([`ReplyWords`]), so neither
+//! direction allocates. Boxed closures remain for rare control events.
+//!
 //! # Failure injection
 //!
 //! Processes can be killed at any virtual time ([`SimCtx::kill`]). The kernel
@@ -61,9 +70,9 @@ mod time;
 mod trace;
 
 pub use hash::{FxBuildHasher, FxHasher};
-pub use kernel::{DeadlockInfo, RunReport, Sim, SimCtx, SimError};
+pub use kernel::{DataEvent, DeadlockInfo, RunReport, Sim, SimCtx, SimError};
 pub use process::{Pid, ProcCtx, ProcessExit, SharedFlag};
-pub use reply::Reply;
+pub use reply::{Reply, ReplyWords};
 pub use schedule::{
     Candidate, CandidateKind, Decision, PrescribedPolicy, SchedulePolicy, SeededPolicy, StepRecord,
 };

@@ -69,7 +69,9 @@ fn fold(h: u64, seq: u64, time_ns: u64) -> u64 {
 
 /// Drive `ops` operations against a fresh queue, holding the pending-event
 /// count near `steady`: each iteration pushes one event in a random one of
-/// 64 lanes and pops one.
+/// 64 lanes and pops one. Each event carries a two-word data payload, the
+/// shape of the simulator's hot-path events (message arrivals, flow
+/// chunks); pop order depends only on time and `seq`.
 ///
 /// The first and the last argument are ignored; they are kept so existing
 /// callers build unchanged.
@@ -88,16 +90,15 @@ pub fn drive(
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (steady as u64) ^ ops.rotate_left(17);
     let mut now = 0u64;
     let mut checksum = 0u64;
-    let noop = || EventKind::Call(Box::new(|_| {}));
     for _ in 0..steady {
         let r = xorshift(&mut rng);
         let t = SimTime::from_nanos(now + density.gap(r));
-        q.push(t, Some(r % 64), noop());
+        q.push(t, Some(r % 64), EventKind::Data([r, t.as_nanos()]));
     }
     for _ in 0..ops {
         let r = xorshift(&mut rng);
         let t = SimTime::from_nanos(now + density.gap(r));
-        q.push(t, Some(r % 64), noop());
+        q.push(t, Some(r % 64), EventKind::Data([r, t.as_nanos()]));
         if let Some(ev) = q.pop() {
             now = ev.time.as_nanos();
             checksum = fold(checksum, ev.seq, now);

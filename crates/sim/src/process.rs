@@ -17,7 +17,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use crate::kernel::{Shared, SimCtx};
-use crate::reply::Reply;
+use crate::reply::{Reply, ReplyWords};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process. Never reused within a simulation.
@@ -39,6 +39,13 @@ impl Pid {
     pub fn lane(self) -> u64 {
         self.0
     }
+
+    /// The pid's position in allocation order. Pids are allocated densely
+    /// from 0 and never reused, so model tables keyed by process can be
+    /// plain vectors indexed by this.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// How a process's life ended.
@@ -59,19 +66,23 @@ pub(crate) enum WakeKind {
     Killed,
 }
 
-/// One suspension point: resolves to the kernel time of the next wake,
-/// which the drive loop deposits in the kernel's wake slot immediately
-/// before polling the machine.
+/// What the drive loop hands a resumed process: the kernel time of the
+/// wake and the reply words waiting in the process's table entry.
+pub(crate) type Wake = (SimTime, Option<[u64; 2]>);
+
+/// One suspension point: resolves to the next [`Wake`], which the drive
+/// loop deposits in the kernel's wake slot immediately before polling the
+/// machine.
 struct Suspend<'a> {
     shared: &'a Shared,
 }
 
 impl Future for Suspend<'_> {
-    type Output = SimTime;
+    type Output = Wake;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<SimTime> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Wake> {
         match self.shared.wake.take() {
-            Some(now) => Poll::Ready(now),
+            Some(wake) => Poll::Ready(wake),
             None => Poll::Pending,
         }
     }
@@ -118,26 +129,46 @@ impl ProcCtx {
     /// returning, or stash the reply in model state so that a later event
     /// completes it. Waking a process without filling its reply is a model
     /// bug and panics.
+    ///
+    /// The closure is boxed once per call. Hot model paths post their
+    /// operations as data instead ([`ProcCtx::post_op`]).
     pub async fn exec<R, F>(&mut self, f: F) -> R
     where
-        R: 'static,
+        R: ReplyWords,
         F: FnOnce(&SimCtx, Reply<R>) + 'static,
     {
-        let slot = Rc::new(Cell::new(None));
-        let reply = Reply::new(self.pid, Rc::clone(&slot));
+        let reply = Reply::new(self.pid);
         self.shared
             .schedule_exec(self.pid, self.local_time, move |sc| f(sc, reply));
+        self.suspend().await
+    }
+
+    /// Post this process's op at its local time and suspend until the
+    /// model completes the [`Reply`]: `exec` with the request as data. The
+    /// model keeps the op's arguments itself, keyed by this process's pid,
+    /// and the op event reaches the run's data handler
+    /// ([`Sim::set_data_handler`](crate::Sim::set_data_handler)) as
+    /// [`DataEvent::Op`](crate::DataEvent::Op), in this process's lane.
+    /// Like an `exec` call, the op event is dropped unrun if the process
+    /// dies first.
+    pub async fn post_op<R: ReplyWords>(&mut self) -> R {
+        self.shared.schedule_op(self.pid, self.local_time);
+        self.suspend().await
+    }
+
+    /// Park until the wake that completes the outstanding reply; advance
+    /// the local clock to it and unpack the reply.
+    async fn suspend<R: ReplyWords>(&mut self) -> R {
         // A kill never resolves this suspension: the kernel drops the
         // machine instead.
-        let resume_time = Suspend {
+        let (resume_time, reply) = Suspend {
             shared: &self.shared,
         }
         .await;
         if resume_time > self.local_time {
             self.local_time = resume_time;
         }
-        slot.take()
-            .expect("process woken without a completed reply (model bug)")
+        R::from_words(reply.expect("process woken without a completed reply (model bug)"))
     }
 
     /// Suspend until the kernel clock catches up with the local clock.

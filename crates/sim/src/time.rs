@@ -79,7 +79,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_nanos(s * 1e9))
     }
 
     /// Raw nanosecond count.
@@ -111,6 +111,21 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         SimDuration::from_secs_f64(bytes as f64 / bytes_per_sec)
+    }
+}
+
+/// `x.round() as u64` for a positive `x`, without the call: the default
+/// x86-64 target has no rounding instruction, so `f64::round` is a software
+/// routine, and this sits under every transfer time. Below 2⁵² the
+/// truncation `t` and the fraction `x - t` are exact, so the tie test is
+/// exact; from 2⁵² on `x` is already whole and the fraction is 0. The cast
+/// saturates at `u64::MAX` (infinity included), and so does the increment.
+fn round_nanos(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -263,6 +278,67 @@ mod tests {
         );
         // `Display` keeps its microsecond rounding.
         assert_eq!(SimDuration::from_nanos(1).to_string(), "0.000000");
+    }
+
+    /// `round_nanos` agrees with `f64::round` (then the saturating cast)
+    /// wherever the truncation trick could slip: on every half-nanosecond
+    /// tie and the floats either side of it, at the 2⁵², 2⁵³ and 2⁶⁴
+    /// boundaries, on subnormals and at the top of the range, and on a
+    /// seeded sweep across every binade up to 2⁷⁰.
+    #[test]
+    fn round_nanos_matches_f64_round() {
+        let check = |x: f64| {
+            assert_eq!(
+                round_nanos(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        let around = |x: f64| {
+            for y in [x.next_down(), x, x.next_up()] {
+                if y > 0.0 {
+                    check(y);
+                }
+            }
+        };
+        // Ties k + 0.5 (exact below 2⁵²) at small k and just under 2⁵².
+        for k in (0..100_000u64).chain((1u64 << 52) - 100_000..1 << 52) {
+            around(k as f64 + 0.5);
+        }
+        for bit in [52, 53, 63, 64] {
+            let b = (1u64 << 52) as f64 * (1u64 << (bit - 52)) as f64;
+            around(b);
+            around(b - 0.5);
+            around(b + 0.5);
+        }
+        around(u64::MAX as f64);
+        for x in [
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            check(x);
+        }
+        assert_eq!(round_nanos(f64::MAX), u64::MAX, "saturates, never wraps");
+        assert_eq!(round_nanos(f64::INFINITY), u64::MAX);
+        // Seeded sweep: a random mantissa in every binade from 2⁻²⁰ to 2⁷⁰.
+        let mut state = 0x5EED_2026u64;
+        for _ in 0..(1 << 20) {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let exp = 1023 - 20 + (state >> 52) % 91;
+            check(f64::from_bits(exp << 52 | state & ((1 << 52) - 1)));
+        }
+        // And through the public constructor.
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
+        assert_eq!(
+            SimDuration::from_secs_f64(1e300),
+            SimDuration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]

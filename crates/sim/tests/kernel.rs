@@ -6,8 +6,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ftmpi_sim::{
-    CandidateKind, PrescribedPolicy, ProcessExit, Reply, SchedulePolicy, SeededPolicy, Sim,
-    SimDuration, SimError, SimTime,
+    CandidateKind, DataEvent, PrescribedPolicy, ProcessExit, Reply, SchedulePolicy, SeededPolicy,
+    Sim, SimDuration, SimError, SimTime,
 };
 
 #[test]
@@ -674,6 +674,138 @@ fn kill_during_suspension_cancels_pending_exec() {
         assert!(!side_effect, "{label}: a dead process's call must not run");
         assert_eq!((final_ns, events), (10, 3), "{label}");
     }
+}
+
+/// The posted-op form of the test above: a process killed while its op
+/// event is pending never has the op run. The op event is dropped as stale,
+/// uncounted and without advancing the clock, under any schedule policy.
+#[test]
+fn kill_during_suspension_drops_the_pending_op() {
+    fn run(policy: Option<Box<dyn SchedulePolicy>>) -> (u64, u64, bool) {
+        let mut sim = Sim::new();
+        if let Some(p) = policy {
+            sim.set_schedule_policy(p);
+        }
+        let ran = sim.shared_flag();
+        let r = ran.clone();
+        sim.set_data_handler(move |sc, ev| {
+            let DataEvent::Op(pid) = ev else {
+                panic!("unexpected data event {ev:?}");
+            };
+            r.set();
+            Reply::<()>::new(pid).complete(sc, ());
+        });
+        let victim = sim.spawn("victim", |mut ctx| async move {
+            ctx.advance(SimDuration::from_secs(100));
+            ctx.post_op::<()>().await;
+        });
+        sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(victim));
+        let report = sim.run().unwrap();
+        assert!(report
+            .exits
+            .iter()
+            .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed));
+        (
+            report.final_time.as_nanos(),
+            report.events_executed,
+            ran.get(),
+        )
+    }
+    for (label, policy) in policies() {
+        let (final_ns, events, ran) = run(policy);
+        assert!(!ran, "{label}: a dead process's op must not run");
+        assert_eq!((final_ns, events), (10, 3), "{label}");
+    }
+}
+
+/// A posted op reaches the handler as the posting process's `Op`, and its
+/// reply comes back as words: the process reads what the handler sent.
+#[test]
+fn a_posted_op_is_answered_through_the_process_table() {
+    let mut sim = Sim::new();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s2 = Rc::clone(&seen);
+    sim.set_data_handler(move |sc, ev| {
+        let DataEvent::Op(pid) = ev else {
+            panic!("unexpected data event {ev:?}");
+        };
+        s2.borrow_mut().push((pid, sc.now().as_nanos()));
+        let at = sc.now() + SimDuration::from_nanos(5);
+        Reply::<u64>::new(pid).complete_at(sc, at, u64::MAX - pid.lane());
+    });
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let pids: Vec<_> = (0..3)
+        .map(|i| {
+            let got = Rc::clone(&got);
+            sim.spawn(format!("p{i}"), move |mut ctx| async move {
+                ctx.advance(SimDuration::from_nanos(10 * (i + 1)));
+                let v: u64 = ctx.post_op().await;
+                got.borrow_mut().push((ctx.pid(), v, ctx.now().as_nanos()));
+            })
+        })
+        .collect();
+    let report = sim.run().unwrap();
+    assert_eq!(
+        *seen.borrow(),
+        pids.iter()
+            .zip([10, 20, 30])
+            .map(|(&p, t)| (p, t))
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(
+        *got.borrow(),
+        pids.iter()
+            .zip([15, 25, 35])
+            .map(|(&p, t)| (p, u64::MAX - p.lane(), t))
+            .collect::<Vec<_>>()
+    );
+    // Three starts, three ops, three wakes.
+    assert_eq!(report.events_executed, 9);
+}
+
+/// A data event is never stale: one scheduled in the lane of a process
+/// that has died still runs (a message arrival aimed at a rank whose
+/// process was replaced), under any schedule policy.
+#[test]
+fn a_data_event_in_a_dead_processs_lane_still_runs() {
+    for (label, policy) in policies() {
+        let mut sim = Sim::new();
+        if let Some(p) = policy {
+            sim.set_schedule_policy(p);
+        }
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g2 = Rc::clone(&got);
+        sim.set_data_handler(move |sc, ev| g2.borrow_mut().push((ev, sc.now().as_nanos())));
+        let victim = sim.spawn("victim", |mut ctx| async move {
+            ctx.sleep(SimDuration::from_secs(1)).await;
+        });
+        sim.schedule(SimTime::from_nanos(10), move |sc| {
+            sc.kill(victim);
+            sc.schedule_data(SimTime::from_nanos(20), Some(victim.lane()), [7, u64::MAX]);
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(
+            *got.borrow(),
+            [(DataEvent::Data([7, u64::MAX]), 20)],
+            "{label}"
+        );
+        // The start, the kill's call and wake, the data event.
+        assert_eq!(
+            (report.final_time.as_nanos(), report.events_executed),
+            (20, 4),
+            "{label}"
+        );
+    }
+}
+
+/// A data event with no handler installed is a model bug: the run panics
+/// rather than dropping it.
+#[test]
+#[should_panic(expected = "no data handler")]
+fn a_data_event_without_a_handler_panics() {
+    let mut sim = Sim::new();
+    sim.schedule(SimTime::ZERO, |sc| sc.schedule_data(sc.now(), None, [0, 0]));
+    let _ = sim.run();
 }
 
 /// A dead process's pending call tied with live events is skipped while
