@@ -17,7 +17,10 @@
 //!   `crates/sim/src/event.rs` must appear at a schedule site that
 //!   assigns an explicit tiebreak lane (a 3-argument `EventQueue::push`
 //!   whose lane argument is not `None`), so no event class can silently
-//!   reorder under the race detector's seeded schedules. The same rule
+//!   reorder under the race detector's seeded schedules. Network-fault
+//!   transitions are plain `Call`s; what keeps each of them laned is
+//!   `Sim::schedule_link_fault`'s `lane: u64` parameter, which cannot be
+//!   `None`. The same rule
 //!   pins the seeded tie order to `schedule.rs`: no other sim-crate source
 //!   may mention `splitmix64`, so the only seeded order is
 //!   `SeededPolicy`'s, chosen among the lane fronts the kernel offers. A

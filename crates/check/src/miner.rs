@@ -32,9 +32,8 @@ use std::path::Path;
 use ftmpi_bench::proto_name;
 use ftmpi_core::{FailurePlan, JobSpec, ProtocolChoice, SilentCorruptionSpec};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId};
+use ftmpi_sim::schedule::StdRng;
 use ftmpi_sim::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::storm::{ring_profile, ring_spec, run_storm, StormOutcome};
 

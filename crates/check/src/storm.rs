@@ -37,9 +37,8 @@
 use ftmpi_bench::proto_name;
 use ftmpi_core::{run_job_with, FailurePlan, JobSpec, ProtocolChoice, RunOptions};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId};
+use ftmpi_sim::schedule::StdRng;
 use ftmpi_sim::{ProtoEvent, SimDuration, SimTime, TraceEvent, TraceKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::invariants::{check_trace, CheckReport};
 use crate::suite::{ring_app, stream_app};

@@ -42,10 +42,8 @@
 
 use ftmpi_mpi::Rank;
 use ftmpi_net::fault::exp_draw;
-use ftmpi_sim::schedule::splitmix64;
+use ftmpi_sim::schedule::{splitmix64, StdRng};
 use ftmpi_sim::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One scheduled bit-flip on a checkpoint server's stored replicas.
 ///

@@ -794,9 +794,10 @@ fn assemble(spec: JobSpec, opts: RunOptions) -> Result<(Sim, WorldRef), JobError
         });
     }
 
-    // Network-fault schedule. Every transition runs as a `LinkFault` event
-    // on its own fault lane — the lane audit proves none is laneless, and a
-    // perturbation seed cannot reorder a transition against itself. The
+    // Network-fault schedule. Every transition runs as a model call on its
+    // own fault lane — `schedule_link_fault` takes the lane as a plain
+    // `u64`, so none is laneless, and a perturbation seed cannot reorder a
+    // transition against itself. The
     // plan is validated up front (and flaps expanded): a structurally
     // broken schedule is a spec bug, not a silent last-writer-wins run.
     if !spec.net_faults.is_empty() {

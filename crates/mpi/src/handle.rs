@@ -15,7 +15,7 @@ use crate::runtime::Op;
 use crate::types::{Rank, RecvInfo, Tag};
 use crate::world::WorldRef;
 
-/// Handle on a nonblocking operation.
+/// Handle on a nonblocking receive.
 #[derive(Debug, Clone, Copy)]
 pub struct ReqHandle {
     kind: ReqKind,
@@ -28,8 +28,6 @@ enum ReqKind {
     /// A receive request whose posting was skip-replayed but whose wait was
     /// not: the wait re-posts a blocking receive with these parameters.
     ReplayRecv { src: Option<Rank>, tag: Option<Tag> },
-    /// A send request (eager semantics: already complete).
-    Send,
 }
 
 /// Per-rank application handle: point-to-point operations, collectives,
@@ -162,26 +160,9 @@ impl Mpi {
         }
     }
 
-    /// Nonblocking send. With the runtime's eager semantics the message is
-    /// buffered at posting time, so the request is complete on return.
-    pub async fn isend(&mut self, dst: Rank, tag: Tag, bytes: u64) -> ReqHandle {
-        self.send(dst, tag, bytes).await;
-        ReqHandle {
-            kind: ReqKind::Send,
-        }
-    }
-
-    /// Wait for a nonblocking operation.
+    /// Wait for a nonblocking receive.
     pub async fn wait(&mut self, req: ReqHandle) -> RecvInfo {
         match req.kind {
-            ReqKind::Send => {
-                if self.next_op_skipped() {
-                    return RecvInfo::replayed();
-                }
-                // Complete immediately (library entry with negligible cost).
-                self.post::<()>(Op::WaitSend).await;
-                RecvInfo::replayed()
-            }
             ReqKind::ReplayRecv { src, tag } => {
                 if self.next_op_skipped() {
                     return RecvInfo::replayed();
@@ -197,13 +178,6 @@ impl Mpi {
                 }
                 self.post(Op::Wait { id }).await
             }
-        }
-    }
-
-    /// Wait for all requests (in order).
-    pub async fn waitall(&mut self, reqs: impl IntoIterator<Item = ReqHandle>) {
-        for r in reqs {
-            self.wait(r).await;
         }
     }
 

@@ -1,9 +1,9 @@
 //! Rank-to-node placement policies.
 //!
-//! The paper's deployments: one rank per node up to 144 processes, two ranks
-//! per dual-processor node beyond (sharing the NIC — the cause of the
-//! slowdown at 169+ processes in Fig. 6 and of 32≈64 in Fig. 8), and block
-//! distribution across grid clusters for the large-scale runs.
+//! The paper's cluster deployments: one rank per node up to 144 processes,
+//! two ranks per dual-processor node beyond (sharing the NIC — the cause of
+//! the slowdown at 169+ processes in Fig. 6 and of 32≈64 in Fig. 8). A grid
+//! deployment lists its nodes cluster by cluster ([`Placement::explicit`]).
 
 use ftmpi_net::{NodeId, Topology};
 
@@ -48,19 +48,6 @@ impl Placement {
             Placement::one_per_node(topo, ranks)
         } else {
             Placement::two_per_node(topo, ranks)
-        }
-    }
-
-    /// Block distribution across clusters: fill each cluster's nodes in
-    /// order, one rank per node, overflowing into the next cluster.
-    pub fn grid_blocks(topo: &Topology, ranks: usize) -> Placement {
-        assert!(
-            ranks <= topo.node_count(),
-            "need {ranks} nodes, grid has {}",
-            topo.node_count()
-        );
-        Placement {
-            nodes: (0..ranks).map(NodeId).collect(),
         }
     }
 

@@ -42,8 +42,6 @@ pub(crate) enum Op {
     Recv { src: Option<Rank>, tag: Option<Tag> },
     /// Nonblocking receive.
     Irecv { src: Option<Rank>, tag: Option<Tag> },
-    /// Wait on an (already complete) send request.
-    WaitSend,
     /// Wait on receive request `id`.
     Wait { id: u64 },
     /// Fused send to `to` and receive from `from`.

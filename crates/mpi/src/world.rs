@@ -113,11 +113,6 @@ impl World {
             }
             Op::Recv { src, tag } => self.post_recv_blocking(sc, rank, src, tag, Reply::new(pid)),
             Op::Irecv { src, tag } => self.post_irecv(sc, rank, src, tag, Reply::new(pid)),
-            Op::WaitSend => {
-                // Complete immediately (library entry with negligible cost).
-                self.proto_entry(sc, rank);
-                Reply::new(pid).complete(sc, ());
-            }
             Op::Wait { id } => self.wait_request(sc, rank, id, Reply::new(pid)),
             Op::Shift {
                 to,
@@ -137,19 +132,6 @@ impl World {
         // pending penalty, which this op then absorbs.
         self.proto.on_runtime_entry(&mut self.rt, sc, rank);
         self.rt.take_penalty(rank) + self.rt.ranks[rank].op_drag
-    }
-
-    /// Public runtime-entry notification (used by trivially-completing ops
-    /// like waits on already-complete requests).
-    pub fn proto_entry(&mut self, sc: &SimCtx, rank: Rank) {
-        let penalty = self.op_entry(sc, rank);
-        if !penalty.is_zero() {
-            // This op completes instantly; the pending pause carries over.
-            self.rt.add_penalty(rank, penalty);
-        }
-        let r = &mut self.rt.ranks[rank];
-        r.ops_completed += 1;
-        r.last_entry = sc.now();
     }
 
     /// An application message arrived at its destination's runtime.

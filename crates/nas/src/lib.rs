@@ -8,19 +8,14 @@
 //! the NPB-derived message sizes and NPB-derived flop counts (converted to
 //! time through a [`Machine`] rate), not the numerics — see DESIGN.md §5.3.
 //!
-//! Besides BT and CG, skeletons for LU, MG and FT cover the other NPB
-//! communication styles (pipelined wavefronts, multigrid V-cycles,
-//! transpose all-to-alls), and [`synth`] provides NetPIPE-style ping-pong
-//! and other microworkloads used by the §5.4 platform characterization.
+//! Besides BT and CG, [`synth`] provides the NetPIPE-style ping-pong used
+//! by the §5.4 platform characterization and a token ring.
 
 #![warn(missing_docs)]
 
 pub mod bt;
 pub mod cg;
-pub mod ftb;
-pub mod lu;
 pub mod machine;
-pub mod mg;
 pub mod params;
 pub mod synth;
 

@@ -108,121 +108,6 @@ impl CgParams {
     }
 }
 
-/// LU parameters.
-pub struct LuParams {
-    /// Grid points per dimension.
-    pub problem_size: u64,
-    /// Time steps.
-    pub niter: u64,
-    /// Total floating-point operations.
-    pub total_flops: f64,
-}
-
-impl LuParams {
-    /// NPB 2.3 published values.
-    pub fn of(class: NasClass) -> LuParams {
-        match class {
-            NasClass::S => LuParams {
-                problem_size: 12,
-                niter: 50,
-                total_flops: 0.1e9,
-            },
-            NasClass::A => LuParams {
-                problem_size: 64,
-                niter: 250,
-                total_flops: 119.3e9,
-            },
-            NasClass::B => LuParams {
-                problem_size: 102,
-                niter: 250,
-                total_flops: 544.7e9,
-            },
-            NasClass::C => LuParams {
-                problem_size: 162,
-                niter: 250,
-                total_flops: 2200.0e9,
-            },
-        }
-    }
-}
-
-/// MG parameters.
-pub struct MgParams {
-    /// Grid points per dimension (finest level).
-    pub problem_size: u64,
-    /// V-cycle iterations.
-    pub niter: u64,
-    /// Total floating-point operations.
-    pub total_flops: f64,
-}
-
-impl MgParams {
-    /// NPB 2.3 published values.
-    pub fn of(class: NasClass) -> MgParams {
-        match class {
-            NasClass::S => MgParams {
-                problem_size: 32,
-                niter: 4,
-                total_flops: 0.01e9,
-            },
-            NasClass::A => MgParams {
-                problem_size: 256,
-                niter: 4,
-                total_flops: 3.9e9,
-            },
-            NasClass::B => MgParams {
-                problem_size: 256,
-                niter: 20,
-                total_flops: 19.5e9,
-            },
-            NasClass::C => MgParams {
-                problem_size: 512,
-                niter: 20,
-                total_flops: 156.0e9,
-            },
-        }
-    }
-}
-
-/// FT parameters.
-pub struct FtParams {
-    /// Grid dimensions (nx = ny = nz for our classes of interest).
-    pub nx: u64,
-    /// Iterations.
-    pub niter: u64,
-    /// Total floating-point operations.
-    pub total_flops: f64,
-}
-
-impl FtParams {
-    /// NPB 2.3 published values (class B/C use 512×256×256 and 512³; we
-    /// approximate with cubes of the geometric mean for sizing).
-    pub fn of(class: NasClass) -> FtParams {
-        match class {
-            NasClass::S => FtParams {
-                nx: 64,
-                niter: 6,
-                total_flops: 0.2e9,
-            },
-            NasClass::A => FtParams {
-                nx: 256,
-                niter: 6,
-                total_flops: 7.1e9,
-            },
-            NasClass::B => FtParams {
-                nx: 322,
-                niter: 20,
-                total_flops: 92.8e9,
-            },
-            NasClass::C => FtParams {
-                nx: 512,
-                niter: 20,
-                total_flops: 390.0e9,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,11 +1,9 @@
 //! Synthetic microworkloads: the NetPIPE-style ping-pong used for the
-//! §5.4 platform characterization, plus simple patterns for tests and
-//! ablations.
+//! §5.4 platform characterization, plus a token ring for tests.
 
 use std::sync::{Arc, Mutex};
 
 use ftmpi_mpi::{app_fn, AppFn};
-use ftmpi_sim::SimDuration;
 
 /// One NetPIPE sample: message size and measured one-way time.
 #[derive(Debug, Clone, Copy)]
@@ -90,17 +88,6 @@ pub fn token_ring(iters: usize, bytes: u64) -> AppFn {
                 mpi.recv(Some(left), Some(tag)).await;
                 mpi.send(right, tag, bytes).await;
             }
-        }
-        mpi
-    })
-}
-
-/// Bulk-synchronous compute/allreduce loop (generic BSP workload).
-pub fn bsp(iters: usize, compute: SimDuration, reduce_bytes: u64) -> AppFn {
-    app_fn(move |mut mpi| async move {
-        for _ in 0..iters {
-            mpi.compute(compute);
-            mpi.allreduce(reduce_bytes).await;
         }
         mpi
     })

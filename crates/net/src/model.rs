@@ -367,18 +367,6 @@ impl NetModel {
         self.disk_write(node, bytes, earliest)
     }
 
-    /// NIC transmit utilisation counters of a node (bytes, busy time).
-    pub fn nic_tx_stats(&self, node: NodeId) -> (u64, SimDuration) {
-        let r = &self.nodes[node.0].nic_tx;
-        (r.bytes_total(), r.busy_time())
-    }
-
-    /// NIC receive utilisation counters of a node.
-    pub fn nic_rx_stats(&self, node: NodeId) -> (u64, SimDuration) {
-        let r = &self.nodes[node.0].nic_rx;
-        (r.bytes_total(), r.busy_time())
-    }
-
     /// Drop all queued backlog (platform reboot after a failure-restart).
     pub fn reset_queues(&mut self, now: SimTime) {
         for n in &mut self.nodes {

@@ -13,10 +13,6 @@ use ftmpi_sim::{SimDuration, SimTime};
 pub struct Resource {
     capacity_bps: f64,
     busy_until: SimTime,
-    /// Total bytes that passed through (for utilisation reporting).
-    bytes_total: u64,
-    /// Accumulated busy time (for utilisation reporting).
-    busy_time: SimDuration,
 }
 
 impl Resource {
@@ -26,19 +22,7 @@ impl Resource {
         Resource {
             capacity_bps,
             busy_until: SimTime::ZERO,
-            bytes_total: 0,
-            busy_time: SimDuration::ZERO,
         }
-    }
-
-    /// Capacity in bytes/second (0 = infinite).
-    pub fn capacity_bps(&self) -> f64 {
-        self.capacity_bps
-    }
-
-    /// Earliest instant a new transfer could start.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 
     /// Reserve the resource for `bytes` starting no earlier than `earliest`.
@@ -67,8 +51,6 @@ impl Resource {
         };
         let duration = SimDuration::for_transfer(bytes, flow_rate).max(occupancy);
         self.busy_until = start + occupancy;
-        self.bytes_total = self.bytes_total.saturating_add(bytes);
-        self.busy_time += occupancy;
         (start, start + duration)
     }
 
@@ -77,24 +59,13 @@ impl Resource {
     /// transmission time and does not occupy the queue (its occupancy is a
     /// single MTU — negligible). FIFO *per channel* is enforced separately
     /// by the path model.
-    pub fn bypass(&mut self, earliest: SimTime, bytes: u64) -> (SimTime, SimTime) {
+    pub fn bypass(&self, earliest: SimTime, bytes: u64) -> (SimTime, SimTime) {
         let duration = SimDuration::for_transfer(bytes, self.capacity_bps);
-        self.bytes_total = self.bytes_total.saturating_add(bytes);
         (earliest, earliest + duration)
     }
 
-    /// Total bytes ever reserved through this resource.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
-    }
-
-    /// Accumulated occupancy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
     /// Reset queueing state (used when a platform is rebooted after a
-    /// failure-restart; counters are preserved).
+    /// failure-restart).
     pub fn reset_queue(&mut self, now: SimTime) {
         self.busy_until = now;
     }
@@ -150,15 +121,6 @@ mod tests {
         let mut r = Resource::new(100.0);
         let (_, e) = r.reserve_with_rate(SimTime::ZERO, 100, 1e12);
         assert_eq!(e.as_secs_f64(), 1.0);
-    }
-
-    #[test]
-    fn accounting_accumulates() {
-        let mut r = Resource::new(100.0);
-        r.reserve(SimTime::ZERO, 100);
-        r.reserve(SimTime::ZERO, 300);
-        assert_eq!(r.bytes_total(), 400);
-        assert_eq!(r.busy_time().as_secs_f64(), 4.0);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! tiebreak lane, addressed by slot. Every payload is at most two words
 //! behind a one-word tag, so a slot stays 32 bytes. Moving keys between radix
 //! buckets and through the same-instant tier therefore copies 16-byte keys
-//! instead of whole events, and the kernel reads each head's lane from the
-//! slot it already visits for the payload: a schedule policy chooses by
-//! it, and an `exec` call finds its process in it. A slot is freed only
-//! when its event is taken. The layout follows the `QueuedEvent` /
+//! instead of whole events, and a schedule policy reads each candidate's
+//! lane from the slot the kernel already visits for its payload. A slot is
+//! freed only when its event is taken. The layout follows the `QueuedEvent` /
 //! side-table idiom of trainspotting's scheduler.
 
 use crate::event::EventKind;

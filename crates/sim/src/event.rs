@@ -29,8 +29,8 @@
 //! event, and a pick never puts anything back.
 //!
 //! The queue removes nothing but what it hands out. An event aimed at a
-//! process that has since died — a wake, or the model call or posted op of
-//! its pending interaction — stays queued, and the kernel's pop drops it at
+//! process that has since died — a wake, or the op or sleep call of its
+//! pending interaction — stays queued, and the kernel's pop drops it at
 //! the head (see `is_stale` in the kernel).
 //!
 //! A bucket is a small vector: its first [`INLINE`] keys sit in place, and
@@ -58,22 +58,15 @@ use crate::time::SimTime;
 /// pieces, which slows every pop.
 #[repr(u64)]
 pub(crate) enum EventKind {
-    /// Run a model closure on the kernel loop.
+    /// Run a model closure on the kernel loop: a rare control event, or a
+    /// network-fault transition (`Sim::schedule_link_fault`, always laned).
     Call(Box<dyn FnOnce(&SimCtx)>),
-    /// Run the model closure of a process's `exec` call. It rides the
-    /// process's lane, which is its pid, so the kernel can tell when the
-    /// process died before the call ran.
-    Exec(Box<dyn FnOnce(&SimCtx)>),
-    /// Wake (or kill) a parked process.
+    /// Wake or kill a parked process, or answer its sleep
+    /// (`ProcCtx::sleep_until_local`). It rides the process's lane and is
+    /// stale once the process is dead.
     Resume(Pid, crate::process::WakeKind),
-    /// Apply a scheduled network-fault transition (link down / degrade /
-    /// restore, partition start / heal). Dispatched exactly like `Call`;
-    /// kept as its own variant so the lane audit can prove that fault
-    /// transitions — which race with every flow chunk touching the same
-    /// link — are never scheduled laneless.
-    LinkFault(Box<dyn FnOnce(&SimCtx)>),
     /// The op a process posted (`ProcCtx::post_op`), for the run's data
-    /// handler. It rides the process's lane and, like `Exec`, is stale
+    /// handler. It rides the process's lane and, like `Resume`, is stale
     /// once the process is dead.
     Op(Pid),
     /// Two model-defined words for the run's data handler (a message
@@ -330,18 +323,18 @@ impl EventQueue {
         self.tier.front().copied()
     }
 
-    /// The head's time, payload and lane, without consuming it. It is
-    /// index 0 of [`EventQueue::instant`].
-    pub fn head(&mut self) -> Option<(SimTime, &EventKind, Option<u64>)> {
+    /// The head's time and payload, without consuming it. It is index 0
+    /// of [`EventQueue::instant`].
+    pub fn head(&mut self) -> Option<(SimTime, &EventKind)> {
         let k = self.head_key()?;
-        let (kind, lane) = self.arena.get(k.slot());
-        Some((SimTime::from_nanos(k.time_ns), kind, lane))
+        let (kind, _) = self.arena.get(k.slot());
+        Some((SimTime::from_nanos(k.time_ns), kind))
     }
 
     /// The time of the next event, without consuming it.
     #[cfg(test)]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.head().map(|(t, _, _)| t)
+        self.head().map(|(t, _)| t)
     }
 
     /// The tier after [`EventQueue::head`]: each key of the earliest
@@ -510,7 +503,7 @@ mod tests {
             }
         }
         assert_eq!(q.pop().map(|e| e.time.as_nanos()), Some(5));
-        assert_eq!(q.head().map(|(t, _, _)| t.as_nanos()), Some(10));
+        assert_eq!(q.head().map(|(t, _)| t.as_nanos()), Some(10));
         assert_eq!(
             instant_of(&q),
             want,

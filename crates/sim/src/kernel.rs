@@ -17,6 +17,7 @@ use std::task::{Context, Poll, Waker};
 
 use crate::event::{Event, EventKind, EventQueue};
 use crate::process::{Pid, ProcCtx, ProcessExit, Wake, WakeKind};
+use crate::reply::ReplyWords;
 use crate::schedule::{Candidate, CandidateKind, Decision, SchedulePolicy, StepRecord};
 use crate::table::ProcTable;
 use crate::time::{SimDuration, SimTime};
@@ -39,8 +40,8 @@ enum ProcBody {
     /// direct method call.
     Coro(CoroFuture),
     /// Checked out by the drive loop for a poll. The machine cannot stay in
-    /// the table while polled: polling reenters the kernel state through
-    /// `schedule_exec`.
+    /// the table while polled: polling reenters the kernel state to post
+    /// the process's next op or sleep.
     Running,
     /// Exited; nothing left to drive.
     Gone,
@@ -50,9 +51,9 @@ struct ProcEntry {
     name: Rc<str>,
     body: ProcBody,
     alive: bool,
-    /// The reply to the process's outstanding `exec` or posted op, once
-    /// the model completed it: two words, handed to the process with the
-    /// wake that resumes it (see [`Reply`](crate::Reply)).
+    /// The reply to the process's posted op or sleep, once it is answered:
+    /// two words, handed to the process with the wake that resumes it (see
+    /// [`Reply`](crate::Reply)).
     reply: Option<[u64; 2]>,
 }
 
@@ -77,7 +78,7 @@ pub(crate) struct KernelState {
     queue: EventQueue,
     now: SimTime,
     /// Dense pid-indexed table: pids are sequential and never reused, so
-    /// the kernel hot path (resume/kill/exec) avoids hashing entirely.
+    /// the kernel hot path (resume/kill/op) avoids hashing entirely.
     procs: ProcTable<ProcEntry>,
     next_pid: u64,
     stop_requested: bool,
@@ -103,21 +104,27 @@ pub(crate) struct KernelState {
     candidate_at: Vec<usize>,
 }
 
-/// An event aimed at a dead process is stale: its wake, or the model call
-/// of the `exec` it was suspended in, or the op it posted, both of which
-/// ride its lane. The pop drops a stale event unrun and never offers it to
-/// a policy, so a dead process's pending request neither mutates model
-/// state nor advances the clock.
-fn is_stale(procs: &ProcTable<ProcEntry>, kind: &EventKind, lane: Option<u64>) -> bool {
-    let pid = match kind {
-        EventKind::Resume(pid, _) | EventKind::Op(pid) => *pid,
-        EventKind::Exec(_) => Pid(lane.expect("an exec call rides its process's lane")),
-        EventKind::Call(_) | EventKind::LinkFault(_) | EventKind::Data(_) => return false,
+/// An event aimed at a dead process is stale: its wake, the call of the
+/// sleep it was suspended in, or the op it posted, each of which names the
+/// process. The pop drops a stale event unrun and never offers it to a
+/// policy, so a dead process's pending request neither mutates model state
+/// nor advances the clock.
+fn is_stale(procs: &ProcTable<ProcEntry>, kind: &EventKind) -> bool {
+    let (EventKind::Resume(pid, _) | EventKind::Op(pid)) = kind else {
+        return false;
     };
-    !procs.get(pid).is_some_and(|e| e.alive)
+    !procs.get(*pid).is_some_and(|e| e.alive)
 }
 
 impl KernelState {
+    /// Queue a `Resume` of `pid` at `at` (clamped to now) in the process's
+    /// lane: a wake, a kill, or the call of a sleep.
+    pub(crate) fn push_resume(&mut self, at: SimTime, pid: Pid, kind: WakeKind) {
+        let at = at.max(self.now);
+        self.queue
+            .push(at, Some(pid.lane()), EventKind::Resume(pid, kind));
+    }
+
     /// The one pop: the next event to dispatch, or `None` once the run
     /// ends cleanly. Stale events at the head are dropped without advancing
     /// the clock, so a killed process's pending wakes and calls neither
@@ -127,10 +134,10 @@ impl KernelState {
     /// the head itself, unless a policy chooses another.
     fn next_event(&mut self) -> Result<Option<Event>, SimError> {
         loop {
-            let Some((time, kind, lane)) = self.queue.head() else {
+            let Some((time, kind)) = self.queue.head() else {
                 return self.drained().map(|()| None);
             };
-            if is_stale(&self.procs, kind, lane) {
+            if is_stale(&self.procs, kind) {
                 self.queue.take(0);
                 continue;
             }
@@ -158,18 +165,17 @@ impl KernelState {
         self.candidates.clear();
         self.candidate_at.clear();
         for (i, seq, lane, kind) in self.queue.instant() {
-            if is_stale(&self.procs, kind, lane) {
+            if is_stale(&self.procs, kind) {
                 continue;
             }
             if lane.is_some() && self.candidates.iter().any(|c| c.lane == lane) {
                 continue;
             }
             let kind = match kind {
-                EventKind::Call(_) | EventKind::Exec(_) | EventKind::Op(_) | EventKind::Data(_) => {
-                    CandidateKind::Call
+                EventKind::Resume(pid, WakeKind::Normal | WakeKind::Killed) => {
+                    CandidateKind::Resume(*pid)
                 }
-                EventKind::Resume(pid, _) => CandidateKind::Resume(*pid),
-                EventKind::LinkFault(_) => CandidateKind::LinkFault,
+                _ => CandidateKind::Call,
             };
             self.candidates.push(Candidate { seq, lane, kind });
             self.candidate_at.push(i);
@@ -239,25 +245,9 @@ impl Shared {
             .push(at.max(now), lane, EventKind::Call(Box::new(f)));
     }
 
-    fn schedule_resume(&self, at: SimTime, pid: Pid, kind: WakeKind) {
-        let mut st = self.state.borrow_mut();
-        let at = at.max(st.now);
-        st.queue
-            .push(at, Some(pid.lane()), EventKind::Resume(pid, kind));
-    }
-
-    /// Schedule the model closure of `pid`'s [`ProcCtx::exec`] call in the
-    /// process's lane. Should the process die first, the call is stale and
-    /// the pop drops it unrun.
-    pub(crate) fn schedule_exec(&self, pid: Pid, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) {
-        let mut st = self.state.borrow_mut();
-        let at = at.max(st.now);
-        st.queue
-            .push(at, Some(pid.lane()), EventKind::Exec(Box::new(f)));
-    }
-
     /// Schedule the op `pid` posted ([`ProcCtx::post_op`]) in the process's
-    /// lane: stale, like an `exec` call, should the process die first.
+    /// lane. Should the process die first, the op is stale and the pop
+    /// drops it unrun.
     pub(crate) fn schedule_op(&self, pid: Pid, at: SimTime) {
         let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
@@ -398,22 +388,7 @@ impl SimCtx {
         if let Some(e) = st.procs.get_mut(pid) {
             e.reply = Some(words);
         }
-        let at = at.max(st.now);
-        st.queue.push(
-            at,
-            Some(pid.lane()),
-            EventKind::Resume(pid, WakeKind::Normal),
-        );
-    }
-
-    /// Wake a parked process now (no-op if it has exited).
-    pub fn resume(&self, pid: Pid) {
-        self.shared.schedule_resume(self.now, pid, WakeKind::Normal);
-    }
-
-    /// Wake a parked process at a future time.
-    pub fn resume_at(&self, pid: Pid, at: SimTime) {
-        self.shared.schedule_resume(at, pid, WakeKind::Normal);
+        st.push_resume(at, pid, WakeKind::Normal);
     }
 
     /// Kill a process: at the kill wake the kernel drops the process's
@@ -435,12 +410,7 @@ impl SimCtx {
                 detail: format!("kill {pid}"),
             });
         }
-        let at = self.now.max(st.now);
-        st.queue.push(
-            at,
-            Some(pid.lane()),
-            EventKind::Resume(pid, WakeKind::Killed),
-        );
+        st.push_resume(self.now, pid, WakeKind::Killed);
     }
 
     /// Is the process still alive (spawned and not yet exited)?
@@ -456,7 +426,7 @@ impl SimCtx {
 
     /// Spawn a new simulated process that starts at time `at`. The body is
     /// an async function of the process's [`ProcCtx`]; its suspension points
-    /// are the kernel interactions ([`ProcCtx::exec`] and the sleep
+    /// are the kernel interactions ([`ProcCtx::post_op`] and the sleep
     /// helpers).
     pub fn spawn_at<F, Fut>(&self, at: SimTime, name: impl Into<String>, f: F) -> Pid
     where
@@ -528,11 +498,7 @@ where
             reply: None,
         },
     );
-    st.queue.push(
-        start_at.max(now),
-        Some(pid.lane()),
-        EventKind::Resume(pid, WakeKind::Normal),
-    );
+    st.push_resume(start_at, pid, WakeKind::Normal);
     pid
 }
 
@@ -667,20 +633,19 @@ impl Sim {
     }
 
     /// Schedule a network-fault transition (link down / degrade / restore,
-    /// partition start / heal) before the run starts. Fault transitions race
-    /// with every flow chunk and retry probe touching the same link, so a
-    /// tiebreak `lane` is mandatory: same-lane same-time events keep their
-    /// scheduling order under any schedule policy.
+    /// partition start / heal) before the run starts: a model closure, like
+    /// [`Sim::schedule`]. Fault transitions race with every flow chunk and
+    /// retry probe touching the same link, so the tiebreak `lane` is a
+    /// plain `u64`, not an option: no fault transition can be scheduled
+    /// laneless, and same-lane same-time events keep their scheduling order
+    /// under any schedule policy.
     pub fn schedule_link_fault(
         &mut self,
         at: SimTime,
         lane: u64,
         f: impl FnOnce(&SimCtx) + 'static,
     ) {
-        let mut st = self.shared.state.borrow_mut();
-        let at = at.max(st.now);
-        st.queue
-            .push(at, Some(lane), EventKind::LinkFault(Box::new(f)));
+        self.shared.schedule_call(at, Some(lane), f);
     }
 
     /// Drive the event loop to completion.
@@ -739,7 +704,7 @@ impl Sim {
                 ev
             };
             match ev.kind {
-                EventKind::Call(f) | EventKind::Exec(f) | EventKind::LinkFault(f) => {
+                EventKind::Call(f) => {
                     let sc = SimCtx {
                         shared: Rc::clone(&self.shared),
                         now: ev.time,
@@ -772,10 +737,11 @@ impl Sim {
 
     /// Step a process: deposit the wake and poll its state machine inline.
     /// The machine is taken out of the table and polled with the state
-    /// released — polling reenters the kernel (`exec` schedules its Exec
+    /// released — polling reenters the kernel (`post_op` schedules its Op
     /// event). A kill wake never reaches the machine: killing is a state
     /// transition in which the kernel drops the machine (running its Drop
-    /// impls) and records the exit.
+    /// impls) and records the exit. Nor does a sleep's call: the kernel
+    /// answers it with a wake at the same instant, in the same lane.
     fn drive_coro(&self, pid: Pid, kind: WakeKind, now: SimTime) -> Option<SimError> {
         enum Step {
             Start(EmbryoFn, ProcCtx),
@@ -783,7 +749,8 @@ impl Sim {
         }
         let step = {
             let mut st = self.shared.state.borrow_mut();
-            // One executed event per delivered wake (a kill counts 1).
+            // One executed event per delivered wake (a kill or a sleep's
+            // call counts 1).
             st.executed += 1;
             let e = st.procs.get_mut(pid)?;
             if !e.alive {
@@ -796,6 +763,11 @@ impl Sim {
                 drop(st);
                 drop(body);
                 return self.record_exit(pid, now, ProcessExit::Killed);
+            }
+            if kind == WakeKind::Sleep {
+                e.reply = Some(().to_words());
+                st.push_resume(now, pid, WakeKind::Normal);
+                return None;
             }
             match std::mem::replace(&mut e.body, ProcBody::Running) {
                 ProcBody::Embryo(factory) => {

@@ -16,10 +16,11 @@
 //!
 //! Simulated computation is free: [`ProcCtx::advance`] only bumps the
 //! process-local clock. The kernel is involved only when a process interacts
-//! with shared model state through [`ProcCtx::exec`], which schedules a
-//! closure *at the process's local time* and suspends the state machine until
-//! the model wakes it through a [`Reply`]. This keeps event counts
-//! proportional to communication operations, not compute phases.
+//! with shared model state through [`ProcCtx::post_op`], which schedules its
+//! op *at the process's local time* and suspends the state machine until
+//! the model wakes it through a [`Reply`], or when it waits for the kernel
+//! clock to catch up ([`ProcCtx::sleep_until_local`]). This keeps event
+//! counts proportional to communication operations, not compute phases.
 //!
 //! # Events as data
 //!
@@ -28,7 +29,8 @@
 //! ([`SimCtx::schedule_data`]), and both reach the one handler the model
 //! installs per run ([`Sim::set_data_handler`]) as a [`DataEvent`]. A reply
 //! is two words kept in the process table ([`ReplyWords`]), so neither
-//! direction allocates. Boxed closures remain for rare control events.
+//! direction allocates. Boxed closures remain for rare control events, and
+//! a sleep is answered by the kernel itself.
 //!
 //! # Failure injection
 //!
@@ -37,7 +39,7 @@
 //! transition that runs the machine's destructors, mirroring the "task killed
 //! by the operating system" failure model of the paper this workspace
 //! reproduces. The process's pending events die with it: its next wake and
-//! the model call of the `exec` it was suspended in are dropped unrun.
+//! the op or sleep it was suspended in are dropped unrun.
 //!
 //! # Example
 //!

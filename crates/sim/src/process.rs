@@ -2,8 +2,8 @@
 //!
 //! A simulated process is an `async` body compiled by rustc into an
 //! enum-encoded state machine with one suspension point per kernel
-//! interaction ([`ProcCtx::exec`] and the sleep helpers built on it). The
-//! kernel owns the machine and steps it inline from the event loop: a
+//! interaction ([`ProcCtx::post_op`] and the sleep helpers). The kernel
+//! owns the machine and steps it inline from the event loop: a
 //! Resume event is a direct `poll` call on the scheduler's own thread — no
 //! OS thread, no lock, no execution token. Exactly one machine steps at a
 //! time, so model state never sees concurrent access and every shared
@@ -16,8 +16,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::kernel::{Shared, SimCtx};
-use crate::reply::{Reply, ReplyWords};
+use crate::kernel::Shared;
+use crate::reply::ReplyWords;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process. Never reused within a simulation.
@@ -64,6 +64,9 @@ pub enum ProcessExit {
 pub(crate) enum WakeKind {
     Normal,
     Killed,
+    /// The call of a [`ProcCtx::sleep_until_local`], offered to a policy as
+    /// a call; the kernel answers it with a `Normal` wake at once.
+    Sleep,
 }
 
 /// What the drive loop hands a resumed process: the kernel time of the
@@ -91,8 +94,9 @@ impl Future for Suspend<'_> {
 /// Per-process handle given to the process body.
 ///
 /// Carries the *lazy local clock*: [`advance`](ProcCtx::advance) models
-/// computation without kernel interaction, while [`exec`](ProcCtx::exec)
-/// synchronizes with the kernel at the process's local time.
+/// computation without kernel interaction, while
+/// [`post_op`](ProcCtx::post_op) and the sleep helpers synchronize with the
+/// kernel at the process's local time.
 pub struct ProcCtx {
     pub(crate) pid: Pid,
     pub(crate) name: Rc<str>,
@@ -121,36 +125,20 @@ impl ProcCtx {
         self.local_time += d;
     }
 
-    /// Schedule `f` on the kernel at this process's local time and suspend
-    /// until the model completes the [`Reply`]. Returns the reply value; the
-    /// local clock is advanced to the completion time.
+    /// Post this process's op at its local time and suspend until the
+    /// model completes the [`Reply`](crate::Reply). Returns the reply
+    /// value; the local clock is advanced to the completion time. The model
+    /// keeps the op's arguments itself, keyed by this process's pid, and
+    /// the op event reaches the run's data handler
+    /// ([`Sim::set_data_handler`](crate::Sim::set_data_handler)) as
+    /// [`DataEvent::Op`](crate::DataEvent::Op), in this process's lane. The
+    /// op event is dropped unrun if the process dies first.
     ///
-    /// `f` must either call [`Reply::complete`] (or a variant) before
-    /// returning, or stash the reply in model state so that a later event
+    /// The handler must either complete
+    /// [`Reply::new(pid)`](crate::Reply::new) (or a variant) before
+    /// returning, or keep the reply in model state so that a later event
     /// completes it. Waking a process without filling its reply is a model
     /// bug and panics.
-    ///
-    /// The closure is boxed once per call. Hot model paths post their
-    /// operations as data instead ([`ProcCtx::post_op`]).
-    pub async fn exec<R, F>(&mut self, f: F) -> R
-    where
-        R: ReplyWords,
-        F: FnOnce(&SimCtx, Reply<R>) + 'static,
-    {
-        let reply = Reply::new(self.pid);
-        self.shared
-            .schedule_exec(self.pid, self.local_time, move |sc| f(sc, reply));
-        self.suspend().await
-    }
-
-    /// Post this process's op at its local time and suspend until the
-    /// model completes the [`Reply`]: `exec` with the request as data. The
-    /// model keeps the op's arguments itself, keyed by this process's pid,
-    /// and the op event reaches the run's data handler
-    /// ([`Sim::set_data_handler`](crate::Sim::set_data_handler)) as
-    /// [`DataEvent::Op`](crate::DataEvent::Op), in this process's lane.
-    /// Like an `exec` call, the op event is dropped unrun if the process
-    /// dies first.
     pub async fn post_op<R: ReplyWords>(&mut self) -> R {
         self.shared.schedule_op(self.pid, self.local_time);
         self.suspend().await
@@ -174,9 +162,16 @@ impl ProcCtx {
     /// Suspend until the kernel clock catches up with the local clock.
     ///
     /// Useful to make locally-accumulated compute time observable (e.g. at
-    /// the end of a process, or before reading shared state).
+    /// the end of a process, or before reading shared state). The kernel
+    /// answers the sleep itself, so it needs no data handler: one call in
+    /// this process's lane at its local time, dropped unrun if the process
+    /// dies first, then the wake.
     pub async fn sleep_until_local(&mut self) {
-        self.exec::<(), _>(|sc, reply| reply.complete(sc, ())).await
+        {
+            let mut st = self.shared.state.borrow_mut();
+            st.push_resume(self.local_time, self.pid, WakeKind::Sleep);
+        }
+        self.suspend().await
     }
 
     /// Advance the local clock by `d` and synchronize with the kernel:

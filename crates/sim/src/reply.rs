@@ -1,11 +1,11 @@
 //! Replies: how model code hands a parked process the result it waits for.
 //!
-//! A process has at most one kernel interaction outstanding — an
-//! [`exec`](crate::ProcCtx::exec) call or a posted op
-//! ([`post_op`](crate::ProcCtx::post_op)) — so its reply needs one place
-//! to wait, and that place is the process's entry in the kernel's process
-//! table: two words, filled by [`Reply::complete`] and handed to the
-//! process with the wake that resumes it. A [`Reply<R>`] is therefore just
+//! A process has at most one kernel interaction outstanding — a posted op
+//! ([`post_op`](crate::ProcCtx::post_op)) or a sleep — so its reply needs
+//! one place to wait, and that place is the process's entry in the kernel's
+//! process table: two words, filled by [`Reply::complete`] (or by the
+//! kernel, for a sleep) and handed to the process with the wake that
+//! resumes it. A [`Reply<R>`] is therefore just
 //! the pid and a type marker, and any `R` that packs into two words
 //! ([`ReplyWords`]) can be a reply; nothing is allocated per call.
 
@@ -50,10 +50,10 @@ impl ReplyWords for u64 {
     }
 }
 
-/// The write-half of a pending [`ProcCtx::exec`](crate::ProcCtx::exec) call
-/// or posted op.
+/// The write-half of a pending posted op
+/// ([`ProcCtx::post_op`](crate::ProcCtx::post_op)).
 ///
-/// Model code receives a `Reply<R>` together with the request. It must
+/// Model code makes a `Reply<R>` for the request it handles. It must
 /// eventually call [`complete`](Reply::complete) (immediately or from a later
 /// event) to deliver the result and wake the process. Dropping a `Reply`
 /// without completing it leaves the process parked forever — the kernel
@@ -66,10 +66,9 @@ pub struct Reply<R> {
 }
 
 impl<R: ReplyWords> Reply<R> {
-    /// The reply to `pid`'s outstanding interaction. `exec` makes it for
-    /// its closure; the handler of a posted op makes it from the pid the
-    /// [`DataEvent::Op`](crate::DataEvent::Op) names. `R` must be the type
-    /// the process waits for.
+    /// The reply to `pid`'s posted op: the op's handler makes it from the
+    /// pid the [`DataEvent::Op`](crate::DataEvent::Op) names. `R` must be
+    /// the type the process waits for.
     pub fn new(pid: Pid) -> Self {
         Reply {
             pid,

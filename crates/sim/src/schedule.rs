@@ -24,6 +24,11 @@
 //! takes choice 0, the instant's least-`seq` live event, and builds no
 //! candidates and records nothing, so an ordinary run follows exactly the
 //! schedule of a policy that always answers 0.
+//!
+//! The seeded randomness of the workspace lives here too: [`splitmix64`],
+//! and the [`StdRng`] generator seeded through it.
+
+use std::ops::Range;
 
 use crate::process::Pid;
 use crate::time::SimTime;
@@ -31,12 +36,11 @@ use crate::time::SimTime;
 /// What kind of schedulable unit a candidate is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CandidateKind {
-    /// A model closure (`Call` event).
+    /// Anything but a wake: a model closure (network-fault transitions
+    /// included), a posted op, a data event, or a sleep's call.
     Call,
-    /// A token handoff waking the given process.
+    /// A wake (or kill) of the given process.
     Resume(Pid),
-    /// A scheduled network-fault transition.
-    LinkFault,
 }
 
 /// One schedulable unit offered to a [`SchedulePolicy`].
@@ -134,6 +138,68 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The workspace's seeded generator, xoshiro256++ with its state four
+/// [`splitmix64`] steps from the seed. The failure plans' random kills and
+/// the storm and miner campaigns draw from it; the storm goldens pin it.
+#[derive(Debug, Clone)]
+pub struct StdRng([u64; 4]);
+
+impl StdRng {
+    /// A generator seeded from `seed`.
+    pub fn seed_from_u64(mut seed: u64) -> StdRng {
+        StdRng(std::array::from_fn(|_| splitmix64(&mut seed)))
+    }
+
+    /// The next 64 random bits: one xoshiro256++ step.
+    fn next_u64(&mut self) -> u64 {
+        let [a, b, c, d] = self.0;
+        let out = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
+        let (c, d) = (c ^ a, d ^ b);
+        self.0 = [a ^ d, b ^ c, c ^ (b << 17), d.rotate_left(45)];
+        out
+    }
+
+    /// A uniform sample from the half-open `range`, which must not be
+    /// empty.
+    pub fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T {
+        assert!(range.start < range.end, "gen_range on empty range");
+        T::sample(self.next_u64(), range)
+    }
+
+    /// `true` with probability `p`.
+    pub fn gen_bool(&mut self, p: f64) -> bool {
+        self.gen_range(0.0..1.0) < p
+    }
+}
+
+/// A type [`StdRng::gen_range`] draws, from 64 random bits.
+pub trait SampleUniform: PartialOrd + Sized {
+    /// The value `bits` picks in the non-empty `range`.
+    fn sample(bits: u64, range: Range<Self>) -> Self;
+}
+
+macro_rules! sample_int {
+    ($($t:ty),*) => {$(
+        impl SampleUniform for $t {
+            fn sample(bits: u64, range: Range<Self>) -> Self {
+                // Modulo bias below 2^-32: every span drawn is far below 2^32.
+                let span = (range.end as i128 - range.start as i128) as u64;
+                range.start.wrapping_add((bits % span) as $t)
+            }
+        }
+    )*};
+}
+
+sample_int!(u32, u64, usize, i64);
+
+impl SampleUniform for f64 {
+    fn sample(bits: u64, range: Range<Self>) -> Self {
+        // 53 uniform mantissa bits in [0, 1).
+        let unit = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        range.start + (range.end - range.start) * unit
+    }
+}
+
 /// Policy that runs a seeded permutation of each tied instant: the
 /// candidate with the least `(splitmix64(seed ^ lane), seq)`, a laneless
 /// event standing in its own lane `seq`. Every event of a lane shares one
@@ -188,5 +254,40 @@ mod tests {
         // explorer detects that via fingerprints, not via a crash).
         let mut q = PrescribedPolicy::new(vec![9]);
         assert_eq!(q.choose(SimTime::ZERO, &cs[..2]), 1);
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = StdRng::seed_from_u64(7);
+        for _ in 0..100 {
+            assert_eq!(a.gen_range(0u64..1_000_000), b.gen_range(0u64..1_000_000));
+        }
+        let mut c = StdRng::seed_from_u64(8);
+        let same: Vec<u64> = (0..20).map(|_| c.gen_range(0u64..1_000_000)).collect();
+        let mut a2 = StdRng::seed_from_u64(7);
+        let other: Vec<u64> = (0..20).map(|_| a2.gen_range(0u64..1_000_000)).collect();
+        assert_ne!(same, other);
+    }
+
+    #[test]
+    fn ranges_are_respected() {
+        let mut r = StdRng::seed_from_u64(1);
+        for _ in 0..10_000 {
+            let x = r.gen_range(3usize..17);
+            assert!((3..17).contains(&x));
+            let f = r.gen_range(0.25f64..0.75);
+            assert!((0.25..0.75).contains(&f));
+            let i = r.gen_range(-5i64..5);
+            assert!((-5..5).contains(&i));
+        }
+    }
+
+    #[test]
+    fn f64_is_roughly_uniform() {
+        let mut r = StdRng::seed_from_u64(99);
+        let n = 100_000;
+        let mean: f64 = (0..n).map(|_| r.gen_range(0.0f64..1.0)).sum::<f64>() / n as f64;
+        assert!((0.49..0.51).contains(&mean), "mean {mean}");
     }
 }

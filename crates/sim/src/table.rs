@@ -2,7 +2,7 @@
 //!
 //! [`Pid`]s are sequential `u64`s allocated by the kernel and never reused,
 //! so the table is a plain `Vec` indexed by pid: O(1) lookup with no
-//! hashing on the kernel hot path (every resume, kill and exec does at
+//! hashing on the kernel hot path (every resume, kill and op does at
 //! least one lookup). Entries are never removed — a dead process keeps its
 //! slot (marked dead by the kernel) so stale pids still resolve and report
 //! not-alive instead of aliasing a later process.

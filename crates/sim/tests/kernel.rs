@@ -42,7 +42,7 @@ fn lazy_compute_advances_virtual_time_without_events() {
     });
     let report = sim.run().unwrap();
     assert_eq!(report.final_time, SimTime::from_nanos(100_000_000_000));
-    // Spawn resume + one exec round-trip: compute itself cost no events.
+    // Spawn resume + one sleep round-trip: compute itself cost no events.
     assert!(
         report.events_executed <= 4,
         "got {}",
@@ -77,6 +77,14 @@ fn sleep_interleaves_processes_deterministically() {
     assert_eq!(got, expect);
 }
 
+/// The pid of a posted op: every data event in these tests is one.
+fn op_pid(ev: DataEvent) -> ftmpi_sim::Pid {
+    let DataEvent::Op(pid) = ev else {
+        panic!("unexpected data event {ev:?}");
+    };
+    pid
+}
+
 /// A tiny one-slot mailbox model: demonstrates (and tests) the
 /// suspend/Reply/complete protocol between processes and model state.
 #[derive(Default)]
@@ -91,17 +99,17 @@ fn reply_wakes_parked_process_with_value() {
     let mbox: Rc<RefCell<Mailbox>> = Rc::new(RefCell::new(Mailbox::default()));
 
     let mb = Rc::clone(&mbox);
+    sim.set_data_handler(move |sc, ev| {
+        let reply = Reply::new(op_pid(ev));
+        let mut m = mb.borrow_mut();
+        if let Some(v) = m.value.take() {
+            reply.complete(sc, v);
+        } else {
+            m.waiter = Some(reply);
+        }
+    });
     sim.spawn("receiver", move |mut ctx| async move {
-        let got = ctx
-            .exec::<u64, _>(move |sc, reply| {
-                let mut m = mb.borrow_mut();
-                if let Some(v) = m.value.take() {
-                    reply.complete(sc, v);
-                } else {
-                    m.waiter = Some(reply);
-                }
-            })
-            .await;
+        let got: u64 = ctx.post_op().await;
         assert_eq!(got, 42);
         assert_eq!(ctx.now(), SimTime::from_nanos(7));
     });
@@ -126,13 +134,12 @@ fn reply_wakes_parked_process_with_value() {
 #[test]
 fn complete_at_delays_the_wake() {
     let mut sim = Sim::new();
+    sim.set_data_handler(|sc, ev| {
+        let at = sc.now() + SimDuration::from_secs(9);
+        Reply::<u32>::new(op_pid(ev)).complete_at(sc, at, 5);
+    });
     sim.spawn("sleeper", |mut ctx| async move {
-        let v = ctx
-            .exec::<u32, _>(|sc, reply| {
-                let at = sc.now() + SimDuration::from_secs(9);
-                reply.complete_at(sc, at, 5);
-            })
-            .await;
+        let v: u32 = ctx.post_op().await;
         assert_eq!(v, 5);
         assert_eq!(ctx.now().as_secs_f64(), 9.0);
     });
@@ -190,12 +197,10 @@ fn process_panic_surfaces_as_error() {
 #[test]
 fn unwakeable_process_is_reported_as_deadlock() {
     let mut sim = Sim::new();
+    // Suspend with a reply nobody will ever complete: the handler drops it.
+    sim.set_data_handler(|_sc, _ev| {});
     sim.spawn("stuck", |mut ctx| async move {
-        // Suspend with a reply nobody will ever complete.
-        ctx.exec::<(), _>(|_sc, _reply| {
-            // drop the reply
-        })
-        .await;
+        ctx.post_op::<()>().await;
     });
     match sim.run() {
         Err(SimError::Deadlock(info)) => {
@@ -436,11 +441,17 @@ fn stale_wake_past_the_horizon_is_dropped_under_a_policy_too() {
         }
         sim.set_max_time(SimTime::from_nanos(50));
         let sleeper = sim.spawn("sleeper", |mut ctx| async move {
-            ctx.exec::<(), _>(|sc, reply| reply.complete_at(sc, SimTime::from_nanos(100), ()))
-                .await;
+            ctx.post_op::<()>().await;
         });
         sim.spawn("stuck", |mut ctx| async move {
-            ctx.exec::<(), _>(|_sc, _reply| {}).await;
+            ctx.post_op::<()>().await;
+        });
+        // The sleeper's op is answered at t=100; the stuck one's never.
+        sim.set_data_handler(move |sc, ev| {
+            let pid = op_pid(ev);
+            if pid == sleeper {
+                Reply::new(pid).complete_at(sc, SimTime::from_nanos(100), ());
+            }
         });
         sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(sleeper));
         sim.run()
@@ -569,9 +580,9 @@ fn same_time_wake_then_kill_delivers_the_wake_first() {
     assert_eq!(report.final_time, SimTime::from_nanos(5_000_000_000));
 }
 
-/// Drive one mixed workload (sleep chains, reply-completed execs, a kill at
-/// a degenerate instant) and compare every observable of the run report
-/// with the values the former thread-per-rank backend also produced.
+/// Drive one mixed workload (sleep chains, a kill at a degenerate instant)
+/// and compare every observable of the run report with the values the
+/// former thread-per-rank backend also produced.
 #[test]
 fn mixed_workload_report_matches_recorded_values() {
     fn run() -> (u64, u64, Vec<(String, ProcessExit)>, usize) {
@@ -633,52 +644,10 @@ fn policies() -> [(&'static str, Option<Box<dyn SchedulePolicy>>); 3] {
     ]
 }
 
-/// Kill delivered while the process is suspended mid-`exec` (its model call
-/// already queued but not yet run): the pending call is stale and dropped
-/// unrun, without advancing the clock, and the exit is recorded at the
-/// kill instant — under any schedule policy.
-#[test]
-fn kill_during_suspension_cancels_pending_exec() {
-    fn run(policy: Option<Box<dyn SchedulePolicy>>) -> (u64, u64, bool) {
-        let mut sim = Sim::new();
-        if let Some(p) = policy {
-            sim.set_schedule_policy(p);
-        }
-        let side_effect = sim.shared_flag();
-        let fx = side_effect.clone();
-        let victim = sim.spawn("victim", move |mut ctx| async move {
-            // Suspend on an exec whose model call runs far in the future;
-            // the kill arrives first, so the call must never run.
-            ctx.advance(SimDuration::from_secs(100));
-            ctx.exec::<(), _>(move |sc, reply| {
-                fx.set();
-                reply.complete(sc, ());
-            })
-            .await;
-        });
-        sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(victim));
-        let report = sim.run().unwrap();
-        let killed = report
-            .exits
-            .iter()
-            .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed);
-        assert!(killed);
-        (
-            report.final_time.as_nanos(),
-            report.events_executed,
-            side_effect.get(),
-        )
-    }
-    for (label, policy) in policies() {
-        let (final_ns, events, side_effect) = run(policy);
-        assert!(!side_effect, "{label}: a dead process's call must not run");
-        assert_eq!((final_ns, events), (10, 3), "{label}");
-    }
-}
-
-/// The posted-op form of the test above: a process killed while its op
-/// event is pending never has the op run. The op event is dropped as stale,
-/// uncounted and without advancing the clock, under any schedule policy.
+/// Kill delivered while the process is suspended on a posted op (its op
+/// event already queued but not yet run): the op is never run. The op event
+/// is dropped as stale, uncounted and without advancing the clock, and the
+/// exit is recorded at the kill instant — under any schedule policy.
 #[test]
 fn kill_during_suspension_drops_the_pending_op() {
     fn run(policy: Option<Box<dyn SchedulePolicy>>) -> (u64, u64, bool) {
@@ -808,10 +777,10 @@ fn a_data_event_without_a_handler_panics() {
     let _ = sim.run();
 }
 
-/// A dead process's pending call tied with live events is skipped while
-/// it sits behind the head and dropped once it reaches the front: no
-/// policy is ever offered it, and it never runs. A live process's call at
-/// the same instant is offered as a `Call`.
+/// A dead process's pending op tied with live events is skipped while it
+/// sits behind the head and dropped once it reaches the front: no policy is
+/// ever offered it, and it never runs. A live process's sleep call at the
+/// same instant is offered as a `Call`.
 #[test]
 fn a_dead_processs_call_behind_the_head_is_never_a_candidate() {
     for (label, policy) in policies() {
@@ -823,24 +792,26 @@ fn a_dead_processs_call_behind_the_head_is_never_a_candidate() {
         let t = SimTime::from_nanos(20);
         let ran = sim.shared_flag();
         let r = ran.clone();
+        sim.set_data_handler(move |_sc, _ev| r.set());
         let victim = sim.spawn("victim", move |mut ctx| async move {
             ctx.advance(SimDuration::from_nanos(20));
-            ctx.exec::<(), _>(move |_sc, _reply| r.set()).await;
+            ctx.post_op::<()>().await;
         });
         let peer = sim.spawn("peer", |mut ctx| async move {
             ctx.advance(SimDuration::from_nanos(20));
             ctx.sleep_until_local().await;
         });
-        // Two laneless calls at t=20 are queued ahead of both exec calls.
+        // Two laneless calls at t=20 are queued ahead of the victim's op
+        // and the peer's sleep call.
         for _ in 0..2 {
             sim.schedule(t, |_sc| {});
         }
         sim.schedule(SimTime::from_nanos(10), move |sc| sc.kill(victim));
         let report = sim.run().unwrap();
-        assert!(!ran.get(), "{label}: a dead process's call must not run");
+        assert!(!ran.get(), "{label}: a dead process's op must not run");
         assert_eq!(report.final_time, t, "{label}");
         // Two starts, the kill's call and wake, two calls, the peer's
-        // exec and its wake: the dead process's call is not counted.
+        // sleep call and its wake: the dead process's op is not counted.
         assert_eq!(report.events_executed, 8, "{label}");
         let offered: Vec<_> = report
             .decisions
@@ -850,14 +821,14 @@ fn a_dead_processs_call_behind_the_head_is_never_a_candidate() {
             .collect();
         assert!(
             offered.iter().all(|c| c.lane != Some(victim.lane())),
-            "{label}: the dead process's call was offered"
+            "{label}: the dead process's op was offered"
         );
         if with_policy {
             assert!(
                 offered
                     .iter()
                     .any(|c| c.lane == Some(peer.lane()) && c.kind == CandidateKind::Call),
-                "{label}: the live process's call was not offered as a Call"
+                "{label}: the live process's sleep was not offered as a Call"
             );
         }
     }
@@ -869,10 +840,11 @@ fn a_dead_processs_call_behind_the_head_is_never_a_candidate() {
 fn teardown_kills_parked_processes_lowest_pid_first() {
     let mut sim = Sim::new();
     sim.set_max_time(SimTime::from_nanos(50));
+    sim.set_data_handler(|_sc, _ev| {});
     let pids: Vec<_> = (0..6)
         .map(|i| {
             sim.spawn(format!("parked{i}"), |mut ctx| async move {
-                ctx.exec::<(), _>(|_sc, _reply| {}).await;
+                ctx.post_op::<()>().await;
             })
         })
         .collect();

@@ -24,6 +24,15 @@ cargo test -q --workspace
 echo "==> ftmpi-check lint"
 cargo run -q --release -p ftmpi-check -- lint
 
+echo "==> examples (the public API's end-to-end users: all four must run)"
+for ex in nas_cluster protocol_comparison grid_failures; do
+    cargo run -q --release --example "$ex"
+done
+# quickstart's verdict line is checked, not just its exit status.
+QUICKSTART_LAST="$(cargo run -q --release --example quickstart | tail -n 1)"
+test "$QUICKSTART_LAST" = \
+    "The job lost less than one checkpoint period of work and completed."
+
 DIFF_TMP="${TMPDIR:-/tmp}/ftmpi-ci-storm-$$"
 rm -rf "$DIFF_TMP"
 mkdir -p "$DIFF_TMP"

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use ftmpi_bench::SweepRunner;
 
 use ftmpi::ft::{run_job, FailurePlan, FtConfig, JobSpec, Platform, ProtocolChoice};
-use ftmpi::nas::{bt, cg, ftb, lu, mg, synth, Machine, NasClass};
+use ftmpi::nas::{bt, cg, synth, Machine, NasClass};
 use ftmpi::net::{LinkConfig, SoftwareStack};
 use ftmpi::sim::{SimDuration, SimTime};
 
@@ -68,30 +68,6 @@ fn cg_runs_under_all_protocols() {
         assert_eq!(res.leftover_unexpected, 0);
         assert_eq!(res.leftover_posted, 0);
     }
-}
-
-#[test]
-fn extra_nas_kernels_complete() {
-    let m = machine();
-    let workloads = vec![
-        lu::workload(NasClass::S, 6, m),
-        mg::workload(NasClass::S, 4, m),
-        ftb::workload(NasClass::S, 4, m),
-    ];
-    let names: Vec<String> = workloads.iter().map(|wl| wl.name.clone()).collect();
-    let mut runner = SweepRunner::new(workloads.len());
-    for wl in workloads {
-        let spec = spec_for(&wl, wl_nranks(&wl.name), ProtocolChoice::Pcl, 0.5);
-        runner.add(wl.name.clone(), move || spec);
-    }
-    for (name, result) in names.into_iter().zip(runner.run()) {
-        let res = result.unwrap_or_else(|e| panic!("{name} failed: {e}"));
-        assert_eq!(res.leftover_unexpected, 0, "{name}");
-    }
-}
-
-fn wl_nranks(name: &str) -> usize {
-    name.rsplit('.').next().unwrap().parse().unwrap()
 }
 
 #[test]

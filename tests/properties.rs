@@ -13,12 +13,10 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use ftmpi::ft::{run_job, FailurePlan, FtConfig, JobSpec, ProtocolChoice};
 use ftmpi::mpi::{app_fn, AppFn};
 use ftmpi::net::{LinkConfig, NetModel, NodeId, Topology};
+use ftmpi::sim::schedule::StdRng;
 use ftmpi::sim::{Sim, SimDuration, SimTime};
 
 /// Ring workload used by the recovery properties.
