@@ -40,7 +40,7 @@ pub fn run(args: &HarnessArgs, cache: &Arc<MemoCache>) {
         let wl = bt_workload(NasClass::B, 400);
         let mut spec = grid_spec(&wl, 400, ProtocolChoice::Vcl, period);
         spec.stack = None;
-        runner.add("fig10/vcl-limit", move || spec);
+        runner.add("fig10/vcl-limit", spec);
     }
     for &n in sizes {
         let wl = bt_workload(NasClass::B, n);

@@ -61,9 +61,10 @@ fn fnv128(bytes: &[u8], (mut a, mut b): (u64, u64)) -> (u64, u64) {
 /// The starting state of [`fnv128`].
 const FNV_BASES: (u64, u64) = (0xcbf2_9ce4_8422_2325, 0x8422_2325_cbf2_9ce4);
 
-fn key_hash(key: &str) -> String {
+/// The disk entry file name of `key`: `r-` and its 128-bit hash.
+fn entry_name(key: &str) -> String {
     let (a, b) = fnv128(key.as_bytes(), FNV_BASES);
-    format!("{a:016x}{b:016x}")
+    format!("r-{a:016x}{b:016x}")
 }
 
 /// The first line of every disk entry: a 128-bit digest of the running
@@ -93,23 +94,16 @@ fn code_identity() -> Option<&'static str> {
         .as_deref()
 }
 
-/// One disk entry: the `exe=` code-identity line, then `kind=`, `key=` and
-/// `len=` lines, then exactly `len` payload bytes.
-struct Entry<'a> {
-    kind: &'a str,
-    key: &'a str,
-    payload: &'a str,
-}
-
-/// Parse one entry file written by the executable `identity` names. `None`
-/// for anything else — truncated, bit-flipped, or another binary's —
-/// tells the caller to delete the file.
-fn parse_entry<'a>(text: &'a str, identity: &str) -> Option<Entry<'a>> {
-    let rest = text.strip_prefix(identity)?.strip_prefix("\nkind=")?;
-    let (kind, rest) = rest.split_once("\nkey=")?;
+/// Parse one entry file written by the executable `identity` names: the
+/// `exe=` code-identity line, then `key=` and `len=` lines, then exactly
+/// `len` payload bytes. Returns `(key, payload)`; `None` for anything
+/// else — truncated, bit-flipped, or another binary's — tells the caller
+/// to delete the file.
+fn parse_entry<'a>(text: &'a str, identity: &str) -> Option<(&'a str, &'a str)> {
+    let rest = text.strip_prefix(identity)?.strip_prefix("\nkey=")?;
     let (key, rest) = rest.split_once("\nlen=")?;
     let (len, payload) = rest.split_once('\n')?;
-    (len.parse::<usize>().ok()? == payload.len()).then_some(Entry { kind, key, payload })
+    (len.parse::<usize>().ok()? == payload.len()).then_some((key, payload))
 }
 
 /// Cross-sweep memoization of successful job results.
@@ -126,16 +120,9 @@ fn parse_entry<'a>(text: &'a str, identity: &str) -> Option<Entry<'a>> {
 /// complete entries; anything that fails validation — truncated,
 /// bit-flipped, written by another build — is deleted and recomputed,
 /// never an error.
-///
-/// A second namespace of free-form *blobs* ([`MemoCache::get_blob`] /
-/// [`MemoCache::put_blob`]) serves sweeps whose product is not a
-/// [`JobResult`] — e.g. the NetPIPE harness caches its sample series, which
-/// a plain result memo could not capture (the samples live in a side
-/// channel filled during the run).
 #[derive(Default)]
 pub struct MemoCache {
     map: Mutex<HashMap<String, JobResult>>,
-    blobs: Mutex<HashMap<String, String>>,
     disk: Option<PathBuf>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -164,7 +151,7 @@ impl MemoCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(r);
         }
-        if let Some(payload) = self.load_disk("r", key) {
+        if let Some(payload) = self.load_disk(key) {
             match JobResult::decode(&payload) {
                 Some(result) => {
                     self.map
@@ -175,7 +162,7 @@ impl MemoCache {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return Some(result);
                 }
-                None => self.discard_disk("r", key),
+                None => self.discard_disk(key),
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -185,68 +172,41 @@ impl MemoCache {
     /// Store a successful result under its fingerprint (and on disk, for
     /// persistent caches).
     pub fn put(&self, key: String, result: JobResult) {
-        self.store_disk("r", &key, &result.encode());
+        self.store_disk(&key, &result.encode());
         self.map.lock().unwrap().insert(key, result);
     }
 
-    /// Look up a free-form blob (see the type docs), counting the hit/miss.
-    pub fn get_blob(&self, key: &str) -> Option<String> {
-        if let Some(b) = self.blobs.lock().unwrap().get(key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(b);
-        }
-        if let Some(payload) = self.load_disk("b", key) {
-            self.blobs
-                .lock()
-                .unwrap()
-                .insert(key.to_string(), payload.clone());
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(payload);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Store a free-form blob under a fingerprint-style key.
-    pub fn put_blob(&self, key: String, payload: String) {
-        self.store_disk("b", &key, &payload);
-        self.blobs.lock().unwrap().insert(key, payload);
-    }
-
-    fn cache_path(&self, kind: &str, key: &str) -> Option<PathBuf> {
-        self.disk
-            .as_ref()
-            .map(|dir| dir.join(format!("{kind}-{}", key_hash(key))))
+    fn cache_path(&self, key: &str) -> Option<PathBuf> {
+        self.disk.as_ref().map(|dir| dir.join(entry_name(key)))
     }
 
     /// Read and validate one disk entry; invalid entries are deleted.
-    fn load_disk(&self, kind: &str, key: &str) -> Option<String> {
-        let path = self.cache_path(kind, key)?;
+    fn load_disk(&self, key: &str) -> Option<String> {
+        let path = self.cache_path(key)?;
         let identity = code_identity()?;
         let text = std::fs::read_to_string(&path).ok()?;
         let payload = parse_entry(&text, identity)
-            .filter(|e| e.kind == kind && e.key == key)
-            .map(|e| e.payload.to_string());
+            .filter(|&(k, _)| k == key)
+            .map(|(_, payload)| payload.to_string());
         if payload.is_none() {
             let _ = std::fs::remove_file(&path);
         }
         payload
     }
 
-    fn discard_disk(&self, kind: &str, key: &str) {
-        if let Some(path) = self.cache_path(kind, key) {
+    fn discard_disk(&self, key: &str) {
+        if let Some(path) = self.cache_path(key) {
             let _ = std::fs::remove_file(path);
         }
     }
 
     /// Best-effort atomic write: failures (full disk, bad permissions) just
     /// mean the entry stays memory-only.
-    fn store_disk(&self, kind: &str, key: &str, payload: &str) {
+    fn store_disk(&self, key: &str, payload: &str) {
         let Some(dir) = self.disk.as_ref() else {
             return;
         };
-        let (Some(path), Some(identity)) = (self.cache_path(kind, key), code_identity()) else {
+        let (Some(path), Some(identity)) = (self.cache_path(key), code_identity()) else {
             return;
         };
         if std::fs::create_dir_all(dir).is_err() {
@@ -258,10 +218,7 @@ impl MemoCache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let entry = format!(
-            "{identity}\nkind={kind}\nkey={key}\nlen={}\n{payload}",
-            payload.len()
-        );
+        let entry = format!("{identity}\nkey={key}\nlen={}\n{payload}", payload.len());
         if std::fs::write(&tmp, entry).is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         } else {
@@ -269,8 +226,7 @@ impl MemoCache {
         }
     }
 
-    /// `(hits, misses)` counters since creation (blob lookups included;
-    /// disk hits count as hits).
+    /// `(hits, misses)` counters since creation (disk hits count as hits).
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -283,7 +239,7 @@ impl MemoCache {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// Number of cached configurations in memory (blobs not counted).
+    /// Number of cached configurations in memory.
     pub fn len(&self) -> usize {
         self.map.lock().unwrap().len()
     }
@@ -323,11 +279,11 @@ pub struct PruneReport {
 
 /// Prune a persistent cache directory: delete leftover temp files and every
 /// entry the running executable would not load (another build's, filename
-/// not matching its own kind and key hash, truncated payload), then — if
+/// not matching its own key hash, truncated payload), then — if
 /// `max_bytes` is given — evict oldest-modified valid entries until the
 /// directory fits the budget.
 ///
-/// Files not recognizably ours (no `r-`/`b-`/` .tmp-` prefix) are counted
+/// Files not recognizably ours (no `r-` or `.tmp-` prefix) are counted
 /// in `scanned` but never touched. A missing directory is an empty, already
 /// pruned cache, not an error; an unreadable executable is, since no entry
 /// could then be told valid.
@@ -360,12 +316,11 @@ pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Re
             }
             continue;
         }
-        if !(name.starts_with("r-") || name.starts_with("b-")) {
+        if !name.starts_with("r-") {
             continue; // not ours; leave it alone (but it was scanned)
         }
         let ok = std::fs::read_to_string(&path).ok().is_some_and(|text| {
-            parse_entry(&text, identity)
-                .is_some_and(|e| name == format!("{}-{}", e.kind, key_hash(e.key)))
+            parse_entry(&text, identity).is_some_and(|(key, _)| name == entry_name(key))
         });
         if ok {
             let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
@@ -395,11 +350,11 @@ pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Re
 }
 
 /// One planned job: a display label, an optional memoization key, and the
-/// spec-producing closure (built lazily, on the worker that runs it).
+/// spec to run.
 struct PlannedJob {
     label: String,
     key: Option<String>,
-    build: Box<dyn FnOnce() -> JobSpec + Send>,
+    spec: JobSpec,
 }
 
 /// Everything the runner knows about one finished job.
@@ -437,48 +392,32 @@ impl SweepRunner {
         self
     }
 
-    /// Queue a job. Returns its index into the results of [`run`].
+    /// Queue an unkeyed job: it always simulates and never touches the
+    /// cache. Returns its index into the results of [`run`].
     ///
     /// [`run`]: SweepRunner::run
-    pub fn add(
-        &mut self,
-        label: impl Into<String>,
-        build: impl FnOnce() -> JobSpec + Send + 'static,
-    ) -> usize {
+    pub fn add(&mut self, label: impl Into<String>, spec: JobSpec) -> usize {
         self.jobs.push(PlannedJob {
             label: label.into(),
             key: None,
-            build: Box::new(build),
+            spec,
         });
         self.jobs.len() - 1
     }
 
-    /// Queue an already-built spec under its [`spec_fingerprint`] — the
-    /// common case for the figure harnesses, whose specs are cheap to
-    /// construct up front (the app closure is shared via `Arc`).
+    /// Queue a memoizable job under its [`spec_fingerprint`]:
+    /// `workload_tag` and the spec identify the configuration across
+    /// sweeps (see [`spec_fingerprint`] for the caller's obligations).
     pub fn add_spec(
         &mut self,
         label: impl Into<String>,
         workload_tag: &str,
         spec: JobSpec,
     ) -> usize {
-        let key = spec_fingerprint(workload_tag, &spec);
-        self.add_keyed(label, key, move || spec)
-    }
-
-    /// Queue a memoizable job: `workload_tag` + the built spec fingerprint
-    /// identify the configuration across sweeps (see [`spec_fingerprint`]
-    /// for the caller's obligations).
-    pub fn add_keyed(
-        &mut self,
-        label: impl Into<String>,
-        key: String,
-        build: impl FnOnce() -> JobSpec + Send + 'static,
-    ) -> usize {
         self.jobs.push(PlannedJob {
             label: label.into(),
-            key: Some(key),
-            build: Box::new(build),
+            key: Some(spec_fingerprint(workload_tag, &spec)),
+            spec,
         });
         self.jobs.len() - 1
     }
@@ -544,7 +483,6 @@ impl SweepRunner {
 
 fn execute(job: PlannedJob, cache: Option<&MemoCache>) -> JobOutcome {
     let start = Instant::now();
-    let spec = (job.build)();
     if let (Some(cache), Some(key)) = (cache, job.key.as_deref()) {
         if let Some(hit) = cache.get(key) {
             return JobOutcome {
@@ -555,7 +493,7 @@ fn execute(job: PlannedJob, cache: Option<&MemoCache>) -> JobOutcome {
             };
         }
     }
-    let result = run_job(spec);
+    let result = run_job(job.spec);
     if let (Some(cache), Some(key), Ok(res)) = (cache, job.key, result.as_ref()) {
         cache.put(key, res.clone());
     }
@@ -591,7 +529,7 @@ mod tests {
         let laps = [40usize, 1, 25, 3, 10, 2];
         let mut runner = SweepRunner::new(4);
         for l in laps {
-            runner.add(format!("laps{l}"), move || ring_spec(l));
+            runner.add(format!("laps{l}"), ring_spec(l));
         }
         let outcomes = runner.run_detailed();
         let labels: Vec<&str> = outcomes.iter().map(|o| o.label.as_str()).collect();
@@ -610,7 +548,7 @@ mod tests {
         let run_with = |workers: usize| {
             let mut runner = SweepRunner::new(workers);
             for laps in 1..=8usize {
-                runner.add(format!("j{laps}"), move || ring_spec(laps * 5));
+                runner.add(format!("j{laps}"), ring_spec(laps * 5));
             }
             runner
                 .run()
@@ -679,10 +617,6 @@ mod tests {
 
         let mut other = ring_spec(12);
         other.ft.retained_waves = 3;
-        assert_ne!(key(&base), key(&other));
-
-        let mut other = ring_spec(12);
-        other.ft.link_retry_limit = 3;
         assert_ne!(key(&base), key(&other));
 
         let mut other = ring_spec(12);
@@ -809,62 +743,47 @@ mod tests {
     }
 
     #[test]
-    fn blob_tier_roundtrips_across_instances() {
-        let scratch = ScratchDir::new("blob");
-        let payload = "1,2,3\n4,5,6\n".to_string();
-        MemoCache::persistent(&scratch.0).put_blob("np/k".into(), payload.clone());
-        let cache = MemoCache::persistent(&scratch.0);
-        assert_eq!(cache.get_blob("np/k").as_deref(), Some(payload.as_str()));
-        assert_eq!(cache.disk_hits(), 1);
-    }
-
-    #[test]
     fn prune_removes_garbage_and_keeps_valid_entries() {
         let scratch = ScratchDir::new("prune");
-        // Two valid entries: one result, one blob.
+        // One valid entry.
         {
             let cache = MemoCache::persistent(&scratch.0);
             let mut r = SweepRunner::new(1).with_cache(Arc::clone(&cache));
             r.add_spec("job", "ring12", ring_spec(12));
             r.run_detailed().pop().unwrap().result.unwrap();
-            cache.put_blob("np/k".into(), "1,2,3\n".into());
         }
         // Garbage: an orphaned temp file, a corrupt entry, another build's
         // well-formed entry, a stranger file.
         std::fs::write(scratch.0.join(".tmp-999-0"), "half-written").unwrap();
+        std::fs::write(scratch.0.join(entry_name("bogus")), "not a cache entry").unwrap();
         std::fs::write(
-            scratch.0.join(format!("r-{}", key_hash("bogus"))),
-            "not a cache entry",
-        )
-        .unwrap();
-        std::fs::write(
-            scratch.0.join(format!("b-{}", key_hash("old"))),
-            format!("exe={}\nkind=b\nkey=old\nlen=1\nx", "0".repeat(32)),
+            scratch.0.join(entry_name("old")),
+            format!("exe={}\nkey=old\nlen=1\nx", "0".repeat(32)),
         )
         .unwrap();
         std::fs::write(scratch.0.join("README"), "hands off").unwrap();
 
         let report = prune_cache(&scratch.0, None).unwrap();
-        assert_eq!(report.scanned, 6);
+        assert_eq!(report.scanned, 5);
         assert_eq!(
             report.removed, 3,
             "temp, corrupt and foreign go; stranger stays"
         );
-        assert_eq!(report.kept, 2);
+        assert_eq!(report.kept, 1);
         assert!(scratch.0.join("README").exists());
-        // The surviving entries still decode.
+        // The surviving entry still decodes.
         let cache = MemoCache::persistent(&scratch.0);
         let key = spec_fingerprint("ring12", &ring_spec(12));
         assert!(cache.get(&key).is_some());
-        assert_eq!(cache.get_blob("np/k").as_deref(), Some("1,2,3\n"));
     }
 
     #[test]
     fn prune_budget_evicts_down_to_max_bytes() {
         let scratch = ScratchDir::new("prune-budget");
         let cache = MemoCache::persistent(&scratch.0);
+        let result = run_job(ring_spec(1)).unwrap();
         for i in 0..4u64 {
-            cache.put_blob(format!("blob/{i}"), "x".repeat(64));
+            cache.put(format!("ring/{i}"), result.clone());
         }
         let full = prune_cache(&scratch.0, None).unwrap();
         assert_eq!(full.kept, 4);

@@ -86,8 +86,6 @@ impl ExploreConfig {
 pub struct ExploreOptions {
     /// Abort (non-exhausted) after this many complete runs.
     pub max_runs: u64,
-    /// Minimize violating schedules before reporting.
-    pub shrink: bool,
     /// Where to dump reproducer artifacts (`None`: don't).
     pub artifact_dir: Option<PathBuf>,
 }
@@ -96,7 +94,6 @@ impl Default for ExploreOptions {
     fn default() -> ExploreOptions {
         ExploreOptions {
             max_runs: 4000,
-            shrink: true,
             artifact_dir: None,
         }
     }
@@ -288,11 +285,7 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             .clone()
             .or_else(|| (run.fp != canonical).then(|| "divergence".to_string()));
         if let Some(kind) = kind {
-            let minimized = if opts.shrink {
-                shrink(cfg, &spec, canonical, &mut outcome.runs, &prescription)
-            } else {
-                prescription.clone()
-            };
+            let minimized = shrink(cfg, &spec, canonical, &mut outcome.runs, &prescription);
             let artifact = opts
                 .artifact_dir
                 .as_ref()

@@ -1,7 +1,8 @@
 //! Consistent-cut invariants over protocol traces.
 //!
-//! The checker splits a trace into eras (spans between global restarts)
-//! and proves, per era:
+//! The checker is one pass over a trace: it reads each record once, in
+//! execution order, and splits the trace into eras (spans between global
+//! restarts) as it goes. It proves, per era:
 //!
 //! * every message carries the epoch of the era it was launched in;
 //! * per channel, deliveries replay the send order exactly (FIFO), with
@@ -22,14 +23,26 @@
 //!   forked;
 //! * non-blocking protocol (Vcl): the channel logs hold *exactly* the
 //!   messages crossing the cut (sent before the source's fork, delivered
-//!   after the destination's).
+//!   after the destination's);
+//!
+//! and, over the whole trace, checkpoint-image integrity (the store
+//! outlives eras):
+//!
+//! * a `RestoreImage` never names a `(wave, rank, node)` whose damage
+//!   (`Corrupt`) was not overwritten by a verified write (`ImageStore` /
+//!   `Repair`) first — verify-on-fetch walked past every damaged copy;
+//! * after a node's `Quarantine`, no replica lands on it — placement,
+//!   reroute, and scrub re-replication all exclude quarantined servers
+//!   (fetching a pre-quarantine replica *from* it stays legal).
+//!
+//! Records are numbered by their position among the trace's protocol
+//! records, not by virtual time: many protocol steps share an instant, and
+//! only their execution order defines the cut.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ftmpi_core::ProtocolChoice;
-use ftmpi_sim::{ProtoEvent, TraceEvent};
-
-use crate::proto::{eras, proto_count, Era};
+use ftmpi_sim::{ProtoEvent, TraceEvent, TraceKind};
 
 /// One invariant violation found in a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,9 +342,12 @@ impl std::fmt::Display for Violation {
 /// Result of checking one trace.
 #[derive(Debug, Default)]
 pub struct CheckReport {
-    /// Every violation found, in detection order.
+    /// Every violation found: era by era (each era's record-order checks,
+    /// then its FIFO checks, then its cut checks; an out-of-order restart
+    /// just ahead of the era it opens), then the integrity violations in
+    /// record order.
     pub violations: Vec<Violation>,
-    /// Protocol events examined.
+    /// Protocol events examined (`Restart` records included).
     pub proto_events: usize,
     /// Eras (1 + restarts) in the trace.
     pub eras: usize,
@@ -348,120 +364,97 @@ impl CheckReport {
 
 type Chan = (usize, usize);
 
-/// Bookkeeping for one era, filled by a single pass over its events.
+/// Bookkeeping for one era, filled as its records stream past. An index
+/// is a record's position among the trace's protocol records.
 #[derive(Default)]
 struct EraData {
-    /// Per channel: `(trace idx, seq)` of current-epoch sends, in order.
+    /// Per channel: `(index, seq)` of current-epoch sends, in order.
     sends: BTreeMap<Chan, Vec<(usize, u64)>>,
-    /// Per channel: `(trace idx, seq)` of current-epoch deliveries.
+    /// Per channel: `(index, seq)` of current-epoch deliveries.
     delivers: BTreeMap<Chan, Vec<(usize, u64)>>,
     /// Replayed checkpointed messages not yet claimed by a delivery.
     replays: Vec<(usize, usize, u64, u64)>,
-    /// Per wave: `(trace idx, rank)` of forks.
+    /// Per wave: `(index, rank)` of forks.
     forks: BTreeMap<u64, Vec<(usize, usize)>>,
     /// Marker sends seen, keyed `(wave, from, to)`.
     marker_sends: BTreeMap<(u64, usize, usize), usize>,
-    /// Per wave: `(trace idx, from, to)` of marker receptions.
+    /// Per wave: `(index, from, to)` of marker receptions.
     marker_recvs: BTreeMap<u64, Vec<(usize, usize, usize)>>,
     /// Per wave: logged channel-state entries `(src, dst, seq)`.
     logs: BTreeMap<u64, Vec<(usize, usize, u64)>>,
-    /// Per wave: trace idx of the commit.
+    /// Per wave: index of the commit.
     commits: BTreeMap<u64, usize>,
     /// Waves whose in-flight checkpoint was aborted.
     aborts: BTreeSet<u64>,
 }
 
-/// Check every invariant the trace supports for `protocol`.
-///
-/// `nranks` is the job size (defines the marker/fork completeness
-/// expectations); `trace` is the raw record from
-/// [`ftmpi_core::run_job_with`] with tracing enabled.
-pub fn check_trace(protocol: ProtocolChoice, nranks: usize, trace: &[TraceEvent]) -> CheckReport {
-    let mut report = CheckReport {
-        proto_events: proto_count(trace),
-        ..CheckReport::default()
-    };
-    let split = eras(trace);
-    report.eras = split.len();
-    for (pos, era) in split.iter().enumerate() {
-        if era.era != pos as u64 {
-            report.violations.push(Violation::EraOutOfOrder {
-                expected: pos as u64,
-                got: era.era,
-            });
-        }
-        let is_final = pos + 1 == split.len();
-        check_era(protocol, nranks, era, is_final, &mut report);
-    }
-    check_integrity(trace, &mut report);
-    report
-}
-
-/// Checkpoint-image integrity, proven over the whole trace (the store and
-/// its quarantine set belong to the fleet, not a job era, so the state
-/// machine must not reset at restarts):
-///
-/// * a `RestoreImage` must never name a `(wave, rank, node)` whose damage
-///   (`Corrupt`) was not overwritten by a verified write (`ImageStore` /
-///   `Repair`) first — verify-on-fetch walked past every damaged copy;
-/// * after a node's `Quarantine`, no replica may land on it — placement,
-///   reroute, and scrub re-replication all exclude quarantined servers
-///   (fetching a pre-quarantine replica *from* it stays legal).
-fn check_integrity(trace: &[TraceEvent], report: &mut CheckReport) {
-    use ftmpi_sim::TraceKind;
-    let mut damaged: BTreeSet<(u64, usize, u64)> = BTreeSet::new();
-    let mut quarantined: BTreeSet<u64> = BTreeSet::new();
-    for te in trace {
-        let TraceKind::Proto(ev) = te.kind else {
-            continue;
-        };
-        match ev {
-            ProtoEvent::Corrupt { wave, rank, node } => {
-                damaged.insert((wave, rank, node));
-            }
-            ProtoEvent::ImageStore { wave, rank, node }
-            | ProtoEvent::Repair { wave, rank, node } => {
-                // A verified write replaces whatever bits the slot held.
-                damaged.remove(&(wave, rank, node));
-                if quarantined.contains(&node) {
-                    report
-                        .violations
-                        .push(Violation::QuarantinedPlacement { wave, rank, node });
-                }
-            }
-            ProtoEvent::RestoreImage { wave, rank, node }
-                if damaged.contains(&(wave, rank, node)) =>
-            {
-                report
-                    .violations
-                    .push(Violation::CorruptRestore { wave, rank, node });
-            }
-            ProtoEvent::Quarantine { node } => {
-                quarantined.insert(node);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn check_era(
+/// [`check_trace`] as a fold: [`Self::observe`] takes each trace record
+/// once, in order, and [`Self::finish`] returns the verdict. The open
+/// era's records are bucketed as they arrive; a `Restart` record closes
+/// the era — its FIFO and cut checks run then — and opens the next. The
+/// integrity state rides the same pass and never resets at a restart,
+/// because the checkpoint store outlives eras; its violations are held
+/// back and reported after every era's.
+pub(crate) struct Checker {
     protocol: ProtocolChoice,
     nranks: usize,
-    era: &Era,
-    is_final: bool,
-    report: &mut CheckReport,
-) {
-    let data = collect_era(era, &mut report.violations);
-    check_fifo(era.era, &data, is_final, &mut report.violations);
-    check_waves(protocol, nranks, &data, report);
+    report: CheckReport,
+    /// The open era's number, as the `Restart` that opened it claimed
+    /// (0 for the first era).
+    era: u64,
+    /// The open era's records.
+    data: EraData,
+    /// Replicas `(wave, rank, node)` damaged and not yet overwritten by a
+    /// verified write.
+    damaged: BTreeSet<(u64, usize, u64)>,
+    /// Quarantined server nodes.
+    quarantined: BTreeSet<u64>,
+    /// Integrity violations, in record order.
+    integrity: Vec<Violation>,
 }
 
-/// Single pass: bucket the era's events and validate epoch stamping and
-/// replay pairing, which depend on in-era ordering.
-fn collect_era(era: &Era, violations: &mut Vec<Violation>) -> EraData {
-    let mut data = EraData::default();
-    for ind in &era.events {
-        match ind.ev {
+impl Checker {
+    /// The checker of the empty trace of an `nranks`-rank `protocol` job.
+    pub(crate) fn new(protocol: ProtocolChoice, nranks: usize) -> Checker {
+        Checker {
+            protocol,
+            nranks,
+            report: CheckReport {
+                eras: 1,
+                ..CheckReport::default()
+            },
+            era: 0,
+            data: EraData::default(),
+            damaged: BTreeSet::new(),
+            quarantined: BTreeSet::new(),
+            integrity: Vec::new(),
+        }
+    }
+
+    /// Take the next trace record. Kernel records are skipped and do not
+    /// consume a protocol index. Epoch stamping and replay pairing are
+    /// checked here, because they depend on the order within the era.
+    pub(crate) fn observe(&mut self, te: &TraceEvent) {
+        let TraceKind::Proto(ev) = te.kind else {
+            return;
+        };
+        let idx = self.report.proto_events;
+        self.report.proto_events += 1;
+        let era = self.era;
+        let data = &mut self.data;
+        match ev {
+            ProtoEvent::Restart { epoch } => {
+                self.close_era(false);
+                let expected = self.report.eras as u64;
+                if epoch != expected {
+                    self.report.violations.push(Violation::EraOutOfOrder {
+                        expected,
+                        got: epoch,
+                    });
+                }
+                self.report.eras += 1;
+                self.era = epoch;
+            }
             ProtoEvent::Send {
                 src,
                 dst,
@@ -469,19 +462,16 @@ fn collect_era(era: &Era, violations: &mut Vec<Violation>) -> EraData {
                 epoch,
                 ..
             } => {
-                if epoch != era.era {
-                    violations.push(Violation::SendEpochMismatch {
-                        era: era.era,
+                if epoch != era {
+                    self.report.violations.push(Violation::SendEpochMismatch {
+                        era,
                         src,
                         dst,
                         seq,
                         epoch,
                     });
                 }
-                data.sends
-                    .entry((src, dst))
-                    .or_default()
-                    .push((ind.idx, seq));
+                data.sends.entry((src, dst)).or_default().push((idx, seq));
             }
             ProtoEvent::Deliver {
                 src,
@@ -489,11 +479,11 @@ fn collect_era(era: &Era, violations: &mut Vec<Violation>) -> EraData {
                 seq,
                 epoch,
             } => {
-                if epoch == era.era {
+                if epoch == era {
                     data.delivers
                         .entry((src, dst))
                         .or_default()
-                        .push((ind.idx, seq));
+                        .push((idx, seq));
                 } else {
                     // A pre-restart message: legitimate only as the
                     // re-injection of a checkpointed message, which records
@@ -506,8 +496,8 @@ fn collect_era(era: &Era, violations: &mut Vec<Violation>) -> EraData {
                         Some(i) => {
                             data.replays.swap_remove(i);
                         }
-                        None => violations.push(Violation::UnreplayedDelivery {
-                            era: era.era,
+                        None => self.report.violations.push(Violation::UnreplayedDelivery {
+                            era,
                             src,
                             dst,
                             seq,
@@ -531,10 +521,10 @@ fn collect_era(era: &Era, violations: &mut Vec<Violation>) -> EraData {
                 data.marker_recvs
                     .entry(wave)
                     .or_default()
-                    .push((ind.idx, from, to));
+                    .push((idx, from, to));
             }
             ProtoEvent::Fork { wave, rank, .. } => {
-                data.forks.entry(wave).or_default().push((ind.idx, rank));
+                data.forks.entry(wave).or_default().push((idx, rank));
             }
             ProtoEvent::LogMsg {
                 wave,
@@ -545,30 +535,70 @@ fn collect_era(era: &Era, violations: &mut Vec<Violation>) -> EraData {
                 data.logs.entry(wave).or_default().push((src, dst, seq));
             }
             ProtoEvent::WaveCommit { wave } => {
-                data.commits.insert(wave, ind.idx);
+                data.commits.insert(wave, idx);
             }
             ProtoEvent::WaveAbort { wave } => {
                 data.aborts.insert(wave);
             }
+            ProtoEvent::Corrupt { wave, rank, node } => {
+                self.damaged.insert((wave, rank, node));
+            }
+            ProtoEvent::ImageStore { wave, rank, node }
+            | ProtoEvent::Repair { wave, rank, node } => {
+                // A verified write replaces whatever bits the slot held.
+                self.damaged.remove(&(wave, rank, node));
+                if self.quarantined.contains(&node) {
+                    self.integrity
+                        .push(Violation::QuarantinedPlacement { wave, rank, node });
+                }
+            }
+            ProtoEvent::RestoreImage { wave, rank, node } => {
+                if self.damaged.contains(&(wave, rank, node)) {
+                    self.integrity
+                        .push(Violation::CorruptRestore { wave, rank, node });
+                }
+            }
+            ProtoEvent::Quarantine { node } => {
+                self.quarantined.insert(node);
+            }
             ProtoEvent::WaveStart { .. }
-            | ProtoEvent::Restart { .. }
-            | ProtoEvent::ServerFail { .. } => {}
-            // Integrity events are checked in a whole-trace pass (the
-            // store outlives eras); see `check_integrity`.
-            ProtoEvent::ImageStore { .. }
-            | ProtoEvent::Corrupt { .. }
-            | ProtoEvent::CorruptDetected { .. }
-            | ProtoEvent::Repair { .. }
-            | ProtoEvent::RestoreImage { .. }
-            | ProtoEvent::Quarantine { .. } => {}
+            | ProtoEvent::ServerFail { .. }
+            | ProtoEvent::CorruptDetected { .. } => {}
         }
     }
-    data
+
+    /// Run the FIFO and cut checks on the open era's records.
+    fn close_era(&mut self, is_final: bool) {
+        let data = std::mem::take(&mut self.data);
+        check_fifo(self.era, &data, is_final, &mut self.report.violations);
+        check_waves(self.protocol, self.nranks, &data, &mut self.report);
+    }
+
+    /// Close the last era and report every violation found.
+    pub(crate) fn finish(mut self) -> CheckReport {
+        self.close_era(true);
+        self.report.violations.append(&mut self.integrity);
+        self.report
+    }
+}
+
+/// Check every invariant the trace supports for `protocol`, in one pass.
+///
+/// `nranks` is the job size (defines the marker/fork completeness
+/// expectations); `trace` is the raw record from
+/// [`ftmpi_core::run_job_with`] with tracing enabled.
+pub fn check_trace(protocol: ProtocolChoice, nranks: usize, trace: &[TraceEvent]) -> CheckReport {
+    let mut checker = Checker::new(protocol, nranks);
+    for te in trace {
+        checker.observe(te);
+    }
+    checker.finish()
 }
 
 /// Per-channel FIFO: deliveries must replay the send order as a prefix
 /// (exactly, in the final era). Replayed pre-restart messages are checked
-/// separately in [`collect_era`]; duplicate-suppressed replays are legal.
+/// separately in [`Checker::observe`]; duplicate-suppressed replays are
+/// legal.
 fn check_fifo(era: u64, data: &EraData, is_final: bool, violations: &mut Vec<Violation>) {
     for (&(src, dst), dvec) in &data.delivers {
         let svec = data
@@ -775,5 +805,96 @@ fn check_waves(protocol: ProtocolChoice, nranks: usize, data: &EraData, report: 
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftmpi_sim::SimTime;
+
+    fn te(ev: ProtoEvent) -> TraceEvent {
+        TraceEvent {
+            time: SimTime::ZERO,
+            kind: TraceKind::Proto(ev),
+            pid: None,
+            detail: String::new(),
+        }
+    }
+
+    fn send(seq: u64, epoch: u64) -> TraceEvent {
+        te(ProtoEvent::Send {
+            src: 0,
+            dst: 1,
+            seq,
+            bytes: 8,
+            epoch,
+        })
+    }
+
+    /// Two eras in one pass: a kernel record between two protocol records
+    /// takes no protocol index, a `Restart` closes era 0 (its FIFO break is
+    /// reported then), era 1's lost message is reported when the trace
+    /// ends, and the damage recorded in era 0 is still remembered when era
+    /// 1 restores the replica — that violation comes after every era's.
+    #[test]
+    fn one_pass_splits_eras_and_reports_integrity_last() {
+        let replica = (1, 0, 5);
+        let trace = vec![
+            send(1, 0),
+            send(2, 0),
+            TraceEvent {
+                time: SimTime::ZERO,
+                kind: TraceKind::Spawn,
+                pid: None,
+                detail: String::new(),
+            },
+            te(ProtoEvent::Deliver {
+                src: 0,
+                dst: 1,
+                seq: 2,
+                epoch: 0,
+            }),
+            te(ProtoEvent::Corrupt {
+                wave: replica.0,
+                rank: replica.1,
+                node: replica.2,
+            }),
+            te(ProtoEvent::Restart { epoch: 1 }),
+            te(ProtoEvent::RestoreImage {
+                wave: replica.0,
+                rank: replica.1,
+                node: replica.2,
+            }),
+            send(1, 1),
+        ];
+        let report = check_trace(ProtocolChoice::Pcl, 2, &trace);
+        assert_eq!(report.proto_events, 7);
+        assert_eq!(report.eras, 2);
+        assert_eq!(report.waves_checked, 0);
+        assert_eq!(
+            report.violations,
+            [
+                Violation::FifoMismatch {
+                    era: 0,
+                    src: 0,
+                    dst: 1,
+                    pos: 0,
+                    sent: 1,
+                    delivered: 2,
+                },
+                Violation::LostMessages {
+                    era: 1,
+                    src: 0,
+                    dst: 1,
+                    missing: 1,
+                },
+                Violation::CorruptRestore {
+                    wave: replica.0,
+                    rank: replica.1,
+                    node: replica.2,
+                },
+            ]
+        );
     }
 }

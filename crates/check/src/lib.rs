@@ -1,13 +1,15 @@
 //! `ftmpi-check`: machine verification of the checkpointing protocols.
 //!
-//! Three layers, each consuming the structured protocol traces recorded by
+//! Its layers each consume the structured protocol traces recorded by
 //! [`ftmpi_sim::SimCtx::trace_proto`]:
 //!
 //! * [`invariants`] — proves, for every committed checkpoint wave in a
 //!   trace, that the recorded global state is a *consistent cut*: no orphan
 //!   messages, the Vcl channel logs hold exactly the in-transit messages,
 //!   Pcl channels are empty at fork, and every channel stays FIFO with no
-//!   loss or duplication across failures and restarts.
+//!   loss or duplication across failures and restarts. [`check_trace`] is
+//!   one pass: it reads each record once and closes an era at each
+//!   restart.
 //! * [`perturb`] — a determinism/race detector: re-runs a configuration
 //!   under seeded perturbations of same-time event tiebreaks and compares
 //!   order-canonical trace [`fingerprint`]s. Divergence means some model
@@ -18,7 +20,10 @@
 //!   `crates/core`).
 //! * [`storm`] — seeded fault-injection campaigns: kills and checkpoint-
 //!   server failures aimed at mid-wave, mid-recovery, and detection-lag
-//!   windows, each run re-checked by the invariant layer.
+//!   windows, each run re-checked by the invariant layer. Its
+//!   [`StormOutcome`] is the one verdict every campaign reports.
+//! * [`suite`] — the `smoke` and `figures` probe sets, each probe run
+//!   clean and with a derived kill through [`run_storm_traced`].
 //! * [`miner`] — a coverage-guided failure-storm miner: a seeded mutation
 //!   loop over fault schedules (kills, directed partitions, server-group
 //!   cuts, link flaps), driven by a coverage map of invariant-checker and
@@ -32,8 +37,9 @@
 //!
 //! The `ftmpi-check` binary exposes them as `lint`, `smoke`, `storm`
 //! (with `--mine` for the miner), `figures`, and `explore` subcommands;
-//! `scripts/ci.sh` runs `lint`, `smoke`, `storm --smoke`,
-//! `storm --mine --smoke`, and `explore --smoke` on every change.
+//! `scripts/ci.sh` runs `lint`, `smoke`, `figures --full`, `storm --smoke`,
+//! `storm --mine`, `storm --mine --smoke`, and `explore --smoke` on every
+//! change.
 
 #![warn(missing_docs)]
 
@@ -44,7 +50,6 @@ pub mod invariants;
 pub mod lint;
 pub mod miner;
 pub mod perturb;
-pub mod proto;
 pub mod storm;
 pub mod suite;
 
@@ -64,7 +69,4 @@ pub use miner::{
 };
 pub use perturb::{perturbation_check, PerturbReport};
 pub use storm::{run_storm, run_storm_traced, storm_campaign, StormOutcome};
-pub use suite::{
-    figure_smoke_probes, figures_suite, run_checked, run_checked_with_churn, smoke_probes,
-    ProbeOutcome,
-};
+pub use suite::{figure_smoke_probes, figures_suite, run_checked_with_churn, smoke_probes};

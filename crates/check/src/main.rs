@@ -6,9 +6,11 @@
 //! * `lint` — scan the workspace sources for determinism hazards
 //!   (wall-clock reads in sim crates, HashMap iteration order, `unwrap`
 //!   in protocol code). Exits non-zero on any finding.
-//! * `smoke` — run the CI probe set (both protocols, 8 ranks, one
-//!   failure each) through the invariant checker, plus a perturbation
-//!   pass over seeded tiebreak schedules. Exits non-zero on violations.
+//! * `smoke` — run the CI probe set (an 8-rank ring under both protocols
+//!   and a Vcl stream, each clean and, when a wave commits before the
+//!   end, with one kill) through the invariant checker and the storm
+//!   robustness contract, plus a perturbation pass over seeded tiebreak
+//!   schedules. Exits non-zero on violations.
 //! * `storm [--smoke]` — seeded fault-injection campaigns: rank kills,
 //!   checkpoint-server failures, correlated node deaths, and network
 //!   partitions aimed at mid-wave, mid-recovery, and detection-lag
@@ -23,7 +25,8 @@
 //!   mutation budget is 96 rounds per protocol, 12 with `--smoke`.
 //!   `storm --replay FILE` re-runs a mined reproducer.
 //! * `figures [--full]` — drive every figure workload family through the
-//!   checker with churn variants. `--full` uses the paper-sized classes.
+//!   checker with churn variants, under the same verdict as `smoke`.
+//!   `--full` uses the paper-sized classes.
 //! * `explore [--smoke] [--replay FILE]` — exhaustively enumerate the
 //!   schedule space of the small explore configs (DPOR over the kernel's
 //!   schedule-policy hook). Clean configs must exhaust without
@@ -40,7 +43,7 @@ use ftmpi_bench::json::{to_string_pretty, JsonObject, JsonValue};
 use ftmpi_check::{
     encode_artifact, explore, explore_configs, figure_smoke_probes, figures_suite, mine,
     parse_artifact, perturbation_check, replay, run_checked_with_churn, run_lint, smoke_probes,
-    storm_campaign, ExploreOptions, ExploreOutcome, MineOptions, ProbeOutcome,
+    storm_campaign, ExploreOptions, ExploreOutcome, MineOptions, StormOutcome,
 };
 
 fn workspace_root() -> PathBuf {
@@ -73,85 +76,53 @@ fn cmd_lint() -> ExitCode {
     }
 }
 
-fn print_outcome(o: &ProbeOutcome) {
+/// Print a run's invariant violations, then its failed assertions.
+fn print_findings(o: &StormOutcome) {
+    if let Some(rep) = &o.report {
+        for v in &rep.violations {
+            println!("    violation: {v}");
+        }
+    }
+    for f in &o.failures {
+        println!("    failure: {f}");
+    }
+}
+
+/// Print one probe's verdict line and findings. Returns whether the probe
+/// failed, or ran but checked no wave (then it proves nothing).
+fn print_outcome(o: &StormOutcome) -> bool {
+    let report = o.report.as_ref();
     println!(
         "{:32} waves={:<3} restarts={:<2} proto-events={:<7} {}",
         o.name,
         o.waves,
         o.restarts,
-        o.report.proto_events,
+        report.map_or(0, |r| r.proto_events),
         if o.ok() { "ok" } else { "FAIL" }
     );
-    for v in &o.report.violations {
-        println!("    violation: {v}");
+    print_findings(o);
+    let no_wave = report.is_some_and(|r| r.waves_checked == 0);
+    if no_wave {
+        println!("    violation: no wave committed — probe too short");
     }
+    !o.ok() || no_wave
 }
 
 fn cmd_smoke() -> ExitCode {
     let mut failed = false;
-    for (name, _) in smoke_probes() {
-        let mk = {
-            let name = name.clone();
-            move || {
-                smoke_probes()
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .expect("probe name stable")
-                    .1
-            }
-        };
-        match run_checked_with_churn(&name, mk) {
-            Ok(outcomes) => {
-                for o in &outcomes {
-                    print_outcome(o);
-                    if !o.ok() || o.report.waves_checked == 0 {
-                        failed = true;
-                        if o.report.waves_checked == 0 {
-                            println!("    violation: no wave committed — probe too short");
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                println!("{name:32} error: {e:?}");
-                failed = true;
-            }
+    let probes = smoke_probes();
+    for (name, spec) in &probes {
+        for o in run_checked_with_churn(name, spec) {
+            failed |= print_outcome(&o);
         }
     }
 
     // Perturbation pass: every clean probe plus one class-S figure
     // workload per covered family (GigE cluster, Myrinet stack), three
     // seeded tiebreak schedules each.
-    type SpecMk = Box<dyn Fn() -> ftmpi_core::JobSpec>;
-    let mut perturb_targets: Vec<(String, SpecMk)> = smoke_probes()
-        .into_iter()
-        .map(|(name, _)| {
-            let wanted = name.clone();
-            let mk: SpecMk = Box::new(move || {
-                smoke_probes()
-                    .into_iter()
-                    .find(|(n, _)| *n == wanted)
-                    .expect("probe name stable")
-                    .1
-            });
-            (name, mk)
-        })
-        .collect();
-    for (fig_name, _) in figure_smoke_probes() {
-        let wanted = fig_name.clone();
-        perturb_targets.push((
-            fig_name,
-            Box::new(move || {
-                figure_smoke_probes()
-                    .into_iter()
-                    .find(|(n, _)| *n == wanted)
-                    .expect("figure probe name stable")
-                    .1
-            }),
-        ));
-    }
-    for (label, mk) in perturb_targets {
-        match perturbation_check(mk, &[1, 2, 3]) {
+    let figure_probes = figure_smoke_probes();
+    for (label, spec) in probes.iter().chain(&figure_probes) {
+        match perturbation_check(spec, &[1, 2, 3]) {
             Ok(rep) => {
                 let div = rep.divergent();
                 println!(
@@ -199,14 +170,7 @@ fn cmd_storm(smoke: bool) -> ExitCode {
             o.lost_work_secs,
             if o.ok() { "ok" } else { "FAIL" }
         );
-        if let Some(rep) = &o.report {
-            for v in &rep.violations {
-                println!("    violation: {v}");
-            }
-        }
-        for f in &o.failures {
-            println!("    failure: {f}");
-        }
+        print_findings(o);
         if !o.ok() {
             failed = true;
         }
@@ -322,31 +286,18 @@ fn cmd_mine_replay(path: &str) -> ExitCode {
 }
 
 fn cmd_figures(full: bool) -> ExitCode {
-    match figures_suite(!full) {
-        Ok(outcomes) => {
-            let mut failed = false;
-            for o in &outcomes {
-                print_outcome(o);
-                if !o.ok() || o.report.waves_checked == 0 {
-                    failed = true;
-                    if o.report.waves_checked == 0 {
-                        println!("    violation: no wave committed — probe too short");
-                    }
-                }
-            }
-            let checked = outcomes.len();
-            if failed {
-                eprintln!("figures: FAILED ({checked} probes)");
-                ExitCode::FAILURE
-            } else {
-                println!("figures: ok ({checked} probes)");
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("figures: error: {e:?}");
-            ExitCode::FAILURE
-        }
+    let outcomes = figures_suite(!full);
+    let mut failed = false;
+    for o in &outcomes {
+        failed |= print_outcome(o);
+    }
+    let checked = outcomes.len();
+    if failed {
+        eprintln!("figures: FAILED ({checked} probes)");
+        ExitCode::FAILURE
+    } else {
+        println!("figures: ok ({checked} probes)");
+        ExitCode::SUCCESS
     }
 }
 
@@ -412,12 +363,11 @@ fn cmd_explore(smoke: bool) -> ExitCode {
     let max_runs = if smoke { 1500 } else { 6000 };
     let mut failed = false;
     let mut records: Vec<JsonObject> = Vec::new();
+    let opts = ExploreOptions {
+        max_runs,
+        artifact_dir: Some(artifact_dir),
+    };
     for cfg in explore_configs() {
-        let opts = ExploreOptions {
-            max_runs,
-            artifact_dir: Some(artifact_dir.clone()),
-            ..ExploreOptions::default()
-        };
         match explore(&cfg, &opts) {
             Ok(o) => {
                 print_explore(&o);

@@ -40,14 +40,11 @@ impl PerturbReport {
     }
 }
 
-/// Run the configuration produced by `mk_spec` once canonically and once
-/// per perturbation seed, fingerprinting each trace.
-pub fn perturbation_check(
-    mk_spec: impl Fn() -> JobSpec,
-    seeds: &[u64],
-) -> Result<PerturbReport, JobError> {
+/// Run `spec` once canonically and once per perturbation seed,
+/// fingerprinting each trace.
+pub fn perturbation_check(spec: &JobSpec, seeds: &[u64]) -> Result<PerturbReport, JobError> {
     let (_, trace) = run_job_with(
-        mk_spec(),
+        spec.clone(),
         RunOptions {
             trace: true,
             ..RunOptions::default()
@@ -57,7 +54,7 @@ pub fn perturbation_check(
     let mut perturbed = Vec::with_capacity(seeds.len());
     for &seed in seeds {
         let (_, t) = run_job_with(
-            mk_spec(),
+            spec.clone(),
             RunOptions {
                 trace: true,
                 schedule: Schedule::Seeded(seed),

@@ -53,6 +53,8 @@ pub struct StormOutcome {
     pub waves: u64,
     /// Failure-restarts performed.
     pub restarts: u64,
+    /// Job completion time (zero when the run itself failed).
+    pub completion: SimDuration,
     /// In-flight waves aborted (restarts and server losses).
     pub waves_aborted: u64,
     /// Deepest rollback past the newest committed wave.
@@ -213,6 +215,7 @@ pub fn run_storm_traced(name: &str, spec: JobSpec) -> (StormOutcome, Vec<TraceEv
                 name: name.to_string(),
                 waves: res.waves(),
                 restarts: res.rt.restarts,
+                completion: res.completion,
                 waves_aborted: res.ft.waves_aborted,
                 rollback_depth_max: res.ft.rollback_depth_max,
                 lost_work_secs: res.ft.lost_work_secs(),
@@ -254,6 +257,7 @@ pub(crate) fn profile_failure(name: &str, msg: String) -> StormOutcome {
         name: name.to_string(),
         waves: 0,
         restarts: 0,
+        completion: SimDuration::ZERO,
         waves_aborted: 0,
         rollback_depth_max: 0,
         lost_work_secs: 0.0,

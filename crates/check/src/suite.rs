@@ -1,40 +1,20 @@
 //! Checker-enabled probe suites.
 //!
-//! [`smoke_probes`] is the CI set: synthetic workloads with known timing
-//! (ring, allreduce, producer/consumer stream) at 8 ranks under both
-//! protocols, each with one mid-run failure, plus a logging-heavy Vcl
-//! stream. [`figures_suite`] drives every figure-workload family from the
-//! bench crate through the checker, adding a churn variant that kills a
-//! rank shortly after the first committed wave.
+//! [`smoke_probes`] is the CI set: an 8-rank ring under both protocols
+//! plus a logging-heavy two-rank Vcl stream. [`figures_suite`] drives
+//! every figure-workload family from the bench crate through the checker.
+//! [`run_checked_with_churn`] runs each probe clean and, when it commits a
+//! wave before completing, again with its last rank killed shortly after
+//! the first commit. Every run goes through [`run_storm_traced`], so it
+//! faces the invariant checker and the storm campaign's robustness
+//! contract alike.
 
 use ftmpi_bench::proto_name;
-use ftmpi_core::{
-    run_job_with, FailurePlan, FtConfig, JobError, JobSpec, ProtocolChoice, RunOptions,
-};
+use ftmpi_core::{FailurePlan, FtConfig, JobSpec, ProtocolChoice};
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_sim::{ProtoEvent, SimDuration, SimTime, TraceKind};
 
-use crate::invariants::{check_trace, CheckReport};
-
-/// Outcome of one checked probe run.
-#[derive(Debug)]
-pub struct ProbeOutcome {
-    /// Probe label.
-    pub name: String,
-    /// Committed checkpoint waves.
-    pub waves: u64,
-    /// Failure-restarts performed.
-    pub restarts: u64,
-    /// The invariant-checker verdict.
-    pub report: CheckReport,
-}
-
-impl ProbeOutcome {
-    /// `true` when no invariant was violated.
-    pub fn ok(&self) -> bool {
-        self.report.ok()
-    }
-}
+use crate::storm::{run_storm_traced, StormOutcome};
 
 /// Ring workload: each iteration sends to the right neighbour, receives
 /// from the left, then computes (the BT-like probe app).
@@ -153,85 +133,35 @@ pub fn figure_smoke_probes() -> Vec<(String, JobSpec)> {
     out
 }
 
-/// Run one spec with tracing enabled and check every invariant.
-pub fn run_checked(name: &str, spec: JobSpec) -> Result<ProbeOutcome, JobError> {
-    let nranks = spec.nranks;
-    let protocol = spec.protocol;
-    let (res, trace) = run_job_with(
-        spec,
-        RunOptions {
-            trace: true,
-            ..RunOptions::default()
-        },
-    )?;
-    Ok(ProbeOutcome {
-        name: name.to_string(),
-        waves: res.waves(),
-        restarts: res.rt.restarts,
-        report: check_trace(protocol, nranks, &trace),
-    })
-}
-
-/// Run a probe, then — if it committed a wave — re-run it with a failure
-/// injected between the first commit and completion, checking both traces.
-/// The kill time is derived from the clean run, so the churn variant works
-/// for workloads whose duration is not known a priori.
-pub fn run_checked_with_churn(
-    name: &str,
-    mk_spec: impl Fn() -> JobSpec,
-) -> Result<Vec<ProbeOutcome>, JobError> {
-    let spec = mk_spec();
-    let nranks = spec.nranks;
-    let protocol = spec.protocol;
-    let (res, trace) = run_job_with(
-        spec,
-        RunOptions {
-            trace: true,
-            ..RunOptions::default()
-        },
-    )?;
+/// Run a probe, then — if it committed a wave before completing — re-run
+/// it with its last rank killed between the first commit and completion,
+/// checking both runs. The kill time is derived from the clean run, so the
+/// churn variant works for workloads whose duration is not known a priori.
+pub fn run_checked_with_churn(name: &str, spec: &JobSpec) -> Vec<StormOutcome> {
+    let (clean, trace) = run_storm_traced(name, spec.clone());
     let first_commit = trace.iter().find_map(|te| match te.kind {
         TraceKind::Proto(ProtoEvent::WaveCommit { .. }) => Some(te.time.as_nanos()),
         _ => None,
     });
-    let mut out = vec![ProbeOutcome {
-        name: name.to_string(),
-        waves: res.waves(),
-        restarts: res.rt.restarts,
-        report: check_trace(protocol, nranks, &trace),
-    }];
-    if let Some(commit_ns) = first_commit {
-        let end_ns = res.completion.as_nanos();
-        if commit_ns < end_ns {
-            // Strike a quarter of the way from the commit to the end:
-            // comfortably after the checkpoint, comfortably before the
-            // finish line.
-            let kill_ns = commit_ns + (end_ns - commit_ns) / 4;
-            let mut churn = mk_spec();
-            churn.failures = FailurePlan::kill_at(SimTime::from_nanos(kill_ns), nranks - 1);
-            out.push(run_checked(&format!("{name}.kill"), churn)?);
-        }
+    let end_ns = clean.completion.as_nanos();
+    let mut out = vec![clean];
+    if let Some(commit_ns) = first_commit.filter(|&c| c < end_ns) {
+        // Strike a quarter of the way from the commit to the end:
+        // comfortably after the checkpoint, comfortably before the
+        // finish line.
+        let kill_ns = commit_ns + (end_ns - commit_ns) / 4;
+        let mut churn = spec.clone();
+        churn.failures = FailurePlan::kill_at(SimTime::from_nanos(kill_ns), spec.nranks - 1);
+        out.push(run_storm_traced(&format!("{name}.kill"), churn).0);
     }
-    Ok(out)
+    out
 }
 
 /// Drive every figure-workload probe (both protocols, all platform
 /// families) through the checker, with churn variants.
-pub fn figures_suite(fast: bool) -> Result<Vec<ProbeOutcome>, JobError> {
-    let names: Vec<String> = ftmpi_bench::figure_probe_specs(fast)
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect();
-    let mut out = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        let mk = || {
-            ftmpi_bench::figure_probe_specs(fast)
-                .into_iter()
-                .nth(i)
-                .expect("probe index in range")
-                .1
-        };
-        out.extend(run_checked_with_churn(name, mk)?);
-    }
-    Ok(out)
+pub fn figures_suite(fast: bool) -> Vec<StormOutcome> {
+    ftmpi_bench::figure_probe_specs(fast)
+        .iter()
+        .flat_map(|(name, spec)| run_checked_with_churn(name, spec))
+        .collect()
 }

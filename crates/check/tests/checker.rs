@@ -37,16 +37,13 @@ fn traced(name: &str) -> (ProtocolChoice, usize, Vec<TraceEvent>) {
 
 #[test]
 fn clean_and_churn_probes_satisfy_all_invariants() {
-    for (name, _) in smoke_probes() {
-        let mk = {
-            let name = name.clone();
-            move || spec_named(&name)
-        };
-        let outcomes = run_checked_with_churn(&name, mk).expect("probe runs");
+    for (name, spec) in smoke_probes() {
+        let outcomes = run_checked_with_churn(&name, &spec);
         assert!(!outcomes.is_empty());
         for o in &outcomes {
-            assert!(o.ok(), "{}: {:?}", o.name, o.report.violations);
-            assert!(o.report.waves_checked > 0, "{} verified no waves", o.name);
+            assert!(o.ok(), "{}: {:?} {:?}", o.name, o.report, o.failures);
+            let report = o.report.as_ref().expect("the probe ran");
+            assert!(report.waves_checked > 0, "{} verified no waves", o.name);
         }
         if name.contains("ring8") {
             // The ring probes run long enough for a derived mid-wave kill;
@@ -200,7 +197,7 @@ fn orphan_message_is_rejected() {
 #[test]
 fn perturbed_schedules_reproduce_the_baseline_fingerprint() {
     for probe in ["smoke.ring8.pcl", "smoke.ring8.vcl"] {
-        let report = perturbation_check(|| spec_named(probe), &[11, 12345]).expect("probe runs");
+        let report = perturbation_check(&spec_named(probe), &[11, 12345]).expect("probe runs");
         assert!(
             report.ok(),
             "{probe}: divergent seeds {:?}",

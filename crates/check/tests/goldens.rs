@@ -82,15 +82,23 @@ fn smoke_probe_set_matches_goldens() {
             golden(0x9aba_ebc6_4f0e_df0f, 521, 0xa871_6da4_173c_e949),
         ),
     ];
+    // The checker's own counts per probe: protocol records examined,
+    // eras, committed waves verified.
+    let counts: [(usize, usize, usize); 3] = [(2250, 1, 5), (2250, 1, 5), (517, 1, 1)];
     let probes = smoke_probes();
     let names: Vec<&str> = probes.iter().map(|(n, _)| n.as_str()).collect();
     let pinned: Vec<&str> = goldens.iter().map(|(n, _)| *n).collect();
     assert_eq!(names, pinned, "the smoke probe set changed");
-    for ((name, spec), (_, want)) in probes.into_iter().zip(&goldens) {
+    for (((name, spec), (_, want)), want_counts) in probes.into_iter().zip(&goldens).zip(counts) {
         let (protocol, nranks) = (spec.protocol, spec.nranks);
         let (_, trace) = assert_golden(&name, spec, want);
         let report = check_trace(protocol, nranks, &trace);
         assert!(report.ok(), "{name}: {:?}", report.violations);
+        assert_eq!(
+            (report.proto_events, report.eras, report.waves_checked),
+            want_counts,
+            "{name}: checker counts moved"
+        );
     }
 }
 

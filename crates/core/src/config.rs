@@ -1,6 +1,5 @@
 //! Fault-tolerance configuration.
 
-use ftmpi_mpi::flow::FlowRetry;
 use ftmpi_sim::SimDuration;
 
 /// Parameters of the checkpointing machinery (both protocols).
@@ -65,19 +64,6 @@ pub struct FtConfig {
     /// lets a restore fall back to an older wave when a server failure
     /// made the newest one unavailable.
     pub retained_waves: usize,
-    /// First retry delay after a checkpoint stream or restore fetch finds
-    /// its peer unreachable (link down or partition). Doubles per attempt
-    /// up to [`link_retry_cap`](FtConfig::link_retry_cap) (see
-    /// [`FlowRetry::delay`]). Irrelevant
-    /// while no network faults are scheduled: reachability never fails.
-    pub link_retry_base: SimDuration,
-    /// Ceiling on the exponential retry backoff.
-    pub link_retry_cap: SimDuration,
-    /// Consecutive failed probes of one destination before the caller
-    /// gives up on it (image pushes fall back to the next replica server;
-    /// restore fetches walk to the next image source; a rank with no
-    /// sources left fails the job).
-    pub link_retry_limit: u32,
     /// How long the dispatcher tolerates ranks being cut off by a
     /// partition before declaring them failed and rolling the survivors
     /// back. `None` (the default) models an operator-grade detector that
@@ -125,9 +111,6 @@ impl Default for FtConfig {
             detection_delay: SimDuration::ZERO,
             replicas: 1,
             retained_waves: 1,
-            link_retry_base: SimDuration::from_millis(50),
-            link_retry_cap: SimDuration::from_secs(2),
-            link_retry_limit: 8,
             partition_rollback_after: None,
             scrub_interval: None,
             quarantine_threshold: 0,
@@ -137,17 +120,6 @@ impl Default for FtConfig {
 }
 
 impl FtConfig {
-    /// The bounded retry ladder of checkpoint pushes and restore fetches:
-    /// after `link_retry_limit` consecutive failed probes the caller gives
-    /// up on the destination.
-    pub fn link_retry(&self) -> FlowRetry {
-        FlowRetry {
-            base: self.link_retry_base,
-            cap: self.link_retry_cap,
-            limit: Some(self.link_retry_limit),
-        }
-    }
-
     /// Convenience: set the wave period in seconds.
     pub fn with_period_secs(mut self, s: f64) -> Self {
         self.period = SimDuration::from_secs_f64(s);
@@ -212,17 +184,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn link_retry_follows_the_retry_knobs() {
-        let retry = FtConfig::default().link_retry();
-        assert_eq!(retry.limit, Some(8));
-        assert_eq!(retry.delay(0), SimDuration::from_millis(50));
-        assert_eq!(retry.delay(6), SimDuration::from_secs(2));
-        // The control-message pause policy rides the same default ladder.
-        assert_eq!(FlowRetry::PAUSE.delay(6), retry.delay(6));
-        assert_eq!(FlowRetry::PAUSE.delay(0), retry.delay(0));
-    }
-
-    #[test]
     fn builders_override_fields() {
         let cfg = FtConfig::default()
             .with_period_secs(12.5)
@@ -253,11 +214,7 @@ mod tests {
     #[test]
     fn network_fault_knobs_default_off_and_build() {
         let cfg = FtConfig::default();
-        // Defaults: retries exist but never trigger without scheduled
-        // faults, and the partition watchdog is disarmed.
-        assert_eq!(cfg.link_retry_base, SimDuration::from_millis(50));
-        assert_eq!(cfg.link_retry_cap, SimDuration::from_secs(2));
-        assert_eq!(cfg.link_retry_limit, 8);
+        // Default: the partition watchdog is disarmed.
         assert!(cfg.partition_rollback_after.is_none());
         let cfg = cfg.with_partition_rollback_after_secs(5.0);
         assert_eq!(

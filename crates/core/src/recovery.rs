@@ -41,7 +41,7 @@
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
-use ftmpi_mpi::flow::{flow_lane, start_flow_guarded, FlowSpec};
+use ftmpi_mpi::flow::{flow_lane, start_flow_guarded, FlowRetry, FlowSpec};
 use ftmpi_mpi::{spawn_rank, AppFn, AppMsg, RankStatus, RuntimeCore, World, WorldRef};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{ProtoEvent, SimCtx, SimDuration, SimTime};
@@ -361,9 +361,9 @@ pub fn corrupt_images(sc: &SimCtx, world: &WorldRef, server_index: usize, rank: 
 ///
 /// An image fetch whose source server is unreachable (link down or
 /// partitioned) does not deadlock the restart: the rank's fetch turns into
-/// a probe chain with capped exponential backoff ([`FlowRetry`](ftmpi_mpi::flow::FlowRetry)), walking
-/// the replica list when the per-fetch budget (`link_retry_limit`) runs
-/// out, and declaring the job fatally stuck only once every replica is
+/// a probe chain on the bounded backoff ladder ([`FlowRetry::LADDER`]),
+/// walking the replica list when a replica's ladder runs out, and
+/// declaring the job fatally stuck only once every replica is
 /// exhausted. With no active faults the probe path is never entered and
 /// the restart is byte-for-byte the fault-free one.
 ///
@@ -622,7 +622,7 @@ fn schedule_respawn(
 /// timer if this was the last blocked fetch). A replica that fails
 /// verification goes to the damage ledger and the chain walks to the next
 /// replica immediately (no point retrying damaged bits). Unreachable →
-/// back off exponentially; after `link_retry_limit` failed probes move to
+/// back off exponentially; after the ladder's limit of failed probes move to
 /// the next replica; after the last replica, fail the job
 /// ([`FetchProbe::next_replica`]).
 fn schedule_fetch_probe(sc: &SimCtx, mut p: FetchProbe, at: SimTime) {
@@ -652,9 +652,10 @@ fn schedule_fetch_probe(sc: &SimCtx, mut p: FetchProbe, at: SimTime) {
             rt.stats.link_retries += 1;
             // The backoff ladder restarts per replica: delay(0), delay(1),
             // … delay(limit-1), then the next source gets a fresh ladder.
-            let delay = p.ft.link_retry().delay(p.attempt);
+            let ladder = FlowRetry::LADDER;
+            let delay = ladder.delay(p.attempt);
             p.attempt += 1;
-            if source.is_none() || p.attempt >= p.ft.link_retry_limit.max(1) {
+            if source.is_none() || ladder.limit.is_some_and(|limit| p.attempt >= limit) {
                 core.stats.retries_exhausted += u64::from(source.is_some());
                 if !p.next_replica(rt, sc, "unreachable after retries") {
                     return;
@@ -771,7 +772,6 @@ fn scrub_pass(w: &mut World, sc: &SimCtx) {
         return;
     };
     let core = &mut engine.core;
-    let retry = core.cfg.link_retry();
     for idx in 0..core.committed.len() {
         let wave = core.committed[idx].wave;
         for rank in 0..core.committed[idx].images.len() {
@@ -795,7 +795,6 @@ fn scrub_pass(w: &mut World, sc: &SimCtx) {
                     rt,
                     sc,
                     spec,
-                    retry,
                     // Target unreachable past the retry budget: surrender —
                     // the next tick re-detects and tries again.
                     |_, _| {},
@@ -889,7 +888,7 @@ pub fn partition_cut(
 ) {
     let mut w = world.borrow_mut();
     w.rt.net
-        .start_partition_with(name, nodes.iter().copied(), direction, tear);
+        .start_partition(name, nodes.iter().copied(), direction, tear);
     let Some(grace) = ft.partition_rollback_after else {
         return;
     };

@@ -5,11 +5,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ftmpi_mpi::{
-    spawn_rank, AppFn, DummyProtocol, Placement, Protocol, RaceFixture, Rank, RuntimeConfig,
-    RuntimeCore, RuntimeStats, World, WorldRef,
+    spawn_rank, AppFn, DummyProtocol, Placement, Protocol, RaceFixture, Rank, RuntimeCore,
+    RuntimeStats, World, WorldRef,
 };
 use ftmpi_net::{
     fault_lane, LinkConfig, LinkFaultKind, NetFaultPlan, NetModel, NodeId, SoftwareStack,
+    StackProfile,
 };
 use ftmpi_sim::{PrescribedPolicy, SeededPolicy, Sim, SimDuration, SimTime};
 
@@ -713,7 +714,7 @@ fn assemble(spec: JobSpec, opts: RunOptions) -> Result<(Sim, WorldRef), JobError
     let mut rt = RuntimeCore::new(
         NetModel::new(dep.topo.clone()),
         placement,
-        RuntimeConfig::for_stack(stack),
+        StackProfile::for_stack(stack),
     );
     rt.race_fixture = opts.race_fixture;
     let proto: Box<dyn Protocol> = match spec.protocol {

@@ -24,7 +24,7 @@
 
 use std::any::Any;
 
-use ftmpi_mpi::flow::{start_flow_guarded, FlowRetry, FlowSpec};
+use ftmpi_mpi::flow::{start_flow_guarded, FlowSpec};
 use ftmpi_mpi::{AppMsg, ArrivalAction, Protocol, Rank, RuntimeCore, SendAction, World};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{ProtoEvent, SimCtx, SimTime};
@@ -210,7 +210,7 @@ impl WaveCore {
     ) {
         let src_node = rt.placement.node_of(from);
         let ctl_bytes = self.cfg.control_bytes;
-        let penalty = rt.cfg.profile.message_penalty(ctl_bytes);
+        let penalty = rt.profile.message_penalty(ctl_bytes);
         for to in (0..rt.size()).filter(|&to| to != from) {
             sc.trace_proto(ProtoEvent::MarkerSend { wave, from, to });
             let dst_node = rt.placement.node_of(to);
@@ -238,7 +238,6 @@ impl WaveCore {
         );
         cur.image_flows_left[rank] = targets.len();
         let src = rt.placement.node_of(rank);
-        let retry = self.cfg.link_retry();
         for (i, server) in targets.into_iter().enumerate() {
             let spec = FlowSpec {
                 src,
@@ -247,7 +246,7 @@ impl WaveCore {
                 chunk: self.cfg.chunk_bytes,
                 also_disk: self.cfg.write_local_disk && i == 0,
             };
-            start_image_stream(rt, sc, retry, spec, rank, wave);
+            start_image_stream(rt, sc, spec, rank, wave);
         }
     }
 }
@@ -256,21 +255,13 @@ impl WaveCore {
 /// `spec.dst`. If the target stays unreachable behind a link fault or a
 /// partition for the whole retry budget, the push surrenders to
 /// [`WaveEngine::image_push_failed`].
-fn start_image_stream(
-    rt: &mut RuntimeCore,
-    sc: &SimCtx,
-    retry: FlowRetry,
-    spec: FlowSpec,
-    rank: Rank,
-    wave: u64,
-) {
+fn start_image_stream(rt: &mut RuntimeCore, sc: &SimCtx, spec: FlowSpec, rank: Rank, wave: u64) {
     let server = spec.dst;
     let fail_spec = spec.clone();
     start_flow_guarded(
         rt,
         sc,
         spec,
-        retry,
         move |w, sc| {
             with_engine(w, |e: &mut WaveEngine, rt| {
                 e.image_push_failed(rt, sc, rank, wave, fail_spec)
@@ -485,8 +476,7 @@ impl WaveEngine {
         match replacement {
             Some(cand) => {
                 core.stats.images_rerouted += 1;
-                let retry = core.cfg.link_retry();
-                start_image_stream(rt, sc, retry, FlowSpec { dst: cand, ..spec }, rank, wave);
+                start_image_stream(rt, sc, FlowSpec { dst: cand, ..spec }, rank, wave);
             }
             None => {
                 self.rules.stream_ended(rt, rank);

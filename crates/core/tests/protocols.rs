@@ -7,6 +7,7 @@ use ftmpi_core::{
     run_job, run_job_explored, Deployment, FailurePlan, FtConfig, JobError, JobResult, JobSpec,
     Platform, ProtocolChoice, RunOptions, Schedule, SilentCorruptionSpec, SpecError,
 };
+use ftmpi_mpi::flow::FlowRetry;
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_net::{CutDirection, LinkFlapSpec, NetFaultPlan, NodeId, SoftwareStack};
 use ftmpi_sim::{SimDuration, SimTime};
@@ -615,7 +616,10 @@ fn partition_outliving_the_job_surrenders_waves_but_completes() {
             "the push retry budget must surrender, aborting the wave"
         );
         assert_eq!(res.rt.restarts, 0);
-        assert!(res.rt.link_retries >= u64::from(FtConfig::default().link_retry_limit));
+        assert!(
+            res.rt.link_retries
+                >= u64::from(FlowRetry::LADDER.limit.expect("the ladder is bounded"))
+        );
         assert_clean(&res);
     }
 }
@@ -632,7 +636,7 @@ fn heal_exactly_at_the_retry_deadline_lands_the_probe() {
     let ft = FtConfig::default();
     let first_probe = kill + ft.restart_delay.as_nanos();
     // Failed probes at +0 and +base; the +3·base probe ties with the heal.
-    let deadline = first_probe + 3 * ft.link_retry_base.as_nanos();
+    let deadline = first_probe + 3 * FlowRetry::LADDER.base.as_nanos();
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
         for (heal, want_retries) in [(deadline, 2), (deadline + 1, 3)] {
             let app = ring_app(100, 10_000, SimDuration::from_millis(200));
@@ -683,7 +687,8 @@ fn node_kill_of_an_already_partitioned_node_recovers_after_heal() {
             "the fetch must probe the cut before the heal lets it through"
         );
         assert!(
-            res.rt.link_retries <= u64::from(FtConfig::default().link_retry_limit) * 2,
+            res.rt.link_retries
+                <= u64::from(FlowRetry::LADDER.limit.expect("the ladder is bounded")) * 2,
             "retries must stay on the bounded ladder, got {}",
             res.rt.link_retries
         );
@@ -765,7 +770,7 @@ fn flap_period_shorter_than_the_retry_ladder_base_still_converges() {
     // onto the flap phase (livelock) nor surrender spuriously: nobody
     // restarts, retries stay bounded, and waves keep committing.
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        let base = FtConfig::default().link_retry_base;
+        let base = FlowRetry::LADDER.base;
         let app = ring_app(100, 10_000, SimDuration::from_millis(200));
         let mut spec = base_spec(6, proto, app);
         spec.net_faults = NetFaultPlan::none().with_link_flap(LinkFlapSpec {
@@ -811,7 +816,7 @@ fn directed_heal_exactly_at_the_retry_deadline_lands_the_probe() {
     let kill = 9_000_000_000u64; // quiet zone: two waves committed by 9 s
     let ft = FtConfig::default();
     let first_probe = kill + ft.restart_delay.as_nanos();
-    let deadline = first_probe + 3 * ft.link_retry_base.as_nanos();
+    let deadline = first_probe + 3 * FlowRetry::LADDER.base.as_nanos();
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
         for (heal, want_retries) in [(deadline, 2), (deadline + 1, 3)] {
             let app = ring_app(100, 10_000, SimDuration::from_millis(200));
@@ -914,7 +919,7 @@ fn corruption_landing_at_the_exact_retry_deadline_walks_to_the_replica() {
     let ft = FtConfig::default();
     let first_probe = kill + ft.restart_delay.as_nanos();
     // Failed probes at +0 and +base; the +3·base probe ties with the heal.
-    let deadline = first_probe + 3 * ft.link_retry_base.as_nanos();
+    let deadline = first_probe + 3 * FlowRetry::LADDER.base.as_nanos();
     for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
         let app = ring_app(100, 10_000, SimDuration::from_millis(200));
         let mut spec = base_spec(6, proto, app);

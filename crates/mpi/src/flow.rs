@@ -106,13 +106,22 @@ pub struct FlowRetry {
 }
 
 impl FlowRetry {
-    /// The unbounded pause policy with the default backoff constants,
-    /// used by control messages which have no per-job config in scope.
-    /// Matches the default retry knobs of `ftmpi-core`'s `FtConfig`.
+    /// The unbounded pause policy of control messages: 50 ms doubling to
+    /// 2 s, retrying until the fault clears.
     pub const PAUSE: FlowRetry = FlowRetry {
+        limit: None,
+        ..FlowRetry::LADDER
+    };
+
+    /// The bounded ladder of checkpoint image pushes, scrub repairs and
+    /// restore fetches: the same 50 ms doubling to 2 s, but after 8
+    /// consecutive failed probes the caller gives up on the destination
+    /// (a push reroutes to another server, a fetch walks to the next
+    /// replica).
+    pub const LADDER: FlowRetry = FlowRetry {
         base: SimDuration::from_millis(50),
         cap: SimDuration::from_secs(2),
-        limit: None,
+        limit: Some(8),
     };
 
     /// Delay before 0-based probe `attempt`: `base · 2^attempt`, capped.
@@ -144,15 +153,14 @@ pub fn start_flow(
     start_flow_inner(rt, sc, spec, FlowRetry::PAUSE, None, Box::new(on_done));
 }
 
-/// Like [`start_flow`], but with an explicit retry budget: when the
-/// destination stays unreachable for `retry.limit` consecutive probes the
+/// Like [`start_flow`], but on the bounded [`FlowRetry::LADDER`]: when the
+/// destination stays unreachable for its limit of consecutive probes the
 /// flow surrenders and `on_fail(world, sc)` runs instead of `on_done`
 /// (checkpoint pushes use this to fall back to the next replica server).
 pub fn start_flow_guarded(
     rt: &mut RuntimeCore,
     sc: &SimCtx,
     spec: FlowSpec,
-    retry: FlowRetry,
     on_fail: impl FnOnce(&mut World, &SimCtx) + 'static,
     on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + 'static,
 ) {
@@ -160,7 +168,7 @@ pub fn start_flow_guarded(
         rt,
         sc,
         spec,
-        retry,
+        FlowRetry::LADDER,
         Some(Box::new(on_fail)),
         Box::new(on_done),
     );

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod collectives;
-mod config;
 pub mod flow;
 mod handle;
 mod placement;
@@ -43,7 +42,6 @@ mod slab;
 mod types;
 mod world;
 
-pub use config::RuntimeConfig;
 pub use handle::{Mpi, ReqHandle};
 pub use placement::Placement;
 pub use protocol::{ArrivalAction, DummyProtocol, Protocol, SendAction};

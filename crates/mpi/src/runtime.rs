@@ -11,10 +11,9 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Weak;
 
-use ftmpi_net::{NetModel, NodeId};
+use ftmpi_net::{NetModel, NodeId, StackProfile};
 use ftmpi_sim::{FxBuildHasher, Pid, Reply, SimCtx, SimDuration, SimTime};
 
-use crate::config::RuntimeConfig;
 use crate::flow::Flow;
 use crate::placement::Placement;
 use crate::slab::Slab;
@@ -268,8 +267,8 @@ pub enum RaceFixture {
 pub struct RuntimeCore {
     /// The platform model.
     pub net: NetModel,
-    /// Per-message software costs and stack selection.
-    pub cfg: RuntimeConfig,
+    /// Per-message software costs of the job's software stack.
+    pub profile: StackProfile,
     /// Rank-to-node mapping.
     pub placement: Placement,
     /// Per-rank state, indexed by rank.
@@ -303,14 +302,14 @@ pub struct RuntimeCore {
 
 impl RuntimeCore {
     /// Build a runtime over a platform and placement.
-    pub fn new(net: NetModel, placement: Placement, cfg: RuntimeConfig) -> RuntimeCore {
+    pub fn new(net: NetModel, placement: Placement, profile: StackProfile) -> RuntimeCore {
         let nranks = placement.ranks();
         let ranks = (0..nranks)
             .map(|r| RankState::new(placement.node_of(r)))
             .collect();
         RuntimeCore {
             net,
-            cfg,
+            profile,
             placement,
             ranks,
             epoch: 0,
@@ -389,7 +388,7 @@ impl RuntimeCore {
         });
         let src_node = self.placement.node_of(msg.src);
         let dst_node = self.placement.node_of(msg.dst);
-        let penalty = self.cfg.profile.message_penalty(msg.bytes);
+        let penalty = self.profile.message_penalty(msg.bytes);
         let delivery =
             self.net
                 .transfer_with_overhead(src_node, dst_node, msg.bytes, sc.now(), penalty);
@@ -431,7 +430,7 @@ impl RuntimeCore {
             seq: msg.seq,
             epoch: msg.epoch,
         });
-        let o_recv = self.cfg.profile.recv_overhead;
+        let o_recv = self.profile.recv_overhead;
         let rank = &mut self.ranks[msg.dst];
         let arrival_idx = rank.arrival_counter;
         rank.arrival_counter += 1;
@@ -568,7 +567,7 @@ impl RuntimeCore {
         sink: RecvSink,
         delay: SimDuration,
     ) -> bool {
-        let o_recv = self.cfg.profile.recv_overhead + delay;
+        let o_recv = self.profile.recv_overhead + delay;
         let rank = &mut self.ranks[dst];
         let pos = rank.unexpected.iter().position(|(_, m)| {
             src.map(|s| s == m.src).unwrap_or(true) && tag.map(|t| t == m.tag).unwrap_or(true)

@@ -157,7 +157,7 @@ impl World {
         reply: Reply<()>,
     ) {
         let penalty = self.op_entry(sc, src);
-        let o_send = self.rt.cfg.profile.send_overhead + penalty;
+        let o_send = self.rt.profile.send_overhead + penalty;
         let seq = self.rt.next_seq(src, dst);
         let msg = AppMsg {
             src,
@@ -220,7 +220,7 @@ impl World {
         {
             let r = &mut self.rt.ranks[me];
             r.ops_completed += 1;
-            r.last_entry = sc.now() + self.rt.cfg.profile.send_overhead;
+            r.last_entry = sc.now() + self.rt.profile.send_overhead;
         }
         let done = self.rt.post_recv_sink(
             sc,
@@ -287,7 +287,7 @@ impl World {
             RecvSink::Request(req_id),
             SimDuration::ZERO,
         );
-        let complete_at = sc.now() + self.rt.cfg.profile.recv_overhead + penalty;
+        let complete_at = sc.now() + self.rt.profile.recv_overhead + penalty;
         {
             let r = &mut self.rt.ranks[dst];
             r.ops_completed += 1;

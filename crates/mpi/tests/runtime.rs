@@ -6,10 +6,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ftmpi_mpi::{
-    app_fn, spawn_rank, AppFn, DummyProtocol, Placement, RuntimeConfig, RuntimeCore, World,
-    WorldRef,
+    app_fn, spawn_rank, AppFn, DummyProtocol, Placement, RuntimeCore, World, WorldRef,
 };
-use ftmpi_net::{LinkConfig, NetModel, SoftwareStack, Topology};
+use ftmpi_net::{LinkConfig, NetModel, SoftwareStack, StackProfile, Topology};
 use ftmpi_sim::{CandidateKind, Decision, SchedulePolicy, SeededPolicy, Sim, SimDuration, SimTime};
 
 /// Run `app` on `nranks` ranks (one per node, GigE, TCP stack); returns the
@@ -33,7 +32,7 @@ fn run_app_placed(
     let rt = RuntimeCore::new(
         NetModel::new(topo),
         placement,
-        RuntimeConfig::for_stack(SoftwareStack::TcpSock),
+        StackProfile::for_stack(SoftwareStack::TcpSock),
     );
     let world = World::new_ref(rt, Box::new(DummyProtocol));
     let mut sim = Sim::new();
@@ -438,7 +437,7 @@ fn run_with_replacement(
     let rt = RuntimeCore::new(
         NetModel::new(topo),
         placement,
-        RuntimeConfig::for_stack(SoftwareStack::TcpSock),
+        StackProfile::for_stack(SoftwareStack::TcpSock),
     );
     let world = World::new_ref(rt, Box::new(DummyProtocol));
     let mut sim = Sim::new();

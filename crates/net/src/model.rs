@@ -132,35 +132,13 @@ impl NetModel {
         self.degraded.remove(&(from, to));
     }
 
-    /// Activate the named partition: every node in `nodes` is cut off from
-    /// every node outside the set (both directions). Re-activating an
-    /// active name replaces its node set.
-    pub fn start_partition(
-        &mut self,
-        name: impl Into<String>,
-        nodes: impl IntoIterator<Item = NodeId>,
-    ) {
-        self.start_partition_directed(name, nodes, CutDirection::Both);
-    }
-
-    /// Activate the named partition cutting only the given direction of
-    /// boundary-crossing traffic (relative to `nodes`). Re-activating an
-    /// active name replaces its node set and direction.
-    pub fn start_partition_directed(
-        &mut self,
-        name: impl Into<String>,
-        nodes: impl IntoIterator<Item = NodeId>,
-        direction: CutDirection,
-    ) {
-        self.start_partition_with(name, nodes, direction, false);
-    }
-
-    /// Activate a named partition with an explicit tearing flag: a tearing
+    /// Activate the named partition: `direction` says which
+    /// boundary-crossing traffic (relative to `nodes`) it cuts. A tearing
     /// cut severs streams mid-transfer, so a bulk write it interrupts can
     /// leave a truncated (torn) prefix on the receiver — see
     /// [`cut_tears`](NetModel::cut_tears). Re-activating an active name
     /// replaces its node set, direction, and flag.
-    pub fn start_partition_with(
+    pub fn start_partition(
         &mut self,
         name: impl Into<String>,
         nodes: impl IntoIterator<Item = NodeId>,
@@ -180,12 +158,6 @@ impl NetModel {
     /// Whether the named partition is currently active.
     pub fn partition_active(&self, name: &str) -> bool {
         self.partitions.contains_key(name)
-    }
-
-    /// Whether any fault state (down links or partitions) currently cuts
-    /// traffic. Degraded links still deliver, so they don't count.
-    pub fn faults_cutting(&self) -> bool {
-        !self.link_down.is_empty() || !self.partitions.is_empty()
     }
 
     /// Whether a message from `src` can currently reach `dst`: true unless
@@ -534,15 +506,18 @@ mod tests {
         assert!(net.reachable(NodeId(0), NodeId(0)));
         net.restore_link(NodeId(0), NodeId(1));
         assert!(net.reachable(NodeId(0), NodeId(1)));
-        assert!(!net.faults_cutting());
     }
 
     #[test]
     fn partition_cuts_both_directions_but_not_within_sides() {
         let mut net = gige4();
-        net.start_partition("switch-a", [NodeId(0), NodeId(1)]);
+        net.start_partition(
+            "switch-a",
+            [NodeId(0), NodeId(1)],
+            CutDirection::Both,
+            false,
+        );
         assert!(net.partition_active("switch-a"));
-        assert!(net.faults_cutting());
         assert!(!net.reachable(NodeId(0), NodeId(2)));
         assert!(!net.reachable(NodeId(2), NodeId(0)));
         // Within the cut set, and within the complement, traffic flows.
@@ -560,14 +535,24 @@ mod tests {
     fn directed_partition_cuts_only_one_way() {
         let mut net = gige4();
         // Outbound: nothing leaves {0,1}, but traffic still flows in.
-        net.start_partition_directed("half-open", [NodeId(0), NodeId(1)], CutDirection::Outbound);
+        net.start_partition(
+            "half-open",
+            [NodeId(0), NodeId(1)],
+            CutDirection::Outbound,
+            false,
+        );
         assert!(!net.reachable(NodeId(0), NodeId(2)), "outbound cut");
         assert!(net.reachable(NodeId(2), NodeId(0)), "inbound still flows");
         // Within the set and within the complement, unaffected.
         assert!(net.reachable(NodeId(0), NodeId(1)));
         assert!(net.reachable(NodeId(2), NodeId(3)));
         // Re-activating the name flips the direction in place.
-        net.start_partition_directed("half-open", [NodeId(0), NodeId(1)], CutDirection::Inbound);
+        net.start_partition(
+            "half-open",
+            [NodeId(0), NodeId(1)],
+            CutDirection::Inbound,
+            false,
+        );
         assert!(net.reachable(NodeId(0), NodeId(2)), "outbound restored");
         assert!(!net.reachable(NodeId(2), NodeId(0)), "inbound now cut");
         net.heal_partition("half-open");
@@ -578,13 +563,13 @@ mod tests {
     fn tearing_partition_reports_cut_tears() {
         let mut net = gige4();
         // A plain partition cuts but does not tear.
-        net.start_partition("clean", [NodeId(0)]);
+        net.start_partition("clean", [NodeId(0)], CutDirection::Both, false);
         assert!(!net.reachable(NodeId(0), NodeId(2)));
         assert!(!net.cut_tears(NodeId(0), NodeId(2)));
         net.heal_partition("clean");
         // A tearing partition reports tears across the cut, honouring
         // direction, and never for loopback.
-        net.start_partition_with("torn", [NodeId(0)], CutDirection::Outbound, true);
+        net.start_partition("torn", [NodeId(0)], CutDirection::Outbound, true);
         assert!(
             net.cut_tears(NodeId(0), NodeId(2)),
             "outbound crossing tears"
@@ -601,7 +586,7 @@ mod tests {
     #[test]
     fn directed_partition_survives_reset_queues() {
         let mut net = gige4();
-        net.start_partition_directed("asym", [NodeId(3)], CutDirection::Inbound);
+        net.start_partition("asym", [NodeId(3)], CutDirection::Inbound, false);
         net.reset_queues(SimTime::from_nanos(1));
         assert!(!net.reachable(NodeId(0), NodeId(3)));
         assert!(net.reachable(NodeId(3), NodeId(0)));
@@ -610,8 +595,8 @@ mod tests {
     #[test]
     fn overlapping_partitions_all_apply() {
         let mut net = gige4();
-        net.start_partition("a", [NodeId(0), NodeId(1)]);
-        net.start_partition("b", [NodeId(1), NodeId(2)]);
+        net.start_partition("a", [NodeId(0), NodeId(1)], CutDirection::Both, false);
+        net.start_partition("b", [NodeId(1), NodeId(2)], CutDirection::Both, false);
         // 1↔2 crosses partition "a" even though "b" groups them together.
         assert!(!net.reachable(NodeId(1), NodeId(2)));
         net.heal_partition("a");
@@ -662,7 +647,7 @@ mod tests {
     fn fault_state_survives_reset_queues() {
         let mut net = gige4();
         net.set_link_down(NodeId(0), NodeId(1));
-        net.start_partition("wan", [NodeId(3)]);
+        net.start_partition("wan", [NodeId(3)], CutDirection::Both, false);
         net.reset_queues(SimTime::from_nanos(1));
         assert!(
             !net.reachable(NodeId(0), NodeId(1)),

@@ -20,7 +20,7 @@ use crate::process::{Pid, ProcCtx, ProcessExit, Wake, WakeKind};
 use crate::reply::ReplyWords;
 use crate::schedule::{Candidate, CandidateKind, Decision, SchedulePolicy, StepRecord};
 use crate::table::ProcTable;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 
 /// A process body compiled to a resumable state machine, owned by the kernel
@@ -83,7 +83,6 @@ pub(crate) struct KernelState {
     next_pid: u64,
     stop_requested: bool,
     executed: u64,
-    max_events: Option<u64>,
     max_time: Option<SimTime>,
     tracer: Tracer,
     /// Exit records in completion order.
@@ -267,11 +266,6 @@ pub enum SimError {
         /// Rendered panic message.
         message: String,
     },
-    /// The configured event budget was exhausted (runaway model).
-    EventBudgetExhausted {
-        /// Number of events executed before giving up.
-        executed: u64,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -288,9 +282,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::ProcessPanicked { name, message } => {
                 write!(f, "simulated process '{name}' panicked: {message}")
-            }
-            SimError::EventBudgetExhausted { executed } => {
-                write!(f, "event budget exhausted after {executed} events")
             }
         }
     }
@@ -366,11 +357,6 @@ impl SimCtx {
         self.shared.schedule_call(at.max(self.now), lane, f);
     }
 
-    /// Schedule `f` after a delay.
-    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + 'static) {
-        self.shared.schedule_call(self.now + d, None, f);
-    }
-
     /// Schedule a data event at `at` (clamped to now if in the past) in a
     /// tiebreak `lane` (see [`SimCtx::schedule_keyed`]): the run's data
     /// handler receives `words` as [`DataEvent::Data`]. The payload is the
@@ -411,17 +397,6 @@ impl SimCtx {
             });
         }
         st.push_resume(self.now, pid, WakeKind::Killed);
-    }
-
-    /// Is the process still alive (spawned and not yet exited)?
-    pub fn is_alive(&self, pid: Pid) -> bool {
-        self.shared
-            .state
-            .borrow()
-            .procs
-            .get(pid)
-            .map(|e| e.alive)
-            .unwrap_or(false)
     }
 
     /// Spawn a new simulated process that starts at time `at`. The body is
@@ -540,7 +515,6 @@ impl Sim {
                     next_pid: 0,
                     stop_requested: false,
                     executed: 0,
-                    max_events: None,
                     max_time: None,
                     tracer: Tracer::default(),
                     exits: Vec::new(),
@@ -565,11 +539,6 @@ impl Sim {
     /// panics.
     pub fn set_data_handler(&mut self, handler: impl Fn(&SimCtx, DataEvent) + 'static) {
         self.handler = Some(Box::new(handler));
-    }
-
-    /// Cap the number of events (defence against runaway models).
-    pub fn set_max_events(&mut self, n: u64) {
-        self.shared.state.borrow_mut().max_events = Some(n);
     }
 
     /// Stop the run once the kernel clock passes `t` (remaining processes are
@@ -601,11 +570,6 @@ impl Sim {
     /// so it may be installed at any point before [`Sim::run`].
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         self.shared.state.borrow_mut().policy = Some(policy);
-    }
-
-    /// Convenience constructor for a [`SharedFlag`](crate::SharedFlag).
-    pub fn shared_flag(&self) -> crate::process::SharedFlag {
-        crate::process::SharedFlag::new()
     }
 
     /// Spawn an initial process starting at time zero. See
@@ -684,13 +648,6 @@ impl Sim {
                 let mut st = self.shared.state.borrow_mut();
                 if st.stop_requested {
                     return Ok(());
-                }
-                if let Some(max) = st.max_events {
-                    if st.executed >= max {
-                        return Err(SimError::EventBudgetExhausted {
-                            executed: st.executed,
-                        });
-                    }
                 }
                 let Some(ev) = st.next_event()? else {
                     return Ok(());

@@ -47,11 +47,9 @@
 //! use ftmpi_sim::{Sim, SimDuration};
 //!
 //! let mut sim = Sim::new();
-//! let done = sim.shared_flag();
 //! sim.spawn("worker", move |mut ctx| async move {
 //!     ctx.advance(SimDuration::from_secs_f64(2.5)); // simulated compute
 //!     ctx.sleep_until_local().await;                // sync with the kernel
-//!     done.set();
 //! });
 //! let report = sim.run().unwrap();
 //! assert!(report.final_time.as_secs_f64() >= 2.5);
@@ -73,7 +71,7 @@ mod trace;
 
 pub use hash::{FxBuildHasher, FxHasher};
 pub use kernel::{DataEvent, DeadlockInfo, RunReport, Sim, SimCtx, SimError};
-pub use process::{Pid, ProcCtx, ProcessExit, SharedFlag};
+pub use process::{Pid, ProcCtx, ProcessExit};
 pub use reply::{Reply, ReplyWords};
 pub use schedule::{
     Candidate, CandidateKind, Decision, PrescribedPolicy, SchedulePolicy, SeededPolicy, StepRecord,

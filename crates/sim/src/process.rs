@@ -9,7 +9,6 @@
 //! time, so model state never sees concurrent access and every shared
 //! handle is a plain single-threaded cell.
 
-use std::cell::Cell;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -179,25 +178,5 @@ impl ProcCtx {
     pub async fn sleep(&mut self, d: SimDuration) {
         self.advance(d);
         self.sleep_until_local().await;
-    }
-}
-
-/// A tiny shared boolean used by tests and examples to observe completion
-/// from outside the simulation.
-#[derive(Debug, Clone, Default)]
-pub struct SharedFlag(Rc<Cell<bool>>);
-
-impl SharedFlag {
-    /// Create an unset flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Raise the flag.
-    pub fn set(&self) {
-        self.0.set(true);
-    }
-    /// Read the flag.
-    pub fn get(&self) -> bool {
-        self.0.get()
     }
 }

@@ -42,11 +42,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference, `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -235,8 +230,6 @@ mod tests {
         assert_eq!(t2.as_nanos(), 150);
         assert_eq!(t2 - t, SimDuration::from_nanos(50));
         assert_eq!(t.saturating_since(t2), SimDuration::ZERO);
-        assert_eq!(t2.checked_since(t), Some(SimDuration::from_nanos(50)));
-        assert_eq!(t.checked_since(t2), None);
     }
 
     #[test]

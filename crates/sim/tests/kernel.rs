@@ -2,7 +2,7 @@
 //! suspension/waking, kill semantics, determinism, deadlock detection, and
 //! run reports pinned to recorded values.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ftmpi_sim::{
@@ -150,11 +150,11 @@ fn complete_at_delays_the_wake() {
 #[test]
 fn killed_process_unwinds_and_reports_killed_exit() {
     let mut sim = Sim::new();
-    let flag = sim.shared_flag();
-    let f2 = flag.clone();
+    let flag = Rc::new(Cell::new(false));
+    let f2 = Rc::clone(&flag);
     let victim = sim.spawn("victim", move |mut ctx| async move {
         ctx.sleep(SimDuration::from_secs(1_000_000)).await;
-        f2.set(); // must never run
+        f2.set(true); // must never run
     });
     sim.schedule(SimTime::from_nanos(5), move |sc| sc.kill(victim));
     let report = sim.run().unwrap();
@@ -175,10 +175,14 @@ fn kill_is_noop_for_finished_process() {
     let mut sim = Sim::new();
     let p = sim.spawn("quick", |_ctx| async {});
     sim.schedule(SimTime::from_nanos(100), move |sc| {
-        assert!(!sc.is_alive(p));
         sc.kill(p); // must not panic or hang
     });
-    sim.run().unwrap();
+    let report = sim.run().unwrap();
+    // The process finished at time zero; the late kill leaves its one
+    // exit record untouched.
+    let exits: Vec<_> = report.exits.iter().filter(|(q, _, _)| *q == p).collect();
+    assert_eq!(exits.len(), 1);
+    assert_eq!(exits[0].2, ProcessExit::Normal);
 }
 
 #[test]
@@ -211,20 +215,6 @@ fn unwakeable_process_is_reported_as_deadlock() {
 }
 
 #[test]
-fn event_budget_guards_against_runaway_models() {
-    let mut sim = Sim::new();
-    sim.set_max_events(100);
-    fn reschedule(sc: &ftmpi_sim::SimCtx) {
-        sc.schedule_in(SimDuration::from_nanos(1), reschedule);
-    }
-    sim.schedule(SimTime::ZERO, reschedule);
-    match sim.run() {
-        Err(SimError::EventBudgetExhausted { executed }) => assert_eq!(executed, 100),
-        other => panic!("expected budget error, got {other:?}"),
-    }
-}
-
-#[test]
 fn max_time_stops_the_run() {
     let mut sim = Sim::new();
     sim.set_max_time(SimTime::from_nanos(50));
@@ -240,13 +230,13 @@ fn max_time_stops_the_run() {
 #[test]
 fn processes_spawned_from_events_run() {
     let mut sim = Sim::new();
-    let flag = sim.shared_flag();
-    let f2 = flag.clone();
+    let flag = Rc::new(Cell::new(false));
+    let f2 = Rc::clone(&flag);
     sim.schedule(SimTime::from_nanos(10), move |sc| {
-        let f3 = f2.clone();
+        let f3 = Rc::clone(&f2);
         sc.spawn("child", move |mut ctx| async move {
             ctx.sleep(SimDuration::from_nanos(5)).await;
-            f3.set();
+            f3.set(true);
         });
     });
     let report = sim.run().unwrap();
@@ -350,7 +340,6 @@ fn kill_respawn_churn_keeps_pids_distinct() {
     let f = Rc::clone(&finished);
     sim.schedule(SimTime::from_nanos(5), move |sc| {
         for pid in &v2 {
-            assert!(sc.is_alive(*pid));
             sc.kill(*pid);
             sc.kill(*pid); // double kill must stay a no-op
         }
@@ -557,11 +546,11 @@ fn same_lane_events_keep_scheduling_order_under_any_seed() {
 #[test]
 fn same_time_wake_then_kill_delivers_the_wake_first() {
     let mut sim = Sim::new();
-    let woke = sim.shared_flag();
-    let w = woke.clone();
+    let woke = Rc::new(Cell::new(false));
+    let w = Rc::clone(&woke);
     let victim = sim.spawn("victim", move |mut ctx| async move {
         ctx.sleep(SimDuration::from_secs(5)).await;
-        w.set();
+        w.set(true);
         ctx.sleep(SimDuration::from_secs(10)).await;
         unreachable!("killed at 5s");
     });
@@ -569,7 +558,9 @@ fn same_time_wake_then_kill_delivers_the_wake_first() {
     // the sleeper's completion call: at 5s the sleep wake is queued first,
     // then the Killed resume lands right behind it on the same lane.
     sim.schedule(SimTime::from_nanos(1_000_000_000), move |sc| {
-        sc.schedule_in(SimDuration::from_secs(4), move |sc| sc.kill(victim));
+        sc.schedule(sc.now() + SimDuration::from_secs(4), move |sc| {
+            sc.kill(victim)
+        });
     });
     let report = sim.run().unwrap();
     assert!(woke.get(), "the same-instant wake must run before the kill");
@@ -655,13 +646,13 @@ fn kill_during_suspension_drops_the_pending_op() {
         if let Some(p) = policy {
             sim.set_schedule_policy(p);
         }
-        let ran = sim.shared_flag();
-        let r = ran.clone();
+        let ran = Rc::new(Cell::new(false));
+        let r = Rc::clone(&ran);
         sim.set_data_handler(move |sc, ev| {
             let DataEvent::Op(pid) = ev else {
                 panic!("unexpected data event {ev:?}");
             };
-            r.set();
+            r.set(true);
             Reply::<()>::new(pid).complete(sc, ());
         });
         let victim = sim.spawn("victim", |mut ctx| async move {
@@ -790,9 +781,9 @@ fn a_dead_processs_call_behind_the_head_is_never_a_candidate() {
             sim.set_schedule_policy(p);
         }
         let t = SimTime::from_nanos(20);
-        let ran = sim.shared_flag();
-        let r = ran.clone();
-        sim.set_data_handler(move |_sc, _ev| r.set());
+        let ran = Rc::new(Cell::new(false));
+        let r = Rc::clone(&ran);
+        sim.set_data_handler(move |_sc, _ev| r.set(true));
         let victim = sim.spawn("victim", move |mut ctx| async move {
             ctx.advance(SimDuration::from_nanos(20));
             ctx.post_op::<()>().await;
@@ -870,23 +861,23 @@ fn teardown_kills_parked_processes_lowest_pid_first() {
 fn kill_before_first_wake_drops_the_unstarted_process() {
     fn run() -> (u64, bool, bool) {
         let mut sim = Sim::new();
-        let started = sim.shared_flag();
-        let replaced = sim.shared_flag();
-        let s2 = started.clone();
+        let started = Rc::new(Cell::new(false));
+        let replaced = Rc::new(Cell::new(false));
+        let s2 = Rc::clone(&started);
         let victim = sim.spawn_at(
             SimTime::from_nanos(100),
             "late-starter",
             move |mut ctx| async move {
-                s2.set();
+                s2.set(true);
                 ctx.sleep(SimDuration::from_nanos(1)).await;
             },
         );
-        let r2 = replaced.clone();
+        let r2 = Rc::clone(&replaced);
         sim.schedule(SimTime::from_nanos(10), move |sc| {
             sc.kill(victim);
             sc.spawn("replacement", move |mut ctx| async move {
                 ctx.sleep(SimDuration::from_nanos(5)).await;
-                r2.set();
+                r2.set(true);
             });
         });
         let report = sim.run().unwrap();

@@ -47,7 +47,11 @@ grep -q '^smoke: ok$' "$DIFF_TMP/smoke.log"
 test "$(grep -c '^perturb\..* seeds=3 ok$' "$DIFF_TMP/smoke.log")" -eq 7
 
 echo "==> ftmpi-check figures --full (class-A figure probes, with kills)"
-cargo run -q --release -p ftmpi-check -- figures --full
+cargo run -q --release -p ftmpi-check -- figures --full | tee "$DIFF_TMP/figures.log"
+# As for smoke, the verdict line is checked through the tee, and it counts
+# the probes: one dropped from the bench's figure probe set would
+# otherwise leave this step green.
+grep -q '^figures: ok (16 probes)$' "$DIFF_TMP/figures.log"
 
 echo "==> ftmpi-check storm --smoke (kills, partitions, node deaths, corruption)"
 cargo run -q --release -p ftmpi-check -- storm --smoke | tee "$DIFF_TMP/storm.log"

@@ -42,8 +42,7 @@ fn bt_runs_under_all_protocols() {
     let wl = bt::workload(NasClass::S, 4, machine());
     let mut runner = SweepRunner::new(PROTOS.len());
     for proto in PROTOS {
-        let spec = spec_for(&wl, 4, proto, 0.5);
-        runner.add(format!("bt/{proto:?}"), move || spec);
+        runner.add(format!("bt/{proto:?}"), spec_for(&wl, 4, proto, 0.5));
     }
     for (proto, result) in PROTOS.into_iter().zip(runner.run()) {
         let res = result.expect("bt run");
@@ -60,8 +59,7 @@ fn cg_runs_under_all_protocols() {
     let wl = cg::workload(NasClass::S, 8, machine());
     let mut runner = SweepRunner::new(PROTOS.len());
     for proto in PROTOS {
-        let spec = spec_for(&wl, 8, proto, 0.2);
-        runner.add(format!("cg/{proto:?}"), move || spec);
+        runner.add(format!("cg/{proto:?}"), spec_for(&wl, 8, proto, 0.2));
     }
     for result in runner.run() {
         let res = result.expect("cg run");
