@@ -156,8 +156,9 @@ pub(crate) fn ring_profile(proto: ProtocolChoice) -> Result<CleanProfile, String
     Ok(prof)
 }
 
-/// The storm workload: the smoke ring at 8 ranks over two servers, long
-/// enough for several waves, short enough to run dozens of variants.
+/// The storm workload, and a smoke probe: an 8-rank ring over two
+/// servers, long enough for several waves, short enough to run dozens of
+/// variants.
 pub(crate) fn ring_spec(proto: ProtocolChoice) -> JobSpec {
     let mut spec = JobSpec::new(
         8,
@@ -173,8 +174,8 @@ pub(crate) fn ring_spec(proto: ProtocolChoice) -> JobSpec {
 }
 
 /// The logging-heavy two-rank Vcl stream (messages genuinely in the
-/// channel when the wave cuts through).
-fn stream_spec() -> JobSpec {
+/// channel when the wave cuts through), also a smoke probe.
+pub(crate) fn stream_spec() -> JobSpec {
     let mut spec = JobSpec::new(
         2,
         ProtocolChoice::Vcl,

@@ -1,20 +1,20 @@
 //! Checker-enabled probe suites.
 //!
-//! [`smoke_probes`] is the CI set: an 8-rank ring under both protocols
-//! plus a logging-heavy two-rank Vcl stream. [`figures_suite`] drives
-//! every figure-workload family from the bench crate through the checker.
+//! [`smoke_probes`] is the CI set: the storm campaign's 8-rank ring under
+//! both protocols plus its logging-heavy two-rank Vcl stream.
+//! [`figures_suite`] drives every figure-workload family from the bench
+//! crate through the checker.
 //! [`run_checked_with_churn`] runs each probe clean and, when it commits a
 //! wave before completing, again with its last rank killed shortly after
 //! the first commit. Every run goes through [`run_storm_traced`], so it
 //! faces the invariant checker and the storm campaign's robustness
 //! contract alike.
 
-use ftmpi_bench::proto_name;
-use ftmpi_core::{FailurePlan, FtConfig, JobSpec, ProtocolChoice};
+use ftmpi_core::{FailurePlan, JobSpec, ProtocolChoice};
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_sim::{ProtoEvent, SimDuration, SimTime, TraceKind};
 
-use crate::storm::{run_storm_traced, StormOutcome};
+use crate::storm::{ring_spec, run_storm_traced, stream_spec, StormOutcome};
 
 /// Ring workload: each iteration sends to the right neighbour, receives
 /// from the left, then computes (the BT-like probe app).
@@ -56,43 +56,21 @@ pub fn stream_app(count: usize, bytes: u64, consume: SimDuration) -> AppFn {
     })
 }
 
-fn smoke_spec(nranks: usize, protocol: ProtocolChoice, app: AppFn) -> JobSpec {
-    let mut spec = JobSpec::new(nranks, protocol, app);
-    spec.servers = 2;
-    spec.ft = FtConfig {
-        period: SimDuration::from_secs(5),
-        first_wave_delay: SimDuration::from_secs(2),
-        image_bytes: 4 << 20,
-        ..FtConfig::default()
-    };
-    spec.max_virtual_time = Some(SimTime::from_nanos(600_000_000_000));
-    spec
-}
-
-/// The CI smoke probes: both protocols at 8 ranks, plus a logging-heavy
-/// Vcl stream. Churn (mid-run kill) variants are derived per probe by
-/// [`run_checked_with_churn`].
+/// The CI smoke probes: the storm campaign's two workloads, its ring under
+/// both protocols and its logging-heavy Vcl stream. Churn (mid-run kill)
+/// variants are derived per probe by [`run_checked_with_churn`].
 pub fn smoke_probes() -> Vec<(String, JobSpec)> {
-    let mut probes = Vec::new();
-    for proto in [ProtocolChoice::Pcl, ProtocolChoice::Vcl] {
-        let name = proto_name(proto);
-        let mut clean = smoke_spec(
-            8,
-            proto,
-            ring_app(100, 10_000, SimDuration::from_millis(200)),
-        );
-        clean.ft.period = SimDuration::from_secs(4);
-        probes.push((format!("smoke.ring8.{name}"), clean));
-    }
-    let mut stream = smoke_spec(
-        2,
-        ProtocolChoice::Vcl,
-        stream_app(200, 256 << 10, SimDuration::from_millis(2)),
-    );
-    stream.ft.first_wave_delay = SimDuration::from_millis(200);
-    stream.ft.period = SimDuration::from_secs(1);
-    probes.push(("smoke.stream2.vcl".to_string(), stream));
-    probes
+    vec![
+        (
+            "smoke.ring8.pcl".to_string(),
+            ring_spec(ProtocolChoice::Pcl),
+        ),
+        (
+            "smoke.ring8.vcl".to_string(),
+            ring_spec(ProtocolChoice::Vcl),
+        ),
+        ("smoke.stream2.vcl".to_string(), stream_spec()),
+    ]
 }
 
 /// The class-S figure workloads the smoke perturbation pass covers: the

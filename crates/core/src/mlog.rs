@@ -18,15 +18,19 @@
 //!   buffered while it was down, and suppresses the duplicates of its
 //!   re-executed sends at the receivers. No orphans can exist because no
 //!   delivery precedes its log record.
+//!
+//! The two events the engine schedules per message and per checkpoint
+//! cycle are data ([`Protocol::on_data`]), not boxed closures: a log
+//! acknowledgement names its slot in the engine's table of pending
+//! acknowledgements, which holds the logged message until that event
+//! runs, and a rank's checkpoint timer names the rank and its incarnation.
 
 use std::any::Any;
-use std::cell::RefCell;
-use std::rc::Weak;
 
 use ftmpi_mpi::flow::{start_flow, FlowSpec};
 use ftmpi_mpi::{
-    spawn_rank, AppFn, AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction,
-    World,
+    schedule_proto_data, spawn_rank, AppFn, AppMsg, ArrivalAction, Protocol, Rank, RankStatus,
+    RuntimeCore, SendAction, World,
 };
 use ftmpi_net::NodeId;
 use ftmpi_sim::{SimCtx, SimDuration, SimTime};
@@ -42,10 +46,6 @@ struct MlogRank {
     /// Receiver-based log: every delivered message since the last committed
     /// image, in delivery order.
     log: Vec<AppMsg>,
-    /// Messages whose synchronous log write is still in flight (arrived but
-    /// not yet stable). On a failure these are re-injected in arrival order
-    /// so the channel never reorders across the restart.
-    in_flight: Vec<AppMsg>,
     /// Last committed image, with the log position it supersedes.
     image: Option<RankImage>,
     /// Image version counter (stale flow completions are ignored).
@@ -60,6 +60,24 @@ struct MlogRank {
     pending: Option<(u64, RankImage)>,
 }
 
+/// A message whose synchronous log write is in flight (arrived but not
+/// yet stable): it is delivered when its acknowledgement event runs.
+struct PendingAck {
+    msg: AppMsg,
+    /// The job epoch and the receiver's incarnation when it arrived: if
+    /// either moved before the acknowledgement, the event is stale.
+    epoch: u64,
+    incarnation: u64,
+    /// Arrival order, job-wide. On a failure the victim's pending messages
+    /// are re-injected in this order, so the channel never reorders across
+    /// the restart.
+    order: u64,
+}
+
+/// Low bit of an Mlog data word: an acknowledgement (`slot << 1`) or a
+/// rank's checkpoint timer (`incarnation << 32 | rank << 1 | TIMER`).
+const TIMER: u64 = 1;
+
 /// The uncoordinated message-logging engine.
 pub struct Mlog {
     cfg: FtConfig,
@@ -67,6 +85,15 @@ pub struct Mlog {
     /// Protocol statistics (wave numbers count per-rank checkpoints).
     pub stats: FtStats,
     ranks: Vec<MlogRank>,
+    /// Pending acknowledgements by slot. A slot is vacated only when its
+    /// own event runs, stale or not: a restart leaves the victim's old
+    /// acknowledgements queued, and a slot reused before its event ran
+    /// would hand that stale event a newer message.
+    acks: Vec<Option<PendingAck>>,
+    /// Vacated slots of `acks`, reused first.
+    free_acks: Vec<usize>,
+    /// Arrivals logged so far (the next [`PendingAck::order`]).
+    arrivals: u64,
 }
 
 impl Mlog {
@@ -79,82 +106,92 @@ impl Mlog {
             ranks: (0..dep.nranks())
                 .map(|_| MlogRank {
                     log: Vec::new(),
-                    in_flight: Vec::new(),
                     image: None,
                     image_version: 0,
                     ckpt_in_flight: false,
                     pending: None,
                 })
                 .collect(),
+            acks: Vec::new(),
+            free_acks: Vec::new(),
+            arrivals: 0,
         }
     }
 
     /// Arm rank `r`'s next checkpoint at `at` (incarnation-guarded).
-    pub(crate) fn schedule_rank_ckpt(
-        sc: &SimCtx,
-        handle: Weak<RefCell<World>>,
-        r: Rank,
-        at: SimTime,
-        incarnation: u64,
-    ) {
-        sc.schedule(at, move |sc| {
-            let Some(world) = handle.upgrade() else {
-                return;
-            };
-            let mut w = world.borrow_mut();
-            if w.rt.job_complete() || w.rt.ranks[r].incarnation != incarnation {
-                return;
-            }
-            if w.rt.ranks[r].status == RankStatus::Dead {
-                return; // restart will re-arm
-            }
-            Mlog::take_rank_checkpoint(&mut w, sc, r);
-        });
+    pub(crate) fn schedule_rank_ckpt(sc: &SimCtx, r: Rank, at: SimTime, incarnation: u64) {
+        assert!(
+            r < 1 << 31 && incarnation < 1 << 32,
+            "a checkpoint timer packs rank {r} and incarnation {incarnation} into one word"
+        );
+        schedule_proto_data(sc, at, incarnation << 32 | (r as u64) << 1 | TIMER);
+    }
+
+    /// Rank `r`'s checkpoint timer of `incarnation` fired.
+    fn on_rank_timer(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, r: Rank, incarnation: u64) {
+        if rt.job_complete() || rt.ranks[r].incarnation != incarnation {
+            return;
+        }
+        if rt.ranks[r].status == RankStatus::Dead {
+            return; // restart will re-arm
+        }
+        self.take_rank_checkpoint(rt, sc, r);
     }
 
     /// Capture and stream rank `r`'s image; commit on completion.
-    fn take_rank_checkpoint(w: &mut World, sc: &SimCtx, r: Rank) {
-        let incarnation = w.rt.ranks[r].incarnation;
-        let mut flow: Option<(FlowSpec, u64, u64)> = None;
-        with_engine(w, |m: &mut Mlog, rt| {
-            let mr = &mut m.ranks[r];
-            if mr.ckpt_in_flight {
-                return;
-            }
-            mr.ckpt_in_flight = true;
-            m.stats.waves_started += 1;
-            rt.add_penalty(r, m.cfg.fork_cost);
-            let image = RankImage {
-                expect_seq: rt.expect_seq_snapshot(r),
-                send_seq: rt.send_seq_snapshot(r),
-                ..RankImage::capture(rt, r, sc.now())
-            };
-            mr.image_version += 1;
-            let version = mr.image_version;
-            let log_mark = mr.log.len() as u64;
-            // Stash the candidate image alongside the flow; committed only
-            // when the stream lands (kept in the closure below).
-            flow = Some((
-                FlowSpec {
-                    src: rt.placement.node_of(r),
-                    dst: m.server_node_of[r],
-                    bytes: m.cfg.image_bytes,
-                    chunk: m.cfg.chunk_bytes,
-                    also_disk: m.cfg.write_local_disk,
-                },
-                version,
-                log_mark,
-            ));
-            // The image commits only when the stream lands. Overwriting a
-            // leftover entry from before a restart is fine: that capture
-            // was superseded and its completion no longer matches.
-            mr.pending = Some((version, image));
-        });
-        if let Some((spec, version, log_mark)) = flow {
-            start_flow(&mut w.rt, sc, spec, move |w, sc, done_at| {
-                Mlog::image_stored(w, sc, r, version, log_mark, done_at, incarnation);
-            });
+    fn take_rank_checkpoint(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, r: Rank) {
+        let incarnation = rt.ranks[r].incarnation;
+        let mr = &mut self.ranks[r];
+        if mr.ckpt_in_flight {
+            return;
         }
+        mr.ckpt_in_flight = true;
+        self.stats.waves_started += 1;
+        rt.add_penalty(r, self.cfg.fork_cost);
+        let image = RankImage {
+            expect_seq: rt.expect_seq_snapshot(r),
+            send_seq: rt.send_seq_snapshot(r),
+            ..RankImage::capture(rt, r, sc.now())
+        };
+        mr.image_version += 1;
+        let version = mr.image_version;
+        let log_mark = mr.log.len() as u64;
+        // The image commits only when the stream lands. Overwriting a
+        // leftover entry from before a restart is fine: that capture was
+        // superseded and its completion no longer matches.
+        mr.pending = Some((version, image));
+        let spec = FlowSpec {
+            src: rt.placement.node_of(r),
+            dst: self.server_node_of[r],
+            bytes: self.cfg.image_bytes,
+            chunk: self.cfg.chunk_bytes,
+            also_disk: self.cfg.write_local_disk,
+        };
+        start_flow(rt, sc, spec, move |w, sc, done_at| {
+            Mlog::image_stored(w, sc, r, version, log_mark, done_at, incarnation);
+        });
+    }
+
+    /// The acknowledgement in `slot` arrived: the message's log record is
+    /// stable, so it is logged and delivered, unless the receiver
+    /// restarted (or the job rolled back) since it arrived. The slot is
+    /// vacated either way: this is its own event.
+    fn on_ack(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, slot: usize) {
+        let ack = self.acks[slot]
+            .take()
+            .expect("an acknowledgement runs once");
+        self.free_acks.push(slot);
+        if rt.epoch != ack.epoch {
+            return;
+        }
+        if rt.ranks[ack.msg.dst].incarnation != ack.incarnation {
+            // The rank died before the log record stabilized. The restart
+            // already re-injected this message from the pending set, in
+            // channel order — this stale completion simply dies.
+            return;
+        }
+        self.ranks[ack.msg.dst].log.push(ack.msg.clone());
+        rt.deliver_to_matching(sc, ack.msg);
     }
 
     /// A rank's image finished streaming: commit it, prune the log, re-arm.
@@ -168,7 +205,6 @@ impl Mlog {
         done_at: SimTime,
         incarnation: u64,
     ) {
-        let handle = w.rt.world_handle();
         let mut next: Option<SimTime> = None;
         with_engine(w, |m: &mut Mlog, rt| {
             let image = match m.ranks[r].pending.take() {
@@ -201,7 +237,7 @@ impl Mlog {
             }
         });
         if let Some(at) = next {
-            Mlog::schedule_rank_ckpt(sc, handle, r, at, incarnation);
+            Mlog::schedule_rank_ckpt(sc, r, at, incarnation);
         }
     }
 
@@ -224,6 +260,19 @@ impl Mlog {
         w.rt.stats.restarts += 1;
         let (has_image, in_flight) = with_engine(w, |m: &mut Mlog, rt| {
             m.stats.restarts += 1;
+            // The messages whose log writes are in flight leave with the
+            // failure. Their acknowledgements stay queued and die on the
+            // incarnation guard, each vacating its own slot. Finding them
+            // scans the pending acknowledgements, once per restart.
+            let incarnation = rt.ranks[victim].incarnation;
+            let mut in_flight: Vec<&PendingAck> = m
+                .acks
+                .iter()
+                .flatten()
+                .filter(|a| a.msg.dst == victim && a.incarnation == incarnation)
+                .collect();
+            in_flight.sort_unstable_by_key(|a| a.order);
+            let in_flight: Vec<AppMsg> = in_flight.into_iter().map(|a| a.msg.clone()).collect();
             let mr = &mut m.ranks[victim];
             mr.ckpt_in_flight = false;
             // Roll the victim back (bumps its incarnation: stale per-rank
@@ -250,10 +299,7 @@ impl Mlog {
             for msg in &mr.log {
                 rt.inject_restored(sc, msg.clone());
             }
-            // The messages whose log writes were in flight leave with the
-            // failure (their pending completions die on the incarnation
-            // guard).
-            (mr.image.is_some(), std::mem::take(&mut mr.in_flight))
+            (mr.image.is_some(), in_flight)
         });
         // They re-enter arrival handling in their original order (and
         // re-log under the new incarnation); doing this before any later
@@ -289,8 +335,7 @@ impl Mlog {
                 return;
             }
             spawn_rank(sc, &world, victim, app);
-            let handle = world.borrow().rt.world_handle();
-            Mlog::schedule_rank_ckpt(sc, handle, victim, sc.now() + period, incarnation);
+            Mlog::schedule_rank_ckpt(sc, victim, sc.now() + period, incarnation);
         });
     }
 }
@@ -307,13 +352,12 @@ impl Protocol for Mlog {
     fn on_job_start(&mut self, rt: &mut RuntimeCore, sc: &SimCtx) {
         rt.suppress_duplicate_seq = true;
         let n = rt.size();
-        let handle = rt.world_handle();
         for r in 0..n {
             // Stagger: rank r starts its cycle r/n of a period late, so the
             // servers never see a synchronized burst (the point of
             // uncoordinated checkpointing).
             let at = sc.now() + self.cfg.first_wave_delay + (self.cfg.period * r as u64) / n as u64;
-            Mlog::schedule_rank_ckpt(sc, handle.clone(), r, at, 0);
+            Mlog::schedule_rank_ckpt(sc, r, at, 0);
         }
     }
 
@@ -335,35 +379,34 @@ impl Protocol for Mlog {
         let ack = rt.net.transfer(server, dst_node, 64, stored).delivered;
         self.stats.msgs_logged += 1;
         self.stats.log_bytes_sent += msg.bytes.max(64);
-        self.ranks[msg.dst].in_flight.push(msg.clone());
-        let handle = rt.world_handle();
-        let epoch = rt.epoch;
-        let incarnation = rt.ranks[msg.dst].incarnation;
-        let msg = msg.clone();
-        sc.schedule(ack, move |sc| {
-            let Some(world) = handle.upgrade() else {
-                return;
-            };
-            let mut w = world.borrow_mut();
-            if w.rt.epoch != epoch {
-                return;
+        let pending = PendingAck {
+            msg: msg.clone(),
+            epoch: rt.epoch,
+            incarnation: rt.ranks[msg.dst].incarnation,
+            order: self.arrivals,
+        };
+        self.arrivals += 1;
+        let slot = match self.free_acks.pop() {
+            Some(slot) => {
+                self.acks[slot] = Some(pending);
+                slot
             }
-            if w.rt.ranks[msg.dst].incarnation != incarnation {
-                // The rank died before the log record stabilized. The
-                // restart already re-injected this message from the
-                // in-flight set, in channel order — this stale completion
-                // simply dies.
-                return;
+            None => {
+                self.acks.push(Some(pending));
+                self.acks.len() - 1
             }
-            with_engine(&mut w, |m: &mut Mlog, _| {
-                let mr = &mut m.ranks[msg.dst];
-                mr.in_flight
-                    .retain(|f| !(f.src == msg.src && f.seq == msg.seq));
-                mr.log.push(msg.clone());
-            });
-            w.rt.deliver_to_matching(sc, msg);
-        });
+        };
+        schedule_proto_data(sc, ack, (slot as u64) << 1);
         ArrivalAction::Hold
+    }
+
+    fn on_data(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, word: u64) {
+        if word & TIMER == 0 {
+            self.on_ack(rt, sc, (word >> 1) as usize);
+        } else {
+            let rank = ((word >> 1) & ((1 << 31) - 1)) as Rank;
+            self.on_rank_timer(rt, sc, rank, word >> 32);
+        }
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -25,6 +25,26 @@ fn ring_app(iters: usize, bytes: u64, compute: SimDuration) -> AppFn {
     })
 }
 
+/// Rank 0 sends `bursts` bursts of `per_burst` back-to-back messages to
+/// rank 1, and both compute for `gap` after each burst. A burst keeps a
+/// dozen or more of rank 1's log writes in flight at once.
+fn burst_app(bursts: usize, per_burst: usize, bytes: u64, gap: SimDuration) -> AppFn {
+    app_fn(move |mut mpi| async move {
+        for b in 0..bursts {
+            for i in 0..per_burst {
+                let tag = ((b * per_burst + i) % 1000) as i32;
+                if mpi.rank() == 0 {
+                    mpi.send(1, tag, bytes).await;
+                } else {
+                    mpi.recv(Some(0), Some(tag)).await;
+                }
+            }
+            mpi.compute(gap);
+        }
+        mpi
+    })
+}
+
 fn base_spec(nranks: usize, app: AppFn) -> JobSpec {
     let mut spec = JobSpec::new(nranks, ProtocolChoice::Mlog, app);
     spec.servers = 2;
@@ -202,4 +222,31 @@ fn mlog_runs_are_deterministic() {
         )
     };
     assert_eq!(mk(), mk());
+}
+
+#[test]
+fn kills_with_log_writes_in_flight_replay_them_in_arrival_order() {
+    // Each kill lands inside a burst, with 15 or 16 of rank 1's log writes
+    // in flight: the first before rank 1 has an image, the others after.
+    // The bursts go on after every restart, so later acknowledgements
+    // reuse the slots the stale ones vacate. The pinned outcome was
+    // recorded when acknowledgements were boxed closures.
+    let app = burst_app(40, 25, 1_024, SimDuration::from_millis(100));
+    let mut spec = base_spec(2, app);
+    spec.failures = FailurePlan {
+        kills: [300_800_000, 1_232_350_000, 2_434_430_000]
+            .into_iter()
+            .map(|ns| (SimTime::from_nanos(ns), 1))
+            .collect(),
+        ..FailurePlan::default()
+    };
+    let res = run_job(spec).expect("run");
+    assert_eq!(res.completion.as_nanos(), 9_471_430_000);
+    // 1,000 messages, 46 of them logged twice: re-injected at a restart.
+    assert_eq!(res.rt.msgs_sent, 1_000);
+    assert_eq!(res.ft.msgs_logged, 1_046);
+    assert_eq!((res.rt.restarts, res.ft.restarts), (3, 3));
+    assert_eq!(res.ft.waves_committed, 4);
+    assert_eq!(res.leftover_unexpected, 0);
+    assert_eq!(res.leftover_posted, 0);
 }

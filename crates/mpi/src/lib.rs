@@ -27,8 +27,9 @@
 //!   share the NICs with MPI traffic ([`flow`]).
 //!
 //! Per-message and per-chunk events are data, not closures: a rank's op,
-//! a message arrival and a flow's next step each name a table entry, and
-//! one handler per run dispatches them ([`World::attach`]).
+//! a message arrival, a flow's next step and a protocol engine's own events
+//! each name a table entry, and one handler per run dispatches them
+//! ([`World::attach`]).
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,7 @@ mod world;
 
 pub use handle::{Mpi, ReqHandle};
 pub use placement::Placement;
-pub use protocol::{ArrivalAction, DummyProtocol, Protocol, SendAction};
+pub use protocol::{schedule_proto_data, ArrivalAction, DummyProtocol, Protocol, SendAction};
 pub use runtime::{RaceFixture, RankState, RankStatus, RuntimeCore, RuntimeStats};
 pub use types::{AppMsg, ChannelKey, MsgSeq, Rank, RecvInfo, Tag, ANY_SOURCE, ANY_TAG};
 pub use world::{app_fn, spawn_rank, AppFn, AppFuture, World, WorldRef};

@@ -15,14 +15,19 @@
 //! * [`Protocol::on_job_start`] and [`Protocol::on_checkpoint_request`] —
 //!   the dispatcher arms the engine's checkpoint timers once the ranks are
 //!   spawned, and may ask for a wave early (the failure-prediction trigger
-//!   of the paper's conclusion).
+//!   of the paper's conclusion);
+//! * [`Protocol::on_data`] — an event the engine scheduled as data with
+//!   [`schedule_proto_data`] is due. An engine with a per-message or
+//!   per-rank event keeps what the event needs in a table of its own and
+//!   names the entry in one word, so the event boxes no closure.
 
 use std::any::Any;
 
-use ftmpi_sim::SimCtx;
+use ftmpi_sim::{SimCtx, SimTime};
 
 use crate::runtime::RuntimeCore;
 use crate::types::{AppMsg, Rank};
+use crate::world::PROTO;
 
 /// Verdict of [`Protocol::on_send_post`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +52,11 @@ pub enum ArrivalAction {
 /// Fault-tolerance protocol engine plugged into the runtime.
 ///
 /// Implementations live in `ftmpi-core`; [`DummyProtocol`] (the paper's
-/// "Vdummy" / plain runs) is provided here as the no-op baseline.
+/// "Vdummy" / plain runs) is provided here as the no-op baseline. Every hook
+/// gets the engine and the runtime core as two borrows of the one world.
+/// An engine's frequent events are data: it schedules a word with
+/// [`schedule_proto_data`] and receives it in [`Protocol::on_data`];
+/// rare control events may still box a closure.
 pub trait Protocol {
     /// Short name used in reports ("dummy", "vcl", "pcl").
     fn name(&self) -> &'static str;
@@ -80,9 +89,28 @@ pub trait Protocol {
         let _ = (rt, sc);
     }
 
+    /// The data event `word` the engine scheduled with
+    /// [`schedule_proto_data`] is due. What the word names is the engine's
+    /// business. An engine that schedules none keeps this default, which
+    /// panics as a data event without a handler does.
+    fn on_data(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, word: u64) {
+        let _ = (rt, sc);
+        panic!(
+            "protocol {} has no data-event handler (word {word})",
+            self.name()
+        );
+    }
+
     /// Downcast support so `ftmpi-core` controller events can reach their
     /// concrete protocol state through the type-erased world.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// Schedule the protocol data event `word` at `at` (clamped to now),
+/// laneless: the world hands `word` to [`Protocol::on_data`] of the run's
+/// engine. Nothing is allocated.
+pub fn schedule_proto_data(sc: &SimCtx, at: SimTime, word: u64) {
+    sc.schedule_data(at, None, [PROTO, word]);
 }
 
 /// No-fault-tolerance baseline: all hooks pass through.

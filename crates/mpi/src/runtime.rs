@@ -125,16 +125,12 @@ pub struct RankState {
     /// Nonblocking request table.
     pub(crate) requests: HashMap<u64, ReqState, FxBuildHasher>,
     pub(crate) next_req_id: u64,
-    /// Next app sequence number per destination rank. Sparse: a missing
-    /// entry means 0, so a rank only pays for peers it actually talks to —
-    /// dense per-peer vectors are O(n²) across the job and at 10⁵ ranks
-    /// would dwarf every other runtime structure.
-    pub(crate) next_seq_to: HashMap<Rank, u64, FxBuildHasher>,
+    /// Next app sequence number per destination rank.
+    next_seq_to: PeerSeqs,
     /// Next expected sequence number per source rank (duplicate
     /// suppression for single-rank-restart protocols; only consulted when
-    /// `RuntimeCore::suppress_duplicate_seq` is set). Sparse like
-    /// `next_seq_to`: a missing entry means 0.
-    pub(crate) expect_seq_from: HashMap<Rank, u64, FxBuildHasher>,
+    /// `RuntimeCore::suppress_duplicate_seq` is set).
+    expect_seq_from: PeerSeqs,
     /// Local time at which the rank posted its current blocking operation
     /// (valid while `blocked_in_lib`); bounds checkpoint time credits.
     pub last_post: SimTime,
@@ -161,8 +157,8 @@ impl RankState {
             arrival_counter: 0,
             requests: HashMap::default(),
             next_req_id: 0,
-            next_seq_to: HashMap::default(),
-            expect_seq_from: HashMap::default(),
+            next_seq_to: PeerSeqs::default(),
+            expect_seq_from: PeerSeqs::default(),
             last_post: SimTime::ZERO,
             incarnation: 0,
         }
@@ -217,7 +213,7 @@ impl RankState {
         self.requests.clear();
         self.next_req_id = 0;
         self.incarnation += 1;
-        self.next_seq_to.clear();
+        self.next_seq_to.0.clear();
         // `expect_seq_from` is deliberately *not* reset: duplicate
         // suppression must remember what was delivered before the restart
         // (single-rank-restart protocols restore the watermarks from the
@@ -416,8 +412,7 @@ impl RuntimeCore {
     /// `now + recv_overhead`.
     pub fn deliver_to_matching(&mut self, sc: &SimCtx, msg: AppMsg) {
         if self.suppress_duplicate_seq {
-            let rank = &mut self.ranks[msg.dst];
-            let e = rank.expect_seq_from.entry(msg.src).or_insert(0);
+            let e = self.ranks[msg.dst].expect_seq_from.get_mut(msg.src);
             if msg.seq < *e {
                 return; // replayed duplicate of an already-delivered message
             }
@@ -492,11 +487,8 @@ impl RuntimeCore {
             seq: msg.seq,
             epoch: msg.epoch,
         });
-        {
-            let rank = &mut self.ranks[msg.dst];
-            let e = rank.expect_seq_from.entry(msg.src).or_insert(0);
-            *e = (*e).max(msg.seq + 1);
-        }
+        let e = self.ranks[msg.dst].expect_seq_from.get_mut(msg.src);
+        *e = (*e).max(msg.seq + 1);
         let suppress = std::mem::replace(&mut self.suppress_duplicate_seq, false);
         self.deliver_to_matching(sc, msg);
         self.suppress_duplicate_seq = suppress;
@@ -519,24 +511,26 @@ impl RuntimeCore {
     /// Current duplicate-suppression watermarks of a rank (image capture).
     /// Sparse and sorted by peer so images are deterministic byte-for-byte.
     pub fn expect_seq_snapshot(&self, rank: Rank) -> Vec<(Rank, u64)> {
-        sorted_seq_pairs(&self.ranks[rank].expect_seq_from)
+        self.ranks[rank].expect_seq_from.snapshot()
     }
 
     /// Current per-destination send sequence counters (image capture —
     /// restored so a rolled-back rank's re-executed sends continue the
     /// sequence its peers already advanced through). Sparse and sorted.
     pub fn send_seq_snapshot(&self, rank: Rank) -> Vec<(Rank, u64)> {
-        sorted_seq_pairs(&self.ranks[rank].next_seq_to)
+        self.ranks[rank].next_seq_to.snapshot()
     }
 
-    /// Restore per-destination send sequence counters (image restore).
+    /// Restore per-destination send sequence counters from a snapshot
+    /// (image restore).
     pub fn set_send_seq(&mut self, rank: Rank, counters: Vec<(Rank, u64)>) {
-        self.ranks[rank].next_seq_to = counters.into_iter().collect();
+        self.ranks[rank].next_seq_to = PeerSeqs::restore(counters);
     }
 
-    /// Restore duplicate-suppression watermarks (image restore).
+    /// Restore duplicate-suppression watermarks from a snapshot (image
+    /// restore).
     pub fn set_expect_seq(&mut self, rank: Rank, watermarks: Vec<(Rank, u64)>) {
-        self.ranks[rank].expect_seq_from = watermarks.into_iter().collect();
+        self.ranks[rank].expect_seq_from = PeerSeqs::restore(watermarks);
     }
 
     /// Snapshot messages that reached this rank's runtime but have not been
@@ -625,22 +619,53 @@ impl RuntimeCore {
 
     /// Next per-channel sequence number for `src → dst`.
     pub(crate) fn next_seq(&mut self, src: Rank, dst: Rank) -> u64 {
-        let s = self.ranks[src].next_seq_to.entry(dst).or_insert(0);
+        let s = self.ranks[src].next_seq_to.get_mut(dst);
         let v = *s;
         *s += 1;
         v
     }
 }
 
-/// Flatten a sparse per-peer counter map into `(peer, value)` pairs sorted
-/// by peer, dropping zero entries (a missing key already means 0). Sorting
-/// keeps image contents independent of hash-map iteration order.
-fn sorted_seq_pairs(map: &HashMap<Rank, u64, FxBuildHasher>) -> Vec<(Rank, u64)> {
-    let mut pairs: Vec<(Rank, u64)> = map
-        .iter()
-        .filter(|(_, &v)| v != 0)
-        .map(|(&k, &v)| (k, v))
-        .collect();
-    pairs.sort_unstable();
-    pairs
+/// A rank's per-peer sequence counters: `(peer, value)` pairs sorted by
+/// peer. A peer the rank never talked to is absent and reads 0, so a rank
+/// pays only for its peers: dense per-peer vectors are O(n²) across the
+/// job and at 10⁵ ranks would dwarf every other runtime structure. A
+/// lookup is a binary search, so the root of a gather or scatter, with
+/// n − 1 peers, pays O(log n) per message; only a send to a new peer
+/// inserts, shifting the peers above it.
+#[derive(Default)]
+struct PeerSeqs(Vec<(Rank, u64)>);
+
+impl PeerSeqs {
+    /// The counter of `peer`, inserted at 0 if absent.
+    fn get_mut(&mut self, peer: Rank) -> &mut u64 {
+        let i = match self.0.binary_search_by_key(&peer, |&(p, _)| p) {
+            Ok(i) => i,
+            Err(i) => {
+                // Most ranks talk to a handful of peers, a ring's to one:
+                // the first peer gets a list of one, not of four.
+                if self.0.capacity() == 0 {
+                    self.0.reserve_exact(1);
+                }
+                self.0.insert(i, (peer, 0));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    /// The image form: `(peer, value)` sorted by peer, zeros dropped (an
+    /// absent peer already reads 0).
+    fn snapshot(&self) -> Vec<(Rank, u64)> {
+        self.0.iter().copied().filter(|&(_, v)| v != 0).collect()
+    }
+
+    /// Counters restored from a [`snapshot`](PeerSeqs::snapshot).
+    fn restore(pairs: Vec<(Rank, u64)>) -> PeerSeqs {
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "a snapshot is sorted by peer"
+        );
+        PeerSeqs(pairs)
+    }
 }

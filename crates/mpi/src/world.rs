@@ -3,9 +3,10 @@
 //! run's data-event handler.
 //!
 //! Every per-message and per-chunk event is data ([`DataEvent`]): a rank's
-//! posted op, a message arrival, a flow's start, chunk or retry probe. They
-//! all reach one handler, [`World::attach`], which a run installs on its
-//! `Sim` once; it holds the world strongly, and the `Sim` drops it.
+//! posted op, a message arrival, a flow's start, chunk or retry probe, and
+//! a protocol engine's own events ([`Protocol::on_data`]). They all reach
+//! one handler, [`World::attach`], which a run installs on its `Sim` once;
+//! it holds the world strongly, and the `Sim` drops it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,6 +26,9 @@ pub(crate) const ARRIVAL: u64 = 0;
 /// First word of a data event naming a flow (its start, a chunk landing or
 /// a retry probe); the second is its slot in the runtime's flow table.
 pub(crate) const FLOW: u64 = 1;
+/// First word of a protocol engine's data event; the second is the
+/// engine's own ([`crate::schedule_proto_data`]).
+pub(crate) const PROTO: u64 = 2;
 
 /// Shared mutable simulation state: the runtime core and the protocol.
 ///
@@ -99,6 +103,7 @@ impl World {
                 }
             }
             DataEvent::Data([FLOW, slot]) => flow::on_flow_event(self, sc, slot as usize),
+            DataEvent::Data([PROTO, word]) => self.proto.on_data(&mut self.rt, sc, word),
             DataEvent::Data([kind, _]) => panic!("data event of unknown kind {kind}"),
         }
     }

@@ -26,6 +26,14 @@ pub enum PathKind {
     InterCluster,
 }
 
+/// FIFO floors a node holds inline. Eight hold every channel of the
+/// 10⁵-rank ring and halo (a compute node talks to itself, its
+/// neighbours' nodes and up to two servers) and every data channel of
+/// BT.B/64 but a few collective ones. A checkpoint server, or a node that
+/// Pcl or Vcl markers reach from everywhere, opens far more: its later
+/// channels spill to the model's overflow map.
+const NODE_FLOORS: usize = 8;
+
 /// Result of a transfer reservation.
 #[derive(Debug, Clone, Copy)]
 pub struct Delivery {
@@ -41,6 +49,40 @@ struct NodeRes {
     nic_tx: Resource,
     nic_rx: Resource,
     disk: Resource,
+    floors: NodeFloors,
+}
+
+/// The FIFO floors filed at one node: `(channel, floor)` pairs, of which
+/// the first `len` are in use. A channel is the directed node pair
+/// `src << 32 | dst`.
+struct NodeFloors {
+    len: usize,
+    slots: [(u64, SimTime); NODE_FLOORS],
+}
+
+impl NodeFloors {
+    const EMPTY: NodeFloors = NodeFloors {
+        len: 0,
+        slots: [(0, SimTime::ZERO); NODE_FLOORS],
+    };
+
+    /// Where `channel`'s floor sits here, if it is filed here.
+    fn find(&self, channel: u64) -> Option<usize> {
+        self.slots[..self.len]
+            .iter()
+            .position(|&(c, _)| c == channel)
+    }
+
+    /// File `channel` with a zero floor, if a slot is free.
+    fn file(&mut self, channel: u64) -> Option<usize> {
+        let i = self.len;
+        if i == NODE_FLOORS {
+            return None;
+        }
+        self.slots[i] = (channel, SimTime::ZERO);
+        self.len += 1;
+        Some(i)
+    }
 }
 
 struct ClusterRes {
@@ -56,11 +98,10 @@ pub struct NetModel {
     topo: Topology,
     nodes: Vec<NodeRes>,
     clusters: Vec<ClusterRes>,
-    /// Last delivery time per directed node pair: the FIFO floor that keeps
-    /// bypassed small messages from overtaking earlier traffic on the same
-    /// channel (TCP connections are FIFO; Chandy–Lamport markers rely on
-    /// this).
-    pair_last: HashMap<(NodeId, NodeId), SimTime, FxBuildHasher>,
+    /// FIFO floors of the directed node pairs whose two nodes were both
+    /// full when the pair first carried traffic (see
+    /// [`floor_mut`](NetModel::floor_mut)).
+    overflow_floors: HashMap<(NodeId, NodeId), SimTime, FxBuildHasher>,
     /// Directed links currently down (see [`crate::fault`]). BTree
     /// containers so any iteration a future diagnostic adds is
     /// deterministic.
@@ -78,6 +119,10 @@ pub struct NetModel {
 impl NetModel {
     /// Instantiate resources for a topology.
     pub fn new(topo: Topology) -> NetModel {
+        assert!(
+            topo.node_count() <= 1 << 32,
+            "a channel packs two node indices into one word"
+        );
         let nodes = (0..topo.node_count())
             .map(|n| {
                 let link = topo.link_of(NodeId(n));
@@ -85,6 +130,7 @@ impl NetModel {
                     nic_tx: Resource::new(link.nic_bw),
                     nic_rx: Resource::new(link.nic_bw),
                     disk: Resource::new(link.disk_bw),
+                    floors: NodeFloors::EMPTY,
                 }
             })
             .collect();
@@ -98,7 +144,7 @@ impl NetModel {
             topo,
             nodes,
             clusters,
-            pair_last: HashMap::default(),
+            overflow_floors: HashMap::default(),
             link_down: BTreeSet::new(),
             degraded: BTreeMap::new(),
             partitions: BTreeMap::new(),
@@ -316,13 +362,43 @@ impl NetModel {
         };
         // Per-channel FIFO floor (applied after software overheads).
         let delivered = delivered + overhead;
-        let floor = self.pair_last.entry((src, dst)).or_insert(SimTime::ZERO);
+        let floor = self.floor_mut(src, dst);
         let delivered = delivered.max(*floor);
         *floor = delivered;
         Delivery {
             start,
             delivered,
             path,
+        }
+    }
+
+    /// The FIFO floor of the directed pair `src → dst`: the last delivery
+    /// time on that channel, which keeps bypassed small messages from
+    /// overtaking earlier traffic on it (TCP connections are FIFO;
+    /// Chandy–Lamport markers rely on this). A channel never used reads 0.
+    ///
+    /// A channel is filed on first use at its source if the source has a
+    /// free slot, else at its destination, else in the overflow map, and a
+    /// lookup tries them in that order. Nothing leaves a node's slots
+    /// before [`reset_queues`](NetModel::reset_queues) empties them all,
+    /// so a channel in the overflow map found both nodes full when it was
+    /// filed, and finds them full still: a channel missing from both
+    /// nodes' slots goes to the map exactly when neither has room.
+    fn floor_mut(&mut self, src: NodeId, dst: NodeId) -> &mut SimTime {
+        let channel = (src.0 as u64) << 32 | dst.0 as u64;
+        let at = match self.nodes[src.0].floors.find(channel) {
+            Some(i) => Some((src, i)),
+            None => self.nodes[dst.0].floors.find(channel).map(|i| (dst, i)),
+        };
+        let at = at
+            .or_else(|| self.nodes[src.0].floors.file(channel).map(|i| (src, i)))
+            .or_else(|| self.nodes[dst.0].floors.file(channel).map(|i| (dst, i)));
+        match at {
+            Some((node, i)) => &mut self.nodes[node.0].floors.slots[i].1,
+            None => self
+                .overflow_floors
+                .entry((src, dst))
+                .or_insert(SimTime::ZERO),
         }
     }
 
@@ -345,6 +421,7 @@ impl NetModel {
             n.nic_tx.reset_queue(now);
             n.nic_rx.reset_queue(now);
             n.disk.reset_queue(now);
+            n.floors.len = 0;
         }
         for c in &mut self.clusters {
             c.wan_up.reset_queue(now);
@@ -353,7 +430,7 @@ impl NetModel {
         // TCP connections died with the job: no FIFO carry-over. Fault
         // state (down links, degradations, partitions) intentionally
         // survives — restarting the job does not fix the network.
-        self.pair_last.clear();
+        self.overflow_floors.clear();
     }
 }
 
@@ -663,5 +740,57 @@ mod tests {
         net.reset_queues(SimTime::from_nanos(1));
         let d = net.transfer(NodeId(0), NodeId(1), 64, SimTime::from_nanos(1));
         assert!(d.delivered.as_secs_f64() < 0.001);
+    }
+
+    /// Four server nodes trade traffic with 44 peers each way, far more
+    /// channels per node than its floors hold inline, so every lookup path
+    /// runs: the source's entries, the destination's, and the overflow
+    /// map. Sizes straddle the bypass threshold, overheads vary, and the
+    /// queues reset between phases. The digest of every delivery was
+    /// recorded before the floors moved out of a global hash map.
+    #[test]
+    fn fifo_floors_match_the_recorded_delivery_digest() {
+        use std::hash::Hasher;
+
+        use ftmpi_sim::schedule::StdRng;
+        use ftmpi_sim::FxHasher;
+
+        const NODES: usize = 48;
+        const SERVERS: usize = 4;
+        let mut net = NetModel::new(Topology::single_cluster(NODES, LinkConfig::gige()));
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut digest = FxHasher::default();
+        let mut now = SimTime::ZERO;
+        for phase in 0..3 {
+            if phase > 0 {
+                net.reset_queues(now);
+            }
+            for _ in 0..6_000 {
+                let server = NodeId(rng.gen_range(0..SERVERS));
+                let peer = NodeId(rng.gen_range(SERVERS..NODES));
+                let (src, dst) = match rng.gen_range(0u32..10) {
+                    0..=3 => (peer, server),
+                    4..=6 => (server, peer),
+                    7..=8 => (peer, NodeId(rng.gen_range(SERVERS..NODES))),
+                    _ => (peer, peer),
+                };
+                let bytes = if rng.gen_bool(0.1) {
+                    rng.gen_range(1u64..(4 << 20))
+                } else {
+                    rng.gen_range(1..2 * SMALL_BYPASS_BYTES)
+                };
+                let overhead = SimDuration::from_nanos(rng.gen_range(0u64..60_000));
+                let d = net.transfer_with_overhead(src, dst, bytes, now, overhead);
+                for word in [d.start.as_nanos(), d.delivered.as_nanos(), d.path as u64] {
+                    digest.write_u64(word);
+                }
+                now += SimDuration::from_nanos(rng.gen_range(0u64..20_000));
+            }
+        }
+        assert!(
+            !net.overflow_floors.is_empty(),
+            "the servers' channels overflow their inline floors"
+        );
+        assert_eq!(digest.finish(), 3_417_591_142_777_437_920);
     }
 }

@@ -152,6 +152,17 @@ cmp "$CK_TMP.committed" "$CK_TMP.fresh"
 rm -f "$CK_TMP.committed" "$CK_TMP.fresh"
 
 echo "==> rank-scale bench (512-rank ladder, 10^5-rank runs, BENCH_scale.json)"
+# As for the kernel bench, the timing fields may move, but each record's
+# outcome may not: its rank count, executed events, completion time and
+# committed checkpoints pin the 10^5-rank Mlog ring and the 102,400-rank
+# halo, where a change in event order would show.
+SC_TMP="${TMPDIR:-/tmp}/ftmpi-ci-scale-$$"
+SC_FIELDS='"(nranks|events|completion_ns|waves_committed)":'
+grep -E "$SC_FIELDS" BENCH_scale.json > "$SC_TMP.committed"
+test "$(wc -l < "$SC_TMP.committed")" -eq 12
 cargo run -q --release -p ftmpi-bench --bin scale_bench -- --quick
+grep -E "$SC_FIELDS" BENCH_scale.json > "$SC_TMP.fresh"
+cmp "$SC_TMP.committed" "$SC_TMP.fresh"
+rm -f "$SC_TMP.committed" "$SC_TMP.fresh"
 
 echo "CI green."

@@ -1,12 +1,13 @@
 //! Heap allocations per executed event, on the job shapes of Fig. 5.
 //!
 //! Every per-message and per-chunk event is data (a posted op, a reply in
-//! the process table, an arrival or flow step naming a table slot), so a
-//! job's allocations come from setup, rare control events (timers, markers,
-//! acknowledgements) and one pair of boxed hooks per checkpoint stream, not
-//! from its messages. This binary has a counting global allocator of its
-//! own; it counts on each thread separately, so only the job the test runs
-//! on its own thread is counted.
+//! the process table, an arrival or flow step naming a table slot, and
+//! Mlog's log acknowledgement and checkpoint timer naming an entry of the
+//! engine's), so a job's allocations come from setup, rare control events
+//! (wave timers, markers, restarts) and one pair of boxed hooks per
+//! checkpoint stream, not from its messages. This binary has a counting
+//! global allocator of its own; it counts on each thread separately, so
+//! only the job the test runs on its own thread is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,8 +59,8 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// BT class B on 16 ranks, 30 s checkpoint period: no checkpointing, Pcl
-/// with one checkpoint server, Vcl with eight. Each job allocates at most
-/// 0.05 times per executed event, setup included.
+/// with one checkpoint server, Vcl with eight, and Mlog with one. Each job
+/// allocates at most 0.05 times per executed event, setup included.
 #[test]
 fn fig5_jobs_allocate_at_most_once_per_twenty_events() {
     let wl = bt_workload(NasClass::B, 16);
@@ -68,6 +69,7 @@ fn fig5_jobs_allocate_at_most_once_per_twenty_events() {
         ("dummy", ProtocolChoice::Dummy, 1),
         ("pcl x1", ProtocolChoice::Pcl, 1),
         ("vcl x8", ProtocolChoice::Vcl, 8),
+        ("mlog x1", ProtocolChoice::Mlog, 1),
     ] {
         let spec = cluster_spec(&wl, 16, proto, servers, period);
         let before = ALLOCATIONS.with(Cell::get);
