@@ -52,35 +52,34 @@ struct NodeRes {
     floors: NodeFloors,
 }
 
-/// The FIFO floors filed at one node: `(channel, floor)` pairs, of which
-/// the first `len` are in use. A channel is the directed node pair
-/// `src << 32 | dst`.
+/// The FIFO floors filed at one node. A slot's key names its channel by
+/// the other end: `peer << 1` for a channel filed at its source (the peer
+/// is the destination), `peer << 1 | 1` for one filed at its destination.
+/// Free slots hold [`NodeFloors::FREE`] and follow the used ones. The keys
+/// are 32-bit and apart from the floors, so a lookup compares all eight in
+/// half a cache line.
 struct NodeFloors {
-    len: usize,
-    slots: [(u64, SimTime); NODE_FLOORS],
+    keys: [u32; NODE_FLOORS],
+    floors: [SimTime; NODE_FLOORS],
 }
 
 impl NodeFloors {
+    const FREE: u32 = u32::MAX;
     const EMPTY: NodeFloors = NodeFloors {
-        len: 0,
-        slots: [(0, SimTime::ZERO); NODE_FLOORS],
+        keys: [NodeFloors::FREE; NODE_FLOORS],
+        floors: [SimTime::ZERO; NODE_FLOORS],
     };
 
-    /// Where `channel`'s floor sits here, if it is filed here.
-    fn find(&self, channel: u64) -> Option<usize> {
-        self.slots[..self.len]
-            .iter()
-            .position(|&(c, _)| c == channel)
+    /// The slot filed under `key`, if any.
+    fn find(&self, key: u32) -> Option<usize> {
+        self.keys.iter().position(|&k| k == key)
     }
 
-    /// File `channel` with a zero floor, if a slot is free.
-    fn file(&mut self, channel: u64) -> Option<usize> {
-        let i = self.len;
-        if i == NODE_FLOORS {
-            return None;
-        }
-        self.slots[i] = (channel, SimTime::ZERO);
-        self.len += 1;
+    /// File `key` with a zero floor, if a slot is free.
+    fn file(&mut self, key: u32) -> Option<usize> {
+        let i = self.find(NodeFloors::FREE)?;
+        self.keys[i] = key;
+        self.floors[i] = SimTime::ZERO;
         Some(i)
     }
 }
@@ -120,8 +119,8 @@ impl NetModel {
     /// Instantiate resources for a topology.
     pub fn new(topo: Topology) -> NetModel {
         assert!(
-            topo.node_count() <= 1 << 32,
-            "a channel packs two node indices into one word"
+            topo.node_count() < 1 << 31,
+            "a FIFO floor key packs a node index and one bit into a u32 below FREE"
         );
         let nodes = (0..topo.node_count())
             .map(|n| {
@@ -385,16 +384,17 @@ impl NetModel {
     /// filed, and finds them full still: a channel missing from both
     /// nodes' slots goes to the map exactly when neither has room.
     fn floor_mut(&mut self, src: NodeId, dst: NodeId) -> &mut SimTime {
-        let channel = (src.0 as u64) << 32 | dst.0 as u64;
-        let at = match self.nodes[src.0].floors.find(channel) {
+        let at_src = (dst.0 as u32) << 1;
+        let at_dst = (src.0 as u32) << 1 | 1;
+        let at = match self.nodes[src.0].floors.find(at_src) {
             Some(i) => Some((src, i)),
-            None => self.nodes[dst.0].floors.find(channel).map(|i| (dst, i)),
+            None => self.nodes[dst.0].floors.find(at_dst).map(|i| (dst, i)),
         };
         let at = at
-            .or_else(|| self.nodes[src.0].floors.file(channel).map(|i| (src, i)))
-            .or_else(|| self.nodes[dst.0].floors.file(channel).map(|i| (dst, i)));
+            .or_else(|| self.nodes[src.0].floors.file(at_src).map(|i| (src, i)))
+            .or_else(|| self.nodes[dst.0].floors.file(at_dst).map(|i| (dst, i)));
         match at {
-            Some((node, i)) => &mut self.nodes[node.0].floors.slots[i].1,
+            Some((node, i)) => &mut self.nodes[node.0].floors.floors[i],
             None => self
                 .overflow_floors
                 .entry((src, dst))
@@ -421,7 +421,7 @@ impl NetModel {
             n.nic_tx.reset_queue(now);
             n.nic_rx.reset_queue(now);
             n.disk.reset_queue(now);
-            n.floors.len = 0;
+            n.floors = NodeFloors::EMPTY;
         }
         for c in &mut self.clusters {
             c.wan_up.reset_queue(now);
